@@ -9,8 +9,8 @@ encoders), ``trainer`` (optimizer/loop/metrics/checkpoints), ``bc``
 
 __version__ = "0.1.0"
 
-from . import (assignment, attention, bc, cli, decoder, losses, seeding,
-               synth, tensor, trainer)
+from . import (assignment, attention, bc, decoder, losses, seeding, synth,
+               tensor, trainer)
 
-__all__ = ["assignment", "attention", "bc", "cli", "decoder", "losses",
-           "seeding", "synth", "tensor", "trainer", "__version__"]
+__all__ = ["assignment", "attention", "bc", "decoder", "losses", "seeding",
+           "synth", "tensor", "trainer", "__version__"]

@@ -1,9 +1,12 @@
 """Multi-head self/cross attention and sinusoidal positional encodings.
 
-Both attention blocks run all heads through one batched matmul chain and
-optionally cache the per-head weight matrices of the pass for later
-export. Queries carry no positional information of their own; position
-enters only where a caller adds a positional encoding to the memory.
+Both attention blocks take token sets of shape ``[n, D]`` or a batch of
+them, ``[B, n, D]``, and run every batch entry and every head through one
+batched matmul chain. They optionally cache the per-head weight matrices
+of the pass for later export: ``[heads, nq, nk]`` for an unbatched call,
+``[B, heads, nq, nk]`` for a batched one. Queries carry no positional
+information of their own; position enters only where a caller adds a
+positional encoding to the memory.
 """
 
 from __future__ import annotations
@@ -18,10 +21,8 @@ from .tensor import ContractError, ShapeError, Tensor
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with the bias tiled over rows (matmul keeps grads exact)."""
-    n = x.shape[0]
-    bias_rows = tl.matmul(tl.ones((n, 1)), tl.reshape(b, (1, b.shape[0])))
-    return tl.add(tl.matmul(x, w), bias_rows)
+    """x @ w + b for rows x [n, D_in]; the [D_out] bias broadcasts over rows."""
+    return tl.add(tl.matmul(x, w), b)
 
 
 @dataclass
@@ -63,53 +64,65 @@ class AttentionParams:
                 f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    # [n, D] -> [heads, n, D/heads]
-    n, d = x.shape
-    return tl.permute(tl.reshape(x, (n, heads, d // heads)), (1, 0, 2))
+def _view(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    return x if x.shape == shape else tl.reshape(x, shape)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    # [heads, n, dh] -> [n, heads*dh]
-    h, n, dh = x.shape
-    return tl.reshape(tl.permute(x, (1, 0, 2)), (n, h * dh))
+def _split_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
+    # [..., n, D] @ w -> [B*heads, n, D/heads], B the product of the
+    # leading axes (1 for an unbatched [n, D])
+    n, d = x.shape[-2:]
+    b = x.size // (n * d)
+    y = tl.matmul(_view(x, (b * n, d)), w)
+    y = tl.permute(tl.reshape(y, (b, n, heads, d // heads)), (0, 2, 1, 3))
+    return tl.reshape(y, (b * heads, n, d // heads))
 
 
 def _attend(queries: Tensor, memory: Tensor, params: AttentionParams,
             cache: list[np.ndarray] | None) -> Tensor:
+    nq, d = queries.shape[-2:]
+    nk = memory.shape[-2]
+    b = queries.size // (nq * d)
     heads = params.head_count
-    dh = params.width // heads
-    q = _split_heads(tl.matmul(queries, params.wq), heads)
-    k = _split_heads(tl.matmul(memory, params.wk), heads)
-    v = _split_heads(tl.matmul(memory, params.wv), heads)
+    dh = d // heads
+    q = _split_heads(queries, params.wq, heads)
+    k = _split_heads(memory, params.wk, heads)
+    v = _split_heads(memory, params.wv, heads)
     scores = tl.scale(tl.bmm(q, tl.permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    weights = tl.softmax(scores, axis=-1)  # [heads, nq, nk]
+    weights = tl.softmax(scores, axis=-1)  # [B*heads, nq, nk]
     if cache is not None:
-        cache.append(weights.data.copy())
-    out = _merge_heads(tl.bmm(weights, v))
-    return tl.matmul(out, params.wo)
+        cache.append(weights.data.reshape(
+            queries.shape[:-2] + (heads, nq, nk)).copy())
+    o = tl.permute(tl.reshape(tl.bmm(weights, v), (b, heads, nq, dh)),
+                   (0, 2, 1, 3))
+    out = tl.matmul(tl.reshape(o, (b * nq, d)), params.wo)
+    return _view(out, queries.shape)
+
+
+def _check_tokens(x: Tensor, what: str, width: int) -> None:
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"{what} must be [n, D] or [B, n, D], got {x.shape}")
+    if x.shape[-2] < 1:
+        raise ContractError(f"empty {what}")
+    if x.shape[-1] != width:
+        raise ShapeError(f"{what} width {x.shape[-1]} != params width {width}")
 
 
 def self_attention(tokens: Tensor, params: AttentionParams,
                    cache: list[np.ndarray] | None = None) -> Tensor:
-    """Scaled dot-product attention of a token set over itself."""
-    if tokens.shape[0] < 1:
-        raise ContractError("self_attention: empty token set")
-    if tokens.shape[1] != params.width:
-        raise ShapeError(f"token width {tokens.shape[1]} != params width "
-                         f"{params.width}")
+    """Scaled dot-product attention of each token set over itself."""
+    _check_tokens(tokens, "self_attention: token set", params.width)
     return _attend(tokens, tokens, params, cache)
 
 
 def cross_attention(memory: Tensor, queries: Tensor, params: AttentionParams,
                     cache: list[np.ndarray] | None = None) -> Tensor:
     """Queries attend over a separate memory; output shape matches queries."""
-    if memory.shape[0] < 1:
-        raise ContractError("cross_attention: empty memory")
-    if queries.shape[0] < 1:
-        raise ContractError("cross_attention: empty query set")
-    if memory.shape[1] != params.width or queries.shape[1] != params.width:
-        raise ShapeError("memory/query width does not match params width")
+    _check_tokens(memory, "cross_attention: memory", params.width)
+    _check_tokens(queries, "cross_attention: query set", params.width)
+    if memory.shape[:-2] != queries.shape[:-2]:
+        raise ShapeError(f"cross_attention: memory batch {memory.shape[:-2]} "
+                         f"!= query batch {queries.shape[:-2]}")
     return _attend(queries, memory, params, cache)
 
 
@@ -136,8 +149,8 @@ class PositionalEncoding:
         return tl.narrow(self.table, 0, offset, n)
 
     def encode(self, features: Tensor, offset: int = 0) -> Tensor:
-        """Add table rows [offset, offset+n) to an [n, D] feature block."""
-        n, d = features.shape
+        """Add table rows [offset, offset+n) to an [..., n, D] feature block."""
+        n, d = features.shape[-2:]
         if d != self.width:
             raise ShapeError(f"feature width {d} != table width {self.width}")
         return tl.add(features, self.rows(offset, n))

@@ -1,26 +1,32 @@
 """Task-token decoder: 10 learnable query tokens refined through N layers.
 
-Each layer first lets all 10 tokens exchange information through
-self-attention (task fusion), then routes the two temporal-task tokens
-through cross-attention over the per-frame memory and the eight
-detection tokens through cross-attention over the keyframe's patch
-memory. Residual additions and layer normalization wrap every attention
-sublayer. After the last layer, ten independent two-layer MLP heads
-translate each token into its prediction.
+The decoder works on a batch of B clips at once: tokens have shape
+[B, 10, D]. Each layer first lets all 10 tokens of a clip exchange
+information through self-attention (task fusion), then routes the two
+temporal-task tokens through cross-attention over the clip's per-frame
+memory and the eight detection tokens through cross-attention over its
+keyframe's patch memory. Residual additions and layer normalization wrap
+every attention sublayer. After the last layer, three head groups
+translate the tokens into predictions: one two-layer MLP for the state
+change token, one for the keyframe token, and eight stacked MLPs, applied
+together by batched matmul, for the detection tokens. Every token keeps
+its own head weights.
 
 Token roles are fixed: row 0 predicts whether a state change occurs,
-row 1 localizes the change frame, rows 2..9 are detection queries.
+row 1 localizes the change frame, rows 2..9 are detection queries. A
+single clip is a batch of one; there is no separate per-clip path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tl
 from .attention import (AttentionParams, PositionalEncoding, cross_attention,
-                        linear, self_attention)
+                        self_attention)
 from .tensor import ContractError, ShapeError, Tensor
 
 TOKEN_COUNT = 10
@@ -28,6 +34,11 @@ OSCC_TOKEN = 0
 PNR_TOKEN = 1
 SCOD_TOKENS = slice(2, 10)
 SCOD_QUERY_COUNT = 8
+SCOD_CLASS_COUNT = 3  # hand, object, no-object
+
+# Task -> (first token, token count) of its head group, in token order.
+HEAD_TOKENS = {"oscc": (OSCC_TOKEN, 1), "pnr": (PNR_TOKEN, 1),
+               "scod": (SCOD_TOKENS.start, SCOD_QUERY_COUNT)}
 
 
 class StateError(Exception):
@@ -36,39 +47,48 @@ class StateError(Exception):
 
 @dataclass
 class ClipFeatures:
-    """Encoder outputs for one clip.
+    """Encoder outputs for a batch of B clips.
 
     ``h_cls`` has one row per frame (per-frame encoders) or a single row
-    (clip-level encoder); ``h_total`` keeps every patch of every frame.
+    (clip-level encoder) for each clip; ``h_total`` keeps every patch of
+    every frame.
     """
 
-    h_cls: Tensor        # [c, D], c in {1, T}
-    h_total: Tensor      # [T, P, D]
+    h_cls: Tensor        # [B, c, D], c in {1, T}
+    h_total: Tensor      # [B, T, P, D]
     frames: int
     patches: int
-    clip_duration_seconds: float = 8.0
 
     def __post_init__(self):
         t, p = self.frames, self.patches
         if t < 2 or p < 1:
             raise ShapeError(f"need T >= 2 and P >= 1, got T={t} P={p}")
-        if self.h_total.shape[:2] != (t, p):
+        if self.h_total.data.ndim != 4 or self.h_total.shape[1:3] != (t, p):
             raise ShapeError(f"h_total shape {self.h_total.shape} != "
-                             f"({t}, {p}, D)")
-        d = self.h_total.shape[2]
-        if self.h_cls.shape not in ((1, d), (t, d)):
-            raise ShapeError(f"h_cls shape {self.h_cls.shape} must be (1, {d}) "
-                             f"or ({t}, {d})")
-        if self.clip_duration_seconds <= 0:
-            raise ShapeError("clip duration must be positive")
+                             f"(B, {t}, {p}, D)")
+        b, d = self.h_total.shape[0], self.h_total.shape[3]
+        if self.h_cls.shape not in ((b, 1, d), (b, t, d)):
+            raise ShapeError(f"h_cls shape {self.h_cls.shape} must be "
+                             f"({b}, 1, {d}) or ({b}, {t}, {d})")
+
+    @classmethod
+    def concat(cls, items: Sequence["ClipFeatures"]) -> "ClipFeatures":
+        """Join batches in order into one."""
+        return cls(h_cls=tl.concat([f.h_cls for f in items], axis=0),
+                   h_total=tl.concat([f.h_total for f in items], axis=0),
+                   frames=items[0].frames, patches=items[0].patches)
+
+    @property
+    def batch(self) -> int:
+        return self.h_total.shape[0]
 
     @property
     def width(self) -> int:
-        return self.h_total.shape[2]
+        return self.h_total.shape[3]
 
     @property
     def per_frame_cls(self) -> bool:
-        return self.h_cls.shape[0] == self.frames
+        return self.h_cls.shape[1] == self.frames
 
 
 @dataclass
@@ -117,8 +137,22 @@ class ScodQuery:
     box: Tensor           # [4]: (cx, cy, w, h), each squashed into (0, 1)
 
 
-class TaskPredictions:
-    """Per-task decoder outputs; absent (disabled) fields raise on access."""
+class _Outputs:
+    """Per-task outputs; a disabled task's fields raise on access."""
+
+    def _require(self, task: str):
+        value = getattr(self, f"_{task}")
+        if value is None:
+            raise ContractError(f"task {task!r} was disabled for this decode")
+        return value
+
+    def has(self, task: str) -> bool:
+        return getattr(self, f"_{task}") is not None
+
+
+class ClipPrediction(_Outputs):
+    """Detached outputs for one clip, as the model's ``predict`` returns
+    them."""
 
     def __init__(self, oscc_logits: Tensor | None, pnr_logits: Tensor | None,
                  scod: list[ScodQuery] | None, keyframe_used: int):
@@ -127,44 +161,114 @@ class TaskPredictions:
         self._scod = scod
         self.keyframe_used = keyframe_used
 
-    def _get(self, value, task):
-        if value is None:
-            raise ContractError(f"task {task!r} was disabled for this decode")
-        return value
+    @property
+    def oscc_logits(self) -> Tensor:  # [2]
+        return self._require("oscc")
 
     @property
-    def oscc_logits(self) -> Tensor:
-        return self._get(self._oscc, "oscc")
-
-    @property
-    def pnr_logits(self) -> Tensor:
-        return self._get(self._pnr, "pnr")
+    def pnr_logits(self) -> Tensor:   # [T]
+        return self._require("pnr")
 
     @property
     def scod(self) -> list[ScodQuery]:
-        return self._get(self._scod, "scod")
+        return self._require("scod")
 
-    def has(self, task: str) -> bool:
-        return {"oscc": self._oscc, "pnr": self._pnr,
-                "scod": self._scod}[task] is not None
+
+class TaskPredictions(_Outputs):
+    """Decoder outputs for a batch of B clips, on the gradient tape.
+
+    ``keyframes`` [B] holds the frame each clip's spatial memory came
+    from.
+    """
+
+    def __init__(self, oscc_logits: Tensor | None, pnr_logits: Tensor | None,
+                 scod: tuple[Tensor, Tensor] | None, keyframes: np.ndarray):
+        self._oscc = oscc_logits
+        self._pnr = pnr_logits
+        self._scod = scod
+        self.keyframes = keyframes
+
+    @property
+    def oscc_logits(self) -> Tensor:  # [B, 2]
+        return self._require("oscc")
+
+    @property
+    def pnr_logits(self) -> Tensor:   # [B, T]
+        return self._require("pnr")
+
+    @property
+    def scod_logits(self) -> Tensor:  # [B, 8, 3]: hand, object, no-object
+        return self._require("scod")[0]
+
+    @property
+    def scod_boxes(self) -> Tensor:   # [B, 8, 4]: (cx, cy, w, h) in (0, 1)
+        return self._require("scod")[1]
+
+    def outputs(self) -> list[Tensor]:
+        """The enabled tasks' output tensors, in task order."""
+        return [t for t in (self._oscc, self._pnr, *(self._scod or ()))
+                if t is not None]
+
+    def clip(self, b: int) -> ClipPrediction:
+        """Detached copy of clip ``b``'s outputs."""
+        def row(t: Tensor | None) -> Tensor | None:
+            return None if t is None else tl.constant(t.data[b].copy())
+
+        scod = None
+        if self._scod is not None:
+            logits, boxes = self._scod
+            scod = [ScodQuery(class_logits=tl.constant(c.copy()),
+                              box=tl.constant(x.copy()))
+                    for c, x in zip(logits.data[b], boxes.data[b])]
+        return ClipPrediction(row(self._oscc), row(self._pnr), scod,
+                              keyframe_used=int(self.keyframes[b]))
 
 
 @dataclass
 class KeyframeSpec:
-    """How the spatial memory's keyframe is chosen for one decode pass."""
+    """How each clip's keyframe is chosen for one decode pass."""
 
     mode: str  # "train" | "infer"
-    label_frame: int | None = None
-    no_change: bool = False
-    pnr_logits: np.ndarray | None = None
+    # train: one labeled change frame per clip, None marking a no-change clip
+    label_frames: tuple[int | None, ...] | None = None
+    pnr_logits: np.ndarray | None = None  # infer: [B, T]
 
     @classmethod
-    def train(cls, label_frame: int | None, no_change: bool = False):
-        return cls(mode="train", label_frame=label_frame, no_change=no_change)
+    def train(cls, label_frames: Sequence[int | None]) -> "KeyframeSpec":
+        return cls(mode="train", label_frames=tuple(label_frames))
 
     @classmethod
-    def infer(cls, pnr_logits: np.ndarray):
+    def infer(cls, pnr_logits: np.ndarray) -> "KeyframeSpec":
         return cls(mode="infer", pnr_logits=np.asarray(pnr_logits))
+
+    def frames(self, batch: int, t: int) -> np.ndarray:
+        """Keyframe index of each clip of a batch of ``batch`` T-frame clips.
+
+        Training uses the labeled change frame (mid-clip for no-change
+        clips, whose detection loss is masked anyway); inference uses the
+        first argmax of the keyframe logits.
+        """
+        if self.mode == "train":
+            if self.label_frames is None:
+                raise ContractError("train-mode keyframes need a label frame, "
+                                    "or None for a no-change clip, per clip")
+            if len(self.label_frames) != batch:
+                raise ContractError(f"{len(self.label_frames)} label frames "
+                                    f"for a batch of {batch}")
+            ks = np.array([t // 2 if k is None else int(k)
+                           for k in self.label_frames], dtype=np.intp)
+            for k in ks:
+                if not (0 <= k < t):
+                    raise ContractError(f"label keyframe {k} outside [0, {t})")
+            return ks
+        if self.mode == "infer":
+            if self.pnr_logits is None:
+                raise ContractError("infer-mode keyframe needs keyframe logits")
+            if self.pnr_logits.shape != (batch, t):
+                raise ContractError(f"keyframe logits shape "
+                                    f"{self.pnr_logits.shape} != ({batch}, {t})")
+            return np.argmax(self.pnr_logits, axis=1)
+        raise ContractError(f"unknown keyframe mode {self.mode!r}")
 
 
 def argmax_first(values: np.ndarray) -> int:
@@ -174,7 +278,8 @@ def argmax_first(values: np.ndarray) -> int:
 
 def build_temporal_memory(features: ClipFeatures,
                           pe: PositionalEncoding) -> Tensor:
-    """Per-frame memory h_t: frame features plus the time position table.
+    """Per-frame memory h_t [B, T, D]: frame features plus the time
+    position table.
 
     Per-frame encoders contribute their class rows directly; a clip-level
     encoder has no per-frame class axis, so its dense features are
@@ -183,37 +288,19 @@ def build_temporal_memory(features: ClipFeatures,
     if features.per_frame_cls:
         base = features.h_cls
     else:
-        base = tl.mean_axis(features.h_total, axis=1)
+        base = tl.mean_axis(features.h_total, axis=2)
     return pe.encode(base, 0)
 
 
 def select_keyframe(features: ClipFeatures, pe: PositionalEncoding,
-                    spec: KeyframeSpec) -> tuple[Tensor, int]:
-    """Pick the keyframe and build spatial memory h_s from its patches.
-
-    Training uses the labeled change frame (mid-clip for no-change
-    clips, whose detection loss is masked anyway); inference uses the
-    first argmax of the keyframe logits.
-    """
-    t = features.frames
-    if spec.mode == "train":
-        if spec.label_frame is not None:
-            k = int(spec.label_frame)
-            if not (0 <= k < t):
-                raise ContractError(f"label keyframe {k} outside [0, {t})")
-        elif spec.no_change:
-            k = t // 2
-        else:
-            raise ContractError("train-mode keyframe needs a label or an "
-                                "explicit no-change marker")
-    elif spec.mode == "infer":
-        if spec.pnr_logits is None:
-            raise ContractError("infer-mode keyframe needs keyframe logits")
-        k = argmax_first(spec.pnr_logits)
-    else:
-        raise ContractError(f"unknown keyframe mode {spec.mode!r}")
-    h_s = pe.encode(tl.index0(features.h_total, k), 0)
-    return h_s, k
+                    spec: KeyframeSpec) -> tuple[Tensor, np.ndarray]:
+    """Pick each clip's keyframe and build spatial memory h_s [B, P, D]
+    from its patches, gathering every clip's slab in one op."""
+    b, t, p = features.batch, features.frames, features.patches
+    ks = spec.frames(b, t)
+    flat = tl.reshape(features.h_total, (b * t, p, features.width))
+    h_s = pe.encode(tl.take0(flat, np.arange(b) * t + ks), 0)
+    return h_s, ks
 
 
 @dataclass
@@ -230,21 +317,46 @@ class _Layer:
 
 
 @dataclass
-class _Head:
+class _HeadGroup:
+    """Two-layer MLPs for G consecutive tokens, one per token, stacked:
+    w1 [G, D, H], b1 [G, H], w2 [G, H, O], b2 [G, O]."""
+
     w1: Tensor
     b1: Tensor
     w2: Tensor
     b2: Tensor
 
-    def forward(self, token_row: Tensor) -> Tensor:
-        h = tl.gelu(linear(token_row, self.w1, self.b1))
-        out = linear(h, self.w2, self.b2)
-        return tl.reshape(out, (out.shape[1],))
+    @classmethod
+    def init(cls, rng: np.random.Generator, tokens: int, width: int,
+             hidden: int, out: int) -> "_HeadGroup":
+        # Draw token by token (w1 then w2), as separate heads would.
+        w1, w2 = [], []
+        for _ in range(tokens):
+            w1.append(rng.standard_normal((width, hidden)) * 0.02)
+            w2.append(rng.standard_normal((hidden, out)) * 0.02)
+        return cls(w1=tl.tensor(np.stack(w1), requires_grad=True),
+                   b1=tl.zeros((tokens, hidden), requires_grad=True),
+                   w2=tl.tensor(np.stack(w2), requires_grad=True),
+                   b2=tl.zeros((tokens, out), requires_grad=True))
+
+    def forward(self, tokens: Tensor) -> Tensor:
+        """[B, G, D] -> [B, G, O], token g through its own MLP."""
+        def per_token(x, w, b):  # [B, G, i] @ [G, i, o] + [G, o]
+            y = tl.bmm(tl.permute(x, (1, 0, 2)), w)
+            return tl.add(tl.permute(y, (1, 0, 2)), b)
+
+        h = tl.gelu(per_token(tokens, self.w1, self.b1))
+        return per_token(h, self.w2, self.b2)
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,
+                f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
 
 @dataclass
 class LayerAttention:
-    """Cached attention weights of one layer (per-head numpy matrices)."""
+    """Cached attention weights of one layer (per-head numpy matrices),
+    with a leading batch axis while cached and without one as exported."""
 
     self_attn: np.ndarray      # [heads, 10, 10]
     temporal: np.ndarray       # [heads, 2, T]
@@ -252,7 +364,7 @@ class LayerAttention:
 
 
 class TaskFusionDecoder:
-    """The decoder stack plus its ten prediction heads."""
+    """The decoder stack plus its three prediction head groups."""
 
     def __init__(self, config: DecoderConfig, rng: np.random.Generator):
         self.config = config
@@ -274,25 +386,12 @@ class TaskFusionDecoder:
             )
             for _ in range(config.layers)
         ]
-        self.heads = [self._init_head(rng, i) for i in range(TOKEN_COUNT)]
+        out_width = {"oscc": 2, "pnr": config.frames,
+                     "scod": SCOD_CLASS_COUNT + 4}
+        self.heads = {task: _HeadGroup.init(rng, count, d, config.mlp_hidden,
+                                            out_width[task])
+                      for task, (_, count) in HEAD_TOKENS.items()}
         self._attention_cache: list[LayerAttention] | None = None
-
-    def _head_out_width(self, token: int) -> int:
-        if token == OSCC_TOKEN:
-            return 2
-        if token == PNR_TOKEN:
-            return self.config.frames
-        return 3 + 4  # class logits + box
-
-    def _init_head(self, rng: np.random.Generator, token: int) -> _Head:
-        d, hid = self.config.width, self.config.mlp_hidden
-        out = self._head_out_width(token)
-        return _Head(
-            w1=tl.randn(rng, (d, hid), std=0.02, requires_grad=True),
-            b1=tl.zeros(hid, requires_grad=True),
-            w2=tl.randn(rng, (hid, out), std=0.02, requires_grad=True),
-            b2=tl.zeros(out, requires_grad=True),
-        )
 
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {"tokens": self.bank.tokens}
@@ -306,11 +405,8 @@ class TaskFusionDecoder:
             params[f"layer{k}.ln_t.b"] = layer.ln_t_b
             params[f"layer{k}.ln_s.g"] = layer.ln_s_g
             params[f"layer{k}.ln_s.b"] = layer.ln_s_b
-        for i, head in enumerate(self.heads):
-            params[f"head{i}.w1"] = head.w1
-            params[f"head{i}.b1"] = head.b1
-            params[f"head{i}.w2"] = head.w2
-            params[f"head{i}.b2"] = head.b2
+        for task, group in self.heads.items():
+            params.update(group.named(f"head.{task}"))
         return params
 
     def decode(self, features: ClipFeatures, keyframe: KeyframeSpec,
@@ -319,12 +415,13 @@ class TaskFusionDecoder:
         if features.width != cfg.width or features.frames != cfg.frames \
                 or features.patches != cfg.patches:
             raise ShapeError("clip features do not match decoder config")
+        b, d = features.batch, cfg.width
 
         h_t = build_temporal_memory(features, self.pe)
-        h_s, k_used = select_keyframe(features, self.pe, keyframe)
+        h_s, keyframes = select_keyframe(features, self.pe, keyframe)
 
         cache: list[LayerAttention] | None = [] if cache_attention else None
-        z = self.bank.tokens
+        z = tl.repeat0(tl.reshape(self.bank.tokens, (1, TOKEN_COUNT, d)), b)
         for layer in self.layers:
             c_self: list[np.ndarray] | None = [] if cache_attention else None
             c_t: list[np.ndarray] | None = [] if cache_attention else None
@@ -332,43 +429,43 @@ class TaskFusionDecoder:
             if cfg.self_attention_identity:
                 f = z
                 if cache_attention:
-                    eye = np.broadcast_to(np.eye(TOKEN_COUNT),
-                                          (cfg.heads, TOKEN_COUNT, TOKEN_COUNT))
+                    eye = np.broadcast_to(
+                        np.eye(TOKEN_COUNT),
+                        (b, cfg.heads, TOKEN_COUNT, TOKEN_COUNT))
                     c_self.append(eye.copy())
             else:
                 f = tl.layer_norm(
                     tl.add(z, self_attention(z, layer.self_attn, c_self)),
                     layer.ln_self_g, layer.ln_self_b)
-            f_t = tl.narrow(f, 0, 0, 2)
-            f_s = tl.narrow(f, 0, 2, SCOD_QUERY_COUNT)
+            f_t = tl.narrow(f, 1, 0, 2)
+            f_s = tl.narrow(f, 1, 2, SCOD_QUERY_COUNT)
             z_t = tl.layer_norm(
                 tl.add(f_t, cross_attention(h_t, f_t, layer.cross_temporal, c_t)),
                 layer.ln_t_g, layer.ln_t_b)
             z_s = tl.layer_norm(
                 tl.add(f_s, cross_attention(h_s, f_s, layer.cross_spatial, c_s)),
                 layer.ln_s_g, layer.ln_s_b)
-            z = tl.concat([z_t, z_s], axis=0)
+            z = tl.concat([z_t, z_s], axis=1)
             if cache_attention:
                 cache.append(LayerAttention(self_attn=c_self[0],
                                             temporal=c_t[0], spatial=c_s[0]))
         if cache_attention:
             self._attention_cache = cache
 
-        oscc = pnr = None
-        scod = None
-        if "oscc" in cfg.enabled_tasks:
-            oscc = self.heads[OSCC_TOKEN].forward(tl.narrow(z, 0, OSCC_TOKEN, 1))
-        if "pnr" in cfg.enabled_tasks:
-            pnr = self.heads[PNR_TOKEN].forward(tl.narrow(z, 0, PNR_TOKEN, 1))
-        if "scod" in cfg.enabled_tasks:
-            scod = []
-            for ti in range(SCOD_TOKENS.start, SCOD_TOKENS.stop):
-                raw = self.heads[ti].forward(tl.narrow(z, 0, ti, 1))
-                scod.append(ScodQuery(
-                    class_logits=tl.narrow(raw, 0, 0, 3),
-                    box=tl.sigmoid(tl.narrow(raw, 0, 3, 4)),
-                ))
-        return TaskPredictions(oscc, pnr, scod, keyframe_used=k_used)
+        out: dict[str, Tensor] = {}
+        for task in cfg.enabled_tasks:
+            first, count = HEAD_TOKENS[task]
+            out[task] = self.heads[task].forward(tl.narrow(z, 1, first, count))
+        oscc = pnr = scod = None
+        if "oscc" in out:
+            oscc = tl.reshape(out["oscc"], (b, 2))
+        if "pnr" in out:
+            pnr = tl.reshape(out["pnr"], (b, cfg.frames))
+        if "scod" in out:
+            raw = out["scod"]
+            scod = (tl.narrow(raw, 2, 0, SCOD_CLASS_COUNT),
+                    tl.sigmoid(tl.narrow(raw, 2, SCOD_CLASS_COUNT, 4)))
+        return TaskPredictions(oscc, pnr, scod, keyframes=keyframes)
 
     def infer(self, features: ClipFeatures,
               cache_attention: bool = False) -> TaskPredictions:
@@ -378,20 +475,23 @@ class TaskFusionDecoder:
         chose the keyframe); detection outputs come from the final pass."""
         if "pnr" not in self.config.enabled_tasks:
             raise ContractError("inference requires the keyframe task")
-        first = self.decode(features, KeyframeSpec.train(None, no_change=True))
-        k = argmax_first(first.pnr_logits.data)
+        first = self.decode(features,
+                            KeyframeSpec.train([None] * features.batch))
         second = self.decode(features, KeyframeSpec.infer(first.pnr_logits.data),
                              cache_attention=cache_attention)
-        oscc = first._oscc
-        scod = second._scod
-        return TaskPredictions(oscc, first._pnr, scod, keyframe_used=k)
+        return TaskPredictions(first._oscc, first._pnr, second._scod,
+                               keyframes=second.keyframes)
 
-    def export_attention(self) -> list[LayerAttention]:
-        """Attention matrices of the last cached pass, in layer order."""
+    def export_attention(self, clip: int = 0) -> list[LayerAttention]:
+        """Attention matrices of clip ``clip`` in the last cached pass, in
+        layer order."""
         if self._attention_cache is None:
             raise StateError("no cached forward pass; run decode with "
                              "cache_attention=True first")
-        return self._attention_cache
+        return [LayerAttention(self_attn=a.self_attn[clip],
+                               temporal=a.temporal[clip],
+                               spatial=a.spatial[clip])
+                for a in self._attention_cache]
 
     def clear_attention_cache(self) -> None:
         self._attention_cache = None

@@ -1,12 +1,15 @@
 """Supervised losses for the three perceptual tasks and their combination.
 
+Each task loss takes the outputs of a batch of B clips and returns its
+mean over the clips it applies to, in one vectorized pass.
 Classification uses log-sum-exp stabilized cross-entropy. The keyframe
 task is supervised as a distribution over frames with target-first KL
 (one-hot targets reduce it to negative log-likelihood). Detection is a
-set-prediction loss: queries are matched to ground-truth boxes by
-minimum-cost assignment, the match is held fixed during backward, and
-unmatched queries are pushed toward the no-object class. The combined
-loss weighs tasks by learnable log-variances.
+set-prediction loss: each clip's queries are matched to its ground-truth
+boxes by minimum-cost assignment, the match is held fixed during
+backward, and unmatched queries are pushed toward the no-object class;
+no-change clips are masked out. The combined loss weighs tasks by
+learnable log-variances.
 """
 
 from __future__ import annotations
@@ -75,11 +78,12 @@ class ClipLabels:
 
 @dataclass
 class PnrTarget:
-    dist: np.ndarray  # [T] probability vector
+    dist: np.ndarray  # [T] probability vector, or [B, T] with one per clip
 
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=np.float64)
-        if np.any(self.dist < 0) or abs(self.dist.sum() - 1.0) > 1e-12:
+        if np.any(self.dist < 0) or np.any(
+                np.abs(self.dist.sum(axis=-1) - 1.0) > 1e-12):
             raise LabelError("keyframe target must be a probability vector")
 
 
@@ -101,22 +105,32 @@ def _comp(t: Tensor, i: int) -> Tensor:
     return tl.reshape(tl.narrow(t, 0, i, 1), ())
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """-log softmax(logits)[label], stabilized by a detached max shift."""
-    n = logits.shape[0]
-    if not (0 <= label < n):
-        raise ContractError(f"label {label} out of range for {n} classes")
-    m = float(np.max(logits.data))  # shift has exactly zero gradient
-    z = tl.sub(logits, m)
-    lse = tl.log(tl.sum_all(tl.exp(z)))
-    return tl.sub(lse, _comp(z, label))
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """-log softmax(logits)[label] for every row of ``logits`` [..., C];
+    ``labels`` has shape [...]. Stabilized by a detached max shift."""
+    labels = np.asarray(labels, dtype=np.intp)
+    n = logits.shape[-1]
+    if labels.shape != logits.shape[:-1]:
+        raise ContractError(f"labels shape {labels.shape} does not match "
+                            f"logits shape {logits.shape}")
+    if np.any((labels < 0) | (labels >= n)):
+        raise ContractError(f"labels {labels} out of range for {n} classes")
+    # the shift has exactly zero gradient
+    m = np.max(logits.data, axis=-1, keepdims=True)
+    z = tl.sub(logits, tl.constant(np.broadcast_to(m, logits.shape)))
+    lse = tl.log(tl.sum_axis(tl.exp(z), axis=-1))
+    one_hot = tl.constant(np.eye(n)[labels])
+    return tl.sub(lse, tl.sum_axis(tl.mul(z, one_hot), axis=-1))
 
 
-def oscc_loss(oscc_logits: Tensor, state_change: bool) -> Tensor:
-    """Two-class cross-entropy; class 0 means a state change occurs."""
-    if oscc_logits.shape != (2,):
+def oscc_loss(oscc_logits: Tensor, state_change) -> Tensor:
+    """Two-class cross-entropy, averaged over clips: ``oscc_logits``
+    [B, 2] (or [2] for one clip), ``state_change`` one flag per clip.
+    Class 0 means a state change occurs."""
+    if oscc_logits.shape[-1:] != (2,):
         raise ContractError(f"expected 2 logits, got shape {oscc_logits.shape}")
-    return cross_entropy(oscc_logits, 0 if state_change else 1)
+    labels = np.where(np.asarray(state_change, dtype=bool), 0, 1)
+    return tl.mean_all(cross_entropy(oscc_logits, labels))
 
 
 def make_pnr_target(labels: ClipLabels, frames: int) -> PnrTarget:
@@ -131,129 +145,164 @@ def make_pnr_target(labels: ClipLabels, frames: int) -> PnrTarget:
     return PnrTarget(dist=dist)
 
 
+def make_pnr_targets(labels: Sequence[ClipLabels], frames: int) -> PnrTarget:
+    """One target row per clip, stacked: [B, T]."""
+    return PnrTarget(np.stack([make_pnr_target(lab, frames).dist
+                               for lab in labels]))
+
+
 def pnr_loss(pnr_logits: Tensor, target: PnrTarget) -> Tensor:
-    """KL(target || softmax(logits)) with the 0*log(0) = 0 convention."""
+    """KL(target || softmax(logits)) with the 0*log(0) = 0 convention,
+    averaged over clips; logits and target are [B, T] (or [T])."""
     t = target.dist
     if pnr_logits.shape != t.shape:
         raise ContractError(f"logits shape {pnr_logits.shape} != target shape "
                             f"{t.shape}")
-    nz = t > 0
-    target_entropy_term = float(np.sum(t[nz] * np.log(t[nz])))
-    m = float(np.max(pnr_logits.data))
-    z = tl.sub(pnr_logits, m)
-    lse = tl.log(tl.sum_all(tl.exp(z)))
-    log_p = tl.sub(z, lse)
-    return tl.sub(target_entropy_term, tl.sum_all(tl.mul(tl.constant(t), log_p)))
+    target_entropy = np.sum(t * np.log(np.where(t > 0, t, 1.0)), axis=-1)
+    m = np.max(pnr_logits.data, axis=-1, keepdims=True)
+    z = tl.sub(pnr_logits, tl.constant(np.broadcast_to(m, t.shape)))
+    lse = tl.log(tl.sum_axis(tl.exp(z), axis=-1))
+    # sum_t target * log p = sum_t target * z - lse * sum_t target
+    cross = tl.sub(tl.sum_axis(tl.mul(tl.constant(t), z), axis=-1),
+                   tl.mul(lse, tl.constant(np.sum(t, axis=-1))))
+    return tl.mean_all(tl.sub(tl.constant(target_entropy), cross))
 
 
-def _corners(box: Tensor):
-    cx, cy, w, h = (_comp(box, i) for i in range(4))
-    hw, hh = tl.scale(w, 0.5), tl.scale(h, 0.5)
-    return (tl.sub(cx, hw), tl.sub(cy, hh), tl.add(cx, hw), tl.add(cy, hh),
-            w, h)
+def _pair_product(x: Tensor, axis: int) -> Tensor:
+    # x[..., 0] * x[..., 1] along ``axis`` (kept with length 1)
+    return tl.mul(tl.narrow(x, axis, 0, 1), tl.narrow(x, axis, 1, 1))
 
 
 def giou(a: Tensor, b: Tensor) -> Tensor:
-    """Generalized IoU of two (cx, cy, w, h) boxes; differentiable, in (-1, 1]."""
+    """Generalized IoU of (cx, cy, w, h) boxes, row by row: [..., 4] pairs
+    give [...]; differentiable, in (-1, 1]."""
     a = a if isinstance(a, Tensor) else tl.constant(np.asarray(a, dtype=np.float64))
     b = b if isinstance(b, Tensor) else tl.constant(np.asarray(b, dtype=np.float64))
-    if a.shape != (4,) or b.shape != (4,):
-        raise ContractError(f"boxes must be [4], got {a.shape} and {b.shape}")
-    if a.data[2] <= 0 or a.data[3] <= 0 or b.data[2] <= 0 or b.data[3] <= 0:
+    if a.shape != b.shape or a.shape[-1:] != (4,):
+        raise ContractError(f"boxes must be [..., 4] pairs, got {a.shape} and "
+                            f"{b.shape}")
+    if np.any(a.data[..., 2:] <= 0) or np.any(b.data[..., 2:] <= 0):
         raise DomainError("degenerate (zero-area) box")
+    ax = a.data.ndim - 1
 
-    ax1, ay1, ax2, ay2, aw, ah = _corners(a)
-    bx1, by1, bx2, by2, bw, bh = _corners(b)
+    def corners(box):  # (x1, y1), (x2, y2), (w, h)
+        center, size = tl.narrow(box, ax, 0, 2), tl.narrow(box, ax, 2, 2)
+        half = tl.scale(size, 0.5)
+        return tl.sub(center, half), tl.add(center, half), size
 
-    iw = tl.relu(tl.sub(tl.minimum(ax2, bx2), tl.maximum(ax1, bx1)))
-    ih = tl.relu(tl.sub(tl.minimum(ay2, by2), tl.maximum(ay1, by1)))
-    inter = tl.mul(iw, ih)
-    union = tl.sub(tl.add(tl.mul(aw, ah), tl.mul(bw, bh)), inter)
+    a_lo, a_hi, a_size = corners(a)
+    b_lo, b_hi, b_size = corners(b)
+    inter = _pair_product(
+        tl.relu(tl.sub(tl.minimum(a_hi, b_hi), tl.maximum(a_lo, b_lo))), ax)
+    union = tl.sub(tl.add(_pair_product(a_size, ax), _pair_product(b_size, ax)),
+                   inter)
     iou = tl.div(inter, union)
+    hull = _pair_product(
+        tl.sub(tl.maximum(a_hi, b_hi), tl.minimum(a_lo, b_lo)), ax)
+    out = tl.sub(iou, tl.div(tl.sub(hull, union), hull))
+    return tl.reshape(out, a.shape[:-1])
 
-    hw = tl.sub(tl.maximum(ax2, bx2), tl.minimum(ax1, bx1))
-    hh = tl.sub(tl.maximum(ay2, by2), tl.minimum(ay1, by1))
-    hull = tl.mul(hw, hh)
-    return tl.sub(iou, tl.div(tl.sub(hull, union), hull))
 
-
-def iou_giou_values(a, b) -> tuple[float, float]:
-    """Plain-number IoU and generalized IoU of two (cx, cy, w, h) boxes."""
+def iou_giou_values(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Plain-number IoU and generalized IoU of (cx, cy, w, h) boxes; the
+    [..., 4] operands broadcast against each other."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a[2] <= 0 or a[3] <= 0 or b[2] <= 0 or b[3] <= 0:
+    if np.any(a[..., 2:] <= 0) or np.any(b[..., 2:] <= 0):
         raise DomainError("degenerate (zero-area) box")
-    ax1, ay1, ax2, ay2 = a[0] - a[2] / 2, a[1] - a[3] / 2, a[0] + a[2] / 2, a[1] + a[3] / 2
-    bx1, by1, bx2, by2 = b[0] - b[2] / 2, b[1] - b[3] / 2, b[0] + b[2] / 2, b[1] + b[3] / 2
-    iw = max(0.0, min(ax2, bx2) - max(ax1, bx1))
-    ih = max(0.0, min(ay2, by2) - max(ay1, by1))
-    inter = iw * ih
-    union = a[2] * a[3] + b[2] * b[3] - inter
+    a_lo, a_hi = a[..., :2] - a[..., 2:] / 2, a[..., :2] + a[..., 2:] / 2
+    b_lo, b_hi = b[..., :2] - b[..., 2:] / 2, b[..., :2] + b[..., 2:] / 2
+    overlap = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
+    inter = overlap[..., 0] * overlap[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
     iou = inter / union
-    hull = (max(ax2, bx2) - min(ax1, bx1)) * (max(ay2, by2) - min(ay1, by1))
+    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    hull = hull_wh[..., 0] * hull_wh[..., 1]
     return iou, iou - (hull - union) / hull
 
 
-def _l1(pred_box: Tensor, gt: np.ndarray) -> Tensor:
-    d = tl.sub(pred_box, tl.constant(gt))
-    return tl.sum_all(tl.add(tl.relu(d), tl.relu(tl.scale(d, -1.0))))
+def _check_detection(class_logits: Tensor, boxes: Tensor,
+                     labels: Sequence[ClipLabels]) -> None:
+    b, q = class_logits.shape[:2]
+    if class_logits.shape != (b, q, BOX_CLASS_COUNT) or boxes.shape != (b, q, 4):
+        raise ContractError(f"detection outputs must be [B, Q, 3] and "
+                            f"[B, Q, 4], got {class_logits.shape} and "
+                            f"{boxes.shape}")
+    if len(labels) != b:
+        raise ContractError(f"{len(labels)} label sets for a batch of {b}")
 
 
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
+def match_queries(class_logits: Tensor, boxes: Tensor,
+                  labels: Sequence[ClipLabels]) -> list[Assignment | None]:
+    """Minimum-cost pairing of each clip's ground-truth boxes (rows) to its
+    queries (cols); None for clips without boxes.
 
-
-def match_queries(queries: Sequence, boxes: Sequence[LabeledBox]) -> Assignment:
-    """Minimum-cost pairing of ground-truth boxes (rows) to queries (cols).
-
-    The cost mirrors the loss terms but is computed on detached values;
-    gradients never flow through the discrete match.
+    The costs of every clip are built in one numpy pass over detached
+    values and mirror the loss terms; gradients never flow through the
+    discrete match. Each clip is then matched on its own.
     """
-    g, q = len(boxes), len(queries)
-    costs = np.zeros((g, q))
-    for i, gt in enumerate(boxes):
-        gt_box = np.asarray(gt.box, dtype=np.float64)
-        for j, query in enumerate(queries):
-            prob = _softmax_np(query.class_logits.data)[gt.class_index]
-            l1 = float(np.abs(query.box.data - gt_box).sum())
-            _, g_iou = iou_giou_values(query.box.data, gt_box)
-            costs[i, j] = (LAMBDA_CLS * (-prob) + LAMBDA_L1 * l1
-                           + LAMBDA_GIOU * (1.0 - g_iou))
-    return hungarian(CostMatrix(costs))
+    _check_detection(class_logits, boxes, labels)
+    g = max((len(lab.boxes) for lab in labels), default=0)
+    gt = np.full((len(labels), g, 4), 0.5)
+    gt_class = np.zeros((len(labels), g), dtype=np.intp)
+    for i, lab in enumerate(labels):
+        for j, box in enumerate(lab.boxes):
+            gt[i, j] = box.box
+            gt_class[i, j] = box.class_index
+    logits = class_logits.data
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    prob = e / np.sum(e, axis=-1, keepdims=True)               # [B, Q, 3]
+    prob_gt = np.take_along_axis(prob, gt_class[:, None, :], axis=2)
+    pred = boxes.data[:, None, :, :]                            # [B, 1, Q, 4]
+    l1 = np.abs(pred - gt[:, :, None, :]).sum(axis=-1)          # [B, G, Q]
+    _, g_iou = iou_giou_values(pred, gt[:, :, None, :])
+    costs = (LAMBDA_CLS * (-np.swapaxes(prob_gt, 1, 2)) + LAMBDA_L1 * l1
+             + LAMBDA_GIOU * (1.0 - g_iou))
+    return [hungarian(CostMatrix(costs[i, :len(lab.boxes)]))
+            if lab.boxes else None for i, lab in enumerate(labels)]
 
 
-def scod_loss(queries: Sequence, labels: ClipLabels,
-              match: Assignment | None = None) -> Tensor:
-    """Hungarian-matched detection loss over the 8 query outputs.
+def scod_loss(class_logits: Tensor, boxes: Tensor,
+              labels: Sequence[ClipLabels],
+              match: Sequence[Assignment | None] | None = None) -> Tensor:
+    """Hungarian-matched detection loss, averaged over state-change clips.
 
-    Matched queries pay class cross-entropy plus weighted L1 and GIoU box
-    terms; unmatched queries pay cross-entropy against no-object. Only
-    valid on state-change clips; the caller masks the loss elsewhere.
-    The match is recomputed per call unless one is supplied (gradient
-    checks condition on a fixed match; gradients never cross it).
+    ``class_logits`` [B, Q, 3] and ``boxes`` [B, Q, 4] are the query
+    outputs of B clips. On a state-change clip, matched queries pay class
+    cross-entropy plus weighted L1 and GIoU box terms, and unmatched
+    queries pay cross-entropy against no-object. No-change clips carry no
+    boxes and are masked out. The match is computed per call unless one
+    is supplied (gradient checks condition on a fixed match; gradients
+    never cross it).
     """
-    if not labels.state_change or not labels.boxes:
+    _check_detection(class_logits, boxes, labels)
+    mask = np.array([lab.state_change for lab in labels])
+    if not mask.any() or any(lab.state_change and not lab.boxes
+                             for lab in labels):
         raise ContractError("detection loss is undefined without ground-truth "
                             "boxes; caller must mask no-change clips")
     if match is None:
-        match = match_queries(queries, labels.boxes)
-    matched_cols = {j: i for i, j in match.pairs}
-
-    total = tl.constant(0.0)
-    for i, j in sorted(match.pairs):
-        gt = labels.boxes[i]
-        gt_box = np.asarray(gt.box, dtype=np.float64)
-        q = queries[j]
-        term = cross_entropy(q.class_logits, gt.class_index)
-        term = tl.add(term, tl.scale(_l1(q.box, gt_box), LAMBDA_L1))
-        term = tl.add(term, tl.scale(
-            tl.sub(1.0, giou(q.box, tl.constant(gt_box))), LAMBDA_GIOU))
-        total = tl.add(total, term)
-    for j, q in enumerate(queries):
-        if j not in matched_cols:
-            total = tl.add(total, cross_entropy(q.class_logits, CLASS_NO_OBJECT))
-    return total
+        match = match_queries(class_logits, boxes, labels)
+    q = class_logits.shape[1]
+    target = np.full((len(labels), q), CLASS_NO_OBJECT, dtype=np.intp)
+    rows, gt = [], []
+    for i, (lab, assignment) in enumerate(zip(labels, match)):
+        if not lab.state_change:
+            continue
+        for gi, qj in assignment.pairs:
+            target[i, qj] = lab.boxes[gi].class_index
+            rows.append(i * q + qj)
+            gt.append(lab.boxes[gi].box)
+    ce = tl.sum_all(tl.mul(cross_entropy(class_logits, target),
+                           tl.constant(np.outer(mask, np.ones(q)))))
+    matched = tl.take0(tl.reshape(boxes, (len(labels) * q, 4)), rows)
+    gt = np.asarray(gt, dtype=np.float64)
+    d = tl.sub(matched, tl.constant(gt))
+    l1 = tl.sum_all(tl.add(tl.relu(d), tl.relu(tl.scale(d, -1.0))))
+    giou_gap = tl.sum_all(tl.sub(1.0, giou(matched, tl.constant(gt))))
+    total = tl.add(ce, tl.add(tl.scale(l1, LAMBDA_L1),
+                              tl.scale(giou_gap, LAMBDA_GIOU)))
+    return tl.scale(total, 1.0 / int(mask.sum()))
 
 
 def joint_loss(parts: Mapping[str, Tensor], sigma: SigmaParams,

@@ -347,26 +347,6 @@ def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(t * gy * gx, patch * patch * c))
 
 
-def _batched_self_attention(x: Tensor, params: AttentionParams) -> Tensor:
-    """Self-attention over axis 1 of [B, n, D], all batches and heads fused."""
-    b, n, d = x.shape
-    heads = params.head_count
-    dh = d // heads
-
-    def proj(w):
-        y = tl.matmul(tl.reshape(x, (b * n, d)), w)
-        y = tl.permute(tl.reshape(y, (b, n, heads, dh)), (0, 2, 1, 3))
-        return tl.reshape(y, (b * heads, n, dh))
-
-    q, k, v = proj(params.wq), proj(params.wk), proj(params.wv)
-    scores = tl.scale(tl.bmm(q, tl.permute(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    weights = tl.softmax(scores, axis=-1)
-    o = tl.bmm(weights, v)
-    o = tl.permute(tl.reshape(o, (b, heads, n, dh)), (0, 2, 1, 3))
-    o = tl.matmul(tl.reshape(o, (b * n, d)), params.wo)
-    return tl.reshape(o, (b, n, d))
-
-
 class Encoder:
     """Shared surface of the three encoder variants."""
 
@@ -388,6 +368,7 @@ class Encoder:
         raise NotImplementedError
 
     def encode(self, clip: SynthClip) -> ClipFeatures:
+        """Features of one clip, as a batch of one."""
         raise NotImplementedError
 
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
@@ -432,21 +413,20 @@ class PerFrameTokenEncoder(Encoder):
         tok = tl.reshape(tok, (t, p, self.width))
         cls = tl.repeat0(self.cls, t)
         x = tl.concat([cls, tok], axis=1)  # [t, P+1, D]
-        out = tl.add(x, _batched_self_attention(x, self.attn))
-        h_cls = tl.reshape(tl.narrow(out, 1, 0, 1), (t, self.width))
-        h_total = tl.narrow(out, 1, 1, p)
+        out = tl.add(x, self_attention(x, self.attn))
+        h_cls = tl.reshape(tl.narrow(out, 1, 0, 1), (1, t, self.width))
+        h_total = tl.reshape(tl.narrow(out, 1, 1, p), (1, t, p, self.width))
         return h_cls, h_total
 
     def encode(self, clip: SynthClip) -> ClipFeatures:
         self._check(clip)
         h_cls, h_total = self._forward(clip.frames)
         return ClipFeatures(h_cls=h_cls, h_total=h_total,
-                            frames=clip.frames.shape[0], patches=self.patches,
-                            clip_duration_seconds=clip.clip_duration_seconds)
+                            frames=clip.frames.shape[0], patches=self.patches)
 
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
         h_cls, _ = self._forward(frame[None])
-        return h_cls.data[0].copy()
+        return h_cls.data[0, 0].copy()
 
 
 class ClipTokenEncoder(Encoder):
@@ -485,12 +465,11 @@ class ClipTokenEncoder(Encoder):
         self._check(clip)
         t = clip.frames.shape[0]
         out = self._tokens(clip.frames)
-        h_cls = tl.narrow(out, 0, 0, 1)
+        h_cls = tl.reshape(tl.narrow(out, 0, 0, 1), (1, 1, self.width))
         h_total = tl.reshape(tl.narrow(out, 0, 1, t * self.patches),
-                             (t, self.patches, self.width))
+                             (1, t, self.patches, self.width))
         return ClipFeatures(h_cls=h_cls, h_total=h_total, frames=t,
-                            patches=self.patches,
-                            clip_duration_seconds=clip.clip_duration_seconds)
+                            patches=self.patches)
 
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
         out = self._tokens(frame[None])
@@ -564,7 +543,7 @@ class ConvGridEncoder(Encoder):
         x = tl.add(x, self._spatial_pe_rows(t))
         x = tl.reshape(x, (t, self.patches, self.width))
         for lay in self.adapter:
-            x = tl.add(x, _batched_self_attention(x, lay["attn"]))
+            x = tl.add(x, self_attention(x, lay["attn"]))
             flat = tl.reshape(x, (t * self.patches, self.width))
             ff = linear(tl.gelu(linear(flat, lay["ffn_w1"], lay["ffn_b1"])),
                         lay["ffn_w2"], lay["ffn_b2"])
@@ -574,11 +553,11 @@ class ConvGridEncoder(Encoder):
     def encode(self, clip: SynthClip) -> ClipFeatures:
         self._check(clip)
         t = clip.frames.shape[0]
-        h_total = self._forward(clip.frames)
-        h_cls = tl.mean_axis(h_total, axis=1)
+        h_total = tl.reshape(self._forward(clip.frames),
+                             (1, t, self.patches, self.width))
+        h_cls = tl.mean_axis(h_total, axis=2)
         return ClipFeatures(h_cls=h_cls, h_total=h_total, frames=t,
-                            patches=self.patches,
-                            clip_duration_seconds=clip.clip_duration_seconds)
+                            patches=self.patches)
 
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
         h_total = self._forward(frame[None])

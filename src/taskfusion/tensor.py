@@ -2,12 +2,16 @@
 
 Every tensor wraps a C-contiguous float64 numpy array. Operations on
 tensors that require gradients record a node (op kind, inputs, backward
-rule) onto the tensor they produce; ``backward`` linearizes the reachable
-nodes into a :class:`Graph` and walks it once in reverse insertion order.
+rule) onto the tensor they produce; ``backward`` collects the reachable
+nodes in one walk and visits them newest first.
 
-Broadcasting is deliberately restricted to scalar-with-tensor and
-equal-shape operands; the model never needs more, and the restriction
-keeps every backward rule exact and obvious.
+Broadcasting in the binary elementwise ops is deliberately restricted to
+three cases: equal shapes; a size-1 operand whose broadcast leaves the
+other operand's shape unchanged (a scalar onto a tensor); and an operand
+whose shape is a trailing suffix of the other's (a ``[D]`` bias onto
+``[..., D]`` rows, an ``[8, H]`` block onto ``[B, 8, H]``). A broadcast
+operand's gradient is summed over the axes it was repeated along, so
+every backward rule stays exact and obvious.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Graph",
     "GradCheckReport",
     "TensorError",
     "ShapeError",
@@ -187,17 +190,25 @@ def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape or a.size == 1 or b.size == 1:
+    if a.shape == b.shape:
         return
-    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are neither equal "
-                     "nor scalar-with-tensor")
+    for small, big in ((a, b), (b, a)):
+        k = len(small.shape)
+        if k <= len(big.shape) and (
+                small.size == 1 or big.shape[len(big.shape) - k:] == small.shape):
+            return
+    raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are neither equal, "
+                     "scalar-with-tensor, nor a trailing-suffix broadcast")
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # Undo scalar broadcasting: a scalar operand receives the summed gradient.
+    # Undo broadcasting: a size-1 operand receives the summed gradient, a
+    # suffix operand the gradient summed over the leading axes.
     if grad.shape == shape:
         return grad
-    return np.sum(grad).reshape(shape)
+    if math.prod(shape) == 1:
+        return np.sum(grad).reshape(shape)
+    return np.sum(grad, axis=tuple(range(grad.ndim - len(shape))))
 
 
 def _gelu_forward(x: np.ndarray) -> np.ndarray:
@@ -558,52 +569,30 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
 # reverse pass
 
 
-class Graph:
-    """Linearized record of the ops that produce a root tensor.
-
-    Nodes appear in insertion (execution) order, which is topological by
-    construction; the reverse pass visits each node exactly once, newest
-    first.
-    """
-
-    def __init__(self, nodes: list[Node]):
-        self.nodes = nodes
-
-    @classmethod
-    def trace(cls, root: Tensor) -> "Graph":
-        seen: set[int] = set()
-        nodes: list[Node] = []
-        stack = [root]
-        while stack:
-            t = stack.pop()
-            n = t.node
-            if n is None or n.nid in seen:
-                continue
-            seen.add(n.nid)
-            nodes.append(n)
-            stack.extend(n.inputs)
-        nodes.sort(key=lambda n: n.nid)
-        return cls(nodes)
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf."""
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
-    graph = Graph.trace(loss)
-
-    # Gradients keyed by tensor identity; node outputs are recovered by
-    # re-walking from the root, so each node stores grads for its inputs.
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # One walk collects each node's output tensor; node ids follow execution
+    # order, so sorting them newest first visits every node after all of
+    # its consumers.
     outputs: dict[int, Tensor] = {}
-    _collect_outputs(loss, outputs)
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        n = t.node
+        if n is None or n.nid in outputs:
+            continue
+        outputs[n.nid] = t
+        stack.extend(n.inputs)
 
-    for node in reversed(graph.nodes):
-        out = outputs[node.nid]
+    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    for nid in sorted(outputs, reverse=True):
+        out = outputs[nid]
         dout = grads.pop(id(out), None)
         if dout is None:
             continue
-        for inp, g in zip(node.inputs, node.backward(dout)):
+        for inp, g in zip(out.node.inputs, out.node.backward(dout)):
             if g is None:
                 continue
             if inp.node is None:
@@ -617,17 +606,6 @@ def backward(loss: Tensor) -> None:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-
-
-def _collect_outputs(root: Tensor, outputs: dict[int, "Tensor"]) -> None:
-    stack = [root]
-    while stack:
-        t = stack.pop()
-        n = t.node
-        if n is None or n.nid in outputs:
-            continue
-        outputs[n.nid] = t
-        stack.extend(n.inputs)
 
 
 # ---------------------------------------------------------------------------

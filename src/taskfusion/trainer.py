@@ -1,11 +1,12 @@
 """Joint fine-tuning loop, Adam optimizer, metrics, and checkpoints.
 
-One training step regenerates its batch of clips from their seeds,
-runs encoder -> decoder -> losses per clip (detection masked on
-no-change clips), averages per-task losses in batch order, combines
-them with the learnable variance weighting, and applies one Adam
-update. Batches follow a seeded Fisher-Yates shuffle per epoch with
-any trailing partial batch dropped, so runs are bit-reproducible.
+One training step regenerates its batch of clips from their seeds and
+encodes them one by one, then stacks the features and makes one batched
+decode and one loss per task (each the mean over its clips, detection
+masked on no-change clips), combines them with the learnable variance
+weighting, and applies one Adam update. Batches follow a seeded
+Fisher-Yates shuffle per epoch with any trailing partial batch dropped,
+so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tl
-from .decoder import (DecoderConfig, KeyframeSpec, TaskFusionDecoder,
-                      TaskPredictions, argmax_first)
+from .decoder import (ClipFeatures, ClipPrediction, DecoderConfig,
+                      KeyframeSpec, TaskFusionDecoder, TaskPredictions,
+                      argmax_first)
 from .losses import (SigmaParams, TASK_ORDER, joint_loss, iou_giou_values,
-                     make_pnr_target, match_queries, oscc_loss, pnr_loss,
+                     make_pnr_targets, match_queries, oscc_loss, pnr_loss,
                      scod_loss)
 from .seeding import rng_for
 from .synth import ClipRecord, Encoder, SynthClip, build_encoder
@@ -101,6 +103,23 @@ def save_checkpoint(store: ParamStore, path) -> None:
             f.write(c)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_header(header) -> None:
+    if not isinstance(header, dict):
+        raise CheckpointError(f"header is a JSON {type(header).__name__}, "
+                              "not an object")
+    for name, meta in header.items():
+        if not (isinstance(meta, dict) and isinstance(meta.get("shape"), list)
+                and all(_is_int(n) and n >= 0 for n in meta["shape"])
+                and _is_int(meta.get("byte_offset"))):
+            raise CheckpointError(f"parameter {name!r}: header entry needs an "
+                                  "integer-list shape and an integer "
+                                  "byte_offset")
+
+
 def load_checkpoint(path) -> ParamStore:
     """Read a checkpoint back into a fresh store, verifying the payload."""
     with open(path, "rb") as f:
@@ -110,6 +129,7 @@ def load_checkpoint(path) -> ParamStore:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from None
+    _check_header(header)
     expected = 0
     for name, meta in header.items():
         n = int(np.prod(meta["shape"])) if meta["shape"] else 1
@@ -160,15 +180,24 @@ class AdamState:
 
 
 def adam_step(store: ParamStore, state: AdamState) -> None:
-    """One bias-corrected Adam update; gradients are consumed (reset)."""
+    """One bias-corrected Adam update; gradients are consumed (reset).
+
+    Every gradient is checked to be present and finite before any
+    parameter moves, so a failed step leaves the model untouched.
+    """
+    for name, p in store.items():
+        if not p.requires_grad:
+            continue
+        if p.grad is None:
+            raise ContractError(f"parameter {name!r} has no gradient")
+        if not np.all(np.isfinite(p.grad)):
+            raise ContractError(f"parameter {name!r} has a non-finite gradient")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     for name, p in store.items():
         if not p.requires_grad:
             continue
-        if p.grad is None:
-            raise ContractError(f"parameter {name!r} has no gradient")
         g = p.grad
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
@@ -216,12 +245,13 @@ class ModelBundle:
     def enabled_tasks(self) -> tuple[str, ...]:
         return self.decoder.config.enabled_tasks
 
-    def predict(self, clip: SynthClip) -> TaskPredictions:
+    def predict(self, clip: SynthClip) -> ClipPrediction:
         features = self.encoder.encode(clip)
         if "pnr" in self.enabled_tasks:
-            return self.decoder.infer(features)
-        return self.decoder.decode(
-            features, KeyframeSpec.train(None, no_change=True))
+            preds = self.decoder.infer(features)
+        else:
+            preds = self.decoder.decode(features, KeyframeSpec.train([None]))
+        return preds.clip(0)
 
 
 def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:
@@ -270,21 +300,33 @@ class TrainResult:
     config: TrainConfig
 
 
-def _clip_losses(model: ModelBundle, clip: SynthClip,
-                 enabled: tuple[str, ...]) -> dict[str, Tensor]:
-    labels = clip.labels
-    features = model.encoder.encode(clip)
-    spec = KeyframeSpec.train(labels.pnr_frame, no_change=not labels.state_change)
+def batch_losses(model: ModelBundle, clips: list[SynthClip],
+                 features: ClipFeatures,
+                 enabled: tuple[str, ...]) -> tuple[dict[str, Tensor],
+                                                    TaskPredictions]:
+    """One decode of the batch and one loss per enabled task; detection
+    is left out when no clip of the batch changes state."""
+    labels = [clip.labels for clip in clips]
+    spec = KeyframeSpec.train([lab.pnr_frame for lab in labels])
     preds = model.decoder.decode(features, spec)
     out: dict[str, Tensor] = {}
     if "oscc" in enabled:
-        out["oscc"] = oscc_loss(preds.oscc_logits, labels.state_change)
+        out["oscc"] = oscc_loss(preds.oscc_logits,
+                                [lab.state_change for lab in labels])
     if "pnr" in enabled:
-        target = make_pnr_target(labels, clip.config.frames)
-        out["pnr"] = pnr_loss(preds.pnr_logits, target)
-    if "scod" in enabled and labels.state_change:
-        out["scod"] = scod_loss(preds.scod, labels)
-    return out
+        out["pnr"] = pnr_loss(preds.pnr_logits,
+                              make_pnr_targets(labels, features.frames))
+    if "scod" in enabled and any(lab.state_change for lab in labels):
+        out["scod"] = scod_loss(preds.scod_logits, preds.scod_boxes, labels)
+    return out, preds
+
+
+def _first_nonfinite_clip(preds: TaskPredictions) -> int:
+    """Index of the first clip with a non-finite output (0 if none)."""
+    b = preds.keyframes.shape[0]
+    ok = np.all([np.isfinite(t.data.reshape(b, -1)).all(axis=1)
+                 for t in preds.outputs()], axis=0)
+    return int(np.argmin(ok))
 
 
 def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
@@ -301,18 +343,17 @@ def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
 
     for step in range(1, config.steps + 1):
         batch = [records[i] for i in next(batches)]
-        sums: dict[str, Tensor] = {}
-        counts: dict[str, int] = {}
+        clips, encoded = [], []
         for record in batch:
             clip = record.clip()
-            per_clip = _clip_losses(model, clip, enabled)
-            for task, value in per_clip.items():
-                if not np.isfinite(value.item()):
-                    raise TrainingAbort(step, record.seed, task)
-                sums[task] = tl.add(sums[task], value) if task in sums else value
-                counts[task] = counts.get(task, 0) + 1
-        parts = {task: tl.scale(sums[task], 1.0 / counts[task])
-                 for task in sums}
+            clips.append(clip)
+            encoded.append(model.encoder.encode(clip))
+        parts, preds = batch_losses(model, clips,
+                                    ClipFeatures.concat(encoded), enabled)
+        for task, value in parts.items():
+            if not np.isfinite(value.item()):
+                raise TrainingAbort(step, batch[_first_nonfinite_clip(preds)].seed,
+                                    task)
         present = tuple(t for t in enabled if t in parts)
         total = joint_loss(parts, model.sigma, present)
         if not np.isfinite(total.item()):
@@ -357,56 +398,58 @@ def evaluate(model, records: list[ClipRecord]) -> EvalReport:
     """Metrics over a dataset: classification accuracy, keyframe error in
     frames and seconds, and mean IoU of matched detections.
 
-    ``model`` needs ``predict(clip) -> TaskPredictions`` and
+    ``model`` needs ``predict(clip) -> ClipPrediction`` and
     ``enabled_tasks``; the keyframe for spatial predictions comes from the
-    keyframe head's argmax (first index on ties).
+    keyframe head's argmax (first index on ties). Predictions are made
+    clip by clip; the losses and the matching then run once over all of
+    them.
     """
     if not records:
         raise ContractError("evaluation dataset is empty")
     enabled = model.enabled_tasks
-    correct = 0
-    frame_errors: list[float] = []
-    ious: list[float] = []
-    loss_sums: dict[str, float] = {}
-    loss_counts: dict[str, int] = {}
-    duration = records[0].config.clip_duration_seconds
-    frames = records[0].config.frames
-
-    def add_loss(task: str, value: float) -> None:
-        loss_sums[task] = loss_sums.get(task, 0.0) + value
-        loss_counts[task] = loss_counts.get(task, 0) + 1
-
+    labels, preds = [], []
     for record in records:
         clip = record.clip()
-        labels = clip.labels
-        preds = model.predict(clip)
-        if "oscc" in enabled:
-            predicted_change = argmax_first(preds.oscc_logits.data) == 0
-            correct += int(predicted_change == labels.state_change)
-            add_loss("oscc", oscc_loss(preds.oscc_logits,
-                                       labels.state_change).item())
-        if "pnr" in enabled:
-            target = make_pnr_target(labels, frames)
-            add_loss("pnr", pnr_loss(preds.pnr_logits, target).item())
-            if labels.state_change:
-                k = argmax_first(preds.pnr_logits.data)
-                frame_errors.append(abs(k - labels.pnr_frame))
-        if "scod" in enabled and labels.state_change:
-            add_loss("scod", scod_loss(preds.scod, labels).item())
-            match = match_queries(preds.scod, labels.boxes)
-            for gt_i, q_j in match.pairs:
-                iou, _ = iou_giou_values(preds.scod[q_j].box.data,
-                                         labels.boxes[gt_i].box)
-                ious.append(iou)
+        labels.append(clip.labels)
+        preds.append(model.predict(clip))
+    duration = records[0].config.clip_duration_seconds
+    frames = records[0].config.frames
+    changes = [lab.state_change for lab in labels]
 
-    n = len(records)
-    mean_err = float(np.mean(frame_errors)) if frame_errors else None
+    def stacked(get) -> Tensor:
+        return tl.constant(np.stack([get(p) for p in preds]))
+
+    loss_means: dict[str, float] = {}
+    accuracy = mean_err = mean_iou = None
+    if "oscc" in enabled:
+        logits = stacked(lambda p: p.oscc_logits.data)
+        accuracy = float(np.mean((np.argmax(logits.data, axis=1) == 0)
+                                 == np.asarray(changes)))
+        loss_means["oscc"] = oscc_loss(logits, changes).item()
+    if "pnr" in enabled:
+        logits = stacked(lambda p: p.pnr_logits.data)
+        loss_means["pnr"] = pnr_loss(logits,
+                                     make_pnr_targets(labels, frames)).item()
+        errors = [abs(argmax_first(row) - lab.pnr_frame)
+                  for row, lab in zip(logits.data, labels) if lab.state_change]
+        mean_err = float(np.mean(errors)) if errors else None
+    if "scod" in enabled and any(changes):
+        class_logits = stacked(lambda p: [q.class_logits.data for q in p.scod])
+        boxes = stacked(lambda p: [q.box.data for q in p.scod])
+        match = match_queries(class_logits, boxes, labels)
+        loss_means["scod"] = scod_loss(class_logits, boxes, labels,
+                                       match=match).item()
+        ious = [iou_giou_values(boxes.data[i, q_j], lab.boxes[gt_i].box)[0]
+                for i, (lab, m) in enumerate(zip(labels, match)) if m is not None
+                for gt_i, q_j in m.pairs]
+        mean_iou = float(np.mean(ious))
+
     return EvalReport(
-        oscc_accuracy=(correct / n if "oscc" in enabled else None),
+        oscc_accuracy=accuracy,
         pnr_error_frames=mean_err,
         pnr_error_seconds=(mean_err * duration / frames
                            if mean_err is not None else None),
-        scod_mean_iou=(float(np.mean(ious)) if ious else None),
-        loss_means={t: loss_sums[t] / loss_counts[t] for t in loss_sums},
-        clip_count=n,
+        scod_mean_iou=mean_iou,
+        loss_means=loss_means,
+        clip_count=len(records),
     )

@@ -164,3 +164,25 @@ def test_linear_bias_tiling():
     b = tl.constant(np.array([10.0, -5.0]))
     out = linear(x, w, b).data
     assert np.allclose(out, x.data @ w.data + b.data)
+
+
+def test_batched_attention_matches_per_item_calls():
+    params = _params(23, heads=2, width=8)
+    rng = rng_for(24, "batch")
+    tokens = tl.constant(rng.standard_normal((3, 5, 8)))
+    memory = tl.constant(rng.standard_normal((3, 4, 8)))
+    self_cache, cross_cache = [], []
+    out_self = self_attention(tokens, params, self_cache).data
+    out_cross = cross_attention(memory, tokens, params, cross_cache).data
+    assert self_cache[0].shape == (3, 2, 5, 5)
+    assert cross_cache[0].shape == (3, 2, 5, 4)
+    for b in range(3):
+        item_cache = []
+        one = self_attention(tl.constant(tokens.data[b]), params, item_cache)
+        assert np.max(np.abs(out_self[b] - one.data)) <= 1e-14
+        assert np.max(np.abs(self_cache[0][b] - item_cache[0])) <= 1e-14
+        one = cross_attention(tl.constant(memory.data[b]),
+                              tl.constant(tokens.data[b]), params)
+        assert np.max(np.abs(out_cross[b] - one.data)) <= 1e-14
+    with pytest.raises(ShapeError):
+        cross_attention(tl.constant(memory.data[:2]), tokens, params)

@@ -5,7 +5,6 @@ import pytest
 
 from taskfusion import tensor as tl
 from taskfusion.assignment import brute_force_assign, CostMatrix
-from taskfusion.decoder import ScodQuery
 from taskfusion.losses import (ClipLabels, LabeledBox, LabelError, PnrTarget,
                                SigmaParams, TASK_ORDER, cross_entropy, giou,
                                iou_giou_values, joint_loss, make_pnr_target,
@@ -155,15 +154,61 @@ def test_giou_degenerate_box_rejected():
         iou_giou_values((0.5, 0.5, 0.2, 0.0), (0.5, 0.5, 0.2, 0.2))
 
 
+def test_giou_row_wise_matches_scalar_values():
+    rng = rng_for(11, "giou-rows")
+    a = np.concatenate([rng.uniform(0.2, 0.8, (3, 5, 2)),
+                        rng.uniform(0.05, 0.4, (3, 5, 2))], axis=-1)
+    b = np.concatenate([rng.uniform(0.2, 0.8, (3, 5, 2)),
+                        rng.uniform(0.05, 0.4, (3, 5, 2))], axis=-1)
+    got = giou(tl.constant(a), tl.constant(b)).data
+    assert got.shape == (3, 5)
+    for i in range(3):
+        for j in range(5):
+            _, want = iou_giou_values(tuple(a[i, j]), tuple(b[i, j]))
+            assert abs(got[i, j] - want) <= 1e-15
+
+
+def test_batched_oscc_and_pnr_are_row_means():
+    rng = rng_for(12, "rows")
+    logits = rng.standard_normal((5, 2)) * 2
+    flags = [True, False, False, True, True]
+    batched = oscc_loss(tl.constant(logits), flags).item()
+    rows = [oscc_loss(tl.constant(x), f).item() for x, f in zip(logits, flags)]
+    assert abs(batched - np.mean(rows)) <= 1e-15
+    logits = rng.standard_normal((4, 6)) * 2
+    dist = rng.uniform(0.0, 1.0, (4, 6))
+    dist[1] = 0.0
+    dist[1, 2] = 1.0
+    dist /= dist.sum(axis=1, keepdims=True)
+    batched = pnr_loss(tl.constant(logits), PnrTarget(dist)).item()
+    rows = [pnr_loss(tl.constant(x), PnrTarget(t)).item()
+            for x, t in zip(logits, dist)]
+    assert abs(batched - np.mean(rows)) <= 1e-14
+
+
 def _queries_from(boxes, classes, confident=True, rng=None):
-    queries = []
-    for box, cls in zip(boxes, classes):
-        logits = np.full(3, -12.0) if confident else rng.standard_normal(3)
+    """One clip's query outputs: class logits [1, Q, 3], boxes [1, Q, 4]."""
+    logits = []
+    for cls in classes:
+        row = np.full(3, -12.0) if confident else rng.standard_normal(3)
         if confident:
-            logits[cls] = 12.0
-        queries.append(ScodQuery(class_logits=tl.constant(logits),
-                                 box=tl.constant(np.asarray(box))))
-    return queries
+            row[cls] = 12.0
+        logits.append(row)
+    return (tl.constant(np.asarray(logits)[None]),
+            tl.constant(np.asarray(boxes, dtype=np.float64)[None]))
+
+
+def _two_box_labels():
+    return ClipLabels(True, pnr_frame=2, boxes=[
+        LabeledBox("hand", (0.3, 0.3, 0.2, 0.25)),
+        LabeledBox("object", (0.7, 0.6, 0.3, 0.2))])
+
+
+def _random_queries(rng):
+    boxes = [np.concatenate([rng.uniform(0.2, 0.8, 2),
+                             rng.uniform(0.1, 0.35, 2)]) for _ in range(8)]
+    classes = [int(rng.integers(0, 3)) for _ in range(8)]
+    return _queries_from(boxes, classes, confident=False, rng=rng)
 
 
 def test_scod_perfect_prediction_loss_near_zero():
@@ -172,8 +217,8 @@ def test_scod_perfect_prediction_loss_near_zero():
         LabeledBox("object", (0.65, 0.6, 0.25, 0.3))])
     boxes = [b.box for b in labels.boxes] + [(0.5, 0.5, 0.2, 0.2)] * 6
     classes = [0, 1] + [2] * 6
-    queries = _queries_from(boxes, classes)
-    assert scod_loss(queries, labels).item() <= 1e-6
+    logits, boxes = _queries_from(boxes, classes)
+    assert scod_loss(logits, boxes, [labels]).item() <= 1e-6
 
 
 def test_scod_single_box_match_agrees_with_brute_force():
@@ -182,20 +227,22 @@ def test_scod_single_box_match_agrees_with_brute_force():
         labels = ClipLabels(True, pnr_frame=1, boxes=[
             LabeledBox("hand", tuple(np.concatenate(
                 [rng.uniform(0.3, 0.7, 2), rng.uniform(0.1, 0.3, 2)])))])
-        queries = _queries_from(
+        logits, boxes = _queries_from(
             [np.concatenate([rng.uniform(0.3, 0.7, 2),
                              rng.uniform(0.1, 0.3, 2)]) for _ in range(8)],
             [int(rng.integers(0, 3)) for _ in range(8)],
             confident=False, rng=rng)
-        match = match_queries(queries, labels.boxes)
-        # oracle: same cost matrix, exhaustive minimum
-        from taskfusion.losses import LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1, _softmax_np
+        match = match_queries(logits, boxes, [labels])[0]
+        # oracle: the cost of each query on its own, exhaustive minimum
+        from taskfusion.losses import LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1
         gt = labels.boxes[0]
         costs = np.zeros((1, 8))
-        for j, q in enumerate(queries):
-            prob = _softmax_np(q.class_logits.data)[gt.class_index]
-            l1 = float(np.abs(q.box.data - np.asarray(gt.box)).sum())
-            _, g = iou_giou_values(q.box.data, gt.box)
+        for j in range(8):
+            row = logits.data[0, j]
+            prob = np.exp(row[gt.class_index]) / np.exp(row).sum()
+            box = boxes.data[0, j]
+            l1 = float(np.abs(box - np.asarray(gt.box)).sum())
+            _, g = iou_giou_values(tuple(box), gt.box)
             costs[0, j] = -LAMBDA_CLS * prob + LAMBDA_L1 * l1 + LAMBDA_GIOU * (1 - g)
         oracle = brute_force_assign(CostMatrix(costs))
         assert match.total_cost == pytest.approx(oracle.total_cost, abs=1e-12)
@@ -203,44 +250,56 @@ def test_scod_single_box_match_agrees_with_brute_force():
 
 def test_scod_query_permutation_invariance():
     rng = rng_for(8, "perm")
-    labels = ClipLabels(True, pnr_frame=2, boxes=[
-        LabeledBox("hand", (0.3, 0.3, 0.2, 0.25)),
-        LabeledBox("object", (0.7, 0.6, 0.3, 0.2))])
+    labels = _two_box_labels()
     for _ in range(10):
-        boxes = [np.concatenate([rng.uniform(0.2, 0.8, 2),
-                                 rng.uniform(0.1, 0.35, 2)]) for _ in range(8)]
-        classes = [int(rng.integers(0, 3)) for _ in range(8)]
-        queries = _queries_from(boxes, classes, confident=False, rng=rng)
-        base = scod_loss(queries, labels).item()
+        logits, boxes = _random_queries(rng)
+        base = scod_loss(logits, boxes, [labels]).item()
         perm = rng.permutation(8)
-        permuted = [queries[i] for i in perm]
-        assert abs(scod_loss(permuted, labels).item() - base) <= 1e-12
+        permuted = scod_loss(tl.constant(logits.data[:, perm]),
+                             tl.constant(boxes.data[:, perm]), [labels]).item()
+        assert abs(permuted - base) <= 1e-12
+
+
+def test_scod_masks_no_change_clips():
+    rng = rng_for(13, "mask")
+    labels = _two_box_labels()
+    logits, boxes = _random_queries(rng)
+    alone = scod_loss(logits, boxes, [labels]).item()
+    other_logits, other_boxes = _random_queries(rng)
+    batch_logits = tl.tensor(np.concatenate([other_logits.data, logits.data]),
+                             requires_grad=True)
+    batch_boxes = tl.tensor(np.concatenate([other_boxes.data, boxes.data]),
+                            requires_grad=True)
+    loss = scod_loss(batch_logits, batch_boxes, [ClipLabels(False), labels])
+    assert abs(loss.item() - alone) <= 1e-12
+    backward(loss)
+    assert not np.any(batch_logits.grad[0]) and not np.any(batch_boxes.grad[0])
+    assert np.any(batch_logits.grad[1]) and np.any(batch_boxes.grad[1])
+    # two change clips average: the loss is a mean over change clips
+    pair = scod_loss(tl.constant(np.concatenate([logits.data, logits.data])),
+                     tl.constant(np.concatenate([boxes.data, boxes.data])),
+                     [labels, labels])
+    assert abs(pair.item() - alone) <= 1e-12
 
 
 def test_scod_requires_boxes():
     with pytest.raises(ContractError):
-        scod_loss([], ClipLabels(False))
+        scod_loss(tl.zeros((1, 8, 3)), tl.full((1, 8, 4), 0.5),
+                  [ClipLabels(False)])
 
 
 def test_scod_gradients_pass_check_with_fixed_match():
     rng = rng_for(9, "scodgc")
-    labels = ClipLabels(True, pnr_frame=1, boxes=[
-        LabeledBox("hand", (0.31, 0.42, 0.22, 0.18))])
-    cls_leaves = [tl.tensor(rng.standard_normal(3), requires_grad=True)
-                  for _ in range(3)]
-    box_raw = [tl.tensor(rng.uniform(-1.5, 1.5, 4), requires_grad=True)
-               for _ in range(3)]
+    labels = [ClipLabels(True, pnr_frame=1, boxes=[
+        LabeledBox("hand", (0.31, 0.42, 0.22, 0.18))])]
+    cls_leaf = tl.tensor(rng.standard_normal((1, 3, 3)), requires_grad=True)
+    box_raw = tl.tensor(rng.uniform(-1.5, 1.5, (1, 3, 4)), requires_grad=True)
+    fixed = match_queries(cls_leaf, tl.sigmoid(box_raw), labels)
 
-    def build(c, b):
-        return [ScodQuery(class_logits=ci, box=tl.sigmoid(bi))
-                for ci, bi in zip(c, b)]
+    def f(c, b):
+        return scod_loss(c, tl.sigmoid(b), labels, match=fixed)
 
-    fixed = match_queries(build(cls_leaves, box_raw), labels.boxes)
-
-    def f(*leaves):
-        return scod_loss(build(leaves[:3], leaves[3:]), labels, match=fixed)
-
-    report = grad_check(f, cls_leaves + box_raw, eps=1e-5, tol=1e-4)
+    report = grad_check(f, [cls_leaf, box_raw], eps=1e-5, tol=1e-4)
     assert report.passed, str(report)
 
 

@@ -119,11 +119,45 @@ def test_gelu_gradient_at_20_random_points():
     assert report.passed, str(report)
 
 
-def test_scalar_broadcasting_only():
-    a = tl.constant(np.zeros((2, 3)))
+def test_broadcasting_scalar_and_suffix_only():
+    a = tl.constant(np.arange(6.0).reshape(2, 3))
     assert tl.add(a, 1.0).data.shape == (2, 3)
+    row = tl.constant([10.0, 20.0, 30.0])
+    assert np.array_equal(tl.add(a, row).data, a.data + row.data)
+    block = tl.constant(np.ones((3, 4)))
+    assert tl.mul(tl.constant(np.ones((2, 3, 4))), block).shape == (2, 3, 4)
+    for other in (np.zeros(2), np.zeros((1, 3)), np.zeros((2, 1)),
+                  np.zeros((3, 2))):
+        with pytest.raises(ShapeError):
+            tl.add(a, tl.constant(other))  # leading-axis or middle broadcast
+
+
+def test_size_one_operand_must_keep_the_other_shape():
+    # (1, 1) + (3,) would broadcast to (1, 3), a shape neither operand has
+    a = tl.tensor(np.ones((1, 1)), requires_grad=True)
+    b = tl.tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
-        tl.add(a, tl.constant(np.zeros(3)))  # row broadcast unsupported
+        tl.add(a, b)
+    with pytest.raises(ShapeError):
+        tl.sub(b, a)
+    out = tl.add(a, tl.tensor(np.ones((2, 3)), requires_grad=True))
+    backward(tl.sum_all(out))
+    assert a.grad.shape == (1, 1) and a.grad[0, 0] == 6.0
+
+
+def test_suffix_broadcast_gradient_sums_leading_axes():
+    rng = rng_for(15, "suffix")
+    x = tl.tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    b = tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = tl.constant(rng.standard_normal((2, 3, 4)))
+    for op in (tl.add, tl.sub, tl.mul, tl.div):
+        report = grad_check(
+            lambda u, v, op=op: tl.sum_all(tl.mul(op(u, v), w)), [x, b],
+            eps=1e-5, tol=1e-5)
+        assert report.passed, f"{op.__name__}: {report}"
+    x.grad = b.grad = None
+    backward(tl.sum_all(tl.add(x, b)))
+    assert np.array_equal(b.grad, np.full((3, 4), 2.0))
 
 
 def test_backward_sum_gives_ones():
