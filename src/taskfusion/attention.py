@@ -154,8 +154,3 @@ class PositionalEncoding:
         if d != self.width:
             raise ShapeError(f"feature width {d} != table width {self.width}")
         return tl.add(features, self.rows(offset, n))
-
-
-def positional_encode(features: Tensor, table: PositionalEncoding,
-                      offset: int = 0) -> Tensor:
-    return table.encode(features, offset)

@@ -11,12 +11,15 @@ gripper position, trained with mean squared action error.
 Scene rendering reuses the synthetic-clip palette (the cube is drawn as
 the object, the gripper as the hand) so a fine-tuned encoder sees
 familiar pixels.
+Demo files store the env config and the demo seeds; reading one re-runs
+the expert on each seed.
 """
 
 from __future__ import annotations
 
+import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -24,9 +27,9 @@ from . import tensor as tl
 from .attention import linear
 from .seeding import derive_seed, rng_for
 from .synth import (BACKGROUND_LEVEL, HAND_COLOR, OBJECT_COLOR_AFTER,
-                    box_to_rect, draw_rect)
+                    DatasetError, box_to_rect, draw_rect)
 from .tensor import ContractError, Tensor, backward
-from .trainer import AdamState, ParamStore, adam_step
+from .trainer import AdamState, ParamStore, adam_step, load_described
 
 TARGET_COLOR = np.array([0.20, 0.35, 0.95])
 
@@ -182,25 +185,75 @@ def run_episode(env: ToyEnv, actor, seed: int,
     return env.success(), transitions
 
 
+def expert_demo(env: ToyEnv, seed: int) -> Demo:
+    """The scripted expert's recorded episode on one seed."""
+    ok, transitions = run_episode(
+        env, lambda s, o: expert_policy(s, env.config), seed, record=True)
+    return Demo(seed=seed, transitions=transitions, success=ok)
+
+
 def collect_demos(count: int, seed: int,
                   env_cfg: ToyEnvConfig | None = None) -> list[Demo]:
     """Seeded expert rollouts; the (unexpected) failures are dropped."""
     if count < 1:
         raise ContractError("need at least one demonstration")
-    cfg = env_cfg or ToyEnvConfig()
-    env = ToyEnv(cfg)
+    env = ToyEnv(env_cfg or ToyEnvConfig())
     demos: list[Demo] = []
     i = 0
     while len(demos) < count:
-        ep_seed = derive_seed(seed, "demo", i)
+        demo = expert_demo(env, derive_seed(seed, "demo", i))
         i += 1
-        ok, transitions = run_episode(
-            env, lambda s, o: expert_policy(s, cfg), ep_seed, record=True)
-        if not ok:
-            warnings.warn(f"expert failed on demo seed {ep_seed}; discarded")
+        if not demo.success:
+            warnings.warn(f"expert failed on demo seed {demo.seed}; discarded")
             continue
-        demos.append(Demo(seed=ep_seed, transitions=transitions, success=ok))
+        demos.append(demo)
     return demos
+
+
+def write_demos(path, env_cfg: ToyEnvConfig, demos: list[Demo],
+                header: dict) -> None:
+    """A ``# {json}`` header line, then one JSON line holding the env
+    config and the demo seeds."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("# " + json.dumps(header, sort_keys=True) + "\n")
+        f.write(json.dumps({"env": asdict(env_cfg),
+                            "seeds": [d.seed for d in demos]},
+                           sort_keys=True) + "\n")
+
+
+def _check_types(cfg: ToyEnvConfig, seeds) -> None:
+    for f in fields(cfg):
+        allowed = (int,) if f.type == "int" else (int, float)
+        if type(getattr(cfg, f.name)) not in allowed:
+            raise TypeError(f"env {f.name} must be {f.type}")
+    if not (isinstance(seeds, list) and seeds
+            and all(type(s) is int and s >= 0 for s in seeds)):
+        raise TypeError("seeds must be a nonempty list of non-negative ints")
+
+
+def read_demos(path) -> tuple[ToyEnvConfig, list[Demo]]:
+    """Regenerate a demo file's demos by re-running the expert on each
+    seed; a malformed file or a seed the expert fails on is a
+    DatasetError."""
+    with open(path, "r", encoding="utf-8") as f:
+        records = [(n, line) for n, line in enumerate(f, start=1)
+                   if line.strip() and not line.startswith("#")]
+    if len(records) != 1:
+        raise DatasetError(f"demo file needs one record line, found "
+                           f"{len(records)}")
+    lineno, line = records[0]
+    try:
+        raw = json.loads(line)
+        cfg, seeds = ToyEnvConfig(**raw["env"]), raw["seeds"]
+        _check_types(cfg, seeds)
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        raise DatasetError(f"line {lineno}: {e!r}") from None
+    env = ToyEnv(cfg)
+    demos = [expert_demo(env, seed) for seed in seeds]
+    failed = [d.seed for d in demos if not d.success]
+    if failed:
+        raise DatasetError(f"expert fails on demo seeds {failed}")
+    return cfg, demos
 
 
 @dataclass
@@ -231,8 +284,14 @@ class Policy:
     def parameters(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
+    @property
+    def embed_dim(self) -> int:
+        return self.w1.shape[0] - (2 if self.use_proprio else 0)
+
     def store(self) -> ParamStore:
-        s = ParamStore()
+        s = ParamStore({"kind": "policy", "embed_dim": self.embed_dim,
+                        "hidden": self.w1.shape[1], "max_step": self.max_step,
+                        "use_proprio": self.use_proprio})
         s.add_module("policy", self.parameters())
         return s
 
@@ -250,6 +309,17 @@ class Policy:
         def actor(state: EnvState, obs: np.ndarray) -> np.ndarray:
             return self.act(embed_fn(obs), state.gripper)
         return actor
+
+
+def load_policy(path) -> Policy:
+    """Rebuild the policy a checkpoint describes, then load its values."""
+    def build(desc):
+        policy = Policy.init(np.random.default_rng(0), desc["embed_dim"],
+                             hidden=desc["hidden"],
+                             use_proprio=desc["use_proprio"],
+                             max_step=desc["max_step"])
+        return policy, policy.store()
+    return load_described(path, "policy", build)
 
 
 def _demo_features(demos: list[Demo], embed_fn,

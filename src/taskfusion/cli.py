@@ -4,6 +4,13 @@ Every output file starts with a ``# {json}`` header carrying the exact
 run configuration and artifact version, so results are traceable to the
 command that produced them. Exit codes: 0 success, 1 usage error,
 2 runtime/corruption error. All randomness derives from ``--seed``.
+
+Checkpoints describe themselves: a JSON header line {"format":
+"taskfusion-checkpoint/1", "description", "params"}, then the float64
+payload. ``eval``, ``dump-attention``, ``export-embeddings``, ``bc-train``
+and ``bc-eval`` rebuild the model from that description, so they take no
+model flags, ``--seed``, ``--frames`` or ``--env-image``, and their CSVs
+carry it. For random-init BC features, use ``train --steps 0 --seed S``.
 """
 
 from __future__ import annotations
@@ -17,9 +24,8 @@ import numpy as np
 
 from . import tensor as tl
 from .attention import AttentionParams, cross_attention, self_attention
-from .bc import (CompareReport, Demo, Policy, ToyEnv, ToyEnvConfig, bc_eval,
-                 bc_train, collect_demos, compare_representations, expert_policy,
-                 Transition)
+from .bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
+                 compare_representations, load_policy, read_demos, write_demos)
 from .decoder import (ClipFeatures, DecoderConfig, KeyframeSpec,
                       TaskFusionDecoder)
 from .losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER, giou,
@@ -29,9 +35,8 @@ from .seeding import derive_seed, rng_for
 from .synth import (ClipConfig, DatasetError, ENCODER_KINDS, build_encoder,
                     read_dataset, write_dataset)
 from .tensor import GradCheckReport, TensorError, grad_check
-from .trainer import (CheckpointError, EvalReport, ModelBundle, ParamStore,
-                      TrainConfig, TrainingAbort, build_model, copy_parameters,
-                      evaluate, load_checkpoint, save_checkpoint, train)
+from .trainer import (CheckpointError, TrainConfig, TrainingAbort, evaluate,
+                      load_model, save_checkpoint, train)
 
 ARTIFACT_VERSION = "taskfusion-0.1.0"
 
@@ -45,20 +50,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _run_config(args: argparse.Namespace) -> dict:
+def _run_config(args: argparse.Namespace, **descriptions) -> dict:
+    """The run's flags, plus the description of each checkpoint loaded."""
     flags = {k: v for k, v in vars(args).items()
              if k not in ("func", "command") and v is not None}
     return {"artifact": ARTIFACT_VERSION, "command": args.command,
-            "config": flags}
+            "config": flags, **descriptions}
 
 
-def _header_line(args) -> str:
-    return "# " + json.dumps(_run_config(args), sort_keys=True)
-
-
-def _write_csv(path, args, columns: list[str], rows: list[list]) -> None:
+def _write_csv(path, args, columns: list[str], rows: list[list],
+               **descriptions) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(_header_line(args) + "\n")
+        f.write("# " + json.dumps(_run_config(args, **descriptions),
+                                  sort_keys=True) + "\n")
         writer = csv.writer(f)
         writer.writerow(columns)
         for row in rows:
@@ -77,10 +81,6 @@ def _away_from(rng, shape, margin=0.05):
     x = rng.standard_normal(shape)
     x = x + np.sign(x) * margin * 2
     return tl.tensor(x, requires_grad=True)
-
-
-def _weighted_sum(out, rng):
-    return tl.sum_all(tl.mul(out, tl.constant(rng.standard_normal(out.shape))))
 
 
 def _box_margins_ok(a: np.ndarray, b: np.ndarray, margin: float = 0.015) -> bool:
@@ -430,21 +430,14 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args, records) -> ModelBundle:
-    clip_cfg = records[0].config
-    model = build_model(_train_config(args), frames=clip_cfg.frames,
-                        image=clip_cfg.height)
-    copy_parameters(load_checkpoint(args.checkpoint), model.store)
-    return model
-
-
 def cmd_eval(args) -> int:
     records = read_dataset(args.data)
-    model = _load_model(args, records)
+    model = load_model(args.checkpoint)
     report = evaluate(model, records)
     rows = [[name, value] for name, value in report.rows()]
     if args.out:
-        _write_csv(args.out, args, ["metric", "value"], rows)
+        _write_csv(args.out, args, ["metric", "value"], rows,
+                   checkpoint=model.store.description)
     for name, value in report.rows():
         print(f"{name},{value}")
     return 0
@@ -467,7 +460,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_dump_attention(args) -> int:
     records = read_dataset(args.data)
-    model = _load_model(args, records)
+    model = load_model(args.checkpoint)
     clip = records[args.clip_index].clip()
     features = model.encoder.encode(clip)
     model.decoder.infer(features, cache_attention=True)
@@ -482,14 +475,15 @@ def cmd_dump_attention(args) -> int:
                         rows.append([layer_i, block, head, r, c,
                                      float(mat[head, r, c])])
     _write_csv(args.out, args, ["layer", "block", "head", "row", "col",
-                                "weight"], rows)
+                                "weight"], rows,
+               checkpoint=model.store.description)
     print(f"wrote attention matrices for clip {args.clip_index} to {args.out}")
     return 0
 
 
 def cmd_export_embeddings(args) -> int:
     records = read_dataset(args.data)
-    model = _load_model(args, records)
+    model = load_model(args.checkpoint)
     width = model.encoder.width
     rows = []
     for record in records:
@@ -508,87 +502,31 @@ def cmd_export_embeddings(args) -> int:
             rows.append([record.seed, frame, tag]
                         + [float(v) for v in per_frame[frame]])
     cols = ["clip_seed", "frame", "tag"] + [f"e{i}" for i in range(width)]
-    _write_csv(args.out, args, cols, rows)
+    _write_csv(args.out, args, cols, rows, checkpoint=model.store.description)
     print(f"wrote {len(rows)} embedding rows to {args.out}")
     return 0
 
 
-def _env_config(args) -> ToyEnvConfig:
-    return ToyEnvConfig(horizon=args.horizon, image=args.env_image)
-
-
 def cmd_bc_demos(args) -> int:
-    cfg = _env_config(args)
+    cfg = ToyEnvConfig(horizon=args.horizon, image=args.env_image)
     demos = collect_demos(args.count, args.seed, cfg)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(_header_line(args) + "\n")
-        for i, demo in enumerate(demos):
-            for j, tr in enumerate(demo.transitions):
-                f.write(json.dumps({
-                    "demo": i, "step": j, "seed": demo.seed,
-                    "obs": [round(float(v), 6) for v in tr.obs.reshape(-1)],
-                    "obs_shape": list(tr.obs.shape),
-                    "proprio": [float(v) for v in tr.proprio],
-                    "action": [float(v) for v in tr.action],
-                }, sort_keys=True) + "\n")
+    write_demos(args.out, cfg, demos, header=_run_config(args))
     n = sum(len(d.transitions) for d in demos)
     print(f"wrote {len(demos)} demos ({n} transitions) to {args.out}")
     return 0
 
 
-def _read_demos(path) -> list[Demo]:
-    by_demo: dict[int, list[tuple[int, Transition]]] = {}
-    seeds: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            try:
-                raw = json.loads(line)
-                tr = Transition(
-                    obs=np.asarray(raw["obs"],
-                                   dtype=np.float64).reshape(raw["obs_shape"]),
-                    proprio=np.asarray(raw["proprio"], dtype=np.float64),
-                    action=np.asarray(raw["action"], dtype=np.float64))
-                by_demo.setdefault(raw["demo"], []).append((raw["step"], tr))
-                seeds[raw["demo"]] = raw["seed"]
-            except (json.JSONDecodeError, KeyError, ValueError) as e:
-                raise DatasetError(f"line {lineno}: {e}") from None
-    if not by_demo:
-        raise DatasetError("demo file contains no transitions")
-    demos = []
-    for i in sorted(by_demo):
-        steps = [tr for _, tr in sorted(by_demo[i], key=lambda x: x[0])]
-        demos.append(Demo(seed=seeds[i], transitions=steps, success=True))
-    return demos
-
-
-def _encoder_for_bc(args):
-    enc = build_encoder(args.encoder, rng_for(args.seed, "init", "enc"),
-                        width=args.width, heads=args.enc_heads,
-                        frames=args.frames, image=args.env_image,
-                        patch=args.patch)
-    if getattr(args, "checkpoint", None):
-        store = load_checkpoint(args.checkpoint)
-        params = enc.parameters()
-        for name, t in params.items():
-            key = f"enc.{name}"
-            if key not in store:
-                raise CheckpointError(f"checkpoint missing encoder "
-                                      f"parameter {key!r}")
-            if store[key].shape != t.shape:
-                raise CheckpointError(f"parameter {key!r}: checkpoint shape "
-                                      f"{store[key].shape} != {t.shape}")
-            np.copyto(t.data, store[key].data)
-    return enc
-
-
 def cmd_bc_train(args) -> int:
-    demos = _read_demos(args.demos)
-    enc = _encoder_for_bc(args)
-    policy, log = bc_train(demos, enc.embed_frame, steps=args.bc_steps,
-                           seed=args.seed, lr=args.bc_lr,
-                           use_proprio=(args.proprio == "on"))
+    model = load_model(args.checkpoint)
+    env_cfg, demos = read_demos(args.demos)
+    if env_cfg.image != model.encoder.image:
+        raise DatasetError(f"demos are rendered at {env_cfg.image} px; the "
+                           f"checkpoint's encoder takes {model.encoder.image} "
+                           "px")
+    policy, log = bc_train(demos, model.encoder.embed_frame,
+                           steps=args.bc_steps, seed=args.seed, lr=args.bc_lr,
+                           use_proprio=(args.proprio == "on"),
+                           max_step=env_cfg.max_step)
     save_checkpoint(policy.store(), args.out_policy)
     print(f"bc-train: {args.bc_steps} steps, final loss {log[-1]:.6f}, "
           f"policy {args.out_policy}")
@@ -596,19 +534,20 @@ def cmd_bc_train(args) -> int:
 
 
 def cmd_bc_eval(args) -> int:
-    enc = _encoder_for_bc(args)
-    store = load_checkpoint(args.policy)
-    w1 = store["policy.w1"]
-    use_proprio = (w1.shape[0] == enc.width + 2)
-    policy = Policy(w1=w1, b1=store["policy.b1"], w2=store["policy.w2"],
-                    b2=store["policy.b2"], use_proprio=use_proprio,
-                    max_step=ToyEnvConfig().max_step)
-    cfg = _env_config(args)
+    model = load_model(args.checkpoint)
+    policy = load_policy(args.policy)
+    enc = model.encoder
+    if policy.embed_dim != enc.width:
+        raise CheckpointError(f"policy takes {policy.embed_dim}-dim "
+                              f"embeddings; the encoder gives {enc.width}")
+    cfg = ToyEnvConfig(horizon=args.horizon, image=enc.image)
     rate = bc_eval(policy.as_actor(enc.embed_frame), args.episodes, args.seed,
                    cfg)
     if args.out:
         _write_csv(args.out, args, ["seed", "episodes", "success_rate"],
-                   [[args.seed, args.episodes, rate]])
+                   [[args.seed, args.episodes, rate]],
+                   checkpoint=model.store.description,
+                   policy=policy.store().description)
     print(f"success_rate,{rate}")
     return 0
 
@@ -693,9 +632,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="metrics of a checkpoint on a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    _add_model_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
@@ -710,8 +647,6 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--clip-index", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_model_flags(p)
     p.set_defaults(func=cmd_dump_attention)
 
     p = sub.add_parser("export-embeddings",
@@ -719,8 +654,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_model_flags(p)
     p.set_defaults(func=cmd_export_embeddings)
 
     p = sub.add_parser("bc-demos", help="collect scripted expert demos")
@@ -733,29 +666,23 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bc-train", help="behavior cloning on frozen features")
     p.add_argument("--demos", required=True)
-    p.add_argument("--checkpoint", help="encoder checkpoint; omit for "
-                                        "random-init features")
+    p.add_argument("--checkpoint", required=True,
+                   help="model checkpoint; for random-init features, one "
+                        "from train --steps 0 --seed S")
     p.add_argument("--out-policy", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bc-steps", type=int, default=2000)
     p.add_argument("--bc-lr", type=float, default=1e-3)
     p.add_argument("--proprio", choices=("on", "off"), default="on")
-    p.add_argument("--frames", type=int, default=16)
-    p.add_argument("--env-image", type=int, default=32)
-    _add_model_flags(p)
     p.set_defaults(func=cmd_bc_train)
 
     p = sub.add_parser("bc-eval", help="success rate of a trained policy")
     p.add_argument("--policy", required=True)
-    p.add_argument("--checkpoint", help="encoder checkpoint; omit for "
-                                        "random-init features")
+    p.add_argument("--checkpoint", required=True, help="the policy's model")
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--horizon", type=int, default=50)
-    p.add_argument("--env-image", type=int, default=32)
-    p.add_argument("--frames", type=int, default=16)
-    _add_model_flags(p)
     p.set_defaults(func=cmd_bc_eval)
 
     p = sub.add_parser("bc-compare",

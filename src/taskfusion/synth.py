@@ -20,15 +20,14 @@ through a two-layer transformer-encoder adapter.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
-from typing import Iterator
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as tl
 from .attention import AttentionParams, PositionalEncoding, linear, self_attention
 from .decoder import ClipFeatures
-from .losses import ClipLabels, LabeledBox
+from .losses import ClipLabels, LabelError, LabeledBox
 from .seeding import derive_seed
 from .tensor import ShapeError, Tensor
 
@@ -70,13 +69,6 @@ class ClipConfig:
         if not (0.0 <= self.p_change <= 1.0):
             raise ShapeError("p_change must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClipConfig":
-        return cls(**d)
-
 
 @dataclass
 class SceneScript:
@@ -94,10 +86,6 @@ class SynthClip:
     labels: ClipLabels
     seed: int
     config: ClipConfig
-
-    @property
-    def clip_duration_seconds(self) -> float:
-        return self.config.clip_duration_seconds
 
 
 def _rect_to_box(rect: tuple[int, int, int, int], w: int, h: int
@@ -291,12 +279,12 @@ def write_dataset(path, count: int, seed_base: int,
         for i in range(count):
             seed = derive_seed(seed_base, "clip", i)
             clip = generate_clip(seed, cfg)
-            record = {"seed": seed, "config": cfg.to_dict(),
+            record = {"seed": seed, "config": asdict(cfg),
                       "labels": _labels_to_dict(clip.labels)}
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_dataset(path, validate: bool = True) -> list[ClipRecord]:
+def read_dataset(path) -> list[ClipRecord]:
     """Load records, regenerate each clip's labels, and cross-check them."""
     records: list[ClipRecord] = []
     with open(path, "r", encoding="utf-8") as f:
@@ -310,26 +298,21 @@ def read_dataset(path, validate: bool = True) -> list[ClipRecord]:
         try:
             raw = json.loads(line)
             record = ClipRecord(seed=int(raw["seed"]),
-                                config=ClipConfig.from_dict(raw["config"]),
+                                config=ClipConfig(**raw["config"]),
                                 labels=_labels_from_dict(raw["labels"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                LabelError, ShapeError) as e:
             raise DatasetParseError(f"line {lineno}: {e}") from None
-        if validate:
-            regenerated = generate_clip(record.seed, record.config).labels
-            if _labels_to_dict(regenerated) != _labels_to_dict(record.labels):
-                raise DatasetCorruptionError(
-                    f"record {index} (line {lineno}): stored labels do not "
-                    "match regeneration")
+        regenerated = generate_clip(record.seed, record.config).labels
+        if _labels_to_dict(regenerated) != _labels_to_dict(record.labels):
+            raise DatasetCorruptionError(
+                f"record {index} (line {lineno}): stored labels do not "
+                "match regeneration")
         records.append(record)
         index += 1
     if not records:
         raise DatasetParseError("line 1: file contains no records")
     return records
-
-
-def iter_clips(records: list[ClipRecord]) -> Iterator[SynthClip]:
-    for r in records:
-        yield r.clip()
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +558,3 @@ def build_encoder(kind: str, rng: np.random.Generator, width: int = 64,
         return ConvGridEncoder(rng, width, heads, frames, image, patch)
     raise ShapeError(f"unknown encoder kind {kind!r}; expected one of "
                      f"{ENCODER_KINDS}")
-
-
-def encode(clip: SynthClip, enc: Encoder) -> ClipFeatures:
-    return enc.encode(clip)

@@ -12,7 +12,7 @@ so runs are bit-reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .losses import (SigmaParams, TASK_ORDER, joint_loss, iou_giou_values,
                      scod_loss)
 from .seeding import rng_for
 from .synth import ClipRecord, Encoder, SynthClip, build_encoder
-from .tensor import ContractError, ShapeError, Tensor, backward
+from .tensor import ContractError, ShapeError, Tensor, TensorError, backward
 
 
 class CheckpointError(Exception):
@@ -44,10 +44,12 @@ class TrainingAbort(Exception):
 
 
 class ParamStore:
-    """Ordered name -> tensor registry; iteration follows insertion order."""
+    """Ordered name -> tensor registry plus a JSON ``description`` of what
+    built it (None if nothing); iteration follows insertion order."""
 
-    def __init__(self):
+    def __init__(self, description: dict | None = None):
         self._params: dict[str, Tensor] = {}
+        self.description = description
 
     def register(self, name: str, t: Tensor) -> None:
         if name in self._params:
@@ -70,9 +72,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def zero_grads(self) -> None:
         for t in self._params.values():
             t.grad = None
@@ -82,21 +81,23 @@ class ParamStore:
             if t.requires_grad and t.grad is None:
                 t.grad = np.zeros_like(t.data)
 
-    def total_size(self) -> int:
-        return sum(t.size for t in self._params.values())
+
+CHECKPOINT_FORMAT = "taskfusion-checkpoint/1"
 
 
 def save_checkpoint(store: ParamStore, path) -> None:
-    """Header JSON line {name: {shape, byte_offset}}, then little-endian
-    float64 payload in registry order."""
-    header: dict[str, dict] = {}
+    """Header JSON line {"format", "description", "params": {name: {shape,
+    byte_offset}}}, then little-endian float64 payload in registry order."""
+    params: dict[str, dict] = {}
     chunks: list[bytes] = []
     offset = 0
     for name, t in store.items():
-        header[name] = {"shape": list(t.shape), "byte_offset": offset}
+        params[name] = {"shape": list(t.shape), "byte_offset": offset}
         raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
         chunks.append(raw)
         offset += len(raw)
+    header = {"format": CHECKPOINT_FORMAT, "description": store.description,
+              "params": params}
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
         for c in chunks:
@@ -108,10 +109,15 @@ def _is_int(v) -> bool:
 
 
 def _check_header(header) -> None:
-    if not isinstance(header, dict):
-        raise CheckpointError(f"header is a JSON {type(header).__name__}, "
-                              "not an object")
-    for name, meta in header.items():
+    if not (isinstance(header, dict)
+            and header.get("format") == CHECKPOINT_FORMAT):
+        raise CheckpointError("header is not a JSON object with the format "
+                              f"tag {CHECKPOINT_FORMAT!r}")
+    if not (isinstance(header.get("description"), (dict, type(None)))
+            and isinstance(header.get("params"), dict)):
+        raise CheckpointError("header needs an object or null description "
+                              "and an object of params")
+    for name, meta in header["params"].items():
         if not (isinstance(meta, dict) and isinstance(meta.get("shape"), list)
                 and all(_is_int(n) and n >= 0 for n in meta["shape"])
                 and _is_int(meta.get("byte_offset"))):
@@ -130,8 +136,9 @@ def load_checkpoint(path) -> ParamStore:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from None
     _check_header(header)
+    params = header["params"]
     expected = 0
-    for name, meta in header.items():
+    for name, meta in params.items():
         n = int(np.prod(meta["shape"])) if meta["shape"] else 1
         if meta["byte_offset"] != expected:
             raise CheckpointError(f"parameter {name!r} at byte offset "
@@ -140,8 +147,8 @@ def load_checkpoint(path) -> ParamStore:
     if len(payload) != expected:
         raise CheckpointError(f"payload is {len(payload)} bytes, header "
                               f"requires {expected}")
-    store = ParamStore()
-    for name, meta in header.items():
+    store = ParamStore(header["description"])
+    for name, meta in params.items():
         shape = tuple(meta["shape"])
         n = int(np.prod(shape)) if shape else 1
         start = meta["byte_offset"]
@@ -166,6 +173,23 @@ def copy_parameters(src: ParamStore, dst: ParamStore) -> None:
     if src_names:
         raise CheckpointError(f"checkpoint has unexpected parameters "
                               f"{sorted(src_names)[:3]}")
+
+
+def load_described(path, kind: str, build):
+    """Load a checkpoint of ``kind`` ("model" or "policy") into the owner
+    that ``build(description) -> (owner, its store)`` rebuilds."""
+    store = load_checkpoint(path)
+    found = (store.description or {}).get("kind")
+    if found != kind:
+        raise CheckpointError(f"{path} is a {found or 'plain'} checkpoint, "
+                              f"not a {kind} checkpoint")
+    try:
+        owner, dst = build(store.description)
+    except (KeyError, TypeError, ValueError, TensorError) as e:
+        raise CheckpointError(f"{path}: description does not build a {kind}: "
+                              f"{e!r}") from None
+    copy_parameters(store, dst)
+    return owner
 
 
 @dataclass
@@ -265,12 +289,23 @@ def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:
                             enabled_tasks=config.enabled_tasks)
     decoder = TaskFusionDecoder(dec_cfg, rng_for(config.seed, "init", "dec"))
     sigma = SigmaParams.init()
-    store = ParamStore()
+    recorded = dict(asdict(config), enabled_tasks=list(config.enabled_tasks))
+    store = ParamStore({"kind": "model", "config": recorded,
+                        "frames": frames, "image": image})
     store.add_module("enc", encoder.parameters())
     store.add_module("dec", decoder.parameters())
     store.register("sigma.s", sigma.s)
     return ModelBundle(encoder=encoder, decoder=decoder, sigma=sigma,
                        store=store)
+
+
+def load_model(path) -> ModelBundle:
+    """Rebuild the model a checkpoint describes, then load its values."""
+    def build(desc):
+        model = build_model(TrainConfig(**desc["config"]),
+                            frames=desc["frames"], image=desc["image"])
+        return model, model.store
+    return load_described(path, "model", build)
 
 
 def fisher_yates(indices: list[int], rng: np.random.Generator) -> list[int]:
@@ -297,7 +332,6 @@ def _batches(n: int, batch_size: int, seed: int):
 class TrainResult:
     model: ModelBundle
     log: list[dict]
-    config: TrainConfig
 
 
 def batch_losses(model: ModelBundle, clips: list[SynthClip],
@@ -369,7 +403,7 @@ def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
             row[f"sigma2_{i + 1}"] = (float(sigma2[i]) if task in enabled
                                       else None)
         log.append(row)
-    return TrainResult(model=model, log=log, config=config)
+    return TrainResult(model=model, log=log)
 
 
 @dataclass

@@ -3,8 +3,7 @@ import pytest
 
 from taskfusion import tensor as tl
 from taskfusion.attention import (AttentionParams, PositionalEncoding,
-                                  cross_attention, linear, positional_encode,
-                                  self_attention)
+                                  cross_attention, linear, self_attention)
 from taskfusion.seeding import rng_for
 from taskfusion.tensor import ContractError, ShapeError, grad_check
 
@@ -130,7 +129,7 @@ def test_positional_table_bounds_and_determinism():
 
 def test_positional_encode_zero_features_yields_table_rows():
     pe = PositionalEncoding(16, 8)
-    out = positional_encode(tl.constant(np.zeros((4, 8))), pe, offset=0)
+    out = pe.encode(tl.constant(np.zeros((4, 8))), offset=0)
     assert np.array_equal(out.data, pe.table.data[:4])
 
 
@@ -146,15 +145,15 @@ def test_positional_encode_additivity():
     pe = PositionalEncoding(16, 8)
     rng = rng_for(21, "pe")
     x = tl.constant(rng.standard_normal((5, 8)))
-    once = positional_encode(x, pe, 2)
-    twice = positional_encode(once, pe, 2)
+    once = pe.encode(x, 2)
+    twice = pe.encode(once, 2)
     assert np.allclose(twice.data - once.data, pe.table.data[2:7], atol=0)
 
 
 def test_positional_encode_range_overflow():
     pe = PositionalEncoding(8, 8)
     with pytest.raises(ShapeError):
-        positional_encode(tl.constant(np.zeros((5, 8))), pe, offset=4)
+        pe.encode(tl.constant(np.zeros((5, 8))), offset=4)
 
 
 def test_linear_bias_tiling():

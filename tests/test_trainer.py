@@ -132,6 +132,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.names() == ["a", "b"]
     assert np.array_equal(loaded["a"].data, np.arange(6.0).reshape(2, 3))
     assert np.array_equal(loaded["b"].data, [7.0])
+    assert loaded.description is None
+
+
+def test_model_checkpoint_rebuilds_the_model(tmp_path):
+    model = build_model(_config(encoder="clip_token", enabled_tasks=("oscc",)),
+                        frames=CLIP_CFG.frames, image=CLIP_CFG.height)
+    for _, t in model.store.items():
+        t.data[...] += 0.01 * np.arange(t.size).reshape(t.shape)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.store, path)
+    loaded = trainer.load_model(path)
+    assert loaded.store.description == model.store.description
+    assert loaded.enabled_tasks == ("oscc",)
+    for name, t in model.store.items():
+        assert np.array_equal(loaded.store[name].data, t.data), name
 
 
 def _rewrite(path, header=None, payload=None):
@@ -141,17 +156,34 @@ def _rewrite(path, header=None, payload=None):
     path.write_bytes(head + b"\n" + (body if payload is None else payload))
 
 
-@pytest.mark.parametrize("header", [
+def _header(path):
+    return json.loads(path.read_bytes().split(b"\n", 1)[0])
+
+
+@pytest.mark.parametrize("params", [
     [1, 2],                                       # not an object
     {"x": 3},                                     # entry not an object
     {"a": {"shape": [2, 3]}},                     # no byte offset
     {"a": {"shape": "2x3", "byte_offset": 0}},    # shape not a list
     {"a": {"shape": [2.5], "byte_offset": 0}},    # shape entries not ints
     {"a": {"shape": [6], "byte_offset": "0"}},    # offset not an int
-])
-def test_checkpoint_rejects_malformed_header(tmp_path, header):
+], ids=[f"header{i}" for i in range(6)])
+def test_checkpoint_rejects_malformed_header(tmp_path, params):
     path = _checkpoint(tmp_path)
-    _rewrite(path, header=header)
+    _rewrite(path, header=dict(_header(path), params=params))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: [h],                                # not an object
+    lambda h: h["params"],                        # the untagged flat header
+    lambda h: dict(h, format="taskfusion-checkpoint/0"),
+    lambda h: dict(h, description=[1]),           # description not an object
+])
+def test_checkpoint_rejects_bad_envelope(tmp_path, edit):
+    path = _checkpoint(tmp_path)
+    _rewrite(path, header=edit(_header(path)))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -166,8 +198,8 @@ def test_checkpoint_rejects_truncated_payload(tmp_path):
 
 def test_checkpoint_rejects_wrong_offset(tmp_path):
     path = _checkpoint(tmp_path)
-    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-    header["b"]["byte_offset"] = 40
+    header = _header(path)
+    header["params"]["b"]["byte_offset"] = 40
     _rewrite(path, header=header)
     with pytest.raises(CheckpointError, match="offset"):
         load_checkpoint(path)
