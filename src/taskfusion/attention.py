@@ -2,16 +2,19 @@
 
 Both attention blocks take token sets of shape ``[n, D]`` or a batch of
 them, ``[B, n, D]``, and run every batch entry and every head through one
-batched matmul chain. They optionally cache the per-head weight matrices
-of the pass for later export: ``[heads, nq, nk]`` for an unbatched call,
-``[B, heads, nq, nk]`` for a batched one. Queries carry no positional
-information of their own; position enters only where a caller adds a
-positional encoding to the memory.
+fused tape op, ``tensor.attention`` (node kind ``"attention"``): the
+projections, the head split, the scaled max-subtracted softmax, the head
+merge and the output projection are one node whose backward rule computes
+every gradient in numpy. Self-attention hands the op its token set once,
+as queries and memory both. The blocks optionally cache the per-head
+weight matrices of the pass for later export: ``[heads, nq, nk]`` for an
+unbatched call, ``[B, heads, nq, nk]`` for a batched one. Queries carry no
+positional information of their own; position enters only where a caller
+adds a positional encoding to the memory.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,39 +67,14 @@ class AttentionParams:
                 f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
 
 
-def _view(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return x if x.shape == shape else tl.reshape(x, shape)
-
-
-def _split_heads(x: Tensor, w: Tensor, heads: int) -> Tensor:
-    # [..., n, D] @ w -> [B*heads, n, D/heads], B the product of the
-    # leading axes (1 for an unbatched [n, D])
-    n, d = x.shape[-2:]
-    b = x.size // (n * d)
-    y = tl.matmul(_view(x, (b * n, d)), w)
-    y = tl.permute(tl.reshape(y, (b, n, heads, d // heads)), (0, 2, 1, 3))
-    return tl.reshape(y, (b * heads, n, d // heads))
-
-
-def _attend(queries: Tensor, memory: Tensor, params: AttentionParams,
+def _attend(queries: Tensor, memory: Tensor | None, params: AttentionParams,
             cache: list[np.ndarray] | None) -> Tensor:
-    nq, d = queries.shape[-2:]
-    nk = memory.shape[-2]
-    b = queries.size // (nq * d)
-    heads = params.head_count
-    dh = d // heads
-    q = _split_heads(queries, params.wq, heads)
-    k = _split_heads(memory, params.wk, heads)
-    v = _split_heads(memory, params.wv, heads)
-    scores = tl.scale(tl.bmm(q, tl.permute(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
-    weights = tl.softmax(scores, axis=-1)  # [B*heads, nq, nk]
+    out, weights = tl.attention(queries, memory, params.wq, params.wk,
+                                params.wv, params.wo, params.head_count)
     if cache is not None:
-        cache.append(weights.data.reshape(
-            queries.shape[:-2] + (heads, nq, nk)).copy())
-    o = tl.permute(tl.reshape(tl.bmm(weights, v), (b, heads, nq, dh)),
-                   (0, 2, 1, 3))
-    out = tl.matmul(tl.reshape(o, (b * nq, d)), params.wo)
-    return _view(out, queries.shape)
+        cache.append(weights.reshape(queries.shape[:-2] + weights.shape[1:])
+                     .copy())
+    return out
 
 
 def _check_tokens(x: Tensor, what: str, width: int) -> None:
@@ -112,7 +90,7 @@ def self_attention(tokens: Tensor, params: AttentionParams,
                    cache: list[np.ndarray] | None = None) -> Tensor:
     """Scaled dot-product attention of each token set over itself."""
     _check_tokens(tokens, "self_attention: token set", params.width)
-    return _attend(tokens, tokens, params, cache)
+    return _attend(tokens, None, params, cache)
 
 
 def cross_attention(memory: Tensor, queries: Tensor, params: AttentionParams,

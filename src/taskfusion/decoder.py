@@ -414,7 +414,11 @@ class TaskFusionDecoder:
         cfg = self.config
         if features.width != cfg.width or features.frames != cfg.frames \
                 or features.patches != cfg.patches:
-            raise ShapeError("clip features do not match decoder config")
+            raise ShapeError(
+                f"clip features (frames {features.frames}, patches "
+                f"{features.patches}, width {features.width}) do not match "
+                f"the decoder's (frames {cfg.frames}, patches {cfg.patches}, "
+                f"width {cfg.width})")
         b, d = features.batch, cfg.width
 
         h_t = build_temporal_memory(features, self.pe)
@@ -472,11 +476,14 @@ class TaskFusionDecoder:
         """Two-pass inference: a mid-frame provisional pass produces the
         keyframe logits, whose argmax selects the spatial memory for the
         final pass. Temporal outputs come from the provisional pass (they
-        chose the keyframe); detection outputs come from the final pass."""
+        chose the keyframe); detection outputs come from the final pass.
+        Without the keyframe task there are no logits to choose by, and the
+        mid-frame pass is the only one."""
+        mid_frame = KeyframeSpec.train([None] * features.batch)
         if "pnr" not in self.config.enabled_tasks:
-            raise ContractError("inference requires the keyframe task")
-        first = self.decode(features,
-                            KeyframeSpec.train([None] * features.batch))
+            return self.decode(features, mid_frame,
+                               cache_attention=cache_attention)
+        first = self.decode(features, mid_frame)
         second = self.decode(features, KeyframeSpec.infer(first.pnr_logits.data),
                              cache_attention=cache_attention)
         return TaskPredictions(first._oscc, first._pnr, second._scod,

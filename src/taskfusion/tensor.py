@@ -12,6 +12,13 @@ whose shape is a trailing suffix of the other's (a ``[D]`` bias onto
 ``[..., D]`` rows, an ``[8, H]`` block onto ``[B, 8, H]``). A broadcast
 operand's gradient is summed over the axes it was repeated along, so
 every backward rule stays exact and obvious.
+
+Three ops are fused blocks with hand-written backward rules, each one node
+on the tape: ``softmax``, ``layer_norm`` and ``attention`` (node kind
+``"attention"``: a whole multi-head attention block, from the q/k/v
+projections to the output projection, computing gradients only for the
+inputs that need them). The perfbench tape breakdown, whose list of kinds
+predates it, counts ``"attention"`` nodes under ``other``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ __all__ = [
     "ones",
     "full",
     "randn",
-    "elementwise",
     "add",
     "sub",
     "mul",
@@ -52,11 +58,9 @@ __all__ = [
     "minimum",
     "matmul",
     "bmm",
-    "transpose",
     "permute",
     "reshape",
     "concat",
-    "stack0",
     "narrow",
     "index0",
     "take0",
@@ -67,9 +71,9 @@ __all__ = [
     "mean_axis",
     "softmax",
     "layer_norm",
+    "attention",
     "backward",
     "grad_check",
-    "ELEMENTWISE_KINDS",
 ]
 
 
@@ -295,21 +299,6 @@ def scale(a, c: float) -> Tensor:
     return _make(a.data * c, "scale", (a,), backward_rule)
 
 
-ELEMENTWISE_KINDS = {
-    "add": add, "sub": sub, "mul": mul, "div": div,
-    "maximum": maximum, "minimum": minimum,
-    "relu": relu, "gelu": gelu, "exp": exp, "log": log,
-    "sigmoid": sigmoid, "tanh": tanh, "scale": scale,
-}
-
-
-def elementwise(kind: str, *operands) -> Tensor:
-    """Dispatch a pointwise op by registered kind name."""
-    if kind not in ELEMENTWISE_KINDS:
-        raise ContractError(f"unknown elementwise kind {kind!r}")
-    return ELEMENTWISE_KINDS[kind](*operands)
-
-
 # ---------------------------------------------------------------------------
 # structural / linear-algebra ops
 
@@ -342,17 +331,6 @@ def bmm(a, b) -> Tensor:
         return da, db
 
     return _make(data, "bmm", (a, b), backward_rule)
-
-
-def transpose(a) -> Tensor:
-    a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {a.shape}")
-
-    def backward_rule(dout: np.ndarray):
-        return (np.ascontiguousarray(dout.T),)
-
-    return _make(np.ascontiguousarray(a.data.T), "transpose", (a,), backward_rule)
 
 
 def permute(a, axes: Sequence[int]) -> Tensor:
@@ -403,21 +381,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 
     return _make(np.concatenate([p.data for p in parts], axis=axis),
                  "concat", parts, backward_rule)
-
-
-def stack0(parts: Iterable[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    parts = tuple(_as_tensor(p) for p in parts)
-    if not parts:
-        raise ContractError("stack0 of zero tensors")
-
-    def backward_rule(dout: np.ndarray):
-        return tuple(np.ascontiguousarray(dout[i])
-                     if (p.requires_grad or p.node) else None
-                     for i, p in enumerate(parts))
-
-    return _make(np.stack([p.data for p in parts], axis=0),
-                 "stack0", parts, backward_rule)
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
@@ -557,6 +520,99 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         return da, dg, db
 
     return _make(data, "layer_norm", (a, gain, bias), backward_rule)
+
+
+def attention(queries, memory, wq, wk, wv, wo,
+              heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention as one op.
+
+    ``queries`` [..., nq, D] attend over ``memory`` [..., nk, D] with the
+    same leading axes, or over themselves when ``memory`` is None. The op
+    covers the q/k/v projections, the split into ``heads`` heads of width
+    D/heads, the scaled scores, a max-subtracted softmax over the memory
+    axis, weights @ v, the head merge and the output projection ``wo``.
+    Returns the output [..., nq, D] and the weights [B, heads, nq, nk], B
+    the product of the leading axes (1 for an unbatched [nq, D]). The
+    weights array is the one the backward rule reads; copy it before
+    writing to it.
+    """
+    queries = _as_tensor(queries)
+    mem = queries if memory is None else _as_tensor(memory)
+    ws = tuple(_as_tensor(w) for w in (wq, wk, wv, wo))
+    if (queries.data.ndim < 2 or mem.data.ndim != queries.data.ndim
+            or mem.shape[:-2] != queries.shape[:-2]):
+        raise ShapeError(f"attention: queries {queries.shape} and memory "
+                         f"{mem.shape} need equal leading axes")
+    nq, d = queries.shape[-2:]
+    nk = mem.shape[-2]
+    if mem.shape[-1] != d or any(w.shape != (d, d) for w in ws):
+        raise ShapeError(f"attention: width {d} needs [{d}, {d}] weights and "
+                         f"memory, got {mem.shape} and "
+                         f"{[w.shape for w in ws]}")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"attention: width {d} not divisible by {heads} heads")
+    b = queries.size // (nq * d)
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    xq = queries.data.reshape(b * nq, d)
+    xm = mem.data.reshape(b * nk, d)
+
+    # Every per-head operand is made contiguous before its batched matmul:
+    # numpy then runs one plain gemm per (clip, head), faster than on
+    # strided views, and with the operand layout of the unfused op chain.
+    def split(y: np.ndarray, n: int) -> np.ndarray:
+        # [b*n, D] -> [b, heads, n, dh]
+        return np.ascontiguousarray(
+            y.reshape(b, n, heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(y: np.ndarray, axes=(0, 2, 1, 3)) -> np.ndarray:
+        # [b, heads, n, dh] (or another order, by axes) -> [b*n, D]
+        return y.transpose(axes).reshape(-1, d)
+
+    q = split(xq @ ws[0].data, nq)
+    kt = np.ascontiguousarray(  # [b, heads, dh, nk]
+        (xm @ ws[1].data).reshape(b, nk, heads, dh).transpose(0, 2, 3, 1))
+    v = split(xm @ ws[2].data, nk)
+    s = (q @ kt) * c
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    p = e / np.sum(e, axis=-1, keepdims=True)  # [b, heads, nq, nk]
+    o = merge(p @ v)
+    data = (o @ ws[3].data).reshape(queries.shape)
+
+    def needs(t: Tensor) -> bool:
+        return t.requires_grad or t.node is not None
+
+    inputs = (queries,) + ws if memory is None else (queries, mem) + ws
+    need_x = needs(queries), needs(mem)
+    need_w = tuple(needs(w) for w in ws)
+
+    def backward_rule(dout: np.ndarray):
+        g = dout.reshape(b * nq, d)
+        dwo = o.T @ g if need_w[3] else None
+        need_q = need_x[0] or need_w[0]
+        need_kv = need_x[1] or need_w[1] or need_w[2]
+        dq = dk = dv = dxq = dxm = None  # skipped where nothing needs them
+        if need_q or need_kv:
+            do = split(g @ ws[3].data.T, nq)
+            dp = do @ v.swapaxes(2, 3)
+            ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * c
+            if need_q:
+                dq = merge(ds @ kt.swapaxes(2, 3))
+            if need_kv:
+                dk = merge(q.swapaxes(2, 3) @ ds, (0, 3, 1, 2))
+                dv = merge(p.swapaxes(2, 3) @ do)
+        if need_x[0]:
+            dxq = (dq @ ws[0].data.T).reshape(queries.shape)
+        if need_x[1]:
+            dxm = (dk @ ws[1].data.T + dv @ ws[2].data.T).reshape(mem.shape)
+        dws = (xq.T @ dq if need_w[0] else None,
+               xm.T @ dk if need_w[1] else None,
+               xm.T @ dv if need_w[2] else None, dwo)
+        if memory is None:  # one input, read as both queries and memory
+            return (None if dxq is None else dxq + dxm,) + dws
+        return (dxq, dxm) + dws
+
+    return _make(data, "attention", inputs, backward_rule), p
 
 
 # ---------------------------------------------------------------------------

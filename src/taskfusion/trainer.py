@@ -270,12 +270,7 @@ class ModelBundle:
         return self.decoder.config.enabled_tasks
 
     def predict(self, clip: SynthClip) -> ClipPrediction:
-        features = self.encoder.encode(clip)
-        if "pnr" in self.enabled_tasks:
-            preds = self.decoder.infer(features)
-        else:
-            preds = self.decoder.decode(features, KeyframeSpec.train([None]))
-        return preds.clip(0)
+        return self.decoder.infer(self.encoder.encode(clip)).clip(0)
 
 
 def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:

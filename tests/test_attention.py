@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from taskfusion import tensor as tl
 from taskfusion.attention import (AttentionParams, PositionalEncoding,
                                   cross_attention, linear, self_attention)
 from taskfusion.seeding import rng_for
-from taskfusion.tensor import ContractError, ShapeError, grad_check
+from taskfusion.tensor import ContractError, ShapeError, backward, grad_check
 
 
 def _params(seed, width=8, heads=2, std=0.3):
@@ -185,3 +187,76 @@ def test_batched_attention_matches_per_item_calls():
         assert np.max(np.abs(out_cross[b] - one.data)) <= 1e-14
     with pytest.raises(ShapeError):
         cross_attention(tl.constant(memory.data[:2]), tokens, params)
+
+
+def _op_chain_attention(queries, memory, params):
+    """Reference built from primitive ops, the chain the fused ``attention``
+    tape op replaced: matmul projections, reshape/permute head split, bmm
+    scores, scale, softmax, bmm with v, head merge, output matmul."""
+    nq, d = queries.shape[-2:]
+    nk = memory.shape[-2]
+    b = queries.size // (nq * d)
+    h = params.head_count
+    dh = d // h
+
+    def split(x, w, n):
+        y = tl.matmul(tl.reshape(x, (b * n, d)), w)
+        y = tl.permute(tl.reshape(y, (b, n, h, dh)), (0, 2, 1, 3))
+        return tl.reshape(y, (b * h, n, dh))
+
+    q = split(queries, params.wq, nq)
+    k = split(memory, params.wk, nk)
+    v = split(memory, params.wv, nk)
+    weights = tl.softmax(tl.scale(tl.bmm(q, tl.permute(k, (0, 2, 1))),
+                                  1.0 / math.sqrt(dh)), axis=-1)
+    o = tl.permute(tl.reshape(tl.bmm(weights, v), (b, h, nq, dh)),
+                   (0, 2, 1, 3))
+    out = tl.matmul(tl.reshape(o, (b * nq, d)), params.wo)
+    return (tl.reshape(out, queries.shape),
+            weights.data.reshape(queries.shape[:-2] + (h, nq, nk)))
+
+
+@pytest.mark.parametrize("kind", ["self", "cross", "cross_constant_memory"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["unbatched", "B3"])
+def test_fused_attention_matches_the_op_chain(batch, heads, kind):
+    rng = rng_for(25, "fused", kind, heads, len(batch))
+    params = AttentionParams.init(rng, 8, heads, std=0.5)
+    queries = tl.tensor(rng.standard_normal(batch + (5, 8)),
+                        requires_grad=True)
+    memory = queries if kind == "self" else tl.tensor(
+        rng.standard_normal(batch + (7, 8)), requires_grad=(kind == "cross"))
+    g = tl.constant(rng.standard_normal(batch + (5, 8)))
+    leaves = [queries, memory, params.wq, params.wk, params.wv, params.wo]
+
+    def run(attend):
+        for t in leaves:
+            t.grad = None
+        out, weights = attend()
+        backward(tl.sum_all(tl.mul(out, g)))
+        return out, weights, [t.grad for t in leaves]
+
+    def fused():
+        cache = []
+        if kind == "self":
+            out = self_attention(queries, params, cache)
+        else:
+            out = cross_attention(memory, queries, params, cache)
+        return out, cache[0]
+
+    out, weights, grads = run(fused)
+    ref_out, ref_weights, ref_grads = run(
+        lambda: _op_chain_attention(queries, memory, params))
+    assert out.node.op == "attention"
+    assert len(out.node.inputs) == (5 if kind == "self" else 6)
+    assert np.max(np.abs(out.data - ref_out.data)) <= 1e-12
+    assert weights.shape == batch + (heads, 5, 5 if kind == "self" else 7)
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-12
+    for name, got, want in zip(["queries", "memory", "wq", "wk", "wv", "wo"],
+                               grads, ref_grads):
+        if want is None:  # a memory that does not require grad
+            assert got is None, name
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+    if kind == "cross_constant_memory":
+        assert out.node.backward(g.data)[1] is None

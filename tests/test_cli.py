@@ -11,9 +11,11 @@ import pytest
 
 from taskfusion import cli
 from taskfusion.bc import ToyEnvConfig, bc_train, collect_demos
+from taskfusion.decoder import KeyframeSpec
 from taskfusion.seeding import rng_for
 from taskfusion.synth import build_encoder, read_dataset
-from taskfusion.trainer import TrainConfig, evaluate, load_checkpoint, train
+from taskfusion.trainer import (TrainConfig, evaluate, load_checkpoint,
+                                load_model, train)
 
 MODEL_FLAGS = ["--width", "16", "--dec-heads", "2", "--enc-heads", "2",
                "--mlp-hidden", "16", "--batch-size", "4"]
@@ -122,6 +124,25 @@ def _data_32px(work):
     return path
 
 
+def _data_8_frames(work):
+    path = work / "data8"
+    assert cli.main(["gen-data", "--count", "2", "--seed", "1", "--frames",
+                     "8", "--image", "16", "--out", str(path)]) == 0
+    return path
+
+
+def _nan_checkpoint(work):
+    """The model checkpoint with every detection-head weight set to NaN."""
+    head, body = (work / "model.ckpt").read_bytes().split(b"\n", 1)
+    entry = json.loads(head)["params"]["dec.head.scod.w1"]
+    values = np.frombuffer(body, dtype="<f8").copy()
+    start = entry["byte_offset"] // 8
+    values[start:start + int(np.prod(entry["shape"]))] = np.nan
+    path = work / "nan.ckpt"
+    path.write_bytes(head + b"\n" + values.tobytes())
+    return path
+
+
 def _null_image_demos(work):
     path = work / "demos_null"
     path.write_text(json.dumps({"env": {"image": None}, "seeds": [1]}) + "\n")
@@ -143,13 +164,20 @@ def _null_image_demos(work):
     (lambda w: ["export-embeddings", "--data", str(_data_32px(w)),
                 "--checkpoint", str(w / "model.ckpt"), "--out",
                 str(w / "e.csv")], "clip raster (32, 32) != (16, 16)"),
+    (lambda w: ["eval", "--data", str(_data_8_frames(w)), "--checkpoint",
+                str(w / "model.ckpt")],
+     "clip features (frames 8, patches 4, width 16) do not match the "
+     "decoder's (frames 4, patches 4, width 16)"),
     (lambda w: ["eval", "--data", str(_bad_label_dataset(w)), "--checkpoint",
                 str(w / "model.ckpt")], "line 2: box coords"),
+    (lambda w: ["eval", "--data", str(w / "data"), "--checkpoint",
+                str(_nan_checkpoint(w))], "cost matrix has non-finite entries"),
     (lambda w: ["bc-train", "--demos", str(_null_image_demos(w)),
                 "--checkpoint", str(w / "model.ckpt"), "--out-policy",
                 str(w / "p.ckpt")], "env image must be int"),
 ], ids=["flat_header", "policy_as_checkpoint", "model_as_policy",
-        "demo_image_mismatch", "dataset_size_mismatch", "bad_label",
+        "demo_image_mismatch", "dataset_size_mismatch",
+        "dataset_frame_count_mismatch", "bad_label", "nan_parameters",
         "bad_demo_type"])
 def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     args = argv(work)
@@ -163,6 +191,40 @@ def test_model_flags_on_eval_are_a_usage_error(work, capsys):
     assert cli.main(["eval", "--data", str(work / "data"), "--checkpoint",
                      str(work / "model.ckpt"), "--width", "16"]) == 1
     assert "unrecognized arguments: --width 16" in capsys.readouterr().err
+
+
+def test_dump_attention_without_the_keyframe_task(work):
+    """The oscc+scod checkpoint has no keyframe head: the dump holds the
+    mid-frame decode that ``predict`` makes for it."""
+    out = work / "attention.csv"
+    assert cli.main(["dump-attention", "--data", str(work / "data"),
+                     "--checkpoint", str(work / "model.ckpt"), "--clip-index",
+                     "3", "--out", str(out)]) == 0
+    model = load_model(work / "model.ckpt")
+    clip = read_dataset(work / "data")[3].clip()
+    model.decoder.decode(model.encoder.encode(clip), KeyframeSpec.train([None]),
+                         cache_attention=True)
+    expected = [[layer, block, head, r, c, mat[head, r, c]]
+                for layer, att in enumerate(model.decoder.export_attention())
+                for block, mat in (("self", att.self_attn),
+                                   ("temporal", att.temporal),
+                                   ("spatial", att.spatial))
+                for head in range(mat.shape[0]) for r in range(mat.shape[1])
+                for c in range(mat.shape[2])]
+    lines = out.read_text().splitlines()
+    assert lines[1] == "layer,block,head,row,col,weight"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [[int(a), b, int(h), int(r), int(c), float(w)]
+            for a, b, h, r, c, w in rows] == expected
+
+
+@pytest.mark.parametrize("index", ["8", "-1"])
+def test_dump_attention_clip_index_outside_the_dataset(work, capsys, index):
+    assert cli.main(["dump-attention", "--data", str(work / "data"),
+                     "--checkpoint", str(work / "model.ckpt"), "--clip-index",
+                     index, "--out", str(work / "a.csv")]) == 1
+    assert (f"--clip-index {index} is outside the dataset's 8 clips (0 to 7)"
+            in capsys.readouterr().err)
 
 
 REPEATED_FLAGS = {"--encoder", "--width", "--layers", "--dec-heads",

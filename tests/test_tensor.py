@@ -217,7 +217,7 @@ def test_determinism_bit_identical():
     def run():
         rng = rng_for(12, "det")
         x = tl.tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        y = tl.softmax(tl.matmul(x, tl.transpose(x)), axis=-1)
+        y = tl.softmax(tl.matmul(x, tl.permute(x, (1, 0))), axis=-1)
         loss = tl.sum_all(tl.mul(y, y))
         backward(loss)
         return loss.item(), x.grad.copy()
@@ -274,13 +274,6 @@ def test_grad_check_rejects_bad_eps():
         grad_check(lambda v: tl.sum_all(v), [x], eps=1e-2)
 
 
-def test_elementwise_dispatch_and_unknown_kind():
-    out = tl.elementwise("add", tl.constant([1.0]), tl.constant([2.0]))
-    assert out.data[0] == 3.0
-    with pytest.raises(ContractError):
-        tl.elementwise("nope", tl.constant([1.0]))
-
-
 def test_structural_op_edges():
     x = tl.constant(np.arange(12.0).reshape(3, 4))
     with pytest.raises(ShapeError):
@@ -294,36 +287,48 @@ def test_structural_op_edges():
 
 
 def test_registered_ops_gradient_sweep():
-    # every registered elementwise kind, many seeds, against eps=1e-5 FD
+    # every pointwise op, many seeds, against eps=1e-5 FD
     rng = rng_for(14, "sweep")
     unary_domains = {
-        "relu": lambda: rng.standard_normal(6) + np.sign(rng.standard_normal(6)),
-        "gelu": lambda: rng.standard_normal(6),
-        "exp": lambda: rng.uniform(-2, 2, 6),
-        "log": lambda: rng.uniform(0.1, 3.0, 6),
-        "sigmoid": lambda: rng.standard_normal(6),
-        "tanh": lambda: rng.standard_normal(6),
+        tl.relu: lambda: rng.standard_normal(6) + np.sign(rng.standard_normal(6)),
+        tl.gelu: lambda: rng.standard_normal(6),
+        tl.exp: lambda: rng.uniform(-2, 2, 6),
+        tl.log: lambda: rng.uniform(0.1, 3.0, 6),
+        tl.sigmoid: lambda: rng.standard_normal(6),
+        tl.tanh: lambda: rng.standard_normal(6),
     }
-    for kind, draw in unary_domains.items():
+    for op, draw in unary_domains.items():
         for _ in range(4):
             x = tl.tensor(draw(), requires_grad=True)
             w = tl.constant(rng.standard_normal(6))
             report = grad_check(
-                lambda v, k=kind, w=w: tl.sum_all(
-                    tl.mul(tl.ELEMENTWISE_KINDS[k](v), w)),
+                lambda v, op=op, w=w: tl.sum_all(tl.mul(op(v), w)),
                 [x], eps=1e-5, tol=1e-4)
-            assert report.passed, f"{kind}: {report}"
+            assert report.passed, f"{op.__name__}: {report}"
 
-    for kind in ("add", "sub", "mul", "div"):
+    for op in (tl.add, tl.sub, tl.mul, tl.div):
         for _ in range(4):
             a = tl.tensor(rng.standard_normal(6), requires_grad=True)
             b_data = rng.standard_normal(6)
-            if kind == "div":
+            if op is tl.div:
                 b_data = b_data + np.sign(b_data) * 0.5
             b = tl.tensor(b_data, requires_grad=True)
             report = grad_check(
-                lambda x, y, k=kind: tl.sum_all(
-                    tl.mul(tl.ELEMENTWISE_KINDS[k](x, y),
-                           tl.constant(np.arange(1.0, 7.0)))),
+                lambda x, y, op=op: tl.sum_all(
+                    tl.mul(op(x, y), tl.constant(np.arange(1.0, 7.0)))),
                 [a, b], eps=1e-5, tol=1e-4)
-            assert report.passed, f"{kind}: {report}"
+            assert report.passed, f"{op.__name__}: {report}"
+
+
+def test_attention_op_shape_errors():
+    w = tl.constant(np.zeros((4, 4)))
+    x = tl.constant(np.zeros((2, 3, 4)))
+    for queries, memory, weights, heads in [
+            (tl.constant(np.zeros(4)), None, w, 2),           # no token axis
+            (x, tl.constant(np.zeros((3, 4))), w, 2),          # batch vs none
+            (x, tl.constant(np.zeros((3, 3, 4))), w, 2),       # batch 2 vs 3
+            (x, tl.constant(np.zeros((2, 3, 5))), w, 2),       # memory width
+            (x, None, tl.constant(np.zeros((4, 5))), 2),       # weight shape
+            (x, None, w, 3)]:                                  # 4 % 3 heads
+        with pytest.raises(ShapeError):
+            tl.attention(queries, memory, weights, w, w, w, heads)
