@@ -6,9 +6,11 @@ fused tape op, ``tensor.attention`` (node kind ``"attention"``): the
 projections, the head split, the scaled max-subtracted softmax, the head
 merge and the output projection are one node whose backward rule computes
 every gradient in numpy. Self-attention hands the op its token set once,
-as queries and memory both. The blocks optionally cache the per-head
-weight matrices of the pass for later export: ``[heads, nq, nk]`` for an
-unbatched call, ``[B, heads, nq, nk]`` for a batched one. Queries carry no
+as queries and memory both. A caller that passes a ``cache`` list gets a
+copy of the call's per-head weight matrices appended to it:
+``[heads, nq, nk]`` for an unbatched call, ``[B, heads, nq, nk]`` for a
+batched one. The decoder passes one on every call and returns the weights
+with its predictions; the encoders pass none. Queries carry no
 positional information of their own; position enters only where a caller
 adds a positional encoding to the memory.
 """

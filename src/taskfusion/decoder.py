@@ -15,6 +15,13 @@ its own head weights.
 Token roles are fixed: row 0 predicts whether a state change occurs,
 row 1 localizes the change frame, rows 2..9 are detection queries. A
 single clip is a batch of one; there is no separate per-clip path.
+
+The contract with the encoders and the callers is plain data: an encoder
+hands over ``ClipFeatures`` (one summary row per frame and every patch of
+every frame), a caller names each clip's keyframe as an int, and every
+decode returns its attention weights with its predictions. The decoder
+is the only caller that passes attention a ``cache`` list, one per block
+and layer, and it keeps no state between decodes.
 """
 
 from __future__ import annotations
@@ -41,20 +48,16 @@ HEAD_TOKENS = {"oscc": (OSCC_TOKEN, 1), "pnr": (PNR_TOKEN, 1),
                "scod": (SCOD_TOKENS.start, SCOD_QUERY_COUNT)}
 
 
-class StateError(Exception):
-    """Operation requires state (e.g. a cached pass) that is not present."""
-
-
 @dataclass
 class ClipFeatures:
     """Encoder outputs for a batch of B clips.
 
-    ``h_cls`` has one row per frame (per-frame encoders) or a single row
-    (clip-level encoder) for each clip; ``h_total`` keeps every patch of
-    every frame.
+    ``h_frames`` holds each encoder's summary row of every frame (its class
+    row, or the mean of the frame's patches); ``h_total`` keeps every patch
+    of every frame.
     """
 
-    h_cls: Tensor        # [B, c, D], c in {1, T}
+    h_frames: Tensor     # [B, T, D]
     h_total: Tensor      # [B, T, P, D]
     frames: int
     patches: int
@@ -67,14 +70,14 @@ class ClipFeatures:
             raise ShapeError(f"h_total shape {self.h_total.shape} != "
                              f"(B, {t}, {p}, D)")
         b, d = self.h_total.shape[0], self.h_total.shape[3]
-        if self.h_cls.shape not in ((b, 1, d), (b, t, d)):
-            raise ShapeError(f"h_cls shape {self.h_cls.shape} must be "
-                             f"({b}, 1, {d}) or ({b}, {t}, {d})")
+        if self.h_frames.shape != (b, t, d):
+            raise ShapeError(f"h_frames shape {self.h_frames.shape} != "
+                             f"({b}, {t}, {d})")
 
     @classmethod
     def concat(cls, items: Sequence["ClipFeatures"]) -> "ClipFeatures":
         """Join batches in order into one."""
-        return cls(h_cls=tl.concat([f.h_cls for f in items], axis=0),
+        return cls(h_frames=tl.concat([f.h_frames for f in items], axis=0),
                    h_total=tl.concat([f.h_total for f in items], axis=0),
                    frames=items[0].frames, patches=items[0].patches)
 
@@ -86,10 +89,6 @@ class ClipFeatures:
     def width(self) -> int:
         return self.h_total.shape[3]
 
-    @property
-    def per_frame_cls(self) -> bool:
-        return self.h_cls.shape[1] == self.frames
-
 
 @dataclass
 class DecoderConfig:
@@ -100,9 +99,6 @@ class DecoderConfig:
     patches: int = 16
     mlp_hidden: int = 128
     enabled_tasks: tuple[str, ...] = ("oscc", "pnr", "scod")
-    # Unit-test switch: skip the self-attention sublayer so the temporal
-    # and spatial token streams provably cannot mix.
-    self_attention_identity: bool = False
 
     def __post_init__(self):
         if self.layers < 1:
@@ -112,23 +108,6 @@ class DecoderConfig:
                              f"{self.heads} heads")
         if not self.enabled_tasks:
             raise ShapeError("at least one task must be enabled")
-
-
-@dataclass
-class TaskTokenBank:
-    """The 10 learnable initial token embeddings with their fixed roles."""
-
-    tokens: Tensor  # [10, D]
-
-    def __post_init__(self):
-        if self.tokens.shape[0] != TOKEN_COUNT:
-            raise ShapeError(f"expected {TOKEN_COUNT} tokens, got "
-                             f"{self.tokens.shape[0]}")
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, width: int) -> "TaskTokenBank":
-        return cls(tokens=tl.randn(rng, (TOKEN_COUNT, width), std=0.02,
-                                   requires_grad=True))
 
 
 @dataclass
@@ -145,9 +124,6 @@ class _Outputs:
         if value is None:
             raise ContractError(f"task {task!r} was disabled for this decode")
         return value
-
-    def has(self, task: str) -> bool:
-        return getattr(self, f"_{task}") is not None
 
 
 class ClipPrediction(_Outputs):
@@ -174,19 +150,31 @@ class ClipPrediction(_Outputs):
         return self._require("scod")
 
 
+@dataclass
+class LayerAttention:
+    """Attention weights of one decoder layer for a batch of B clips."""
+
+    self_attn: np.ndarray      # [B, heads, 10, 10]
+    temporal: np.ndarray       # [B, heads, 2, T]
+    spatial: np.ndarray        # [B, heads, 8, P]
+
+
 class TaskPredictions(_Outputs):
     """Decoder outputs for a batch of B clips, on the gradient tape.
 
     ``keyframes`` [B] holds the frame each clip's spatial memory came
-    from.
+    from; ``attention`` holds the weights of the pass that used them, one
+    entry per layer.
     """
 
     def __init__(self, oscc_logits: Tensor | None, pnr_logits: Tensor | None,
-                 scod: tuple[Tensor, Tensor] | None, keyframes: np.ndarray):
+                 scod: tuple[Tensor, Tensor] | None, keyframes: np.ndarray,
+                 attention: list[LayerAttention]):
         self._oscc = oscc_logits
         self._pnr = pnr_logits
         self._scod = scod
         self.keyframes = keyframes
+        self.attention = attention
 
     @property
     def oscc_logits(self) -> Tensor:  # [B, 2]
@@ -224,80 +212,25 @@ class TaskPredictions(_Outputs):
                               keyframe_used=int(self.keyframes[b]))
 
 
-@dataclass
-class KeyframeSpec:
-    """How each clip's keyframe is chosen for one decode pass."""
-
-    mode: str  # "train" | "infer"
-    # train: one labeled change frame per clip, None marking a no-change clip
-    label_frames: tuple[int | None, ...] | None = None
-    pnr_logits: np.ndarray | None = None  # infer: [B, T]
-
-    @classmethod
-    def train(cls, label_frames: Sequence[int | None]) -> "KeyframeSpec":
-        return cls(mode="train", label_frames=tuple(label_frames))
-
-    @classmethod
-    def infer(cls, pnr_logits: np.ndarray) -> "KeyframeSpec":
-        return cls(mode="infer", pnr_logits=np.asarray(pnr_logits))
-
-    def frames(self, batch: int, t: int) -> np.ndarray:
-        """Keyframe index of each clip of a batch of ``batch`` T-frame clips.
-
-        Training uses the labeled change frame (mid-clip for no-change
-        clips, whose detection loss is masked anyway); inference uses the
-        first argmax of the keyframe logits.
-        """
-        if self.mode == "train":
-            if self.label_frames is None:
-                raise ContractError("train-mode keyframes need a label frame, "
-                                    "or None for a no-change clip, per clip")
-            if len(self.label_frames) != batch:
-                raise ContractError(f"{len(self.label_frames)} label frames "
-                                    f"for a batch of {batch}")
-            ks = np.array([t // 2 if k is None else int(k)
-                           for k in self.label_frames], dtype=np.intp)
-            for k in ks:
-                if not (0 <= k < t):
-                    raise ContractError(f"label keyframe {k} outside [0, {t})")
-            return ks
-        if self.mode == "infer":
-            if self.pnr_logits is None:
-                raise ContractError("infer-mode keyframe needs keyframe logits")
-            if self.pnr_logits.shape != (batch, t):
-                raise ContractError(f"keyframe logits shape "
-                                    f"{self.pnr_logits.shape} != ({batch}, {t})")
-            return np.argmax(self.pnr_logits, axis=1)
-        raise ContractError(f"unknown keyframe mode {self.mode!r}")
-
-
-def argmax_first(values: np.ndarray) -> int:
-    """Index of the maximum; ties resolve to the lowest index."""
-    return int(np.argmax(values))
-
-
 def build_temporal_memory(features: ClipFeatures,
                           pe: PositionalEncoding) -> Tensor:
     """Per-frame memory h_t [B, T, D]: frame features plus the time
-    position table.
-
-    Per-frame encoders contribute their class rows directly; a clip-level
-    encoder has no per-frame class axis, so its dense features are
-    mean-pooled over patches to recover one row per frame.
-    """
-    if features.per_frame_cls:
-        base = features.h_cls
-    else:
-        base = tl.mean_axis(features.h_total, axis=2)
-    return pe.encode(base, 0)
+    position table."""
+    return pe.encode(features.h_frames, 0)
 
 
 def select_keyframe(features: ClipFeatures, pe: PositionalEncoding,
-                    spec: KeyframeSpec) -> tuple[Tensor, np.ndarray]:
-    """Pick each clip's keyframe and build spatial memory h_s [B, P, D]
-    from its patches, gathering every clip's slab in one op."""
+                    keyframes: Sequence[int] | np.ndarray
+                    ) -> tuple[Tensor, np.ndarray]:
+    """Spatial memory h_s [B, P, D] from the patches of each clip's
+    keyframe (one int per clip), gathering every clip's slab in one op."""
     b, t, p = features.batch, features.frames, features.patches
-    ks = spec.frames(b, t)
+    ks = np.asarray(keyframes)
+    if ks.shape != (b,) or not np.issubdtype(ks.dtype, np.integer):
+        raise ContractError(f"keyframes {keyframes!r} are not one int per "
+                            f"clip of a batch of {b}")
+    if np.any(ks < 0) or np.any(ks >= t):
+        raise ContractError(f"keyframes {ks.tolist()} outside [0, {t})")
     flat = tl.reshape(features.h_total, (b * t, p, features.width))
     h_s = pe.encode(tl.take0(flat, np.arange(b) * t + ks), 0)
     return h_s, ks
@@ -353,23 +286,14 @@ class _HeadGroup:
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
 
-@dataclass
-class LayerAttention:
-    """Cached attention weights of one layer (per-head numpy matrices),
-    with a leading batch axis while cached and without one as exported."""
-
-    self_attn: np.ndarray      # [heads, 10, 10]
-    temporal: np.ndarray       # [heads, 2, T]
-    spatial: np.ndarray        # [heads, 8, P]
-
-
 class TaskFusionDecoder:
     """The decoder stack plus its three prediction head groups."""
 
     def __init__(self, config: DecoderConfig, rng: np.random.Generator):
         self.config = config
         d, h = config.width, config.heads
-        self.bank = TaskTokenBank.init(rng, d)
+        self.tokens = tl.randn(rng, (TOKEN_COUNT, d), std=0.02,
+                               requires_grad=True)
         self.pe = PositionalEncoding(
             max(config.frames, config.patches) + 1, d)
         self.layers = [
@@ -391,10 +315,9 @@ class TaskFusionDecoder:
         self.heads = {task: _HeadGroup.init(rng, count, d, config.mlp_hidden,
                                             out_width[task])
                       for task, (_, count) in HEAD_TOKENS.items()}
-        self._attention_cache: list[LayerAttention] | None = None
 
     def parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {"tokens": self.bank.tokens}
+        params: dict[str, Tensor] = {"tokens": self.tokens}
         for k, layer in enumerate(self.layers):
             params.update(layer.self_attn.named(f"layer{k}.self"))
             params.update(layer.cross_temporal.named(f"layer{k}.cross_t"))
@@ -409,8 +332,10 @@ class TaskFusionDecoder:
             params.update(group.named(f"head.{task}"))
         return params
 
-    def decode(self, features: ClipFeatures, keyframe: KeyframeSpec,
-               cache_attention: bool = False) -> TaskPredictions:
+    def decode(self, features: ClipFeatures,
+               keyframes: Sequence[int] | np.ndarray) -> TaskPredictions:
+        """One pass over a batch, each clip's spatial memory taken from its
+        keyframe (one int per clip)."""
         cfg = self.config
         if features.width != cfg.width or features.frames != cfg.frames \
                 or features.patches != cfg.patches:
@@ -422,25 +347,17 @@ class TaskFusionDecoder:
         b, d = features.batch, cfg.width
 
         h_t = build_temporal_memory(features, self.pe)
-        h_s, keyframes = select_keyframe(features, self.pe, keyframe)
+        h_s, keyframes = select_keyframe(features, self.pe, keyframes)
 
-        cache: list[LayerAttention] | None = [] if cache_attention else None
-        z = tl.repeat0(tl.reshape(self.bank.tokens, (1, TOKEN_COUNT, d)), b)
+        attention: list[LayerAttention] = []
+        z = tl.repeat0(tl.reshape(self.tokens, (1, TOKEN_COUNT, d)), b)
         for layer in self.layers:
-            c_self: list[np.ndarray] | None = [] if cache_attention else None
-            c_t: list[np.ndarray] | None = [] if cache_attention else None
-            c_s: list[np.ndarray] | None = [] if cache_attention else None
-            if cfg.self_attention_identity:
-                f = z
-                if cache_attention:
-                    eye = np.broadcast_to(
-                        np.eye(TOKEN_COUNT),
-                        (b, cfg.heads, TOKEN_COUNT, TOKEN_COUNT))
-                    c_self.append(eye.copy())
-            else:
-                f = tl.layer_norm(
-                    tl.add(z, self_attention(z, layer.self_attn, c_self)),
-                    layer.ln_self_g, layer.ln_self_b)
+            c_self: list[np.ndarray] = []
+            c_t: list[np.ndarray] = []
+            c_s: list[np.ndarray] = []
+            f = tl.layer_norm(
+                tl.add(z, self_attention(z, layer.self_attn, c_self)),
+                layer.ln_self_g, layer.ln_self_b)
             f_t = tl.narrow(f, 1, 0, 2)
             f_s = tl.narrow(f, 1, 2, SCOD_QUERY_COUNT)
             z_t = tl.layer_norm(
@@ -450,11 +367,9 @@ class TaskFusionDecoder:
                 tl.add(f_s, cross_attention(h_s, f_s, layer.cross_spatial, c_s)),
                 layer.ln_s_g, layer.ln_s_b)
             z = tl.concat([z_t, z_s], axis=1)
-            if cache_attention:
-                cache.append(LayerAttention(self_attn=c_self[0],
-                                            temporal=c_t[0], spatial=c_s[0]))
-        if cache_attention:
-            self._attention_cache = cache
+            attention.append(LayerAttention(self_attn=c_self[0],
+                                            temporal=c_t[0],
+                                            spatial=c_s[0]))
 
         out: dict[str, Tensor] = {}
         for task in cfg.enabled_tasks:
@@ -469,36 +384,20 @@ class TaskFusionDecoder:
             raw = out["scod"]
             scod = (tl.narrow(raw, 2, 0, SCOD_CLASS_COUNT),
                     tl.sigmoid(tl.narrow(raw, 2, SCOD_CLASS_COUNT, 4)))
-        return TaskPredictions(oscc, pnr, scod, keyframes=keyframes)
+        return TaskPredictions(oscc, pnr, scod, keyframes, attention)
 
-    def infer(self, features: ClipFeatures,
-              cache_attention: bool = False) -> TaskPredictions:
+    def infer(self, features: ClipFeatures) -> TaskPredictions:
         """Two-pass inference: a mid-frame provisional pass produces the
-        keyframe logits, whose argmax selects the spatial memory for the
-        final pass. Temporal outputs come from the provisional pass (they
-        chose the keyframe); detection outputs come from the final pass.
-        Without the keyframe task there are no logits to choose by, and the
-        mid-frame pass is the only one."""
-        mid_frame = KeyframeSpec.train([None] * features.batch)
-        if "pnr" not in self.config.enabled_tasks:
-            return self.decode(features, mid_frame,
-                               cache_attention=cache_attention)
+        keyframe logits, whose argmax (the first frame on ties) selects the
+        spatial memory for the final pass. Temporal outputs come from the
+        provisional pass (they chose the keyframe); detection outputs and
+        the attention weights come from the final pass. Without the
+        keyframe task there are no logits to choose by, and the mid-frame
+        pass is the only one."""
+        mid_frame = [features.frames // 2] * features.batch
         first = self.decode(features, mid_frame)
-        second = self.decode(features, KeyframeSpec.infer(first.pnr_logits.data),
-                             cache_attention=cache_attention)
+        if "pnr" not in self.config.enabled_tasks:
+            return first
+        second = self.decode(features, np.argmax(first.pnr_logits.data, axis=1))
         return TaskPredictions(first._oscc, first._pnr, second._scod,
-                               keyframes=second.keyframes)
-
-    def export_attention(self, clip: int = 0) -> list[LayerAttention]:
-        """Attention matrices of clip ``clip`` in the last cached pass, in
-        layer order."""
-        if self._attention_cache is None:
-            raise StateError("no cached forward pass; run decode with "
-                             "cache_attention=True first")
-        return [LayerAttention(self_attn=a.self_attn[clip],
-                               temporal=a.temporal[clip],
-                               spatial=a.spatial[clip])
-                for a in self._attention_cache]
-
-    def clear_attention_cache(self) -> None:
-        self._attention_cache = None
+                               second.keyframes, second.attention)

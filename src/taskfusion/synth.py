@@ -14,7 +14,10 @@ the seed on read, and the stored labels double as a corruption check.
 Three trainable encoder variants mirror common backbone families:
 per-frame tokens (one class token per frame), a single clip-level token
 over all patches, and a small convolutional grid whose features pass
-through a two-layer transformer-encoder adapter.
+through a two-layer transformer-encoder adapter. Each hands the decoder
+the same layout: one summary row per frame (the per-frame class rows, or
+else the mean of the frame's patches) and every patch of every frame.
+The encoders run attention without collecting its weights.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ HAND_COLOR = np.array([0.90, 0.70, 0.55])
 OBJECT_COLOR_BEFORE = np.array([0.10, 0.80, 0.20])
 OBJECT_COLOR_AFTER = np.array([0.90, 0.15, 0.10])
 # Minimum per-channel-summed contrast between a labeled box's fill and the
-# backdrop; the label-consistency tests assert against this.
+# backdrop at the keyframe; tests/test_synth.py::
+# test_labeled_boxes_contrast_with_the_backdrop asserts against this.
 BOX_CONTRAST = 0.5
 
 ENCODER_KINDS = ("per_frame_token", "clip_token", "conv_grid")
@@ -350,22 +354,31 @@ class Encoder:
     def parameters(self) -> dict[str, Tensor]:
         raise NotImplementedError
 
-    def encode(self, clip: SynthClip) -> ClipFeatures:
-        """Features of one clip, as a batch of one."""
+    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
+        """[T, H, W, 3] -> (h_frames [1, T, D], h_total [1, T, P, D])."""
         raise NotImplementedError
 
+    def _forward(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
+        if frames.shape[1:3] != (self.image, self.image):
+            raise ShapeError(f"clip raster {frames.shape[1:3]} != "
+                             f"({self.image}, {self.image})")
+        return self._features(frames)
+
+    def encode(self, clip: SynthClip) -> ClipFeatures:
+        """Features of one clip, as a batch of one."""
+        h_frames, h_total = self._forward(clip.frames)
+        return ClipFeatures(h_frames=h_frames, h_total=h_total,
+                            frames=clip.frames.shape[0], patches=self.patches)
+
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
-        """Detached single-frame embedding [D], used by the policy stage."""
-        raise NotImplementedError
+        """Detached single-frame embedding [D], the frame's summary row,
+        used by the policy stage."""
+        h_frames, _ = self._forward(frame[None])
+        return h_frames.data[0, 0].copy()
 
     def _spatial_pe_rows(self, t: int) -> Tensor:
         rows = self.pe.rows(0, self.patches).data
         return tl.constant(np.tile(rows, (t, 1)))
-
-    def _check(self, clip: SynthClip) -> None:
-        if clip.frames.shape[1] != self.image or clip.frames.shape[2] != self.image:
-            raise ShapeError(f"clip raster {clip.frames.shape[1:3]} != "
-                             f"({self.image}, {self.image})")
 
 
 class PerFrameTokenEncoder(Encoder):
@@ -387,7 +400,7 @@ class PerFrameTokenEncoder(Encoder):
         params.update(self.attn.named("attn"))
         return params
 
-    def _forward(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
+    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
         p = self.patches
         tok = linear(tl.constant(patchify(frames, self.patch)),
@@ -397,23 +410,15 @@ class PerFrameTokenEncoder(Encoder):
         cls = tl.repeat0(self.cls, t)
         x = tl.concat([cls, tok], axis=1)  # [t, P+1, D]
         out = tl.add(x, self_attention(x, self.attn))
-        h_cls = tl.reshape(tl.narrow(out, 1, 0, 1), (1, t, self.width))
+        h_frames = tl.reshape(tl.narrow(out, 1, 0, 1), (1, t, self.width))
         h_total = tl.reshape(tl.narrow(out, 1, 1, p), (1, t, p, self.width))
-        return h_cls, h_total
-
-    def encode(self, clip: SynthClip) -> ClipFeatures:
-        self._check(clip)
-        h_cls, h_total = self._forward(clip.frames)
-        return ClipFeatures(h_cls=h_cls, h_total=h_total,
-                            frames=clip.frames.shape[0], patches=self.patches)
-
-    def embed_frame(self, frame: np.ndarray) -> np.ndarray:
-        h_cls, _ = self._forward(frame[None])
-        return h_cls.data[0, 0].copy()
+        return h_frames, h_total
 
 
 class ClipTokenEncoder(Encoder):
-    """A single class token attends over every patch of every frame."""
+    """A single class token attends over every patch of every frame; its
+    own output row is not used, and each frame's summary row is the mean
+    of its patches."""
 
     kind = "clip_token"
 
@@ -436,27 +441,16 @@ class ClipTokenEncoder(Encoder):
         time = np.repeat(self.pe.rows(0, t).data, self.patches, axis=0)
         return tl.constant(space + time)
 
-    def _tokens(self, frames: np.ndarray) -> Tensor:
+    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
         tok = linear(tl.constant(patchify(frames, self.patch)),
                      self.w_patch, self.b_patch)
         tok = tl.add(tok, self._pe_spacetime(t))
         x = tl.concat([self.cls, tok], axis=0)  # [1 + t*P, D]
-        return tl.add(x, self_attention(x, self.attn))
-
-    def encode(self, clip: SynthClip) -> ClipFeatures:
-        self._check(clip)
-        t = clip.frames.shape[0]
-        out = self._tokens(clip.frames)
-        h_cls = tl.reshape(tl.narrow(out, 0, 0, 1), (1, 1, self.width))
+        out = tl.add(x, self_attention(x, self.attn))
         h_total = tl.reshape(tl.narrow(out, 0, 1, t * self.patches),
                              (1, t, self.patches, self.width))
-        return ClipFeatures(h_cls=h_cls, h_total=h_total, frames=t,
-                            patches=self.patches)
-
-    def embed_frame(self, frame: np.ndarray) -> np.ndarray:
-        out = self._tokens(frame[None])
-        return out.data[1:].mean(axis=0).copy()
+        return tl.mean_axis(h_total, axis=2), h_total
 
 
 class ConvGridEncoder(Encoder):
@@ -516,7 +510,7 @@ class ConvGridEncoder(Encoder):
                                 base + (r0 + 1) * g1 + c0 + 1])
         return np.asarray(idx, dtype=np.intp)
 
-    def _forward(self, frames: np.ndarray) -> Tensor:
+    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
         cells = tl.constant(patchify(frames, 4))  # [t*g1*g1, 48]
         x = tl.gelu(linear(cells, self.w1, self.b1))
@@ -531,20 +525,8 @@ class ConvGridEncoder(Encoder):
             ff = linear(tl.gelu(linear(flat, lay["ffn_w1"], lay["ffn_b1"])),
                         lay["ffn_w2"], lay["ffn_b2"])
             x = tl.add(x, tl.reshape(ff, (t, self.patches, self.width)))
-        return x  # [t, P, D]
-
-    def encode(self, clip: SynthClip) -> ClipFeatures:
-        self._check(clip)
-        t = clip.frames.shape[0]
-        h_total = tl.reshape(self._forward(clip.frames),
-                             (1, t, self.patches, self.width))
-        h_cls = tl.mean_axis(h_total, axis=2)
-        return ClipFeatures(h_cls=h_cls, h_total=h_total, frames=t,
-                            patches=self.patches)
-
-    def embed_frame(self, frame: np.ndarray) -> np.ndarray:
-        h_total = self._forward(frame[None])
-        return h_total.data[0].mean(axis=0).copy()
+        h_total = tl.reshape(x, (1, t, self.patches, self.width))
+        return tl.mean_axis(h_total, axis=2), h_total
 
 
 def build_encoder(kind: str, rng: np.random.Generator, width: int = 64,

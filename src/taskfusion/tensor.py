@@ -41,7 +41,6 @@ __all__ = [
     "constant",
     "zeros",
     "ones",
-    "full",
     "randn",
     "add",
     "sub",
@@ -53,7 +52,6 @@ __all__ = [
     "exp",
     "log",
     "sigmoid",
-    "tanh",
     "maximum",
     "minimum",
     "matmul",
@@ -62,7 +60,6 @@ __all__ = [
     "reshape",
     "concat",
     "narrow",
-    "index0",
     "take0",
     "repeat0",
     "sum_all",
@@ -156,10 +153,6 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, float(value)), requires_grad=requires_grad)
 
 
 def randn(rng: np.random.Generator, shape, std: float = 1.0,
@@ -285,7 +278,6 @@ exp = _unary("exp", np.exp, lambda x, y: y)
 log = _unary("log", np.log, lambda x, y: 1.0 / x, domain=_log_domain)
 sigmoid = _unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)),
                  lambda x, y: y * (1.0 - y))
-tanh = _unary("tanh", np.tanh, lambda x, y: 1.0 - y * y)
 
 
 def scale(a, c: float) -> Tensor:
@@ -399,20 +391,6 @@ def narrow(a, axis: int, start: int, length: int) -> Tensor:
         return (g,)
 
     return _make(np.ascontiguousarray(a.data[idx]), "narrow", (a,), backward_rule)
-
-
-def index0(a, i: int) -> Tensor:
-    """Select slab ``a[i]`` along the leading axis (rank drops by one)."""
-    a = _as_tensor(a)
-    if not (0 <= i < a.shape[0]):
-        raise ShapeError(f"index0: {i} out of range for shape {a.shape}")
-
-    def backward_rule(dout: np.ndarray):
-        g = np.zeros_like(a.data)
-        g[i] = dout
-        return (g,)
-
-    return _make(np.ascontiguousarray(a.data[i]), "index0", (a,), backward_rule)
 
 
 def take0(a, indices) -> Tensor:

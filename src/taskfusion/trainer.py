@@ -18,8 +18,7 @@ import numpy as np
 
 from . import tensor as tl
 from .decoder import (ClipFeatures, ClipPrediction, DecoderConfig,
-                      KeyframeSpec, TaskFusionDecoder, TaskPredictions,
-                      argmax_first)
+                      TaskFusionDecoder, TaskPredictions)
 from .losses import (SigmaParams, TASK_ORDER, joint_loss, iou_giou_values,
                      make_pnr_targets, match_queries, oscc_loss, pnr_loss,
                      scod_loss)
@@ -72,10 +71,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
     def fill_missing_grads(self) -> None:
         for t in self._params.values():
             if t.requires_grad and t.grad is None:
@@ -127,7 +122,8 @@ def _check_header(header) -> None:
 
 
 def load_checkpoint(path) -> ParamStore:
-    """Read a checkpoint back into a fresh store, verifying the payload."""
+    """Read a checkpoint back into a fresh store, verifying the payload
+    and that every value is finite."""
     with open(path, "rb") as f:
         header_line = f.readline()
         payload = f.read()
@@ -153,6 +149,9 @@ def load_checkpoint(path) -> ParamStore:
         n = int(np.prod(shape)) if shape else 1
         start = meta["byte_offset"]
         arr = np.frombuffer(payload[start:start + n * 8], dtype="<f8")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"parameter {name!r} holds a non-finite "
+                                  "value")
         store.register(name, Tensor(arr.reshape(shape).copy(),
                                     requires_grad=True))
     return store
@@ -333,11 +332,14 @@ def batch_losses(model: ModelBundle, clips: list[SynthClip],
                  features: ClipFeatures,
                  enabled: tuple[str, ...]) -> tuple[dict[str, Tensor],
                                                     TaskPredictions]:
-    """One decode of the batch and one loss per enabled task; detection
-    is left out when no clip of the batch changes state."""
+    """One decode of the batch, each clip at its labeled change frame (a
+    no-change clip at its mid frame; its detection loss is masked), and one
+    loss per enabled task; detection is left out when no clip of the batch
+    changes state."""
     labels = [clip.labels for clip in clips]
-    spec = KeyframeSpec.train([lab.pnr_frame for lab in labels])
-    preds = model.decoder.decode(features, spec)
+    keyframes = [features.frames // 2 if lab.pnr_frame is None
+                 else lab.pnr_frame for lab in labels]
+    preds = model.decoder.decode(features, keyframes)
     out: dict[str, Tensor] = {}
     if "oscc" in enabled:
         out["oscc"] = oscc_loss(preds.oscc_logits,
@@ -459,8 +461,9 @@ def evaluate(model, records: list[ClipRecord]) -> EvalReport:
         logits = stacked(lambda p: p.pnr_logits.data)
         loss_means["pnr"] = pnr_loss(logits,
                                      make_pnr_targets(labels, frames)).item()
-        errors = [abs(argmax_first(row) - lab.pnr_frame)
-                  for row, lab in zip(logits.data, labels) if lab.state_change]
+        errors = [abs(int(k) - lab.pnr_frame)
+                  for k, lab in zip(np.argmax(logits.data, axis=1), labels)
+                  if lab.state_change]
         mean_err = float(np.mean(errors)) if errors else None
     if "scod" in enabled and any(changes):
         class_logits = stacked(lambda p: [q.class_logits.data for q in p.scod])

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from taskfusion.bc import (Policy, ToyEnvConfig, collect_demos, load_policy,
-                           read_demos, write_demos)
+from taskfusion.bc import (Policy, ToyEnv, ToyEnvConfig, collect_demos,
+                           expert_demo, load_policy, read_demos, write_demos)
+from taskfusion.seeding import derive_seed
 from taskfusion.synth import DatasetError
 from taskfusion.trainer import CheckpointError, save_checkpoint
 
@@ -43,6 +44,14 @@ def test_malformed_demo_record_is_a_dataset_error(tmp_path, record):
     path.write_text("# {}\n" + json.dumps(record) + "\n")
     with pytest.raises(DatasetError, match="line 2"):
         read_demos(path)
+
+
+@pytest.mark.parametrize("image", [16, 32])
+def test_expert_succeeds_on_every_seed(image):
+    env = ToyEnv(ToyEnvConfig(image=image))
+    failed = [i for i in range(100)
+              if not expert_demo(env, derive_seed(0, "demo", i)).success]
+    assert failed == []
 
 
 def test_demo_seed_the_expert_fails_on_is_a_dataset_error(tmp_path):

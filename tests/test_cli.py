@@ -11,7 +11,6 @@ import pytest
 
 from taskfusion import cli
 from taskfusion.bc import ToyEnvConfig, bc_train, collect_demos
-from taskfusion.decoder import KeyframeSpec
 from taskfusion.seeding import rng_for
 from taskfusion.synth import build_encoder, read_dataset
 from taskfusion.trainer import (TrainConfig, evaluate, load_checkpoint,
@@ -131,14 +130,15 @@ def _data_8_frames(work):
     return path
 
 
-def _nan_checkpoint(work):
-    """The model checkpoint with every detection-head weight set to NaN."""
+def _nonfinite_checkpoint(work, name, value, n=None):
+    """The model checkpoint with the first ``n`` values (all if None) of
+    parameter ``name`` set to ``value``."""
     head, body = (work / "model.ckpt").read_bytes().split(b"\n", 1)
-    entry = json.loads(head)["params"]["dec.head.scod.w1"]
+    entry = json.loads(head)["params"][name]
     values = np.frombuffer(body, dtype="<f8").copy()
     start = entry["byte_offset"] // 8
-    values[start:start + int(np.prod(entry["shape"]))] = np.nan
-    path = work / "nan.ckpt"
+    values[start:start + (n or int(np.prod(entry["shape"])))] = value
+    path = work / f"{value}.ckpt"
     path.write_bytes(head + b"\n" + values.tobytes())
     return path
 
@@ -171,14 +171,20 @@ def _null_image_demos(work):
     (lambda w: ["eval", "--data", str(_bad_label_dataset(w)), "--checkpoint",
                 str(w / "model.ckpt")], "line 2: box coords"),
     (lambda w: ["eval", "--data", str(w / "data"), "--checkpoint",
-                str(_nan_checkpoint(w))], "cost matrix has non-finite entries"),
+                str(_nonfinite_checkpoint(w, "dec.head.scod.w1", np.nan))],
+     "parameter 'dec.head.scod.w1' holds a non-finite value"),
+    (lambda w: ["export-embeddings", "--data", str(w / "data"),
+                "--checkpoint",
+                str(_nonfinite_checkpoint(w, "enc.w_patch", np.inf, n=1)),
+                "--out", str(w / "e.csv")],
+     "parameter 'enc.w_patch' holds a non-finite value"),
     (lambda w: ["bc-train", "--demos", str(_null_image_demos(w)),
                 "--checkpoint", str(w / "model.ckpt"), "--out-policy",
                 str(w / "p.ckpt")], "env image must be int"),
 ], ids=["flat_header", "policy_as_checkpoint", "model_as_policy",
         "demo_image_mismatch", "dataset_size_mismatch",
         "dataset_frame_count_mismatch", "bad_label", "nan_parameters",
-        "bad_demo_type"])
+        "inf_parameter_export", "bad_demo_type"])
 def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     args = argv(work)
     capsys.readouterr()
@@ -202,13 +208,12 @@ def test_dump_attention_without_the_keyframe_task(work):
                      "3", "--out", str(out)]) == 0
     model = load_model(work / "model.ckpt")
     clip = read_dataset(work / "data")[3].clip()
-    model.decoder.decode(model.encoder.encode(clip), KeyframeSpec.train([None]),
-                         cache_attention=True)
+    preds = model.decoder.decode(model.encoder.encode(clip), [4 // 2])
     expected = [[layer, block, head, r, c, mat[head, r, c]]
-                for layer, att in enumerate(model.decoder.export_attention())
-                for block, mat in (("self", att.self_attn),
-                                   ("temporal", att.temporal),
-                                   ("spatial", att.spatial))
+                for layer, att in enumerate(preds.attention)
+                for block, mat in (("self", att.self_attn[0]),
+                                   ("temporal", att.temporal[0]),
+                                   ("spatial", att.spatial[0]))
                 for head in range(mat.shape[0]) for r in range(mat.shape[1])
                 for c in range(mat.shape[2])]
     lines = out.read_text().splitlines()

@@ -284,7 +284,7 @@ def test_scod_masks_no_change_clips():
 
 def test_scod_requires_boxes():
     with pytest.raises(ContractError):
-        scod_loss(tl.zeros((1, 8, 3)), tl.full((1, 8, 4), 0.5),
+        scod_loss(tl.zeros((1, 8, 3)), tl.constant(np.full((1, 8, 4), 0.5)),
                   [ClipLabels(False)])
 
 

@@ -279,8 +279,6 @@ def test_structural_op_edges():
     with pytest.raises(ShapeError):
         tl.narrow(x, 0, 2, 5)
     with pytest.raises(ShapeError):
-        tl.index0(x, 3)
-    with pytest.raises(ShapeError):
         tl.take0(x, [0, 7])
     with pytest.raises(ShapeError):
         tl.reshape(x, (5, 5))
@@ -295,7 +293,6 @@ def test_registered_ops_gradient_sweep():
         tl.exp: lambda: rng.uniform(-2, 2, 6),
         tl.log: lambda: rng.uniform(0.1, 3.0, 6),
         tl.sigmoid: lambda: rng.standard_normal(6),
-        tl.tanh: lambda: rng.standard_normal(6),
     }
     for op, draw in unary_domains.items():
         for _ in range(4):

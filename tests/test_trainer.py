@@ -39,7 +39,8 @@ def _mixed_clips():
 def _grads(model):
     out = {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
            for name, t in model.store.items()}
-    model.store.zero_grads()
+    for _, t in model.store.items():
+        t.grad = None
     return out
 
 
@@ -202,4 +203,16 @@ def test_checkpoint_rejects_wrong_offset(tmp_path):
     header["params"]["b"]["byte_offset"] = 40
     _rewrite(path, header=header)
     with pytest.raises(CheckpointError, match="offset"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, value):
+    path = _checkpoint(tmp_path)
+    values = np.frombuffer(path.read_bytes().split(b"\n", 1)[1],
+                           dtype="<f8").copy()
+    values[[4, 6]] = value  # a[1, 1], then b: the first is named
+    _rewrite(path, payload=values.tobytes())
+    with pytest.raises(CheckpointError,
+                       match="parameter 'a' holds a non-finite value"):
         load_checkpoint(path)
