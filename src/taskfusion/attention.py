@@ -6,13 +6,15 @@ fused tape op, ``tensor.attention`` (node kind ``"attention"``): the
 projections, the head split, the scaled max-subtracted softmax, the head
 merge and the output projection are one node whose backward rule computes
 every gradient in numpy. Self-attention hands the op its token set once,
-as queries and memory both. A caller that passes a ``cache`` list gets a
-copy of the call's per-head weight matrices appended to it:
-``[heads, nq, nk]`` for an unbatched call, ``[B, heads, nq, nk]`` for a
-batched one. The decoder passes one on every call and returns the weights
-with its predictions; the encoders pass none. Queries carry no
-positional information of their own; position enters only where a caller
-adds a positional encoding to the memory.
+as queries and memory both. A caller that passes a ``cache`` list gets the
+call's per-head weight matrices appended to it: ``[heads, nq, nk]`` for an
+unbatched call, ``[B, heads, nq, nk]`` for a batched one. They are a
+read-only view (``writeable`` False) of the array the op's backward rule
+reads, not a copy, so writing to them raises; copy them to edit. The
+decoder passes one on every call and returns the weights with its
+predictions; the encoders pass none. Queries carry no positional
+information of their own; position enters only where a caller adds a
+positional encoding to the memory.
 """
 
 from __future__ import annotations
@@ -74,8 +76,9 @@ def _attend(queries: Tensor, memory: Tensor | None, params: AttentionParams,
     out, weights = tl.attention(queries, memory, params.wq, params.wk,
                                 params.wv, params.wo, params.head_count)
     if cache is not None:
-        cache.append(weights.reshape(queries.shape[:-2] + weights.shape[1:])
-                     .copy())
+        view = weights.reshape(queries.shape[:-2] + weights.shape[1:])
+        view.flags.writeable = False
+        cache.append(view)
     return out
 
 

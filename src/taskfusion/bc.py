@@ -299,6 +299,7 @@ class Policy:
         h = tl.gelu(linear(x, self.w1, self.b1))
         return linear(h, self.w2, self.b2)
 
+    @tl.no_tape()
     def act(self, embedding: np.ndarray, proprio: np.ndarray) -> np.ndarray:
         parts = [embedding] + ([proprio] if self.use_proprio else [])
         x = tl.constant(np.concatenate(parts)[None, :])

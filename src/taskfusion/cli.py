@@ -461,6 +461,7 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+@tl.no_tape()
 def cmd_dump_attention(args) -> int:
     records = read_dataset(args.data)
     if not 0 <= args.clip_index < len(records):
@@ -487,6 +488,7 @@ def cmd_dump_attention(args) -> int:
     return 0
 
 
+@tl.no_tape()
 def cmd_export_embeddings(args) -> int:
     records = read_dataset(args.data)
     model = load_model(args.checkpoint)

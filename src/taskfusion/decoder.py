@@ -164,7 +164,8 @@ class TaskPredictions(_Outputs):
 
     ``keyframes`` [B] holds the frame each clip's spatial memory came
     from; ``attention`` holds the weights of the pass that used them, one
-    entry per layer.
+    entry per layer. Its arrays are read-only views of the ones the
+    attention ops' backward rules read; copy one before writing to it.
     """
 
     def __init__(self, oscc_logits: Tensor | None, pnr_logits: Tensor | None,
@@ -335,7 +336,16 @@ class TaskFusionDecoder:
     def decode(self, features: ClipFeatures,
                keyframes: Sequence[int] | np.ndarray) -> TaskPredictions:
         """One pass over a batch, each clip's spatial memory taken from its
-        keyframe (one int per clip)."""
+        keyframe (one int per clip), through every enabled head group."""
+        z, keyframes, attention = self._tokens(features, keyframes)
+        return TaskPredictions(*self._heads(z, self.config.enabled_tasks),
+                               keyframes, attention)
+
+    def _tokens(self, features: ClipFeatures,
+                keyframes: Sequence[int] | np.ndarray
+                ) -> tuple[Tensor, np.ndarray, list[LayerAttention]]:
+        """The decoder layers: refined tokens [B, 10, D], the keyframes
+        used and each layer's attention weights."""
         cfg = self.config
         if features.width != cfg.width or features.frames != cfg.frames \
                 or features.patches != cfg.patches:
@@ -370,34 +380,44 @@ class TaskFusionDecoder:
             attention.append(LayerAttention(self_attn=c_self[0],
                                             temporal=c_t[0],
                                             spatial=c_s[0]))
+        return z, keyframes, attention
 
-        out: dict[str, Tensor] = {}
-        for task in cfg.enabled_tasks:
-            first, count = HEAD_TOKENS[task]
-            out[task] = self.heads[task].forward(tl.narrow(z, 1, first, count))
+    def _heads(self, z: Tensor, tasks: Sequence[str]
+               ) -> tuple[Tensor | None, Tensor | None,
+                          tuple[Tensor, Tensor] | None]:
+        """The (oscc, pnr, scod) outputs of the head groups of ``tasks``
+        over tokens ``z``; a task left out gives None."""
+        b = z.shape[0]
+        out = {task: self.heads[task].forward(
+                   tl.narrow(z, 1, *HEAD_TOKENS[task])) for task in tasks}
         oscc = pnr = scod = None
         if "oscc" in out:
             oscc = tl.reshape(out["oscc"], (b, 2))
         if "pnr" in out:
-            pnr = tl.reshape(out["pnr"], (b, cfg.frames))
+            pnr = tl.reshape(out["pnr"], (b, self.config.frames))
         if "scod" in out:
             raw = out["scod"]
             scod = (tl.narrow(raw, 2, 0, SCOD_CLASS_COUNT),
                     tl.sigmoid(tl.narrow(raw, 2, SCOD_CLASS_COUNT, 4)))
-        return TaskPredictions(oscc, pnr, scod, keyframes, attention)
+        return oscc, pnr, scod
 
     def infer(self, features: ClipFeatures) -> TaskPredictions:
         """Two-pass inference: a mid-frame provisional pass produces the
         keyframe logits, whose argmax (the first frame on ties) selects the
-        spatial memory for the final pass. Temporal outputs come from the
-        provisional pass (they chose the keyframe); detection outputs and
-        the attention weights come from the final pass. Without the
-        keyframe task there are no logits to choose by, and the mid-frame
-        pass is the only one."""
+        spatial memory for the final pass. The provisional pass runs only
+        the temporal head groups (state change and keyframe), whose outputs
+        are returned: they chose the keyframe. The final pass runs only the
+        detection group; the detection outputs and the attention weights
+        come from it. Without the keyframe task there are no logits to
+        choose by, and the mid-frame pass, through every enabled head
+        group, is the only one."""
+        enabled = self.config.enabled_tasks
         mid_frame = [features.frames // 2] * features.batch
-        first = self.decode(features, mid_frame)
-        if "pnr" not in self.config.enabled_tasks:
-            return first
-        second = self.decode(features, np.argmax(first.pnr_logits.data, axis=1))
-        return TaskPredictions(first._oscc, first._pnr, second._scod,
-                               second.keyframes, second.attention)
+        if "pnr" not in enabled:
+            return self.decode(features, mid_frame)
+        z, _, _ = self._tokens(features, mid_frame)
+        oscc, pnr, _ = self._heads(z, [t for t in enabled if t != "scod"])
+        z, keyframes, attention = self._tokens(
+            features, np.argmax(pnr.data, axis=1))
+        _, _, scod = self._heads(z, [t for t in enabled if t == "scod"])
+        return TaskPredictions(oscc, pnr, scod, keyframes, attention)

@@ -106,8 +106,10 @@ def box_to_rect(box, width: int, height: int) -> tuple[int, int, int, int]:
 
 def draw_rect(img: np.ndarray, rect: tuple[int, int, int, int],
               color: np.ndarray) -> None:
+    """Fill ``rect`` in an [H, W, 3] image, or in every image of a
+    [..., H, W, 3] stack."""
     x0, y0, w, h = rect
-    img[max(y0, 0):y0 + h, max(x0, 0):x0 + w] = color
+    img[..., max(y0, 0):y0 + h, max(x0, 0):x0 + w, :] = color
 
 
 def _rects_clear(a, b, gap: int) -> bool:
@@ -144,8 +146,8 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
             contact = (ox + (obj_w - hand_w) // 2 + jitter, oy - gap - hand_h)
         else:            # below
             contact = (ox + (obj_w - hand_w) // 2 + jitter, oy + obj_h + gap)
-        contact = (int(np.clip(contact[0], 0, w - hand_w)),
-                   int(np.clip(contact[1], 0, h - hand_h)))
+        contact = (min(max(contact[0], 0), w - hand_w),
+                   min(max(contact[1], 0), h - hand_h))
 
         # Approach from farther out along the contact normal, speed-capped
         # so the color flip dominates every inter-frame pixel difference.
@@ -158,15 +160,18 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
         away = rot @ away
         max_speed = 0.07 * w
         dist = min(float(rng.uniform(3.0, 0.55 * w)), max_speed * change_frame)
-        start = np.array(contact, dtype=np.float64) + away * dist
+        # Python floats from here on: the same float64 arithmetic as numpy
+        # without its per-scalar overhead in the per-frame loop.
+        start_x = contact[0] + float(away[0]) * dist
+        start_y = contact[1] + float(away[1]) * dist
 
         rects = []
         for k in range(t):
             frac = min(k / change_frame, 1.0)
-            pos = start + (np.array(contact, dtype=np.float64) - start) * frac
-            x0 = int(np.clip(round(pos[0]), 0, w - hand_w))
-            y0 = int(np.clip(round(pos[1]), 0, h - hand_h))
-            rects.append((x0, y0, hand_w, hand_h))
+            x0 = round(start_x + (contact[0] - start_x) * frac)
+            y0 = round(start_y + (contact[1] - start_y) * frac)
+            rects.append((min(max(x0, 0), w - hand_w),
+                          min(max(y0, 0), h - hand_h), hand_w, hand_h))
         return SceneScript(hand_rects=rects, object_rect=obj,
                            change_frame=change_frame, background=background)
 
@@ -174,8 +179,8 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
     for _ in range(100):
         sx = int(rng.integers(0, w - hand_w + 1))
         sy = int(rng.integers(0, h - hand_h + 1))
-        ex = int(np.clip(sx + rng.integers(-12, 13), 0, w - hand_w))
-        ey = int(np.clip(sy + rng.integers(-12, 13), 0, h - hand_h))
+        ex = min(max(sx + int(rng.integers(-12, 13)), 0), w - hand_w)
+        ey = min(max(sy + int(rng.integers(-12, 13)), 0), h - hand_h)
         rects = []
         for k in range(t):
             frac = k / (t - 1)
@@ -195,14 +200,12 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
 
 def _render(script: SceneScript, cfg: ClipConfig) -> np.ndarray:
     t = cfg.frames
-    frames = np.empty((t, cfg.height, cfg.width, 3))
-    for k in range(t):
-        img = script.background.copy()
-        changed = script.change_frame is not None and k >= script.change_frame
-        color = OBJECT_COLOR_AFTER if changed else OBJECT_COLOR_BEFORE
-        draw_rect(img, script.object_rect, color)
-        draw_rect(img, script.hand_rects[k], HAND_COLOR)
-        frames[k] = img
+    frames = np.repeat(script.background[None], t, axis=0)
+    change = t if script.change_frame is None else script.change_frame
+    draw_rect(frames[:change], script.object_rect, OBJECT_COLOR_BEFORE)
+    draw_rect(frames[change:], script.object_rect, OBJECT_COLOR_AFTER)
+    for frame, rect in zip(frames, script.hand_rects):
+        draw_rect(frame, rect, HAND_COLOR)
     return frames
 
 
@@ -370,9 +373,10 @@ class Encoder:
         return ClipFeatures(h_frames=h_frames, h_total=h_total,
                             frames=clip.frames.shape[0], patches=self.patches)
 
+    @tl.no_tape()
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
-        """Detached single-frame embedding [D], the frame's summary row,
-        used by the policy stage."""
+        """Single-frame embedding [D], the frame's summary row, computed
+        off the tape; used by the policy stage."""
         h_frames, _ = self._forward(frame[None])
         return h_frames.data[0, 0].copy()
 

@@ -19,12 +19,22 @@ on the tape: ``softmax``, ``layer_norm`` and ``attention`` (node kind
 projections to the output projection, computing gradients only for the
 inputs that need them). The perfbench tape breakdown, whose list of kinds
 predates it, counts ``"attention"`` nodes under ``other``.
+
+Inside ``with no_tape():`` no op records a node, even on inputs that
+require gradients: every result is a plain tensor with ``node`` None and
+``requires_grad`` False, holding the same values as on the tape. The
+inference entry points (``ModelBundle.predict``, ``evaluate``,
+``Encoder.embed_frame``, ``Policy.act`` and the CLI's attention and
+embedding dumps) run in it, so they keep no backward closures or
+activations alive. The mode is one module flag; it nests, and leaving the
+block restores it, also on an exception.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -70,6 +80,7 @@ __all__ = [
     "layer_norm",
     "attention",
     "backward",
+    "no_tape",
     "grad_check",
 ]
 
@@ -91,6 +102,7 @@ class ContractError(TensorError):
 
 
 _node_ids = itertools.count()
+_recording = True  # False inside no_tape(); read by _make
 
 
 @dataclass
@@ -166,10 +178,22 @@ def _as_tensor(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+@contextmanager
+def no_tape():
+    """Record no tape nodes inside the block (see the module docstring);
+    as ``@no_tape()``, inside every call of the decorated function."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
           backward_rule: Callable[[np.ndarray], tuple]) -> Tensor:
     out = Tensor(data)
-    if any(t.requires_grad or t.node is not None for t in inputs):
+    if _recording and any(t.requires_grad or t.node is not None for t in inputs):
         out.requires_grad = True
         out.node = Node(op=op, inputs=inputs, backward=backward_rule,
                         nid=next(_node_ids))
@@ -203,16 +227,18 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _gelu_forward(x: np.ndarray) -> np.ndarray:
-    # tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3)))
+    # tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
+    # x*x*x, not x**3: numpy sends a cube through the C pow() per element,
+    # about 70x slower (x**2 has its own fast path).
     c = math.sqrt(2.0 / math.pi)
-    u = c * (x + 0.044715 * x**3)
+    u = c * (x + 0.044715 * (x * x * x))
     return 0.5 * x * (1.0 + np.tanh(u))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
     # Exact derivative of the tanh approximation above.
     c = math.sqrt(2.0 / math.pi)
-    u = c * (x + 0.044715 * x**3)
+    u = c * (x + 0.044715 * (x * x * x))
     t = np.tanh(u)
     du = c * (1.0 + 3.0 * 0.044715 * x**2)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du

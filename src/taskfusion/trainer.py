@@ -268,6 +268,7 @@ class ModelBundle:
     def enabled_tasks(self) -> tuple[str, ...]:
         return self.decoder.config.enabled_tasks
 
+    @tl.no_tape()
     def predict(self, clip: SynthClip) -> ClipPrediction:
         return self.decoder.infer(self.encoder.encode(clip)).clip(0)
 
@@ -425,6 +426,7 @@ class EvalReport:
         return out
 
 
+@tl.no_tape()
 def evaluate(model, records: list[ClipRecord]) -> EvalReport:
     """Metrics over a dataset: classification accuracy, keyframe error in
     frames and seconds, and mean IoU of matched detections.
@@ -433,7 +435,7 @@ def evaluate(model, records: list[ClipRecord]) -> EvalReport:
     ``enabled_tasks``; the keyframe for spatial predictions comes from the
     keyframe head's argmax (first index on ties). Predictions are made
     clip by clip; the losses and the matching then run once over all of
-    them.
+    them. It all runs under ``tensor.no_tape``, recording no tape node.
     """
     if not records:
         raise ContractError("evaluation dataset is empty")

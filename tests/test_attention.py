@@ -260,3 +260,21 @@ def test_fused_attention_matches_the_op_chain(batch, heads, kind):
             assert np.max(np.abs(got - want)) <= 1e-12, name
     if kind == "cross_constant_memory":
         assert out.node.backward(g.data)[1] is None
+
+
+def test_returned_attention_weights_are_a_read_only_view():
+    """The weights handed back are the op's own array, not a copy; writing
+    to them raises, and the op's backward rule still reads them."""
+    params = _params(40)
+    x = tl.tensor(rng_for(41, "x").standard_normal((2, 3, 8)),
+                  requires_grad=True)
+    cache = []
+    out = self_attention(x, params, cache)
+    _, weights = tl.attention(x, None, params.wq, params.wk, params.wv,
+                              params.wo, params.head_count)
+    assert np.array_equal(cache[0], weights)
+    assert not cache[0].flags.writeable and cache[0].base is not None
+    with pytest.raises(ValueError):
+        cache[0][0, 0, 0, 0] = 1.0
+    backward(tl.sum_all(out))
+    assert x.grad is not None and params.wq.grad is not None

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from taskfusion import tensor as tl
 from taskfusion.bc import (Policy, ToyEnv, ToyEnvConfig, collect_demos,
                            expert_demo, load_policy, read_demos, write_demos)
 from taskfusion.seeding import derive_seed
@@ -78,3 +79,17 @@ def test_policy_checkpoint_rebuilds_the_policy(tmp_path):
     save_checkpoint(store, path)
     with pytest.raises(CheckpointError, match="is a plain checkpoint"):
         load_policy(path)
+
+
+def test_policy_act_is_off_the_tape(recorded_nodes):
+    policy = Policy.init(np.random.default_rng(2), embed_dim=6, hidden=5)
+    rng = np.random.default_rng(3)
+    embedding, proprio = rng.standard_normal(6), rng.uniform(0, 1, 2)
+    raw = policy.forward(tl.constant(np.concatenate([embedding,
+                                                     proprio])[None]))
+    assert raw.node is not None
+    recorded_nodes.clear()
+    action = policy.act(embedding, proprio)
+    assert recorded_nodes == []
+    assert np.array_equal(action, np.clip(raw.data[0], -policy.max_step,
+                                          policy.max_step))

@@ -294,12 +294,40 @@ def test_infer_two_pass_keyframe_follows_pnr_argmax():
     provisional = dec.decode(feats, [T // 2, T // 2])
     assert np.array_equal(preds.keyframes,
                           np.argmax(provisional.pnr_logits.data, axis=1))
+    assert np.array_equal(preds.oscc_logits.data, provisional.oscc_logits.data)
     assert np.array_equal(preds.pnr_logits.data, provisional.pnr_logits.data)
     # detections and attention come from the pass at those keyframes
     final = dec.decode(feats, preds.keyframes)
+    assert np.array_equal(preds.scod_logits.data, final.scod_logits.data)
     assert np.array_equal(preds.scod_boxes.data, final.scod_boxes.data)
     for a, b in zip(preds.attention, final.attention):
-        assert np.array_equal(a.spatial, b.spatial)
+        for field in ("self_attn", "temporal", "spatial"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("tasks", [("oscc", "pnr", "scod"), ("oscc", "scod"),
+                                   ("pnr",)])
+def test_infer_runs_each_head_group_once(tasks, monkeypatch):
+    """The provisional pass runs only the temporal groups, the final pass
+    only detection; without the keyframe task one pass runs them all."""
+    dec = _decoder(35, enabled_tasks=tasks)
+    feats = _features(36, batch=2)
+    calls = []
+
+    def counted(task, forward):
+        def run(tokens):
+            calls.append(task)
+            return forward(tokens)
+        return run
+
+    for task, group in dec.heads.items():
+        monkeypatch.setattr(group, "forward", counted(task, group.forward))
+    preds = dec.infer(feats)
+    assert sorted(calls) == sorted(tasks)
+    if "pnr" not in tasks:
+        mid = dec.decode(feats, [T // 2, T // 2])
+        assert all(np.array_equal(a.data, b.data)
+                   for a, b in zip(preds.outputs(), mid.outputs()))
 
 
 def test_config_validation():

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -78,3 +80,40 @@ def test_embed_frame_is_the_frames_summary_row(kind):
     rows = enc.encode(clip).h_frames.data[0]
     for k, frame in enumerate(clip.frames):
         assert np.allclose(enc.embed_frame(frame), rows[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["per_frame_token", "clip_token",
+                                  "conv_grid"])
+def test_embed_frame_is_off_the_tape(kind, recorded_nodes):
+    enc = build_encoder(kind, np.random.default_rng(4), width=16, heads=2,
+                        frames=4, image=16, patch=8)
+    frame = generate_clip(5, ClipConfig(frames=4, height=16, width=16)).frames[1]
+    h_frames, _ = enc._forward(frame[None])
+    assert h_frames.node is not None
+    recorded_nodes.clear()
+    embedding = enc.embed_frame(frame)
+    assert recorded_nodes == []
+    assert np.array_equal(embedding, h_frames.data[0, 0])
+
+
+# sha256 over seeds 0-7 of each clip's frames (raw float64 bytes) and its
+# labels as sorted JSON; recorded before the clip script and the renderer
+# were vectorised, which must leave every clip bit-identical.
+CLIP_DIGESTS = {
+    16: "27c27da4694cf2b4071b9efc9cb5a4abb1cecda2282e3d66914c026f8d461c1e",
+    32: "108c3527f2a2e29a9e18bc1ec86dcb1be06a92cdb2a64305fdc8f400e04268be",
+}
+
+
+@pytest.mark.parametrize("image", sorted(CLIP_DIGESTS))
+def test_clips_match_their_pinned_digests(image):
+    cfg = ClipConfig(frames=8, height=image, width=image, p_change=0.5)
+    h = hashlib.sha256()
+    changes = set()
+    for seed in range(8):
+        clip = generate_clip(seed, cfg)
+        changes.add(clip.labels.state_change)
+        h.update(clip.frames.tobytes())
+        h.update(json.dumps(asdict(clip.labels), sort_keys=True).encode())
+    assert changes == {True, False}
+    assert h.hexdigest() == CLIP_DIGESTS[image]

@@ -329,3 +329,27 @@ def test_attention_op_shape_errors():
             (x, None, w, 3)]:                                  # 4 % 3 heads
         with pytest.raises(ShapeError):
             tl.attention(queries, memory, weights, w, w, w, heads)
+
+
+def test_no_tape_records_no_node_and_restores_recording():
+    x = tl.tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    on_tape = tl.gelu(tl.mul(x, x))
+    with tl.no_tape():
+        with tl.no_tape():  # nests: leaving the inner block keeps it off
+            pass
+        off = tl.gelu(tl.mul(x, x))
+    assert on_tape.node is not None
+    assert off.node is None and not off.requires_grad
+    assert np.array_equal(off.data, on_tape.data)
+    with pytest.raises(RuntimeError):
+        with tl.no_tape():
+            raise RuntimeError("inside the block")
+    assert tl.mul(x, x).node is not None
+
+
+def test_no_tape_as_a_decorator_covers_each_call(recorded_nodes):
+    x = tl.tensor(np.ones(2), requires_grad=True)
+    square = tl.no_tape()(lambda t: tl.mul(t, t))
+    assert square(x).node is None and square(x).node is None
+    assert recorded_nodes == []
+    assert tl.mul(x, x).node is not None and len(recorded_nodes) == 1

@@ -216,3 +216,33 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, value):
     with pytest.raises(CheckpointError,
                        match="parameter 'a' holds a non-finite value"):
         load_checkpoint(path)
+
+
+def test_inference_is_off_the_tape_and_equals_on_tape_infer(recorded_nodes):
+    model = build_model(_config(), frames=4, image=16)
+    clips = _mixed_clips()
+    on_tape = model.decoder.infer(model.encoder.encode(clips[0]))
+    assert on_tape.pnr_logits.node is not None
+    recorded_nodes.clear()
+    pred = model.predict(clips[0])
+    assert recorded_nodes == []
+    assert np.array_equal(pred.oscc_logits.data, on_tape.oscc_logits.data[0])
+    assert np.array_equal(pred.pnr_logits.data, on_tape.pnr_logits.data[0])
+    assert pred.keyframe_used == on_tape.keyframes[0]
+    for q, query in enumerate(pred.scod):
+        assert np.array_equal(query.class_logits.data,
+                              on_tape.scod_logits.data[0, q])
+        assert np.array_equal(query.box.data, on_tape.scod_boxes.data[0, q])
+    trainer.evaluate(model, [ClipRecord(c.seed, CLIP_CFG, c.labels)
+                             for c in clips])
+    assert recorded_nodes == []
+
+
+def test_batch_losses_builds_a_tape(recorded_nodes):
+    model = build_model(_config(), frames=4, image=16)
+    clips = _mixed_clips()
+    features = ClipFeatures.concat([model.encoder.encode(c) for c in clips])
+    parts, _ = batch_losses(model, clips, features, TASK_ORDER)
+    assert set(parts) == set(TASK_ORDER)
+    assert all(loss.node is not None for loss in parts.values())
+    assert len(recorded_nodes) > 100
