@@ -258,7 +258,13 @@ def read_demos(path) -> tuple[ToyEnvConfig, list[Demo]]:
 
 @dataclass
 class Policy:
-    """Two-layer MLP from [embedding (+ proprio)] to a (dx, dy) action."""
+    """Two-layer MLP from [embedding (+ proprio)] to a (dx, dy) action.
+
+    ``encoder`` records the encoder the policy was trained on, None if
+    unknown; the CLI's ``bc-train`` sets it to the model checkpoint's
+    description and a sha256 of its ``enc.*`` payload, and the policy's
+    checkpoint keeps it.
+    """
 
     w1: Tensor
     b1: Tensor
@@ -266,6 +272,7 @@ class Policy:
     b2: Tensor
     use_proprio: bool
     max_step: float
+    encoder: dict | None = None
 
     @classmethod
     def init(cls, rng: np.random.Generator, embed_dim: int, hidden: int = 64,
@@ -291,7 +298,8 @@ class Policy:
     def store(self) -> ParamStore:
         s = ParamStore({"kind": "policy", "embed_dim": self.embed_dim,
                         "hidden": self.w1.shape[1], "max_step": self.max_step,
-                        "use_proprio": self.use_proprio})
+                        "use_proprio": self.use_proprio,
+                        "encoder": self.encoder})
         s.add_module("policy", self.parameters())
         return s
 
@@ -319,6 +327,7 @@ def load_policy(path) -> Policy:
                              hidden=desc["hidden"],
                              use_proprio=desc["use_proprio"],
                              max_step=desc["max_step"])
+        policy.encoder = desc.get("encoder")
         return policy, policy.store()
     return load_described(path, "policy", build)
 

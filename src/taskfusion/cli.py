@@ -6,17 +6,27 @@ command that produced them. Exit codes: 0 success, 1 usage error,
 2 runtime/corruption error. All randomness derives from ``--seed``.
 
 Checkpoints describe themselves: a JSON header line {"format":
-"taskfusion-checkpoint/1", "description", "params"}, then the float64
-payload. ``eval``, ``dump-attention``, ``export-embeddings``, ``bc-train``
-and ``bc-eval`` rebuild the model from that description, so they take no
-model flags, ``--seed``, ``--frames`` or ``--env-image``, and their CSVs
-carry it. For random-init BC features, use ``train --steps 0 --seed S``.
+"taskfusion-checkpoint/1", "description", "params"}, then the payload,
+little-endian float64 whatever the model's compute dtype. ``eval``,
+``dump-attention``, ``export-embeddings``, ``bc-train`` and ``bc-eval``
+rebuild the model from that description, so they take no model flags,
+``--seed``, ``--frames`` or ``--env-image``, and their CSVs carry it. For
+random-init BC features, use ``train --steps 0 --seed S``.
+
+``train`` builds and trains the model in float32, the default compute
+dtype of ``TrainConfig``. The description records the dtype, and every
+other subcommand runs the model in it; a description without one is
+float64. ``gradcheck`` always runs in float64. A policy checkpoint
+records the model checkpoint's description and a sha256 of its encoder
+payload, and ``bc-eval`` refuses a model checkpoint whose encoder
+differs from it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import sys
 
@@ -446,6 +456,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@tl.precision("float64")
 def cmd_gradcheck(args) -> int:
     results = run_gradcheck(seed=args.seed, tol=args.tol, eps=args.eps)
     failed = 0
@@ -531,15 +542,57 @@ def cmd_bc_train(args) -> int:
                            steps=args.bc_steps, seed=args.seed, lr=args.bc_lr,
                            use_proprio=(args.proprio == "on"),
                            max_step=env_cfg.max_step)
+    policy.encoder = _encoder_record(model)
     save_checkpoint(policy.store(), args.out_policy)
     print(f"bc-train: {args.bc_steps} steps, final loss {log[-1]:.6f}, "
           f"policy {args.out_policy}")
     return 0
 
 
+def _encoder_record(model) -> dict:
+    """What a policy records of its encoder: the model checkpoint's
+    description and a sha256 of the checkpoint payload of its ``enc.*``
+    parameters."""
+    h = hashlib.sha256()
+    for name, t in model.store.items():
+        if name.startswith("enc."):
+            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+    return {"checkpoint": model.store.description, "sha256": h.hexdigest()}
+
+
+# The model config fields that fix the encoder's layout and dtype; its
+# values are compared through the payload digest. The other fields (tasks,
+# decoder, optimiser, steps) may differ.
+_ENCODER_FIELDS = ("encoder", "width", "enc_heads", "patch", "dtype")
+
+
+def _encoder_identity(record) -> dict | None:
+    """What fixes the encoder in a record from ``_encoder_record``: its
+    config fields, the clip size and the payload digest; None when the
+    record lacks them."""
+    try:
+        desc = record["checkpoint"]
+        cfg = {"dtype": "float64", **desc["config"]}
+        return {**{k: cfg[k] for k in _ENCODER_FIELDS},
+                "frames": desc["frames"], "image": desc["image"],
+                "sha256": record["sha256"]}
+    except (KeyError, TypeError):
+        return None
+
+
 def cmd_bc_eval(args) -> int:
     model = load_model(args.checkpoint)
     policy = load_policy(args.policy)
+    want = _encoder_identity(policy.encoder)
+    found = _encoder_identity(_encoder_record(model))
+    if want is None:
+        raise CheckpointError(f"the policy records no encoder; the "
+                              f"checkpoint holds {found}")
+    if want != found:
+        differ = ", ".join(f"{k} {want[k]} (policy) != {found[k]} "
+                           f"(checkpoint)" for k in want if want[k] != found[k])
+        raise CheckpointError(f"the policy was trained on another encoder "
+                              f"than the checkpoint holds: {differ}")
     enc = model.encoder
     if policy.embed_dim != enc.width:
         raise CheckpointError(f"policy takes {policy.embed_dim}-dim "
@@ -563,11 +616,12 @@ def cmd_bc_compare(args) -> int:
     tuned = result.model.encoder
 
     clip_cfg = records[0].config
-    random_enc = build_encoder(args.encoder,
-                               rng_for(args.seed, "baseline", "enc"),
-                               width=args.width, heads=args.enc_heads,
-                               frames=clip_cfg.frames, image=clip_cfg.height,
-                               patch=args.patch)
+    with tl.precision(tuned.dtype):
+        random_enc = build_encoder(args.encoder,
+                                   rng_for(args.seed, "baseline", "enc"),
+                                   width=args.width, heads=args.enc_heads,
+                                   frames=clip_cfg.frames,
+                                   image=clip_cfg.height, patch=args.patch)
     cfg = ToyEnvConfig(horizon=args.horizon, image=clip_cfg.height)
     demos = collect_demos(args.demo_count, derive_seed(args.seed, "demos"),
                           cfg)

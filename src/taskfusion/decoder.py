@@ -201,13 +201,12 @@ class TaskPredictions(_Outputs):
     def clip(self, b: int) -> ClipPrediction:
         """Detached copy of clip ``b``'s outputs."""
         def row(t: Tensor | None) -> Tensor | None:
-            return None if t is None else tl.constant(t.data[b].copy())
+            return None if t is None else tl.constant(t.data[b])
 
         scod = None
         if self._scod is not None:
             logits, boxes = self._scod
-            scod = [ScodQuery(class_logits=tl.constant(c.copy()),
-                              box=tl.constant(x.copy()))
+            scod = [ScodQuery(class_logits=tl.constant(c), box=tl.constant(x))
                     for c, x in zip(logits.data[b], boxes.data[b])]
         return ClipPrediction(row(self._oscc), row(self._pnr), scod,
                               keyframe_used=int(self.keyframes[b]))
@@ -342,10 +341,13 @@ class TaskFusionDecoder:
                                keyframes, attention)
 
     def _tokens(self, features: ClipFeatures,
-                keyframes: Sequence[int] | np.ndarray
+                keyframes: Sequence[int] | np.ndarray, detection: bool = True
                 ) -> tuple[Tensor, np.ndarray, list[LayerAttention]]:
         """The decoder layers: refined tokens [B, 10, D], the keyframes
-        used and each layer's attention weights."""
+        used and each layer's attention weights. With ``detection`` False
+        the last layer leaves out its detection block, which only the
+        detection heads read: the tokens are then the two temporal rows
+        [B, 2, D], and the attention has no entry for the last layer."""
         cfg = self.config
         if features.width != cfg.width or features.frames != cfg.frames \
                 or features.patches != cfg.patches:
@@ -361,7 +363,7 @@ class TaskFusionDecoder:
 
         attention: list[LayerAttention] = []
         z = tl.repeat0(tl.reshape(self.tokens, (1, TOKEN_COUNT, d)), b)
-        for layer in self.layers:
+        for k, layer in enumerate(self.layers):
             c_self: list[np.ndarray] = []
             c_t: list[np.ndarray] = []
             c_s: list[np.ndarray] = []
@@ -373,6 +375,8 @@ class TaskFusionDecoder:
             z_t = tl.layer_norm(
                 tl.add(f_t, cross_attention(h_t, f_t, layer.cross_temporal, c_t)),
                 layer.ln_t_g, layer.ln_t_b)
+            if not detection and k == len(self.layers) - 1:
+                return z_t, keyframes, attention
             z_s = tl.layer_norm(
                 tl.add(f_s, cross_attention(h_s, f_s, layer.cross_spatial, c_s)),
                 layer.ln_s_g, layer.ln_s_b)
@@ -406,16 +410,17 @@ class TaskFusionDecoder:
         keyframe logits, whose argmax (the first frame on ties) selects the
         spatial memory for the final pass. The provisional pass runs only
         the temporal head groups (state change and keyframe), whose outputs
-        are returned: they chose the keyframe. The final pass runs only the
-        detection group; the detection outputs and the attention weights
-        come from it. Without the keyframe task there are no logits to
-        choose by, and the mid-frame pass, through every enabled head
-        group, is the only one."""
+        are returned: they chose the keyframe; its last layer leaves out
+        the detection block. The final pass runs only the detection group;
+        the detection outputs and the attention weights come from it, the
+        last layer's temporal block included. Without the keyframe task
+        there are no logits to choose by, and the mid-frame pass, through
+        every enabled head group, is the only one."""
         enabled = self.config.enabled_tasks
         mid_frame = [features.frames // 2] * features.batch
         if "pnr" not in enabled:
             return self.decode(features, mid_frame)
-        z, _, _ = self._tokens(features, mid_frame)
+        z, _, _ = self._tokens(features, mid_frame, detection=False)
         oscc, pnr, _ = self._heads(z, [t for t in enabled if t != "scod"])
         z, keyframes, attention = self._tokens(
             features, np.argmax(pnr.data, axis=1))

@@ -17,7 +17,10 @@ over all patches, and a small convolutional grid whose features pass
 through a two-layer transformer-encoder adapter. Each hands the decoder
 the same layout: one summary row per frame (the per-frame class rows, or
 else the mean of the frame's patches) and every patch of every frame.
-The encoders run attention without collecting its weights.
+The encoders run attention without collecting its weights. An encoder
+keeps the compute dtype it was built in (``tensor.precision``; float64
+unless a caller such as ``trainer.build_model`` sets another) and
+computes its features in it, whatever the caller's dtype.
 """
 
 from __future__ import annotations
@@ -353,6 +356,7 @@ class Encoder:
         self.patches = self.grid * self.grid
         self.patch_dim = patch * patch * 3
         self.pe = PositionalEncoding(max(self.patches, frames) + 1, width)
+        self.dtype = tl.compute_dtype()
 
     def parameters(self) -> dict[str, Tensor]:
         raise NotImplementedError
@@ -365,7 +369,10 @@ class Encoder:
         if frames.shape[1:3] != (self.image, self.image):
             raise ShapeError(f"clip raster {frames.shape[1:3]} != "
                              f"({self.image}, {self.image})")
-        return self._features(frames)
+        if self.dtype is tl.compute_dtype():
+            return self._features(frames)
+        with tl.precision(self.dtype):
+            return self._features(frames)
 
     def encode(self, clip: SynthClip) -> ClipFeatures:
         """Features of one clip, as a batch of one."""

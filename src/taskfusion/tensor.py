@@ -1,9 +1,22 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float tensors with tape-based reverse-mode differentiation.
 
-Every tensor wraps a C-contiguous float64 numpy array. Operations on
-tensors that require gradients record a node (op kind, inputs, backward
-rule) onto the tensor they produce; ``backward`` collects the reachable
-nodes in one walk and visits them newest first.
+Every tensor wraps a C-contiguous numpy array of the compute dtype,
+float64 by default. Operations on tensors that require gradients record a
+node (op kind, inputs, backward rule) onto the tensor they produce;
+``backward`` collects the reachable nodes in one walk and visits them
+newest first.
+
+The compute dtype is one module flag, float64 or float32, set for a block
+by ``with precision(dtype):`` (or as ``@precision(dtype)`` for every call
+of a function); it nests, and leaving the block restores it, also on an
+exception. The public constructor (``Tensor``, ``tensor``, ``constant``,
+and so plain numbers and arrays passed to an op) copies its input into a
+fresh array of that dtype, so a tensor never aliases its caller's array.
+An op keeps the array its numpy computation produced, without a copy or
+a cast: on operands of the compute dtype that is the compute dtype, and
+every backward rule keeps its gradients in its operands' dtype. A model
+runs in the dtype it was built in (``trainer.TrainConfig.dtype``); the
+finite-difference check ``grad_check`` takes float64 inputs only.
 
 Broadcasting in the binary elementwise ops is deliberately restricted to
 three cases: equal shapes; a size-1 operand whose broadcast leaves the
@@ -34,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import contextmanager
+from contextlib import ContextDecorator, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -81,6 +94,8 @@ __all__ = [
     "attention",
     "backward",
     "no_tape",
+    "precision",
+    "compute_dtype",
     "grad_check",
 ]
 
@@ -103,6 +118,11 @@ class ContractError(TensorError):
 
 _node_ids = itertools.count()
 _recording = True  # False inside no_tape(); read by _make
+_dtype = np.dtype(np.float64)  # set by precision(); read by Tensor
+# The compute dtypes by name and by numpy dtype (a lookup by dtype skips
+# str(dtype), which costs more than entering precision).
+_COMPUTE_DTYPES = {key: np.dtype(name) for name in ("float32", "float64")
+                   for key in (name, np.dtype(name))}
 
 
 @dataclass
@@ -120,15 +140,13 @@ class Node:
 
 
 class Tensor:
-    """A dense float64 array, optionally carrying a gradient buffer."""
+    """A dense array of the compute dtype, optionally carrying a gradient
+    buffer. The constructor copies ``data``."""
 
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        # ascontiguousarray promotes 0-d to 1-d; keep scalars 0-d
-        arr = np.ascontiguousarray(arr) if arr.ndim else arr.copy()
-        self.data = arr
+        self.data = np.array(data, dtype=_dtype, order="C")
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.node: Node | None = None
@@ -175,7 +193,7 @@ def randn(rng: np.random.Generator, shape, std: float = 1.0,
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=np.float64))
+    return Tensor(x)
 
 
 @contextmanager
@@ -190,9 +208,44 @@ def no_tape():
         _recording = saved
 
 
+def compute_dtype() -> np.dtype:
+    """The dtype new tensors get (see ``precision``)."""
+    return _dtype
+
+
+class precision(ContextDecorator):
+    """Make ``dtype`` ("float32" or "float64", or that numpy dtype) the
+    compute dtype inside the block (see the module docstring); as
+    ``@precision(dtype)``, inside every call of the decorated function.
+    A class rather than a generator: encoders enter it once per frame
+    they embed, and this costs half as much."""
+
+    def __init__(self, dtype):
+        self.dtype = _COMPUTE_DTYPES.get(dtype)
+        if self.dtype is None:
+            raise ContractError(f"compute dtype must be float32 or float64, "
+                                f"got {dtype!r}")
+        self._saved: list[np.dtype] = []  # a stack: one instance may nest
+
+    def __enter__(self):
+        global _dtype
+        self._saved.append(_dtype)
+        _dtype = self.dtype
+
+    def __exit__(self, *exc):
+        global _dtype
+        _dtype = self._saved.pop()
+
+
 def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
           backward_rule: Callable[[np.ndarray], tuple]) -> Tensor:
-    out = Tensor(data)
+    # Adopt the op's fresh result; ufuncs hand back 0-d results as numpy
+    # scalars, which become 0-d arrays.
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.requires_grad = False
+    out.grad = None
+    out.node = None
     if _recording and any(t.requires_grad or t.node is not None for t in inputs):
         out.requires_grad = True
         out.node = Node(op=op, inputs=inputs, backward=backward_rule,
@@ -298,7 +351,7 @@ minimum = _binary("minimum", np.minimum,
                   lambda g, a, b: g * (a <= b), lambda g, a, b: g * (a > b))
 
 relu = _unary("relu", lambda x: np.maximum(x, 0.0),
-              lambda x, y: (x > 0.0).astype(np.float64))
+              lambda x, y: (x > 0.0).astype(x.dtype))
 gelu = _unary("gelu", _gelu_forward, lambda x, y: _gelu_grad(x))
 exp = _unary("exp", np.exp, lambda x, y: y)
 log = _unary("log", np.log, lambda x, y: 1.0 / x, domain=_log_domain)
@@ -699,9 +752,15 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
 
     ``f`` must be deterministic and return a scalar tensor. Relative error
     per element uses the max(|analytic|, |numeric|, 1e-8) denominator.
+    Every input must be float64: float32 rounding (about 6e-8 of each
+    value) divided by the ``2 * eps`` step would swamp the tolerance.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ContractError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
+    for t in inputs:
+        if t.data.dtype != np.float64:
+            raise ContractError(f"grad_check: inputs must be float64, got "
+                                f"{t.data.dtype}")
     if names is None:
         names = [f"input{i}" for i in range(len(inputs))]
 

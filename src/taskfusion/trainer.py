@@ -7,6 +7,16 @@ masked on no-change clips), combines them with the learnable variance
 weighting, and applies one Adam update. Batches follow a seeded
 Fisher-Yates shuffle per epoch with any trailing partial batch dropped,
 so runs are bit-reproducible.
+
+A model has one compute dtype, ``TrainConfig.dtype``: float32 by default,
+or float64. ``build_model``, ``train`` and ``ModelBundle.predict`` run
+under ``tensor.precision`` of it, and the encoder computes its features
+in it wherever it is called, so parameters, activations, gradients and
+Adam moments are all of that dtype; ``evaluate`` computes its losses and
+metrics in float64 from the model's predictions. Same-seed runs are
+bit-reproducible within one dtype. Checkpoints store float64 whatever
+the dtype, so float32 values round-trip exactly; loading a value that
+overflows the model's dtype is an error.
 """
 
 from __future__ import annotations
@@ -152,13 +162,13 @@ def load_checkpoint(path) -> ParamStore:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {name!r} holds a non-finite "
                                   "value")
-        store.register(name, Tensor(arr.reshape(shape).copy(),
-                                    requires_grad=True))
+        store.register(name, Tensor(arr.reshape(shape), requires_grad=True))
     return store
 
 
 def copy_parameters(src: ParamStore, dst: ParamStore) -> None:
-    """Copy values by name; any mismatch names the offending parameter."""
+    """Copy values by name, cast to each destination's dtype; any mismatch,
+    or a value that overflows that dtype, names the offending parameter."""
     src_names = set(src.names())
     for name, t in dst.items():
         if name not in src:
@@ -167,7 +177,14 @@ def copy_parameters(src: ParamStore, dst: ParamStore) -> None:
         if value.shape != t.shape:
             raise ShapeError(f"parameter {name!r}: checkpoint shape "
                              f"{value.shape} != model shape {t.shape}")
-        np.copyto(t.data, value.data)
+        if value.data.dtype == t.data.dtype:
+            np.copyto(t.data, value.data)
+        else:
+            with np.errstate(over="ignore"):
+                np.copyto(t.data, value.data)
+            if not np.all(np.isfinite(t.data)):
+                raise CheckpointError(f"parameter {name!r} holds a value "
+                                      f"that overflows {t.data.dtype}")
         src_names.discard(name)
     if src_names:
         raise CheckpointError(f"checkpoint has unexpected parameters "
@@ -247,8 +264,14 @@ class TrainConfig:
     enc_heads: int = 2
     mlp_hidden: int = 128
     patch: int = 8
+    # The compute dtype of the model and of every step, "float32" or
+    # "float64"; the checkpoint payload is float64 either way.
+    dtype: str = "float32"
 
     def __post_init__(self):
+        if self.dtype not in ("float32", "float64"):
+            raise ContractError(f"dtype must be 'float32' or 'float64', got "
+                                f"{self.dtype!r}")
         self.enabled_tasks = tuple(self.enabled_tasks)
         unknown = set(self.enabled_tasks) - set(TASK_ORDER)
         if unknown:
@@ -268,37 +291,50 @@ class ModelBundle:
     def enabled_tasks(self) -> tuple[str, ...]:
         return self.decoder.config.enabled_tasks
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The compute dtype the model was built in."""
+        return self.encoder.dtype
+
     @tl.no_tape()
     def predict(self, clip: SynthClip) -> ClipPrediction:
-        return self.decoder.infer(self.encoder.encode(clip)).clip(0)
+        with tl.precision(self.dtype):
+            return self.decoder.infer(self.encoder.encode(clip)).clip(0)
 
 
 def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:
-    encoder = build_encoder(config.encoder, rng_for(config.seed, "init", "enc"),
-                            width=config.width, heads=config.enc_heads,
-                            frames=frames, image=image, patch=config.patch)
-    dec_cfg = DecoderConfig(layers=config.layers, width=config.width,
-                            heads=config.dec_heads, frames=frames,
-                            patches=encoder.patches,
-                            mlp_hidden=config.mlp_hidden,
-                            enabled_tasks=config.enabled_tasks)
-    decoder = TaskFusionDecoder(dec_cfg, rng_for(config.seed, "init", "dec"))
-    sigma = SigmaParams.init()
-    recorded = dict(asdict(config), enabled_tasks=list(config.enabled_tasks))
-    store = ParamStore({"kind": "model", "config": recorded,
-                        "frames": frames, "image": image})
-    store.add_module("enc", encoder.parameters())
-    store.add_module("dec", decoder.parameters())
-    store.register("sigma.s", sigma.s)
-    return ModelBundle(encoder=encoder, decoder=decoder, sigma=sigma,
-                       store=store)
+    """The model ``config`` describes, built in its compute dtype."""
+    with tl.precision(config.dtype):
+        encoder = build_encoder(config.encoder,
+                                rng_for(config.seed, "init", "enc"),
+                                width=config.width, heads=config.enc_heads,
+                                frames=frames, image=image, patch=config.patch)
+        dec_cfg = DecoderConfig(layers=config.layers, width=config.width,
+                                heads=config.dec_heads, frames=frames,
+                                patches=encoder.patches,
+                                mlp_hidden=config.mlp_hidden,
+                                enabled_tasks=config.enabled_tasks)
+        decoder = TaskFusionDecoder(dec_cfg,
+                                    rng_for(config.seed, "init", "dec"))
+        sigma = SigmaParams.init()
+        recorded = dict(asdict(config),
+                        enabled_tasks=list(config.enabled_tasks))
+        store = ParamStore({"kind": "model", "config": recorded,
+                            "frames": frames, "image": image})
+        store.add_module("enc", encoder.parameters())
+        store.add_module("dec", decoder.parameters())
+        store.register("sigma.s", sigma.s)
+        return ModelBundle(encoder=encoder, decoder=decoder, sigma=sigma,
+                           store=store)
 
 
 def load_model(path) -> ModelBundle:
-    """Rebuild the model a checkpoint describes, then load its values."""
+    """Rebuild the model a checkpoint describes, then load its values. A
+    description without a dtype predates float32 models: it is float64."""
     def build(desc):
-        model = build_model(TrainConfig(**desc["config"]),
-                            frames=desc["frames"], image=desc["image"])
+        config = TrainConfig(**{"dtype": "float64", **desc["config"]})
+        model = build_model(config, frames=desc["frames"],
+                            image=desc["image"])
         return model, model.store
     return load_described(path, "model", build)
 
@@ -373,34 +409,36 @@ def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
     enabled = config.enabled_tasks
     log: list[dict] = []
 
-    for step in range(1, config.steps + 1):
-        batch = [records[i] for i in next(batches)]
-        clips, encoded = [], []
-        for record in batch:
-            clip = record.clip()
-            clips.append(clip)
-            encoded.append(model.encoder.encode(clip))
-        parts, preds = batch_losses(model, clips,
-                                    ClipFeatures.concat(encoded), enabled)
-        for task, value in parts.items():
-            if not np.isfinite(value.item()):
-                raise TrainingAbort(step, batch[_first_nonfinite_clip(preds)].seed,
-                                    task)
-        present = tuple(t for t in enabled if t in parts)
-        total = joint_loss(parts, model.sigma, present)
-        if not np.isfinite(total.item()):
-            raise TrainingAbort(step, batch[0].seed, "joint")
-        backward(total)
-        model.store.fill_missing_grads()
-        adam_step(model.store, adam)
+    with tl.precision(config.dtype):
+        for step in range(1, config.steps + 1):
+            batch = [records[i] for i in next(batches)]
+            clips, encoded = [], []
+            for record in batch:
+                clip = record.clip()
+                clips.append(clip)
+                encoded.append(model.encoder.encode(clip))
+            parts, preds = batch_losses(model, clips,
+                                        ClipFeatures.concat(encoded), enabled)
+            for task, value in parts.items():
+                if not np.isfinite(value.item()):
+                    raise TrainingAbort(
+                        step, batch[_first_nonfinite_clip(preds)].seed, task)
+            present = tuple(t for t in enabled if t in parts)
+            total = joint_loss(parts, model.sigma, present)
+            if not np.isfinite(total.item()):
+                raise TrainingAbort(step, batch[0].seed, "joint")
+            backward(total)
+            model.store.fill_missing_grads()
+            adam_step(model.store, adam)
 
-        sigma2 = model.sigma.sigma2()
-        row = {"step": step, "loss_total": total.item()}
-        for i, task in enumerate(TASK_ORDER):
-            row[f"loss_{task}"] = (parts[task].item() if task in parts else None)
-            row[f"sigma2_{i + 1}"] = (float(sigma2[i]) if task in enabled
-                                      else None)
-        log.append(row)
+            sigma2 = model.sigma.sigma2()
+            row = {"step": step, "loss_total": total.item()}
+            for i, task in enumerate(TASK_ORDER):
+                row[f"loss_{task}"] = (parts[task].item() if task in parts
+                                       else None)
+                row[f"sigma2_{i + 1}"] = (float(sigma2[i]) if task in enabled
+                                          else None)
+            log.append(row)
     return TrainResult(model=model, log=log)
 
 

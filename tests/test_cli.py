@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from taskfusion import cli
-from taskfusion.bc import ToyEnvConfig, bc_train, collect_demos
+from taskfusion import tensor as tl
+from taskfusion.bc import ToyEnvConfig, bc_train, collect_demos, load_policy
 from taskfusion.seeding import rng_for
 from taskfusion.synth import build_encoder, read_dataset
 from taskfusion.trainer import (TrainConfig, evaluate, load_checkpoint,
@@ -81,13 +82,100 @@ def test_bc_train_on_untrained_checkpoint_uses_the_seed_init(work):
     assert cli.main(["bc-train", "--demos", str(work / "demos"),
                      "--checkpoint", str(ckpt), "--out-policy", str(out),
                      "--seed", "4", "--bc-steps", "5"]) == 0
-    enc = build_encoder("per_frame_token", rng_for(7, "init", "enc"),
-                        width=16, heads=2, frames=4, image=16, patch=8)
+    with tl.precision("float32"):  # train's default dtype
+        enc = build_encoder("per_frame_token", rng_for(7, "init", "enc"),
+                            width=16, heads=2, frames=4, image=16, patch=8)
     policy, _ = bc_train(collect_demos(2, 3, ToyEnvConfig(image=16)),
                          enc.embed_frame, steps=5, seed=4)
     loaded = load_checkpoint(out)
     for name, t in policy.store().items():
         assert np.array_equal(loaded[name].data, t.data), name
+
+
+def _policy_without_encoder(work):
+    """The policy checkpoint with the description of earlier versions,
+    which record no encoder."""
+    head, body = (work / "policy.ckpt").read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    del header["description"]["encoder"]
+    path = work / "old_policy.ckpt"
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    return path
+
+
+def test_bc_eval_refuses_an_encoder_the_policy_was_not_trained_on(work,
+                                                                   capsys):
+    """The fixture's policy against the same model trained from another
+    seed, and a policy that records no encoder against the fixture's
+    model."""
+    twin = work / "model_seed6.ckpt"
+    assert cli.main(["train", "--data", str(work / "data"), "--out-checkpoint",
+                     str(twin), "--log", str(work / "log_seed6.csv"),
+                     "--steps", "2", "--seed", "6", "--tasks", "oscc,scod",
+                     *MODEL_FLAGS]) == 0
+    capsys.readouterr()
+    assert cli.main(["bc-eval", "--policy", str(work / "policy.ckpt"),
+                     "--checkpoint", str(twin), "--episodes", "1"]) == 2
+    err = capsys.readouterr().err
+    want = load_policy(work / "policy.ckpt").encoder["sha256"]
+    found = cli._encoder_record(load_model(twin))["sha256"]
+    assert want != found
+    assert ("the policy was trained on another encoder than the checkpoint "
+            f"holds: sha256 {want} (policy) != {found} (checkpoint)") in err
+    assert cli.main(["bc-eval", "--policy", str(_policy_without_encoder(work)),
+                     "--checkpoint", str(work / "model.ckpt"), "--episodes",
+                     "1"]) == 2
+    assert ("the policy records no encoder; the checkpoint holds "
+            "{'encoder': 'per_frame_token', 'width': 16, 'enc_heads': 2, "
+            "'patch': 8, 'dtype': 'float32', 'frames': 4, 'image': 16, "
+            "'sha256': ") in capsys.readouterr().err
+
+
+def test_bc_eval_accepts_an_encoder_that_only_the_decoder_config_changes(
+        work, capsys):
+    """Two untrained checkpoints from one seed that differ only in their
+    tasks, optimiser and decoder depth hold the same encoder."""
+    paths = []
+    for i, extra in enumerate((["--tasks", "oscc,scod"],
+                               ["--tasks", "pnr", "--lr", "0.1",
+                                "--layers", "1"])):
+        paths.append(work / f"untrained{i}.ckpt")
+        assert cli.main(["train", "--data", str(work / "data"),
+                         "--out-checkpoint", str(paths[-1]), "--log",
+                         str(work / f"untrained{i}.csv"), "--steps", "0",
+                         "--seed", "7", *MODEL_FLAGS, *extra]) == 0
+    assert cli.main(["bc-train", "--demos", str(work / "demos"),
+                     "--checkpoint", str(paths[0]), "--out-policy",
+                     str(work / "untrained_policy.ckpt"),
+                     "--bc-steps", "2"]) == 0
+    capsys.readouterr()
+    rates = []
+    for path in paths:
+        assert cli.main(["bc-eval", "--policy",
+                         str(work / "untrained_policy.ckpt"), "--checkpoint",
+                         str(path), "--episodes", "1"]) == 0
+        rates.append(capsys.readouterr().out)
+    assert rates[0] == rates[1]
+
+
+def test_bc_compare_builds_its_random_encoder_in_the_trained_dtype(
+        work, monkeypatch, capsys):
+    seen = []
+    real = cli.compare_representations
+
+    def spy(tuned_embed, random_embed, *args, **kwargs):
+        seen.append((tuned_embed.__self__.dtype, random_embed.__self__.dtype))
+        return real(tuned_embed, random_embed, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compare_representations", spy)
+    capsys.readouterr()
+    assert cli.main(["bc-compare", "--data", str(work / "data"), "--steps",
+                     "1", "--demo-count", "1", "--bc-steps", "2",
+                     "--bc-seeds", "1", "--episodes", "1",
+                     *MODEL_FLAGS]) == 0
+    assert seen == [(np.dtype(np.float32), np.dtype(np.float32))]
+    assert [line.split(",")[0] for line in capsys.readouterr().out.split()] \
+        == ["fine_tuned_success", "random_init_success", "gap"]
 
 
 def _flat_header_checkpoint(work):

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from taskfusion import decoder as decoder_module
 from taskfusion import tensor as tl
 from taskfusion.attention import PositionalEncoding
 from taskfusion.decoder import (ClipFeatures, DecoderConfig,
@@ -300,6 +301,39 @@ def test_infer_two_pass_keyframe_follows_pnr_argmax():
     final = dec.decode(feats, preds.keyframes)
     assert np.array_equal(preds.scod_logits.data, final.scod_logits.data)
     assert np.array_equal(preds.scod_boxes.data, final.scod_boxes.data)
+    for a, b in zip(preds.attention, final.attention):
+        for field in ("self_attn", "temporal", "spatial"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_infer_leaves_out_only_the_provisional_last_detection_block(
+        layers, monkeypatch):
+    """Of the 3 attention calls per layer and pass, infer skips one: the
+    mid-frame pass's last detection block, which no head it runs reads.
+    Its outputs still equal two full decodes', and the final pass returns
+    every block of every layer."""
+    dec = _decoder(37, layers=layers)
+    feats = _features(38, batch=2)
+    calls = []
+    for name in ("self_attention", "cross_attention"):
+        real = getattr(decoder_module, name)
+
+        def counted(*args, real=real, **kwargs):
+            calls.append(real)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(decoder_module, name, counted)
+    preds = dec.infer(feats)
+    assert len(calls) == 2 * 3 * layers - 1
+    provisional = dec.decode(feats, [T // 2, T // 2])
+    final = dec.decode(feats, preds.keyframes)
+    for got, want in ((preds.oscc_logits, provisional.oscc_logits),
+                      (preds.pnr_logits, provisional.pnr_logits),
+                      (preds.scod_logits, final.scod_logits),
+                      (preds.scod_boxes, final.scod_boxes)):
+        assert np.array_equal(got.data, want.data)
+    assert len(preds.attention) == len(final.attention) == layers
     for a, b in zip(preds.attention, final.attention):
         for field in ("self_attn", "temporal", "spatial"):
             assert np.array_equal(getattr(a, field), getattr(b, field))

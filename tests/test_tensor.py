@@ -353,3 +353,53 @@ def test_no_tape_as_a_decorator_covers_each_call(recorded_nodes):
     assert square(x).node is None and square(x).node is None
     assert recorded_nodes == []
     assert tl.mul(x, x).node is not None and len(recorded_nodes) == 1
+
+
+def test_constructor_copies_its_input():
+    a = np.zeros(3)
+    t, u, c = tl.Tensor(a), tl.tensor(a), tl.constant(a)
+    a[0] = 5.0
+    for x in (t, u, c):
+        assert x.data[0] == 0.0 and x.data.flags.c_contiguous
+    s = tl.constant(np.float64(2.0))
+    assert s.shape == () and s.item() == 2.0
+
+
+def test_precision_sets_the_dtype_nests_and_restores():
+    assert tl.compute_dtype() == np.float64
+    x = np.array([1.0, 1.0 + 1e-12])
+    with tl.precision("float32"):
+        t = tl.constant(x)
+        with tl.precision(np.dtype(np.float64)):
+            assert tl.constant(x).data.dtype == np.float64
+        y = tl.gelu(tl.matmul(tl.reshape(t, (1, 2)), tl.ones((2, 2))))
+        loss = tl.sum_all(tl.softmax(y))
+    assert t.data.dtype == y.data.dtype == loss.data.dtype == np.float32
+    assert t.data[0] == t.data[1]  # rounded to float32 on construction
+    assert tl.constant(x).data.dtype == np.float64
+    with pytest.raises(RuntimeError):
+        with tl.precision("float32"):
+            raise RuntimeError("inside the block")
+    assert tl.compute_dtype() == np.float64
+    half = tl.precision("float32")(lambda v: tl.scale(tl.constant(v), 0.5))
+    assert half(x).data.dtype == np.float32
+    for bad in ("float16", "int64", np.float32, None):
+        with pytest.raises(ContractError, match="float32 or float64"):
+            with tl.precision(bad):
+                pass
+
+
+def test_backward_keeps_float32_gradients():
+    with tl.precision("float32"):
+        x = tl.tensor([[0.5, -1.0], [2.0, -0.25]], requires_grad=True)
+        w = tl.tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        y = tl.relu(tl.layer_norm(tl.matmul(x, w), tl.ones(2), tl.zeros(2)))
+        backward(tl.sum_all(tl.mul(y, y)))
+    assert x.grad.dtype == w.grad.dtype == np.float32
+
+
+def test_grad_check_rejects_float32_inputs():
+    with tl.precision("float32"):
+        x = tl.tensor(np.ones(3), requires_grad=True)
+    with pytest.raises(ContractError, match="float64"):
+        grad_check(lambda v: tl.sum_all(tl.mul(v, v)), [x])

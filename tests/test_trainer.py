@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -47,7 +48,7 @@ def _grads(model):
 @pytest.mark.parametrize("encoder",
                          ["per_frame_token", "clip_token", "conv_grid"])
 def test_batched_losses_equal_sum_of_single_clip_losses(encoder):
-    model = build_model(_config(encoder), frames=4, image=16)
+    model = build_model(_config(encoder, dtype="float64"), frames=4, image=16)
     model.sigma.s.data[...] = [0.3, -0.2, 0.1]
     clips = _mixed_clips()
 
@@ -226,6 +227,7 @@ def test_inference_is_off_the_tape_and_equals_on_tape_infer(recorded_nodes):
     recorded_nodes.clear()
     pred = model.predict(clips[0])
     assert recorded_nodes == []
+    assert pred.pnr_logits.data.dtype == np.float32
     assert np.array_equal(pred.oscc_logits.data, on_tape.oscc_logits.data[0])
     assert np.array_equal(pred.pnr_logits.data, on_tape.pnr_logits.data[0])
     assert pred.keyframe_used == on_tape.keyframes[0]
@@ -246,3 +248,106 @@ def test_batch_losses_builds_a_tape(recorded_nodes):
     assert set(parts) == set(TASK_ORDER)
     assert all(loss.node is not None for loss in parts.values())
     assert len(recorded_nodes) > 100
+
+
+ENCODERS = ("per_frame_token", "clip_token", "conv_grid")
+
+# sha256 of the JSON loss log and of the checkpoint payload of an 8-step
+# float64 run, recorded before models had a compute dtype: float64
+# training is unchanged by it.
+FLOAT64_DIGESTS = {
+    "per_frame_token": (
+        "ea21341e97c3ee8dad9e216866b7148d48e3556fd646462289b639dcaeb4f63e",
+        "14ad81aae509506c9184c0ecea06887385fecc8a579581cd36da8268eaf590b5"),
+    "clip_token": (
+        "93763f04debcf263ee04e7832547151f7d55b6bdbc44d9f9d0d048f8166563f6",
+        "1cab3b9d3bb7c339c396a35a5a97531e47b1bf63d2ed061b1aac14ee66325104"),
+    "conv_grid": (
+        "d445da9c6c67f30cddc6c35861be044a120a216fbad34cc305c9127a8ec85ef6",
+        "c5aa398e377e9ee46e77ed4f2ab8481da64a1dcf3576c1eb8818d5acef8d5a96"),
+}
+
+
+def _payload(path) -> bytes:
+    return path.read_bytes().split(b"\n", 1)[1]
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_float64_training_matches_its_pinned_digests(encoder, tmp_path):
+    result = trainer.train(_records(), _config(encoder, steps=8,
+                                               dtype="float64"))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(result.model.store, path)
+    digests = (hashlib.sha256(json.dumps(result.log).encode()).hexdigest(),
+               hashlib.sha256(_payload(path)).hexdigest())
+    assert digests == FLOAT64_DIGESTS[encoder]
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_float32_loss_log_tracks_float64(encoder):
+    logs = [trainer.train(_records(), _config(encoder, steps=8,
+                                              dtype=dtype)).log
+            for dtype in ("float32", "float64")]
+    for row32, row64 in zip(*logs):
+        for key, value in row64.items():
+            if value is not None:
+                assert abs(row32[key] - value) <= 1e-5 * abs(value), key
+
+
+def test_float32_train_step_is_float32_throughout(recorded_nodes,
+                                                  monkeypatch):
+    """Every array on the tape, every gradient and every Adam moment."""
+    seen = set()
+    real_adam = trainer.adam_step
+
+    def adam(store, state):
+        seen.update(t.grad.dtype for _, t in store.items())
+        real_adam(store, state)
+        seen.update(m.dtype for m in (*state.m.values(), *state.v.values()))
+
+    monkeypatch.setattr(trainer, "adam_step", adam)
+    result = trainer.train(_records(), _config(encoder="conv_grid"))
+    assert len(recorded_nodes) > 100
+    seen.update(t.data.dtype for node in recorded_nodes for t in node.inputs)
+    seen.update(t.data.dtype for _, t in result.model.store.items())
+    assert seen == {np.dtype(np.float32)}
+
+
+def test_float32_checkpoint_round_trip_is_exact(tmp_path):
+    model = build_model(_config(encoder="conv_grid"), frames=4, image=16)
+    for _, t in model.store.items():
+        t.data[...] += np.float32(0.01) * np.arange(t.size).reshape(t.shape)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.store, path)
+    loaded = trainer.load_model(path)
+    assert loaded.store.description["config"]["dtype"] == "float32"
+    for name, t in model.store.items():
+        got = loaded.store[name].data
+        assert got.dtype == np.float32 and np.array_equal(got, t.data), name
+
+
+def test_description_without_dtype_loads_as_float64(tmp_path):
+    model = build_model(_config(dtype="float64"), frames=4, image=16)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.store, path)
+    header = _header(path)
+    del header["description"]["config"]["dtype"]
+    _rewrite(path, header=header)
+    loaded = trainer.load_model(path)
+    assert loaded.dtype == np.float64
+    for name, t in model.store.items():
+        assert np.array_equal(loaded.store[name].data, t.data), name
+
+
+def test_value_overflowing_float32_is_rejected(tmp_path):
+    model = build_model(_config(), frames=4, image=16)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.store, path)
+    values = np.frombuffer(_payload(path), dtype="<f8").copy()
+    offset = _header(path)["params"]["dec.tokens"]["byte_offset"] // 8
+    values[offset + 3] = 1e39  # finite in float64, above float32's 3.4e38
+    _rewrite(path, payload=values.tobytes())
+    with pytest.raises(CheckpointError, match="parameter 'dec.tokens' holds "
+                                              "a value that overflows "
+                                              "float32"):
+        trainer.load_model(path)
