@@ -192,22 +192,33 @@ def expert_demo(env: ToyEnv, seed: int) -> Demo:
     return Demo(seed=seed, transitions=transitions, success=ok)
 
 
+# Expert episodes ``collect_demos`` may roll per demo asked for. The
+# expert solves every seed at the default horizon; at a horizon of 5 it
+# solves about 3 seeds in 100, which this still covers.
+ATTEMPTS_PER_DEMO = 200
+
+
 def collect_demos(count: int, seed: int,
                   env_cfg: ToyEnvConfig | None = None) -> list[Demo]:
-    """Seeded expert rollouts; the (unexpected) failures are dropped."""
+    """Seeded expert rollouts; the (unexpected) failures are dropped. A
+    DatasetError when ``count * ATTEMPTS_PER_DEMO`` seeds yield fewer than
+    ``count`` successes."""
     if count < 1:
         raise ContractError("need at least one demonstration")
     env = ToyEnv(env_cfg or ToyEnvConfig())
     demos: list[Demo] = []
-    i = 0
-    while len(demos) < count:
+    attempts = count * ATTEMPTS_PER_DEMO
+    for i in range(attempts):
         demo = expert_demo(env, derive_seed(seed, "demo", i))
-        i += 1
         if not demo.success:
             warnings.warn(f"expert failed on demo seed {demo.seed}; discarded")
             continue
         demos.append(demo)
-    return demos
+        if len(demos) == count:
+            return demos
+    raise DatasetError(f"the expert solved {len(demos)} of {attempts} "
+                       f"episodes within the horizon of "
+                       f"{env.config.horizon} steps; {count} demos needed")
 
 
 def write_demos(path, env_cfg: ToyEnvConfig, demos: list[Demo],
@@ -354,6 +365,8 @@ def bc_train(demos: list[Demo], embed_fn, steps: int, seed: int,
     """
     if not demos:
         raise ContractError("no demonstrations")
+    if steps < 1:
+        raise ContractError(f"BC steps must be >= 1, got {steps}")
     x_all, y_all = _demo_features(demos, embed_fn, use_proprio)
     n = x_all.shape[0]
     rng = rng_for(seed, "bc")
@@ -407,6 +420,8 @@ def compare_representations(tuned_embed, random_embed, demos: list[Demo],
                             use_proprio: bool = True) -> CompareReport:
     """A/B the two frozen embeddings under the identical BC protocol:
     same demos, per-seed policy training, paired evaluation episodes."""
+    if not seeds:
+        raise ContractError("need at least one BC seed")
     cfg = env_cfg or ToyEnvConfig()
     results: dict[str, list[float]] = {"tuned": [], "random": []}
     for name, embed in (("tuned", tuned_embed), ("random", random_embed)):

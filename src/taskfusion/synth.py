@@ -61,6 +61,19 @@ class DatasetCorruptionError(DatasetError):
     """Stored labels disagree with regeneration; message names the record."""
 
 
+def _scene_sizes(width: int) -> tuple[int, int, int]:
+    """The hand's side, and the bounds of the object's side before its
+    4 px floor, that the scene script draws on a ``width``-px raster."""
+    return max(3, round(0.16 * width)), round(0.22 * width), round(0.28 * width)
+
+
+def _min_raster_side(width: int) -> int:
+    """The smallest side on which the scene script can place its largest
+    object with a hand-plus-2-px margin on both sides."""
+    hand, _, obj_hi = _scene_sizes(width)
+    return max(4, obj_hi) + 2 * (hand + 2)
+
+
 @dataclass
 class ClipConfig:
     frames: int = 16
@@ -73,8 +86,18 @@ class ClipConfig:
     def __post_init__(self):
         if self.frames < 2:
             raise ShapeError("clips need at least 2 frames")
+        need = _min_raster_side(self.width)
+        if min(self.height, self.width) < need:
+            raise ShapeError(f"height and width must be at least {need} px "
+                             f"for the scene script, got {self.height}x"
+                             f"{self.width}")
         if not (0.0 <= self.p_change <= 1.0):
             raise ShapeError("p_change must lie in [0, 1]")
+        if not self.clip_duration_seconds > 0:
+            raise ShapeError(f"clip_duration_seconds must be > 0, got "
+                             f"{self.clip_duration_seconds}")
+        if not self.noise >= 0:
+            raise ShapeError(f"noise must be >= 0, got {self.noise}")
 
 
 @dataclass
@@ -128,8 +151,9 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
                                                 size=(h, w, 3))
     background = np.clip(background, 0.0, 1.0)
 
-    hand_w = hand_h = max(3, round(0.16 * w))
-    obj_w = obj_h = max(4, int(rng.integers(round(0.22 * w), round(0.28 * w) + 1)))
+    hand_w, obj_lo, obj_hi = _scene_sizes(w)
+    hand_h = hand_w
+    obj_w = obj_h = max(4, int(rng.integers(obj_lo, obj_hi + 1)))
     margin = hand_w + 2
     ox = int(rng.integers(margin, w - obj_w - margin + 1))
     oy = int(rng.integers(margin, h - obj_h - margin + 1))

@@ -269,6 +269,11 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        if self.steps < 0:
+            raise ContractError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ContractError(f"batch_size must be >= 1, got "
+                                f"{self.batch_size}")
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"dtype must be 'float32' or 'float64', got "
                                 f"{self.dtype!r}")

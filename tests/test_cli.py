@@ -9,10 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from taskfusion import cli
+from taskfusion import bc, cli
 from taskfusion import tensor as tl
-from taskfusion.bc import ToyEnvConfig, bc_train, collect_demos, load_policy
-from taskfusion.seeding import rng_for
+from taskfusion.bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
+                           load_policy)
+from taskfusion.seeding import derive_seed, rng_for
 from taskfusion.synth import build_encoder, read_dataset
 from taskfusion.trainer import (TrainConfig, evaluate, load_checkpoint,
                                 load_model, train)
@@ -158,24 +159,78 @@ def test_bc_eval_accepts_an_encoder_that_only_the_decoder_config_changes(
     assert rates[0] == rates[1]
 
 
-def test_bc_compare_builds_its_random_encoder_in_the_trained_dtype(
-        work, monkeypatch, capsys):
-    seen = []
-    real = cli.compare_representations
+def _untrained_checkpoint(work, seed, data="data"):
+    """A ``train --steps 0`` checkpoint on ``data``: the seed's init."""
+    path = work / f"untrained_{data}_seed{seed}.ckpt"
+    if not path.exists():
+        assert cli.main(["train", "--data", str(work / data),
+                         "--out-checkpoint", str(path), "--log",
+                         str(work / "untrained.csv"), "--steps", "0",
+                         "--seed", str(seed), "--tasks", "oscc,scod",
+                         *MODEL_FLAGS]) == 0
+    return path
 
-    def spy(tuned_embed, random_embed, *args, **kwargs):
-        seen.append((tuned_embed.__self__.dtype, random_embed.__self__.dtype))
-        return real(tuned_embed, random_embed, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "compare_representations", spy)
+def test_bc_compare_rows_equal_bc_train_and_bc_eval_by_hand(work, monkeypatch,
+                                                             capsys):
+    """The fixture's model (``--steps 2 --seed 5``) against the encoder it
+    started from (``--steps 0 --seed 5``): the same demos and BC seeds give
+    each side the policies and per-seed rates that ``bc_train`` and
+    ``bc_eval`` give on the loaded encoders."""
+    tuned, baseline = work / "model.ckpt", _untrained_checkpoint(work, 5)
+    trained = []
+    real = bc.bc_train
+
+    def spy(*args, **kwargs):
+        trained.append(real(*args, **kwargs)[0])
+        return trained[-1], []
+
+    monkeypatch.setattr(bc, "bc_train", spy)
+    out = work / "compare.csv"
     capsys.readouterr()
-    assert cli.main(["bc-compare", "--data", str(work / "data"), "--steps",
-                     "1", "--demo-count", "1", "--bc-steps", "2",
-                     "--bc-seeds", "1", "--episodes", "1",
-                     *MODEL_FLAGS]) == 0
-    assert seen == [(np.dtype(np.float32), np.dtype(np.float32))]
+    assert cli.main(["bc-compare", "--checkpoint", str(tuned),
+                     "--baseline-checkpoint", str(baseline), "--seed", "11",
+                     "--demo-count", "1", "--bc-steps", "3", "--bc-seeds", "2",
+                     "--episodes", "2", "--horizon", "30",
+                     "--out", str(out)]) == 0
+    monkeypatch.undo()
+
+    cfg = ToyEnvConfig(horizon=30, image=16)
+    demos = collect_demos(1, derive_seed(11, "demos"), cfg)
+    seeds = [derive_seed(11, "bc-seed", i) for i in range(2)]
+    expected_rates, expected_policies = [], []
+    for path in (tuned, baseline):
+        embed = load_model(path).encoder.embed_frame
+        rates = []
+        for s in seeds:
+            policy, _ = bc_train(demos, embed, steps=3, seed=s,
+                                 max_step=cfg.max_step)
+            expected_policies.append(policy)
+            rates.append(bc_eval(policy.as_actor(embed), 2,
+                                 derive_seed(s, "bc-eval"), cfg))
+        expected_rates.append(rates)
+    assert len(trained) == len(expected_policies) == 4
+    for got, want in zip(trained, expected_policies):
+        for name, t in want.store().items():
+            assert np.array_equal(got.store()[name].data, t.data), name
+    # The tuned side's policies differ from the baseline's: two encoders.
+    assert not np.array_equal(trained[0].w1.data, trained[2].w1.data)
+
+    lines = out.read_text().splitlines()
+    header = json.loads(lines[0][2:])
+    assert header["checkpoint"] == load_checkpoint(tuned).description
+    assert (header["baseline_checkpoint"]
+            == load_checkpoint(baseline).description)
+    assert header["config"]["checkpoint"] == str(tuned)
+    assert lines[1] == "representation,mean_success,per_seed"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [r[0] for r in rows] == ["checkpoint", "baseline_checkpoint", "gap"]
+    for row, rates in zip(rows, expected_rates):
+        assert float(row[1]) == float(np.mean(rates))
+        assert row[2] == ";".join(f"{r:.3f}" for r in rates)
+    assert float(rows[2][1]) == float(rows[0][1]) - float(rows[1][1])
     assert [line.split(",")[0] for line in capsys.readouterr().out.split()] \
-        == ["fine_tuned_success", "random_init_success", "gap"]
+        == ["checkpoint_success", "baseline_checkpoint_success", "gap"]
 
 
 def _flat_header_checkpoint(work):
@@ -269,10 +324,52 @@ def _null_image_demos(work):
     (lambda w: ["bc-train", "--demos", str(_null_image_demos(w)),
                 "--checkpoint", str(w / "model.ckpt"), "--out-policy",
                 str(w / "p.ckpt")], "env image must be int"),
+    (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
+                "--baseline-checkpoint",
+                str(_untrained_checkpoint(w, 5, _data_32px(w).name))],
+     "--checkpoint takes 16 px frames and --baseline-checkpoint 32 px"),
+    (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
+                "--baseline-checkpoint", str(w / "policy.ckpt")],
+     "is a policy checkpoint, not a model checkpoint"),
+    (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
+                "--baseline-checkpoint", str(w / "model.ckpt"),
+                "--demo-count", "1", "--bc-seeds", "0"],
+     "need at least one BC seed"),
+    (lambda w: ["bc-train", "--demos", str(w / "demos"), "--checkpoint",
+                str(w / "model.ckpt"), "--out-policy", str(w / "p.ckpt"),
+                "--bc-steps", "0"], "BC steps must be >= 1, got 0"),
+    (lambda w: ["bc-demos", "--count", "1", "--seed", "0", "--horizon", "1",
+                "--out", str(w / "d")],
+     "the expert solved 0 of 200 episodes within the horizon of 1 steps"),
+    (lambda w: ["train", "--data", str(w / "data"), "--out-checkpoint",
+                str(w / "m.ckpt"), "--log", str(w / "l.csv"),
+                "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (lambda w: ["train", "--data", str(w / "data"), "--out-checkpoint",
+                str(w / "m.ckpt"), "--log", str(w / "l.csv"),
+                "--batch-size", "-1"], "batch_size must be >= 1, got -1"),
+    (lambda w: ["train", "--data", str(w / "data"), "--out-checkpoint",
+                str(w / "m.ckpt"), "--log", str(w / "l.csv"),
+                "--steps", "-1"], "steps must be >= 0, got -1"),
+    (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--image", "8",
+                "--out", str(w / "g")],
+     "height and width must be at least 14 px for the scene script, got 8x8"),
+    (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--image", "0",
+                "--out", str(w / "g")],
+     "height and width must be at least 14 px for the scene script, got 0x0"),
+    (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--noise", "-0.5",
+                "--out", str(w / "g")], "noise must be >= 0, got -0.5"),
+    (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--duration", "-1",
+                "--out", str(w / "g")],
+     "clip_duration_seconds must be > 0, got -1.0"),
 ], ids=["flat_header", "policy_as_checkpoint", "model_as_policy",
         "demo_image_mismatch", "dataset_size_mismatch",
         "dataset_frame_count_mismatch", "bad_label", "nan_parameters",
-        "inf_parameter_export", "bad_demo_type"])
+        "inf_parameter_export", "bad_demo_type", "compare_image_mismatch",
+        "compare_policy_as_baseline", "compare_no_bc_seeds", "bc_steps_0",
+        "demos_beyond_the_horizon", "batch_size_0", "batch_size_negative",
+        "steps_negative", "image_8", "image_0", "noise_negative",
+        "duration_negative"])
+@pytest.mark.filterwarnings("ignore:expert failed on demo seed")
 def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     args = argv(work)
     capsys.readouterr()
@@ -328,7 +425,7 @@ REPEATED_FLAGS = {"--encoder", "--width", "--layers", "--dec-heads",
 @pytest.mark.parametrize("command, also_gone", [
     ("eval", {"--seed"}), ("dump-attention", {"--seed"}),
     ("export-embeddings", {"--seed"}), ("bc-train", set()),
-    ("bc-eval", set())])
+    ("bc-eval", set()), ("bc-compare", {"--data"})])
 def test_checkpoint_readers_take_no_model_flags(command, also_gone):
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

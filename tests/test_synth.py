@@ -1,14 +1,16 @@
 import hashlib
 import json
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from taskfusion.synth import (BOX_CONTRAST, ClipConfig, DatasetCorruptionError,
-                              DatasetParseError, _make_script, box_to_rect,
-                              build_encoder, generate_clip, read_dataset,
-                              write_dataset)
+                              DatasetParseError, _make_script,
+                              _min_raster_side, box_to_rect, build_encoder,
+                              generate_clip, read_dataset, write_dataset)
+from taskfusion.tensor import ShapeError
 
 CFG = ClipConfig(frames=4, height=16, width=16, p_change=1.0)
 
@@ -40,6 +42,44 @@ def test_invalid_stored_label_names_its_line(tmp_path):
     _edit_first_record(path, edit)
     with pytest.raises(DatasetParseError, match="line 2: box coords"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("noise", -0.5, "noise must be >= 0, got -0.5"),
+    ("clip_duration_seconds", 0, "clip_duration_seconds must be > 0, got 0"),
+    ("height", 8, "height and width must be at least 14 px for the scene "
+                  "script, got 8x16"),
+])
+def test_invalid_stored_config_names_its_line(tmp_path, field, value,
+                                              message):
+    path = tmp_path / "data"
+    write_dataset(path, 2, 0, CFG)
+
+    def edit(raw):
+        raw["config"][field] = value
+    _edit_first_record(path, edit)
+    with pytest.raises(DatasetParseError, match=f"line 2: {message}"):
+        read_dataset(path)
+
+
+def test_raster_minimum_is_where_the_scene_script_fits():
+    """Below the minimum the script cannot place some seed's scene; from
+    it on, every seed renders."""
+    for side in range(0, 48):
+        need = _min_raster_side(side)
+        if side < need:
+            with pytest.raises(ShapeError, match=f"at least {need} px"):
+                ClipConfig(height=side, width=side)
+            cfg = SimpleNamespace(frames=4, height=side, width=side,
+                                  p_change=0.5, noise=0.04)
+            with pytest.raises(ValueError):
+                for seed in range(50):
+                    _make_script(np.random.default_rng(seed), cfg)
+        else:
+            cfg = ClipConfig(frames=4, height=side, width=side)
+            for seed in range(50):
+                generate_clip(seed, cfg)
+    assert _min_raster_side(16) == 14
 
 
 def test_stored_label_disagreeing_with_regeneration_is_corruption(tmp_path):
