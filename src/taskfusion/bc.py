@@ -200,25 +200,33 @@ ATTEMPTS_PER_DEMO = 200
 
 def collect_demos(count: int, seed: int,
                   env_cfg: ToyEnvConfig | None = None) -> list[Demo]:
-    """Seeded expert rollouts; the (unexpected) failures are dropped. A
+    """Seeded expert rollouts; the (unexpected) failures are dropped, with
+    one warning per call that counts them and names the first. A
     DatasetError when ``count * ATTEMPTS_PER_DEMO`` seeds yield fewer than
     ``count`` successes."""
     if count < 1:
         raise ContractError("need at least one demonstration")
     env = ToyEnv(env_cfg or ToyEnvConfig())
     demos: list[Demo] = []
+    failed: list[int] = []
     attempts = count * ATTEMPTS_PER_DEMO
     for i in range(attempts):
         demo = expert_demo(env, derive_seed(seed, "demo", i))
         if not demo.success:
-            warnings.warn(f"expert failed on demo seed {demo.seed}; discarded")
-            continue
-        demos.append(demo)
-        if len(demos) == count:
-            return demos
-    raise DatasetError(f"the expert solved {len(demos)} of {attempts} "
-                       f"episodes within the horizon of "
-                       f"{env.config.horizon} steps; {count} demos needed")
+            failed.append(demo.seed)
+        else:
+            demos.append(demo)
+            if len(demos) == count:
+                break
+    if failed:
+        warnings.warn(f"expert failed on {len(failed)} demo seeds, the first "
+                      f"{failed[0]}; discarded")
+    if len(demos) < count:
+        raise DatasetError(f"the expert solved {len(demos)} of {attempts} "
+                           f"episodes within the horizon of "
+                           f"{env.config.horizon} steps; {count} demos "
+                           "needed")
+    return demos
 
 
 def write_demos(path, env_cfg: ToyEnvConfig, demos: list[Demo],

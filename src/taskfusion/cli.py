@@ -119,8 +119,13 @@ def cmd_train(args) -> int:
     save_checkpoint(result.model.store, args.out_checkpoint)
     rows = [[row[c] for c in LOG_COLUMNS] for row in result.log]
     _write_csv(args.log, args, LOG_COLUMNS, rows)
-    final = result.log[-1]["loss_total"] if result.log else float("nan")
-    print(f"trained {args.steps} steps; final loss {final:.6f}; "
+    if not result.log:
+        print(f"trained 0 steps: no step ran; checkpoint "
+              f"{args.out_checkpoint} holds the random init of seed "
+              f"{args.seed}; log {args.log} has no rows")
+        return 0
+    print(f"trained {args.steps} steps; final loss "
+          f"{result.log[-1]['loss_total']:.6f}; "
           f"checkpoint {args.out_checkpoint}; log {args.log}")
     return 0
 

@@ -16,18 +16,20 @@ Token roles are fixed: row 0 predicts whether a state change occurs,
 row 1 localizes the change frame, rows 2..9 are detection queries. A
 single clip is a batch of one; there is no separate per-clip path.
 
-The contract with the encoders and the callers is plain data: an encoder
-hands over ``ClipFeatures`` (one summary row per frame and every patch of
-every frame), a caller names each clip's keyframe as an int, and every
-decode returns its attention weights with its predictions. The decoder
-is the only caller that passes attention a ``cache`` list, one per block
-and layer, and it keeps no state between decodes.
+The contract with the encoders and the callers: an encoder hands over
+``ClipFeatures`` (one summary row per frame, and per frame the rows its
+patch rows are made from, with the encoder's function that makes them), a
+caller names each clip's keyframe as an int, and the decode asks the
+features for the patch rows of those keyframes only. Every decode returns
+its attention weights with its predictions. The decoder is the only
+caller that passes attention a ``cache`` list, one per block and layer,
+and it keeps no state between decodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -53,41 +55,63 @@ class ClipFeatures:
     """Encoder outputs for a batch of B clips.
 
     ``h_frames`` holds each encoder's summary row of every frame (its class
-    row, or the mean of the frame's patches); ``h_total`` keeps every patch
-    of every frame.
+    row, or the mean of the frame's patches). The patch rows of a frame
+    are made only for the keyframes a decode asks for: ``slabs`` holds, per
+    clip, the rows [T, S, D] each frame's patch rows are computed from, and
+    ``patch_rows`` maps a batch of gathered frame slabs [B, S, D] to their
+    patch rows [B, P, D]. None means the slabs already are the patch rows.
     """
 
     h_frames: Tensor     # [B, T, D]
-    h_total: Tensor      # [B, T, P, D]
+    slabs: list[Tensor]  # B of [T, S, D]
     frames: int
     patches: int
+    patch_rows: Callable[[Tensor], Tensor] | None = None
 
     def __post_init__(self):
         t, p = self.frames, self.patches
         if t < 2 or p < 1:
             raise ShapeError(f"need T >= 2 and P >= 1, got T={t} P={p}")
-        if self.h_total.data.ndim != 4 or self.h_total.shape[1:3] != (t, p):
-            raise ShapeError(f"h_total shape {self.h_total.shape} != "
-                             f"(B, {t}, {p}, D)")
-        b, d = self.h_total.shape[0], self.h_total.shape[3]
-        if self.h_frames.shape != (b, t, d):
+        if self.h_frames.data.ndim != 3 or self.h_frames.shape[1] != t:
             raise ShapeError(f"h_frames shape {self.h_frames.shape} != "
-                             f"({b}, {t}, {d})")
+                             f"(B, {t}, D)")
+        b, _, d = self.h_frames.shape
+        shapes = {slab.shape for slab in self.slabs}
+        if len(self.slabs) != b or len(shapes) != 1 or any(
+                len(s) != 3 or s[0] != t or s[2] != d for s in shapes):
+            raise ShapeError(f"slabs {sorted(shapes)} are not {b} of one "
+                             f"shape ({t}, S, {d})")
 
     @classmethod
     def concat(cls, items: Sequence["ClipFeatures"]) -> "ClipFeatures":
-        """Join batches in order into one."""
+        """Join batches in order into one; their slabs stay as they are."""
+        rows = items[0].patch_rows
+        if any(f.patch_rows != rows for f in items):
+            raise ContractError("cannot join features of different encoders")
         return cls(h_frames=tl.concat([f.h_frames for f in items], axis=0),
-                   h_total=tl.concat([f.h_total for f in items], axis=0),
-                   frames=items[0].frames, patches=items[0].patches)
+                   slabs=[s for f in items for s in f.slabs],
+                   frames=items[0].frames, patches=items[0].patches,
+                   patch_rows=rows)
 
     @property
     def batch(self) -> int:
-        return self.h_total.shape[0]
+        return self.h_frames.shape[0]
 
     @property
     def width(self) -> int:
-        return self.h_total.shape[3]
+        return self.h_frames.shape[2]
+
+    def keyframe_patches(self, keyframes: np.ndarray) -> Tensor:
+        """Patch rows [B, P, D] of one frame per clip (checked ints): each
+        clip's slab of that frame, joined, then ``patch_rows``."""
+        rows = tl.concat([tl.narrow(slab, 0, int(k), 1)
+                          for slab, k in zip(self.slabs, keyframes)], axis=0)
+        if self.patch_rows is not None:
+            rows = self.patch_rows(rows)
+        want = (self.batch, self.patches, self.width)
+        if rows.shape != want:
+            raise ShapeError(f"keyframe patch rows {rows.shape} != {want}")
+        return rows
 
 
 @dataclass
@@ -222,18 +246,16 @@ def build_temporal_memory(features: ClipFeatures,
 def select_keyframe(features: ClipFeatures, pe: PositionalEncoding,
                     keyframes: Sequence[int] | np.ndarray
                     ) -> tuple[Tensor, np.ndarray]:
-    """Spatial memory h_s [B, P, D] from the patches of each clip's
-    keyframe (one int per clip), gathering every clip's slab in one op."""
-    b, t, p = features.batch, features.frames, features.patches
+    """Spatial memory h_s [B, P, D] from the patch rows of each clip's
+    keyframe (one int per clip), made for those frames only."""
+    b, t = features.batch, features.frames
     ks = np.asarray(keyframes)
     if ks.shape != (b,) or not np.issubdtype(ks.dtype, np.integer):
         raise ContractError(f"keyframes {keyframes!r} are not one int per "
                             f"clip of a batch of {b}")
     if np.any(ks < 0) or np.any(ks >= t):
         raise ContractError(f"keyframes {ks.tolist()} outside [0, {t})")
-    flat = tl.reshape(features.h_total, (b * t, p, features.width))
-    h_s = pe.encode(tl.take0(flat, np.arange(b) * t + ks), 0)
-    return h_s, ks
+    return pe.encode(features.keyframe_patches(ks), 0), ks
 
 
 @dataclass

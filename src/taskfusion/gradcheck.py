@@ -299,14 +299,17 @@ def _decode_joint_check(seed: int, tol: float, eps: float) -> GradCheckReport:
             param.data[...] = 0.35 * rng.standard_normal(param.shape)
     h_frames = tl.tensor(rng.standard_normal((b, t, d)) * 0.5,
                          requires_grad=True)
-    h_total = tl.tensor(rng.standard_normal((b, t, p, d)) * 0.5,
-                        requires_grad=True)
+    h_patches = tl.tensor(rng.standard_normal((b, t, p, d)) * 0.5,
+                          requires_grad=True)
     sigma = SigmaParams(tl.tensor(rng.standard_normal(3) * 0.3,
                                   requires_grad=True))
     keyframes = np.array([2, t // 2])  # the change frame; mid frame
 
     def features():
-        return ClipFeatures(h_frames=h_frames, h_total=h_total, frames=t,
+        # one slab per clip, as the encoders hand them over
+        slabs = [tl.reshape(tl.narrow(h_patches, 0, i, 1), (t, p, d))
+                 for i in range(b)]
+        return ClipFeatures(h_frames=h_frames, slabs=slabs, frames=t,
                             patches=p)
 
     # Ground-truth boxes are the initial predictions shifted by a fixed
@@ -346,8 +349,8 @@ def _decode_joint_check(seed: int, tol: float, eps: float) -> GradCheckReport:
         # unchanged up to that constant.
         return tl.scale(joint_loss(parts, sigma, TASK_ORDER), 1.0 / 32.0)
 
-    names = ["h_frames", "h_total", "sigma.s"]
-    inputs = [h_frames, h_total, sigma.s]
+    names = ["h_frames", "h_patches", "sigma.s"]
+    inputs = [h_frames, h_patches, sigma.s]
     for name, tns in dec.parameters().items():
         names.append(name)
         inputs.append(tns)

@@ -15,12 +15,18 @@ Three trainable encoder variants mirror common backbone families:
 per-frame tokens (one class token per frame), a single clip-level token
 over all patches, and a small convolutional grid whose features pass
 through a two-layer transformer-encoder adapter. Each hands the decoder
-the same layout: one summary row per frame (the per-frame class rows, or
-else the mean of the frame's patches) and every patch of every frame.
-The encoders run attention without collecting its weights. An encoder
-keeps the compute dtype it was built in (``tensor.precision``; float64
-unless a caller such as ``trainer.build_model`` sets another) and
-computes its features in it, whatever the caller's dtype.
+``ClipFeatures``: one summary row per frame (the per-frame class rows, or
+else the mean of the frame's patches), and per frame the rows that frame's
+patch rows are made from, which the decoder turns into patch rows only
+for the keyframe each decode names. The per-frame-token encoder computes
+only what is read: its attention runs one query per frame, the class
+token, when it encodes, and every token of a frame as a query only for a
+keyframe. The other two need every patch row for their patch mean, and
+hand those rows over as they are. The encoders run attention without
+collecting its weights. An encoder keeps the compute dtype it was built
+in (``tensor.precision``; float64 unless a caller such as
+``trainer.build_model`` sets another) and computes its features and
+keyframe patch rows in it, whatever the caller's dtype.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tl
-from .attention import AttentionParams, PositionalEncoding, linear, self_attention
+from .attention import (AttentionParams, PositionalEncoding, cross_attention,
+                        linear, self_attention)
 from .decoder import ClipFeatures
 from .losses import ClipLabels, LabelError, LabeledBox
 from .seeding import derive_seed
@@ -386,23 +393,39 @@ class Encoder:
         raise NotImplementedError
 
     def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
-        """[T, H, W, 3] -> (h_frames [1, T, D], h_total [1, T, P, D])."""
+        """[T, H, W, 3] -> (h_frames [1, T, D], slab [T, S, D]): each
+        frame's summary row, and the rows ``_patch_rows`` makes the
+        frame's patch rows from."""
         raise NotImplementedError
+
+    def _patch_rows(self, slabs: Tensor) -> Tensor:
+        """Frame slabs [B, S, D] -> their patch rows [B, P, D]; here the
+        slabs already are the patch rows."""
+        return slabs
+
+    def _in_dtype(self, fn, arg):
+        if self.dtype is tl.compute_dtype():
+            return fn(arg)
+        with tl.precision(self.dtype):
+            return fn(arg)
 
     def _forward(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         if frames.shape[1:3] != (self.image, self.image):
             raise ShapeError(f"clip raster {frames.shape[1:3]} != "
                              f"({self.image}, {self.image})")
-        if self.dtype is tl.compute_dtype():
-            return self._features(frames)
-        with tl.precision(self.dtype):
-            return self._features(frames)
+        return self._in_dtype(self._features, frames)
+
+    def patch_rows(self, slabs: Tensor) -> Tensor:
+        """The patch rows [B, P, D] of frame slabs [B, S, D] gathered from
+        this encoder's features, computed in its dtype."""
+        return self._in_dtype(self._patch_rows, slabs)
 
     def encode(self, clip: SynthClip) -> ClipFeatures:
         """Features of one clip, as a batch of one."""
-        h_frames, h_total = self._forward(clip.frames)
-        return ClipFeatures(h_frames=h_frames, h_total=h_total,
-                            frames=clip.frames.shape[0], patches=self.patches)
+        h_frames, slab = self._forward(clip.frames)
+        return ClipFeatures(h_frames=h_frames, slabs=[slab],
+                            frames=clip.frames.shape[0], patches=self.patches,
+                            patch_rows=self.patch_rows)
 
     @tl.no_tape()
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
@@ -411,13 +434,12 @@ class Encoder:
         h_frames, _ = self._forward(frame[None])
         return h_frames.data[0, 0].copy()
 
-    def _spatial_pe_rows(self, t: int) -> Tensor:
-        rows = self.pe.rows(0, self.patches).data
-        return tl.constant(np.tile(rows, (t, 1)))
-
 
 class PerFrameTokenEncoder(Encoder):
-    """One class token and one attention layer per frame."""
+    """One class token and one attention layer per frame. Encoding runs
+    the layer for the class query alone; a frame's patch rows come from
+    the same layer over that frame's token slab, run only for the
+    keyframes a decode asks for."""
 
     kind = "per_frame_token"
 
@@ -437,17 +459,17 @@ class PerFrameTokenEncoder(Encoder):
 
     def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
-        p = self.patches
         tok = linear(tl.constant(patchify(frames, self.patch)),
                      self.w_patch, self.b_patch)
-        tok = tl.add(tok, self._spatial_pe_rows(t))
-        tok = tl.reshape(tok, (t, p, self.width))
+        tok = self.pe.encode(tl.reshape(tok, (t, self.patches, self.width)))
         cls = tl.repeat0(self.cls, t)
         x = tl.concat([cls, tok], axis=1)  # [t, P+1, D]
-        out = tl.add(x, self_attention(x, self.attn))
-        h_frames = tl.reshape(tl.narrow(out, 1, 0, 1), (1, t, self.width))
-        h_total = tl.reshape(tl.narrow(out, 1, 1, p), (1, t, p, self.width))
-        return h_frames, h_total
+        h_frames = tl.add(cls, cross_attention(x, cls, self.attn))
+        return tl.reshape(h_frames, (1, t, self.width)), x
+
+    def _patch_rows(self, slabs: Tensor) -> Tensor:
+        out = tl.add(slabs, self_attention(slabs, self.attn))
+        return tl.narrow(out, 1, 1, self.patches)
 
 
 class ClipTokenEncoder(Encoder):
@@ -464,6 +486,7 @@ class ClipTokenEncoder(Encoder):
         self.b_patch = tl.zeros(width, requires_grad=True)
         self.cls = tl.randn(rng, (1, width), std=0.02, requires_grad=True)
         self.attn = AttentionParams.init(rng, width, heads)
+        self._pe_tables: dict[int, Tensor] = {}
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"w_patch": self.w_patch, "b_patch": self.b_patch,
@@ -472,9 +495,16 @@ class ClipTokenEncoder(Encoder):
         return params
 
     def _pe_spacetime(self, t: int) -> Tensor:
-        space = np.tile(self.pe.rows(0, self.patches).data, (t, 1))
-        time = np.repeat(self.pe.rows(0, t).data, self.patches, axis=0)
-        return tl.constant(space + time)
+        """Space plus time position rows [t*P, D], built once per frame
+        count."""
+        table = self._pe_tables.get(t)
+        if table is None:
+            space = self.pe.rows(0, self.patches).data
+            time = self.pe.rows(0, t).data
+            table = tl.constant((space[None] + time[:, None]).reshape(
+                t * self.patches, self.width))
+            self._pe_tables[t] = table
+        return table
 
     def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
@@ -483,9 +513,10 @@ class ClipTokenEncoder(Encoder):
         tok = tl.add(tok, self._pe_spacetime(t))
         x = tl.concat([self.cls, tok], axis=0)  # [1 + t*P, D]
         out = tl.add(x, self_attention(x, self.attn))
-        h_total = tl.reshape(tl.narrow(out, 0, 1, t * self.patches),
-                             (1, t, self.patches, self.width))
-        return tl.mean_axis(h_total, axis=2), h_total
+        patches = tl.reshape(tl.narrow(out, 0, 1, t * self.patches),
+                             (t, self.patches, self.width))
+        h_frames = tl.mean_axis(patches, axis=1)
+        return tl.reshape(h_frames, (1, t, self.width)), patches
 
 
 class ConvGridEncoder(Encoder):
@@ -552,16 +583,15 @@ class ConvGridEncoder(Encoder):
         x = tl.take0(x, self._pool_indices(t))
         x = tl.reshape(x, (t * self.patches, 4 * self.c1))
         x = tl.gelu(linear(x, self.w2, self.b2))
-        x = tl.add(x, self._spatial_pe_rows(t))
-        x = tl.reshape(x, (t, self.patches, self.width))
+        x = self.pe.encode(tl.reshape(x, (t, self.patches, self.width)))
         for lay in self.adapter:
             x = tl.add(x, self_attention(x, lay["attn"]))
             flat = tl.reshape(x, (t * self.patches, self.width))
             ff = linear(tl.gelu(linear(flat, lay["ffn_w1"], lay["ffn_b1"])),
                         lay["ffn_w2"], lay["ffn_b2"])
             x = tl.add(x, tl.reshape(ff, (t, self.patches, self.width)))
-        h_total = tl.reshape(x, (1, t, self.patches, self.width))
-        return tl.mean_axis(h_total, axis=2), h_total
+        h_frames = tl.mean_axis(x, axis=1)
+        return tl.reshape(h_frames, (1, t, self.width)), x
 
 
 def build_encoder(kind: str, rng: np.random.Generator, width: int = 64,

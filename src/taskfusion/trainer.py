@@ -1,12 +1,13 @@
 """Joint fine-tuning loop, Adam optimizer, metrics, and checkpoints.
 
 One training step regenerates its batch of clips from their seeds and
-encodes them one by one, then stacks the features and makes one batched
-decode and one loss per task (each the mean over its clips, detection
-masked on no-change clips), combines them with the learnable variance
-weighting, and applies one Adam update. Batches follow a seeded
-Fisher-Yates shuffle per epoch with any trailing partial batch dropped,
-so runs are bit-reproducible.
+encodes them one by one (each frame's summary row), then joins the
+features and makes one batched decode, for which the encoder makes the
+patch rows of each clip's keyframe alone, and one loss per task (each the
+mean over its clips, detection masked on no-change clips), combines them
+with the learnable variance weighting, and applies one Adam update.
+Batches follow a seeded Fisher-Yates shuffle per epoch with any trailing
+partial batch dropped, so runs are bit-reproducible.
 
 A model has one compute dtype, ``TrainConfig.dtype``: float32 by default,
 or float64. ``build_model``, ``train`` and ``ModelBundle.predict`` run

@@ -64,20 +64,23 @@ def test_demo_seed_the_expert_fails_on_is_a_dataset_error(tmp_path):
 
 
 def test_collect_demos_gives_up_when_the_horizon_is_too_short():
-    with pytest.warns(UserWarning, match="expert failed on demo seed"), \
-            pytest.raises(DatasetError, match="the expert solved 0 of 600 "
+    with pytest.warns(UserWarning, match="expert failed on 600 demo seeds, "
+                      "the first "), pytest.raises(DatasetError, match="the expert solved 0 of 600 "
                           "episodes within the horizon of 1 steps; 3 demos"):
         collect_demos(3, 0, ToyEnvConfig(horizon=1, image=16))
 
 
 def test_collect_demos_finds_its_demos_at_a_short_horizon():
     """At a horizon of 5 the expert solves about 1 seed in 30: 25 demos
-    take 917 episodes, well inside the cap."""
+    take 917 episodes, well inside the cap. One warning counts the 892
+    discarded seeds."""
+    seed = derive_seed(0, "demos")
     with pytest.warns(UserWarning) as discarded:
-        demos = collect_demos(25, derive_seed(0, "demos"),
-                              ToyEnvConfig(horizon=5, image=16))
+        demos = collect_demos(25, seed, ToyEnvConfig(horizon=5, image=16))
     assert len(demos) == 25 and all(d.success for d in demos)
-    assert len(discarded) == 892
+    first = derive_seed(seed, "demo", 0)
+    assert [str(w.message) for w in discarded] == [
+        f"expert failed on 892 demo seeds, the first {first}; discarded"]
 
 
 def test_policy_checkpoint_rebuilds_the_policy(tmp_path):

@@ -5,10 +5,15 @@ message, and same-seed runs repeat byte for byte."""
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import taskfusion
 from taskfusion import bc, cli
 from taskfusion import tensor as tl
 from taskfusion.bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
@@ -369,7 +374,7 @@ def _null_image_demos(work):
         "demos_beyond_the_horizon", "batch_size_0", "batch_size_negative",
         "steps_negative", "image_8", "image_0", "noise_negative",
         "duration_negative"])
-@pytest.mark.filterwarnings("ignore:expert failed on demo seed")
+@pytest.mark.filterwarnings("ignore:expert failed on")
 def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     args = argv(work)
     capsys.readouterr()
@@ -432,6 +437,38 @@ def test_checkpoint_readers_take_no_model_flags(command, also_gone):
     options = {s for a in sub.choices[command]._actions
                for s in a.option_strings}
     assert not options & (REPEATED_FLAGS | also_gone)
+
+
+def test_train_with_zero_steps_says_the_checkpoint_is_the_init(work,
+                                                               capsys):
+    ckpt, log = work / "init.ckpt", work / "init.csv"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(work / "data"), "--out-checkpoint",
+                     str(ckpt), "--log", str(log), "--steps", "0", "--seed",
+                     "6", *MODEL_FLAGS]) == 0
+    assert capsys.readouterr().out == (
+        f"trained 0 steps: no step ran; checkpoint {ckpt} holds the random "
+        f"init of seed 6; log {log} has no rows\n")
+    lines = log.read_text().splitlines()
+    assert len(lines) == 2 and lines[0].startswith("# {")
+
+
+def test_bc_demos_beyond_the_horizon_warns_once(tmp_path):
+    """400 discarded seeds give one summary warning (its message and
+    source line) before the error line."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(taskfusion.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "taskfusion.cli", "bc-demos", "--count", "2",
+         "--seed", "0", "--horizon", "1", "--env-image", "16", "--out",
+         str(tmp_path / "d")], env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) <= 3
+    assert "expert failed on 400 demo seeds, the first " in lines[0]
+    assert lines[-1].startswith("error in bc-demos: the expert solved 0 of "
+                                "400 episodes")
 
 
 def test_same_seed_train_runs_are_byte_identical(work, tmp_path, monkeypatch):

@@ -20,12 +20,22 @@ from taskfusion.trainer import batch_losses
 T, P, D = 4, 4, 8
 
 
+def _from_patches(h_frames, h_patches):
+    """Features whose slabs are the given patch rows [B, T, P, D]."""
+    return ClipFeatures(h_frames=tl.tensor(h_frames),
+                        slabs=[tl.tensor(clip) for clip in h_patches],
+                        frames=T, patches=P)
+
+
+def _patches(feats):
+    """[B, T, P, D] patch rows of features made by ``_from_patches``."""
+    return np.stack([slab.data for slab in feats.slabs])
+
+
 def _features(seed=0, scale=0.5, batch=1):
     rng = rng_for(seed, "feat")
-    return ClipFeatures(
-        h_frames=tl.tensor(rng.standard_normal((batch, T, D)) * scale),
-        h_total=tl.tensor(rng.standard_normal((batch, T, P, D)) * scale),
-        frames=T, patches=P)
+    return _from_patches(rng.standard_normal((batch, T, D)) * scale,
+                         rng.standard_normal((batch, T, P, D)) * scale)
 
 
 def _decoder(seed=0, **overrides):
@@ -51,8 +61,7 @@ def test_temporal_memory_per_frame_adds_positions():
 
 def test_temporal_memory_zero_cls_is_position_table():
     pe = PositionalEncoding(T + 1, D)
-    feats = ClipFeatures(h_frames=tl.zeros((1, T, D)),
-                         h_total=tl.zeros((1, T, P, D)), frames=T, patches=P)
+    feats = _from_patches(np.zeros((1, T, D)), np.zeros((1, T, P, D)))
     h_t = build_temporal_memory(feats, pe)
     assert np.array_equal(h_t.data[0], pe.table.data[:T])
 
@@ -67,7 +76,9 @@ def test_temporal_memory_clip_level_pools_patches():
                             frames=T, image=16, patch=8)
         feats = enc.encode(clip)
         h_t = build_temporal_memory(feats, pe)
-        expected = feats.h_total.data[0].mean(axis=1) + pe.table.data[:T]
+        patches = np.stack([feats.keyframe_patches(np.array([k])).data[0]
+                            for k in range(T)])
+        expected = patches.mean(axis=1) + pe.table.data[:T]
         assert np.allclose(h_t.data[0], expected, atol=1e-15), kind
 
 
@@ -78,7 +89,7 @@ def test_select_keyframe_train_uses_label():
     assert list(ks) == [2, 0]
     for b, k in enumerate(ks):
         assert np.allclose(h_s.data[b],
-                           feats.h_total.data[b, k] + pe.table.data[:P], atol=0)
+                           _patches(feats)[b, k] + pe.table.data[:P], atol=0)
 
 
 def test_select_keyframe_no_change_uses_mid_frame():
@@ -187,9 +198,7 @@ def test_token_role_stability():
 
 
 def _shifted_patches(feats):
-    return ClipFeatures(h_frames=tl.tensor(feats.h_frames.data.copy()),
-                        h_total=tl.tensor(feats.h_total.data + 3.0),
-                        frames=T, patches=P)
+    return _from_patches(feats.h_frames.data, _patches(feats) + 3.0)
 
 
 def test_stream_separation_with_identity_self_attention():
@@ -226,9 +235,8 @@ def test_decode_deterministic():
 
 
 def _clip_slice(feats, b):
-    return ClipFeatures(h_frames=tl.tensor(feats.h_frames.data[b:b + 1].copy()),
-                        h_total=tl.tensor(feats.h_total.data[b:b + 1].copy()),
-                        frames=T, patches=P)
+    return _from_patches(feats.h_frames.data[b:b + 1],
+                         _patches(feats)[b:b + 1])
 
 
 def test_batched_decode_matches_single_clip_decodes():
@@ -371,8 +379,37 @@ def test_config_validation():
         DecoderConfig(width=10, heads=4)
     with pytest.raises(ShapeError):
         ClipFeatures(h_frames=tl.zeros((1, 1, D)),
-                     h_total=tl.zeros((1, T, P, D)),
+                     slabs=[tl.zeros((T, P, D))],
                      frames=T, patches=P)  # one row per frame
     with pytest.raises(ShapeError):
-        ClipFeatures(h_frames=tl.zeros((T, D)), h_total=tl.zeros((T, P, D)),
+        ClipFeatures(h_frames=tl.zeros((T, D)), slabs=[tl.zeros((T, P, D))],
                      frames=T, patches=P)  # the batch axis is required
+    with pytest.raises(ShapeError):
+        ClipFeatures(h_frames=tl.zeros((2, T, D)), slabs=[tl.zeros((T, P, D))],
+                     frames=T, patches=P)  # a slab for every clip
+    with pytest.raises(ShapeError):
+        ClipFeatures(h_frames=tl.zeros((2, T, D)),
+                     slabs=[tl.zeros((T, P, D)), tl.zeros((T, P + 1, D))],
+                     frames=T, patches=P)  # one slab shape
+    with pytest.raises(ShapeError):
+        ClipFeatures(h_frames=tl.zeros((1, T, D)),
+                     slabs=[tl.zeros((T + 1, P, D))],
+                     frames=T, patches=P)  # a slab row per frame
+
+
+def test_features_of_different_encoders_do_not_join():
+    clip = generate_clip(2, ClipConfig(frames=T, height=16, width=16))
+    encoders = [build_encoder("per_frame_token", rng_for(s, "enc"), width=D,
+                              heads=2, frames=T, image=16, patch=8)
+                for s in (1, 2)]
+    joined = ClipFeatures.concat([encoders[0].encode(clip)] * 2)
+    assert joined.batch == 2 and len(joined.slabs) == 2
+    with pytest.raises(ContractError, match="different encoders"):
+        ClipFeatures.concat([enc.encode(clip) for enc in encoders])
+
+
+def test_keyframe_patch_rows_must_have_the_declared_shape():
+    feats = _features(40)
+    feats.patch_rows = lambda slabs: tl.narrow(slabs, 1, 0, P - 1)
+    with pytest.raises(ShapeError, match="keyframe patch rows"):
+        select_keyframe(feats, PositionalEncoding(P + 1, D), [1])

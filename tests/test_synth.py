@@ -10,6 +10,7 @@ from taskfusion.synth import (BOX_CONTRAST, ClipConfig, DatasetCorruptionError,
                               DatasetParseError, _make_script,
                               _min_raster_side, box_to_rect, build_encoder,
                               generate_clip, read_dataset, write_dataset)
+from taskfusion import tensor as tl
 from taskfusion.tensor import ShapeError
 
 CFG = ClipConfig(frames=4, height=16, width=16, p_change=1.0)
@@ -134,6 +135,23 @@ def test_embed_frame_is_off_the_tape(kind, recorded_nodes):
     embedding = enc.embed_frame(frame)
     assert recorded_nodes == []
     assert np.array_equal(embedding, h_frames.data[0, 0])
+
+
+@pytest.mark.parametrize("kind", ["per_frame_token", "clip_token",
+                                  "conv_grid"])
+def test_keyframe_patch_rows_come_in_the_encoders_dtype(kind):
+    """A float32 encoder makes its features and, when a float64 caller
+    asks for them, its keyframe patch rows in float32."""
+    with tl.precision("float32"):
+        enc = build_encoder(kind, np.random.default_rng(6), width=16,
+                            heads=2, frames=4, image=16, patch=8)
+    clip = generate_clip(3, ClipConfig(frames=4, height=16, width=16))
+    with tl.precision("float64"):
+        features = enc.encode(clip)
+        rows = features.keyframe_patches(np.array([2]))
+    assert features.h_frames.data.dtype == np.float32
+    assert rows.shape == (1, enc.patches, 16)
+    assert rows.data.dtype == np.float32
 
 
 # sha256 over seeds 0-7 of each clip's frames (raw float64 bytes) and its

@@ -6,9 +6,10 @@ import pytest
 
 from taskfusion import tensor as tl
 from taskfusion import trainer
+from taskfusion.attention import linear, self_attention
 from taskfusion.decoder import ClipFeatures, TaskFusionDecoder
 from taskfusion.losses import TASK_ORDER, joint_loss
-from taskfusion.synth import ClipConfig, ClipRecord, generate_clip
+from taskfusion.synth import ClipConfig, ClipRecord, generate_clip, patchify
 from taskfusion.tensor import ContractError, backward
 from taskfusion.trainer import (CheckpointError, ParamStore, TrainConfig,
                                 batch_losses, build_model, load_checkpoint,
@@ -250,15 +251,84 @@ def test_batch_losses_builds_a_tape(recorded_nodes):
     assert len(recorded_nodes) > 100
 
 
+def test_per_frame_token_attends_only_with_the_queries_it_reads(
+        recorded_nodes):
+    """One train step: each frame's class query (B*T rows), then each
+    clip's keyframe slab, class and patch rows (B*(P+1)); the full
+    self-attention of every frame would be B*T*(P+1)."""
+    config = _config(steps=1)
+    result = trainer.train(_records(), config)
+    attn = result.model.encoder.attn
+    rows = [node.inputs[0].size // config.width for node in recorded_nodes
+            if node.op == "attention" and attn.wq in node.inputs]
+    b, t, p = config.batch_size, CLIP_CFG.frames, result.model.encoder.patches
+    assert sum(rows) == b * t + b * (p + 1)
+
+
+def _full_attention_features(encoder, clip):
+    """The per_frame_token features as full self-attention over every
+    token of every frame makes them: h_frames [1, T, D] and the patch rows
+    of every frame [1, T, P, D]."""
+    t, p, d = clip.frames.shape[0], encoder.patches, encoder.width
+    tok = linear(tl.constant(patchify(clip.frames, encoder.patch)),
+                 encoder.w_patch, encoder.b_patch)
+    tok = encoder.pe.encode(tl.reshape(tok, (t, p, d)))
+    x = tl.concat([tl.repeat0(encoder.cls, t), tok], axis=1)
+    out = tl.add(x, self_attention(x, encoder.attn))
+    return (tl.reshape(tl.narrow(out, 1, 0, 1), (1, t, d)),
+            tl.reshape(tl.narrow(out, 1, 1, p), (1, t, p, d)))
+
+
+def test_per_frame_token_matches_full_self_attention():
+    """Features and the decode-loss gradient of every encoder parameter,
+    against the full self-attention oracle, in float64."""
+    model = build_model(_config(dtype="float64"), frames=4, image=16)
+    encoder = model.encoder
+    rng = np.random.default_rng(12)
+    for t in encoder.parameters().values():  # far from uniform attention
+        t.data[...] = rng.standard_normal(t.shape) * 0.3
+    clips = _mixed_clips()
+    keyframes = np.array([c.labels.pnr_frame or 2 for c in clips])
+
+    features = ClipFeatures.concat([encoder.encode(c) for c in clips])
+    oracle = [_full_attention_features(encoder, c) for c in clips]
+    want_frames = np.concatenate([h.data for h, _ in oracle])
+    assert np.max(np.abs(features.h_frames.data - want_frames)) <= 1e-12
+    for k in range(CLIP_CFG.frames):
+        got = features.keyframe_patches(np.full(len(clips), k)).data
+        want = np.stack([patches.data[0, k] for _, patches in oracle])
+        assert np.max(np.abs(got - want)) <= 1e-12, k
+
+    grads = []
+    for feats in (features, ClipFeatures(
+            h_frames=tl.concat([h for h, _ in oracle], axis=0),
+            slabs=[tl.reshape(patches, (CLIP_CFG.frames, encoder.patches,
+                                        encoder.width))
+                   for _, patches in oracle],
+            frames=CLIP_CFG.frames, patches=encoder.patches)):
+        parts, _ = batch_losses(model, clips, feats, TASK_ORDER)
+        backward(joint_loss(parts, model.sigma, TASK_ORDER))
+        grads.append({name: g for name, g in _grads(model).items()
+                      if name.startswith("enc.")})
+    assert set(grads[0]) == {f"enc.{name}" for name in encoder.parameters()}
+    for name, g in grads[1].items():
+        assert np.any(g), name
+        assert np.max(np.abs(grads[0][name] - g)) <= 1e-10, name
+
+
 ENCODERS = ("per_frame_token", "clip_token", "conv_grid")
 
 # sha256 of the JSON loss log and of the checkpoint payload of an 8-step
 # float64 run, recorded before models had a compute dtype: float64
-# training is unchanged by it.
+# training is unchanged by it. The per_frame_token payload was re-pinned
+# when its encoder stopped computing the patch rows no decode reads: its
+# gradients sum in another order (1,007 of 14,401 values moved, at most
+# 1.4e-17), and test_per_frame_token_matches_full_self_attention checks
+# it against the full self-attention.
 FLOAT64_DIGESTS = {
     "per_frame_token": (
         "ea21341e97c3ee8dad9e216866b7148d48e3556fd646462289b639dcaeb4f63e",
-        "14ad81aae509506c9184c0ecea06887385fecc8a579581cd36da8268eaf590b5"),
+        "6d9c7c5ac0c3bd6f3390ae52ffc0f6abfda12311e6702d43e03ca9a5579a9a70"),
     "clip_token": (
         "93763f04debcf263ee04e7832547151f7d55b6bdbc44d9f9d0d048f8166563f6",
         "1cab3b9d3bb7c339c396a35a5a97531e47b1bf63d2ed061b1aac14ee66325104"),
