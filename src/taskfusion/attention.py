@@ -12,7 +12,9 @@ unbatched call, ``[B, heads, nq, nk]`` for a batched one. They are a
 read-only view (``writeable`` False) of the array the op's backward rule
 reads, not a copy, so writing to them raises; copy them to edit. The
 decoder passes one on every call and returns the weights with its
-predictions; the encoders pass none. Queries carry no positional
+predictions; the encoders pass none. The encoders call
+``self_attention`` only: the ``per_frame_token`` encoder's class query
+runs through ``tensor.class_attention`` instead. Queries carry no positional
 information of their own; position enters only where a caller adds a
 positional encoding to the memory.
 """

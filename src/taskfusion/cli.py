@@ -168,7 +168,7 @@ def cmd_dump_attention(args) -> int:
                          f"{len(records) - 1})")
     model = load_model(args.checkpoint)
     clip = records[args.clip_index].clip()
-    preds = model.decoder.infer(model.encoder.encode(clip))
+    preds = model.decoder.infer(model.encoder.encode([clip]))
     rows = []
     for layer_i, layer in enumerate(preds.attention):
         for block, mat in (("self", layer.self_attn[0]),
@@ -194,7 +194,7 @@ def cmd_export_embeddings(args) -> int:
     rows = []
     for record in records:
         clip = record.clip()
-        per_frame = model.encoder.encode(clip).h_frames.data[0]
+        per_frame = model.encoder.encode([clip]).h_frames.data[0]
         labels = clip.labels
         for frame in range(clip.config.frames):
             if not labels.state_change:

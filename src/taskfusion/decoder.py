@@ -17,13 +17,14 @@ row 1 localizes the change frame, rows 2..9 are detection queries. A
 single clip is a batch of one; there is no separate per-clip path.
 
 The contract with the encoders and the callers: an encoder hands over
-``ClipFeatures`` (one summary row per frame, and per frame the rows its
-patch rows are made from, with the encoder's function that makes them), a
-caller names each clip's keyframe as an int, and the decode asks the
-features for the patch rows of those keyframes only. Every decode returns
-its attention weights with its predictions. The decoder is the only
-caller that passes attention a ``cache`` list, one per block and layer,
-and it keeps no state between decodes.
+``ClipFeatures`` for a batch (one summary row per frame, and per frame
+the rows its patch rows are made from, of any width, with the encoder's
+function that makes them), a caller names each clip's keyframe as an
+int, and the decode asks the features for the patch rows of those
+keyframes only. Every decode returns its attention weights with its
+predictions. The decoder is the only caller that passes attention a
+``cache`` list, one per block and layer, and it keeps no state between
+decodes.
 """
 
 from __future__ import annotations
@@ -57,13 +58,15 @@ class ClipFeatures:
     ``h_frames`` holds each encoder's summary row of every frame (its class
     row, or the mean of the frame's patches). The patch rows of a frame
     are made only for the keyframes a decode asks for: ``slabs`` holds, per
-    clip, the rows [T, S, D] each frame's patch rows are computed from, and
-    ``patch_rows`` maps a batch of gathered frame slabs [B, S, D] to their
-    patch rows [B, P, D]. None means the slabs already are the patch rows.
+    clip, the rows [T, S, D'] each frame's patch rows are computed from, and
+    ``patch_rows`` maps a batch of gathered frame slabs [B, S, D'] to their
+    patch rows [B, P, D]. Its slabs may have any width D' (the
+    ``per_frame_token`` encoder's are the frames' raw patches). None means
+    the slabs already are the patch rows, of width D.
     """
 
     h_frames: Tensor     # [B, T, D]
-    slabs: list[Tensor]  # B of [T, S, D]
+    slabs: list[Tensor]  # B of [T, S, D']
     frames: int
     patches: int
     patch_rows: Callable[[Tensor], Tensor] | None = None
@@ -78,20 +81,11 @@ class ClipFeatures:
         b, _, d = self.h_frames.shape
         shapes = {slab.shape for slab in self.slabs}
         if len(self.slabs) != b or len(shapes) != 1 or any(
-                len(s) != 3 or s[0] != t or s[2] != d for s in shapes):
+                len(s) != 3 or s[0] != t
+                or (self.patch_rows is None and s[2] != d) for s in shapes):
+            width = d if self.patch_rows is None else "D'"
             raise ShapeError(f"slabs {sorted(shapes)} are not {b} of one "
-                             f"shape ({t}, S, {d})")
-
-    @classmethod
-    def concat(cls, items: Sequence["ClipFeatures"]) -> "ClipFeatures":
-        """Join batches in order into one; their slabs stay as they are."""
-        rows = items[0].patch_rows
-        if any(f.patch_rows != rows for f in items):
-            raise ContractError("cannot join features of different encoders")
-        return cls(h_frames=tl.concat([f.h_frames for f in items], axis=0),
-                   slabs=[s for f in items for s in f.slabs],
-                   frames=items[0].frames, patches=items[0].patches,
-                   patch_rows=rows)
+                             f"shape ({t}, S, {width})")
 
     @property
     def batch(self) -> int:

@@ -1,7 +1,8 @@
 """Finite-difference audit of every analytic gradient in the library.
 
 ``run_gradcheck`` checks every tape op, both attention blocks (on token
-sets and on a batch of two), all three task losses, the uncertainty
+sets and on a batch of two), the class-row op ``class_attention`` (over
+one frame and over three), all three task losses, the uncertainty
 weighting, and the joint loss through a tiny two-layer decode of two
 clips, every parameter included. Its inputs derive from one seed; each
 check is named, and ``taskfusion gradcheck`` prints one line per check.
@@ -91,7 +92,8 @@ def _query_boxes(rng, n_queries: int, gt_boxes) -> np.ndarray:
 def run_gradcheck(seed: int = 0, tol: float = 1e-4,
                   eps: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference verification of every op, both attention blocks,
-    all three losses, and the full joint loss through a tiny decode."""
+    the class-row op, all three losses, and the full joint loss through a
+    tiny decode."""
     results: list[tuple[str, GradCheckReport]] = []
 
     def check(name, f, inputs, names=None):
@@ -226,6 +228,25 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
                   [memory, queries, params.wq, params.wk, params.wv,
                    params.wo],
                   names=["memory", "queries", "wq", "wk", "wv", "wo"])
+
+    # the class-row op, over the raw patches of one frame and of three
+    for frames in (1, 3):
+        for c in range(3):
+            rng = rng_for(seed, "gc", "class_attention", frames, c)
+            params = AttentionParams.init(rng, 8, 2, std=0.3)
+            raw = tl.constant(rng.standard_normal((frames, 4, 6)))
+            w_patch = tl.tensor(rng.standard_normal((6, 8)) * 0.5,
+                                requires_grad=True)
+            rows = tl.tensor(rng.standard_normal((4, 8)) * 0.5,
+                             requires_grad=True)
+            cls = tl.tensor(rng.standard_normal((1, 1, 8)), requires_grad=True)
+            w = tl.constant(rng.standard_normal((frames, 8)))
+            check(f"class_attention[{frames}x{c}]",
+                  lambda wp, r, cl, *ws, x=raw, w=w: tl.sum_all(tl.mul(
+                      tl.class_attention(x, wp, r, cl, *ws, heads=2), w)),
+                  [w_patch, rows, cls, params.wq, params.wk, params.wv,
+                   params.wo],
+                  names=["w_patch", "rows", "cls", "wq", "wk", "wv", "wo"])
 
     # losses
     for c in range(3):

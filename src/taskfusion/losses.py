@@ -175,7 +175,7 @@ def _pair_product(x: Tensor, axis: int) -> Tensor:
 
 def giou(a: Tensor, b: Tensor) -> Tensor:
     """Generalized IoU of (cx, cy, w, h) boxes, row by row: [..., 4] pairs
-    give [...]; differentiable, in (-1, 1]."""
+    give [...]; differentiable, in [-1, 1] up to an ulp."""
     a = a if isinstance(a, Tensor) else tl.constant(np.asarray(a, dtype=np.float64))
     b = b if isinstance(b, Tensor) else tl.constant(np.asarray(b, dtype=np.float64))
     if a.shape != b.shape or a.shape[-1:] != (4,):
@@ -196,7 +196,10 @@ def giou(a: Tensor, b: Tensor) -> Tensor:
         tl.relu(tl.sub(tl.minimum(a_hi, b_hi), tl.maximum(a_lo, b_lo))), ax)
     union = tl.sub(tl.add(_pair_product(a_size, ax), _pair_product(b_size, ax)),
                    inter)
-    iou = tl.div(inter, union)
+    # IoU is clamped at 1 as in iou_giou_values. The hull is not clamped at
+    # the union: where nested boxes round it below, the clamp would move
+    # the loss and reroute its gradient, and giou exceeds iou by ulps only.
+    iou = tl.minimum(tl.div(inter, union), 1.0)
     hull = _pair_product(
         tl.sub(tl.maximum(a_hi, b_hi), tl.minimum(a_lo, b_lo)), ax)
     out = tl.sub(iou, tl.div(tl.sub(hull, union), hull))
@@ -205,7 +208,14 @@ def giou(a: Tensor, b: Tensor) -> Tensor:
 
 def iou_giou_values(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Plain-number IoU and generalized IoU of (cx, cy, w, h) boxes; the
-    [..., 4] operands broadcast against each other."""
+    [..., 4] operands broadcast against each other.
+
+    The corners are a centre plus or minus half a side, so each is off by
+    up to an ulp of the centre: identical boxes can give an IoU of 1 plus
+    ulps, and where the union is a rectangle the hull can round below it.
+    IoU is clamped at 1 and the hull at the union, so ``-1 <= giou <= iou
+    <= 1`` holds exactly, and every value already in range is unchanged.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if np.any(a[..., 2:] <= 0) or np.any(b[..., 2:] <= 0):
@@ -215,9 +225,9 @@ def iou_giou_values(a, b) -> tuple[np.ndarray, np.ndarray]:
     overlap = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
     inter = overlap[..., 0] * overlap[..., 1]
     union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
-    iou = inter / union
+    iou = np.minimum(inter / union, 1.0)
     hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
-    hull = hull_wh[..., 0] * hull_wh[..., 1]
+    hull = np.maximum(hull_wh[..., 0] * hull_wh[..., 1], union)
     return iou, iou - (hull - union) / hull
 
 

@@ -14,35 +14,40 @@ the seed on read, and the stored labels double as a corruption check.
 Three trainable encoder variants mirror common backbone families:
 per-frame tokens (one class token per frame), a single clip-level token
 over all patches, and a small convolutional grid whose features pass
-through a two-layer transformer-encoder adapter. Each hands the decoder
-``ClipFeatures``: one summary row per frame (the per-frame class rows, or
-else the mean of the frame's patches), and per frame the rows that frame's
-patch rows are made from, which the decoder turns into patch rows only
-for the keyframe each decode names. The per-frame-token encoder computes
-only what is read: its attention runs one query per frame, the class
-token, when it encodes, and every token of a frame as a query only for a
-keyframe. The other two need every patch row for their patch mean, and
-hand those rows over as they are. The encoders run attention without
-collecting its weights. An encoder keeps the compute dtype it was built
-in (``tensor.precision``; float64 unless a caller such as
-``trainer.build_model`` sets another) and computes its features and
-keyframe patch rows in it, whatever the caller's dtype.
+through a two-layer transformer-encoder adapter. ``Encoder.encode`` takes
+a batch of clips, the whole batch of a training step or one clip of a
+prediction, and hands the decoder ``ClipFeatures``: one summary row per
+frame (the per-frame class rows, or else the mean of the frame's
+patches), and per frame the rows that frame's patch rows are made from,
+which the decoder turns into patch rows only for the keyframe each decode
+names. The per-frame-token encoder computes only what is read: it makes
+every frame's class row of the batch in one ``tensor.class_attention``
+op straight from the frames' raw patches, which it hands over as its
+slabs, and embeds the tokens of a frame and runs its attention over them
+only for a keyframe. The other two need every patch row for their patch
+mean, encode clip by clip, and hand those rows over as they are. The
+encoders run attention without collecting its weights. An encoder keeps
+the compute dtype it was built in (``tensor.precision``; float64 unless a
+caller such as ``trainer.build_model`` sets another) and computes its
+features and keyframe patch rows in it, whatever the caller's dtype; the
+raw patches are made clip by clip straight in that dtype.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import tensor as tl
-from .attention import (AttentionParams, PositionalEncoding, cross_attention,
-                        linear, self_attention)
+from .attention import (AttentionParams, PositionalEncoding, linear,
+                        self_attention)
 from .decoder import ClipFeatures
 from .losses import ClipLabels, LabelError, LabeledBox
 from .seeding import derive_seed
-from .tensor import ShapeError, Tensor
+from .tensor import ContractError, ShapeError, Tensor
 
 BACKGROUND_LEVEL = 0.25
 HAND_COLOR = np.array([0.90, 0.70, 0.55])
@@ -360,15 +365,19 @@ def read_dataset(path) -> list[ClipRecord]:
 # encoders
 
 
-def patchify(frames: np.ndarray, patch: int) -> np.ndarray:
-    """[T, H, W, 3] -> [T*P, patch*patch*3] row-major over (frame, gy, gx)."""
-    t, h, w, c = frames.shape
+def patch_constant(clips: Sequence[np.ndarray], patch: int) -> Tensor:
+    """Frame stacks [T, H, W, 3] of B clips -> one constant [B*T, P,
+    patch*patch*3] of each frame's patches, row-major over (gy, gx), made
+    straight in the compute dtype."""
+    t, h, w, c = clips[0].shape
     if h % patch or w % patch:
         raise ShapeError(f"raster {h}x{w} not divisible into {patch}px patches")
     gy, gx = h // patch, w // patch
-    x = frames.reshape(t, gy, patch, gx, patch, c)
-    x = x.transpose(0, 1, 3, 2, 4, 5)  # [T, gy, gx, patch, patch, c]
-    return np.ascontiguousarray(x.reshape(t * gy * gx, patch * patch * c))
+    # One [B, T, gy, gx, patch, patch, 3] array, gathered and cast by the
+    # constructor in one pass: no float64 copy, no second copy.
+    raw = tl.constant([frames.reshape(t, gy, patch, gx, patch, c).transpose(
+        0, 1, 3, 2, 4, 5) for frames in clips])
+    return tl.reshape(raw, (len(clips) * t, gy * gx, patch * patch * c))
 
 
 class Encoder:
@@ -392,14 +401,21 @@ class Encoder:
     def parameters(self) -> dict[str, Tensor]:
         raise NotImplementedError
 
-    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
-        """[T, H, W, 3] -> (h_frames [1, T, D], slab [T, S, D]): each
-        frame's summary row, and the rows ``_patch_rows`` makes the
-        frame's patch rows from."""
+    def _features(self, clips: list[np.ndarray]) -> tuple[Tensor, list[Tensor]]:
+        """Frame stacks [T, H, W, 3] of B clips -> (h_frames [B, T, D],
+        slabs: B of [T, S, D']): each frame's summary row, and per clip
+        the rows ``_patch_rows`` makes its frames' patch rows from. Here
+        clip by clip, by ``_clip_features``."""
+        rows, slabs = zip(*(self._clip_features(frames) for frames in clips))
+        return tl.concat(rows, axis=0), list(slabs)
+
+    def _clip_features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
+        """[T, H, W, 3] -> (h_frames [1, T, D], slab [T, P, D]): the
+        frames' summary rows and patch rows."""
         raise NotImplementedError
 
     def _patch_rows(self, slabs: Tensor) -> Tensor:
-        """Frame slabs [B, S, D] -> their patch rows [B, P, D]; here the
+        """Frame slabs [B, S, D'] -> their patch rows [B, P, D]; here the
         slabs already are the patch rows."""
         return slabs
 
@@ -409,37 +425,45 @@ class Encoder:
         with tl.precision(self.dtype):
             return fn(arg)
 
-    def _forward(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
-        if frames.shape[1:3] != (self.image, self.image):
-            raise ShapeError(f"clip raster {frames.shape[1:3]} != "
+    def _forward(self, clips: list[np.ndarray]) -> tuple[Tensor, list[Tensor]]:
+        if not clips:
+            raise ContractError("encoding needs at least one clip")
+        shape = clips[0].shape
+        if shape[1:3] != (self.image, self.image):
+            raise ShapeError(f"clip raster {shape[1:3]} != "
                              f"({self.image}, {self.image})")
-        return self._in_dtype(self._features, frames)
+        if any(frames.shape != shape for frames in clips):
+            raise ShapeError(f"clips of one batch differ in shape: "
+                             f"{sorted({f.shape for f in clips})}")
+        return self._in_dtype(self._features, clips)
 
     def patch_rows(self, slabs: Tensor) -> Tensor:
-        """The patch rows [B, P, D] of frame slabs [B, S, D] gathered from
+        """The patch rows [B, P, D] of frame slabs [B, S, D'] gathered from
         this encoder's features, computed in its dtype."""
         return self._in_dtype(self._patch_rows, slabs)
 
-    def encode(self, clip: SynthClip) -> ClipFeatures:
-        """Features of one clip, as a batch of one."""
-        h_frames, slab = self._forward(clip.frames)
-        return ClipFeatures(h_frames=h_frames, slabs=[slab],
-                            frames=clip.frames.shape[0], patches=self.patches,
+    def encode(self, clips: Sequence[SynthClip]) -> ClipFeatures:
+        """Features of a batch of clips, in one call."""
+        h_frames, slabs = self._forward([clip.frames for clip in clips])
+        return ClipFeatures(h_frames=h_frames, slabs=slabs,
+                            frames=h_frames.shape[1], patches=self.patches,
                             patch_rows=self.patch_rows)
 
     @tl.no_tape()
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
         """Single-frame embedding [D], the frame's summary row, computed
         off the tape; used by the policy stage."""
-        h_frames, _ = self._forward(frame[None])
+        h_frames, _ = self._forward([frame[None]])
         return h_frames.data[0, 0].copy()
 
 
 class PerFrameTokenEncoder(Encoder):
     """One class token and one attention layer per frame. Encoding runs
-    the layer for the class query alone; a frame's patch rows come from
-    the same layer over that frame's token slab, run only for the
-    keyframes a decode asks for."""
+    the layer for the class query alone, from the frames' raw patches, as
+    one ``tensor.class_attention`` op over every frame of the batch; the
+    raw patches are the slabs. A frame's patch rows come from the same
+    layer over that frame's embedded tokens, made only for the keyframes
+    a decode asks for."""
 
     kind = "per_frame_token"
 
@@ -457,18 +481,28 @@ class PerFrameTokenEncoder(Encoder):
         params.update(self.attn.named("attn"))
         return params
 
-    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
-        t = frames.shape[0]
-        tok = linear(tl.constant(patchify(frames, self.patch)),
-                     self.w_patch, self.b_patch)
-        tok = self.pe.encode(tl.reshape(tok, (t, self.patches, self.width)))
-        cls = tl.repeat0(self.cls, t)
-        x = tl.concat([cls, tok], axis=1)  # [t, P+1, D]
-        h_frames = tl.add(cls, cross_attention(x, cls, self.attn))
-        return tl.reshape(h_frames, (1, t, self.width)), x
+    def _bias_rows(self) -> Tensor:
+        """The patch embedding's bias plus position rows [P, D]."""
+        return tl.add(self.pe.rows(0, self.patches), self.b_patch)
+
+    def _features(self, clips: list[np.ndarray]) -> tuple[Tensor, list[Tensor]]:
+        b, t = len(clips), clips[0].shape[0]
+        raw = patch_constant(clips, self.patch)  # [b*t, P, F]
+        a = self.attn
+        h_frames = tl.class_attention(raw, self.w_patch, self._bias_rows(),
+                                      self.cls, a.wq, a.wk, a.wv, a.wo,
+                                      a.head_count)
+        slabs = [tl.narrow(raw, 0, i * t, t) for i in range(b)]
+        return tl.reshape(h_frames, (b, t, self.width)), slabs
 
     def _patch_rows(self, slabs: Tensor) -> Tensor:
-        out = tl.add(slabs, self_attention(slabs, self.attn))
+        b = slabs.shape[0]
+        tok = tl.matmul(tl.reshape(slabs, (b * self.patches, self.patch_dim)),
+                        self.w_patch)
+        tok = tl.add(tl.reshape(tok, (b, self.patches, self.width)),
+                     self._bias_rows())
+        x = tl.concat([tl.repeat0(self.cls, b), tok], axis=1)  # [b, P+1, D]
+        out = tl.add(x, self_attention(x, self.attn))
         return tl.narrow(out, 1, 1, self.patches)
 
 
@@ -506,9 +540,10 @@ class ClipTokenEncoder(Encoder):
             self._pe_tables[t] = table
         return table
 
-    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
+    def _clip_features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
-        tok = linear(tl.constant(patchify(frames, self.patch)),
+        tok = linear(tl.reshape(patch_constant([frames], self.patch),
+                                (t * self.patches, self.patch_dim)),
                      self.w_patch, self.b_patch)
         tok = tl.add(tok, self._pe_spacetime(t))
         x = tl.concat([self.cls, tok], axis=0)  # [1 + t*P, D]
@@ -576,9 +611,10 @@ class ConvGridEncoder(Encoder):
                                 base + (r0 + 1) * g1 + c0 + 1])
         return np.asarray(idx, dtype=np.intp)
 
-    def _features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
+    def _clip_features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
-        cells = tl.constant(patchify(frames, 4))  # [t*g1*g1, 48]
+        cells = tl.reshape(patch_constant([frames], 4),
+                           (t * self.grid1 * self.grid1, 48))
         x = tl.gelu(linear(cells, self.w1, self.b1))
         x = tl.take0(x, self._pool_indices(t))
         x = tl.reshape(x, (t * self.patches, 4 * self.c1))

@@ -26,12 +26,16 @@ whose shape is a trailing suffix of the other's (a ``[D]`` bias onto
 operand's gradient is summed over the axes it was repeated along, so
 every backward rule stays exact and obvious.
 
-Three ops are fused blocks with hand-written backward rules, each one node
-on the tape: ``softmax``, ``layer_norm`` and ``attention`` (node kind
+Four ops are fused blocks with hand-written backward rules, each one node
+on the tape: ``softmax``, ``layer_norm``, ``attention`` (node kind
 ``"attention"``: a whole multi-head attention block, from the q/k/v
 projections to the output projection, computing gradients only for the
-inputs that need them). The perfbench tape breakdown, whose list of kinds
-predates it, counts ``"attention"`` nodes under ``other``.
+inputs that need them) and ``class_attention`` (node kind
+``"class_attention"``: the class rows of N frames from their raw patches,
+a patch embedding plus an attention block whose one query is a shared
+class token, with the key and value projections absorbed into it). The
+perfbench tape breakdown, whose list of kinds predates the last two,
+counts their nodes under ``other``.
 
 Inside ``with no_tape():`` no op records a node, even on inputs that
 require gradients: every result is a plain tensor with ``node`` None and
@@ -92,6 +96,7 @@ __all__ = [
     "softmax",
     "layer_norm",
     "attention",
+    "class_attention",
     "backward",
     "no_tape",
     "precision",
@@ -670,6 +675,110 @@ def attention(queries, memory, wq, wk, wv, wo,
         return (dxq, dxm) + dws
 
     return _make(data, "attention", inputs, backward_rule), p
+
+
+def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
+                    heads: int) -> Tensor:
+    """The class rows [N, D] of N frames, from their raw patches, as one op.
+
+    A frame's tokens are the class token ``cls`` (D values, any shape) and
+    its P patch embeddings ``raw_j @ w_patch + rows_j``: ``raw`` [N, P, F]
+    holds each frame's raw patch rows, ``rows`` [P, D] the bias plus
+    position rows. The class token is the only query. The op returns
+    ``cls + attention(cls over the frame's 1+P tokens)``, the multi-head
+    attention of ``attention`` with the residual added, for every frame.
+
+    With one query shared by every frame, the key and value projections
+    fold into the query side (weight absorption, as in the MLA attention
+    of DeepSeek-V2, arXiv 2405.04434). With ``u_h = wk_h q_h / sqrt(d_h)``
+    and ``q = cls @ wq``, patch j scores ``raw_j · (w_patch u_h) + rows_j ·
+    u_h``, and head h outputs ``((Σ_j p_hj raw_j) w_patch + Σ_j p_hj rows_j
+    + p_h0 cls) wv_h``. So no patch is ever embedded. ``raw`` is a
+    constant: the op keeps a reference to it for its backward rule, and
+    no gradient flows into it.
+    """
+    raw = _as_tensor(raw)
+    w_patch, rows, cls = _as_tensor(w_patch), _as_tensor(rows), _as_tensor(cls)
+    ws = tuple(_as_tensor(w) for w in (wq, wk, wv, wo))
+    if raw.requires_grad or raw.node is not None:
+        raise ContractError("class_attention: raw patch rows are constants")
+    if raw.data.ndim != 3 or w_patch.data.ndim != 2:
+        raise ShapeError(f"class_attention: raw {raw.shape} is not [N, P, F] "
+                         f"or w_patch {w_patch.shape} is not [F, D]")
+    n, p, f = raw.shape
+    d = w_patch.shape[1]
+    if (w_patch.shape[0] != f or rows.shape != (p, d) or cls.size != d
+            or any(w.shape != (d, d) for w in ws)):
+        raise ShapeError(f"class_attention: raw {raw.shape} needs w_patch "
+                         f"[{f}, D], rows [{p}, D], D class values and "
+                         f"[D, D] weights, got {w_patch.shape}, {rows.shape}, "
+                         f"{cls.shape} and {[w.shape for w in ws]}")
+    if heads < 1 or d % heads:
+        raise ShapeError(f"class_attention: width {d} not divisible by "
+                         f"{heads} heads")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    x = raw.data.reshape(n * p, f)
+    wp, rw, c0 = w_patch.data, rows.data, cls.data.reshape(d)
+    wk3 = ws[1].data.reshape(d, heads, dh)
+    # [heads, D, dh]: head h's value projection
+    wv3 = ws[2].data.reshape(d, heads, dh).transpose(1, 0, 2)
+
+    qh = (c0 @ ws[0].data).reshape(heads, dh)
+    u = (wk3 * qh).sum(axis=2) * c  # [D, heads]: the absorbed keys
+    s = np.empty((n, heads, p + 1), dtype=x.dtype)
+    s[:, :, 0] = c0 @ u
+    s[:, :, 1:] = ((x @ (wp @ u)).reshape(n, p, heads)
+                   + rw @ u).transpose(0, 2, 1)
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    pr = e / np.sum(e, axis=-1, keepdims=True)  # [N, heads, 1+P]
+    p0, pj = pr[:, :, 0], np.ascontiguousarray(pr[:, :, 1:])
+    m = (pj @ raw.data).reshape(n * heads, f)  # Σ_j p_hj raw_j
+    # Σ over the tokens of p_hj times token j's embedding, per head
+    emb = m @ wp + pj.reshape(n * heads, p) @ rw + p0.reshape(-1, 1) * c0
+    emb3 = emb.reshape(n, heads, d).transpose(1, 0, 2)  # [heads, N, D]
+    o = (emb3 @ wv3).transpose(1, 0, 2).reshape(n, d)
+    data = o @ ws[3].data + c0
+
+    inputs = (raw, w_patch, rows, cls) + ws
+
+    def needs(t: Tensor) -> bool:
+        return t.requires_grad or t.node is not None
+
+    def backward_rule(dout: np.ndarray):
+        g = dout.reshape(n, d)
+        do3 = (g @ ws[3].data.T).reshape(n, heads, dh).transpose(1, 0, 2)
+        # [N*heads, D]: the gradient of each head's token mix emb
+        demb = (do3 @ wv3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(
+            n * heads, d)
+        dpj = (demb @ rw.T).reshape(n, heads, p) + (
+            (demb @ wp.T).reshape(n, heads, f) @ raw.data.transpose(0, 2, 1))
+        dp = np.empty_like(pr)
+        dp[:, :, 0] = (demb @ c0).reshape(n, heads)
+        dp[:, :, 1:] = dpj
+        ds = pr * (dp - np.sum(dp * pr, axis=-1, keepdims=True))
+        ds0 = ds[:, :, 0].sum(axis=0)  # [heads]
+        dsj = np.ascontiguousarray(ds[:, :, 1:].transpose(0, 2, 1))
+        da = x.T @ dsj.reshape(n * p, heads)  # [F, heads]
+        dr = dsj.sum(axis=0)  # [P, heads]
+        du = wp.T @ da + rw.T @ dr + np.outer(c0, ds0)
+        dqh = (du[:, :, None] * wk3).sum(axis=0) * c  # [heads, dh]
+        dq = dqh.reshape(d)
+        dcls = (g.sum(axis=0) + p0.reshape(-1) @ demb + u @ ds0
+                + ws[0].data @ dq)
+        grads = (None,
+                 m.T @ demb + da @ u.T,
+                 pj.reshape(n * heads, p).T @ demb + dr @ u.T,
+                 dcls.reshape(cls.shape),
+                 np.outer(c0, dq),
+                 (du[:, :, None] * qh * c).reshape(d, d),
+                 (emb3.transpose(0, 2, 1) @ do3).transpose(1, 0, 2).reshape(
+                     d, d),
+                 o.T @ g)
+        return tuple(gr if needs(t) else None
+                     for gr, t in zip(grads, inputs))
+
+    return _make(data, "class_attention", inputs, backward_rule)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Joint fine-tuning loop, Adam optimizer, metrics, and checkpoints.
 
-One training step regenerates its batch of clips from their seeds and
-encodes them one by one (each frame's summary row), then joins the
-features and makes one batched decode, for which the encoder makes the
-patch rows of each clip's keyframe alone, and one loss per task (each the
-mean over its clips, detection masked on no-change clips), combines them
-with the learnable variance weighting, and applies one Adam update.
+One training step regenerates its batch of clips from their seeds,
+encodes them in one call (each frame's summary row), makes one batched
+decode, for which the encoder makes the patch rows of each clip's
+keyframe alone, and one loss per task (each the mean over its clips,
+detection masked on no-change clips), combines them with the learnable
+variance weighting, and applies one Adam update.
 Batches follow a seeded Fisher-Yates shuffle per epoch with any trailing
 partial batch dropped, so runs are bit-reproducible.
 
@@ -305,7 +305,7 @@ class ModelBundle:
     @tl.no_tape()
     def predict(self, clip: SynthClip) -> ClipPrediction:
         with tl.precision(self.dtype):
-            return self.decoder.infer(self.encoder.encode(clip)).clip(0)
+            return self.decoder.infer(self.encoder.encode([clip])).clip(0)
 
 
 def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:
@@ -418,13 +418,9 @@ def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
     with tl.precision(config.dtype):
         for step in range(1, config.steps + 1):
             batch = [records[i] for i in next(batches)]
-            clips, encoded = [], []
-            for record in batch:
-                clip = record.clip()
-                clips.append(clip)
-                encoded.append(model.encoder.encode(clip))
+            clips = [record.clip() for record in batch]
             parts, preds = batch_losses(model, clips,
-                                        ClipFeatures.concat(encoded), enabled)
+                                        model.encoder.encode(clips), enabled)
             for task, value in parts.items():
                 if not np.isfinite(value.item()):
                     raise TrainingAbort(

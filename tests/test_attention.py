@@ -278,3 +278,75 @@ def test_returned_attention_weights_are_a_read_only_view():
         cache[0][0, 0, 0, 0] = 1.0
     backward(tl.sum_all(out))
     assert x.grad is not None and params.wq.grad is not None
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("frames", [1, 3])
+def test_class_attention_matches_embedding_then_attention(frames, heads):
+    """The fused class-row op against the patch embedding, the class token
+    prepended, cross-attention of the class token over the frame's tokens
+    and the residual, as separate ops: values and every gradient."""
+    rng = rng_for(50, "class", frames, heads)
+    n, p, f, d = frames, 5, 6, 8
+    params = AttentionParams.init(rng, d, heads, std=0.5)
+    raw = tl.constant(rng.standard_normal((n, p, f)))
+    w_patch = tl.tensor(rng.standard_normal((f, d)) * 0.5, requires_grad=True)
+    rows = tl.tensor(rng.standard_normal((p, d)) * 0.5, requires_grad=True)
+    cls = tl.tensor(rng.standard_normal((1, 1, d)), requires_grad=True)
+    g = tl.constant(rng.standard_normal((n, d)))
+    leaves = [w_patch, rows, cls, params.wq, params.wk, params.wv, params.wo]
+
+    def run(rows_of):
+        for t in leaves:
+            t.grad = None
+        out = rows_of()
+        backward(tl.sum_all(tl.mul(out, g)))
+        return out, [t.grad for t in leaves]
+
+    def chain():
+        tok = tl.matmul(tl.reshape(raw, (n * p, f)), w_patch)
+        tok = tl.add(tl.reshape(tok, (n, p, d)), rows)
+        c = tl.repeat0(cls, n)
+        x = tl.concat([c, tok], axis=1)
+        return tl.reshape(tl.add(c, cross_attention(x, c, params)), (n, d))
+
+    out, grads = run(lambda: tl.class_attention(
+        raw, w_patch, rows, cls, params.wq, params.wk, params.wv, params.wo,
+        heads))
+    ref_out, ref_grads = run(chain)
+    assert out.node.op == "class_attention" and out.shape == (n, d)
+    assert out.node.backward(g.data)[0] is None  # raw gets no gradient
+    assert np.max(np.abs(out.data - ref_out.data)) <= 1e-12
+    for t, got, want in zip(leaves, grads, ref_grads):
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_class_attention_errors():
+    rng = rng_for(51, "class")
+    params = _params(52)
+    args = [tl.constant(rng.standard_normal((2, 5, 6))),
+            tl.tensor(rng.standard_normal((6, 8))),
+            tl.tensor(rng.standard_normal((5, 8))),
+            tl.tensor(rng.standard_normal(8)),
+            params.wq, params.wk, params.wv, params.wo]
+
+    def call(i=None, value=None, heads=2):
+        a = list(args)
+        if i is not None:
+            a[i] = value
+        return tl.class_attention(*a, heads=heads)
+
+    assert call().shape == (2, 8)
+    with pytest.raises(ContractError, match="constants"):
+        call(0, tl.tensor(args[0].data, requires_grad=True))
+    with pytest.raises(ShapeError):
+        call(0, tl.constant(args[0].data[0]))         # raw not [N, P, F]
+    with pytest.raises(ShapeError):
+        call(1, tl.tensor(rng.standard_normal((7, 8))))  # F mismatch
+    with pytest.raises(ShapeError):
+        call(2, tl.tensor(rng.standard_normal((4, 8))))  # P mismatch
+    with pytest.raises(ShapeError):
+        call(3, tl.tensor(rng.standard_normal(6)))       # D mismatch
+    with pytest.raises(ShapeError, match="heads"):
+        call(heads=3)

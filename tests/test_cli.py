@@ -398,7 +398,7 @@ def test_dump_attention_without_the_keyframe_task(work):
                      "3", "--out", str(out)]) == 0
     model = load_model(work / "model.ckpt")
     clip = read_dataset(work / "data")[3].clip()
-    preds = model.decoder.decode(model.encoder.encode(clip), [4 // 2])
+    preds = model.decoder.decode(model.encoder.encode([clip]), [4 // 2])
     expected = [[layer, block, head, r, c, mat[head, r, c]]
                 for layer, att in enumerate(preds.attention)
                 for block, mat in (("self", att.self_attn[0]),

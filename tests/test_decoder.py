@@ -74,7 +74,7 @@ def test_temporal_memory_clip_level_pools_patches():
     for kind in ("clip_token", "conv_grid"):
         enc = build_encoder(kind, rng_for(2, "pool"), width=D, heads=2,
                             frames=T, image=16, patch=8)
-        feats = enc.encode(clip)
+        feats = enc.encode([clip])
         h_t = build_temporal_memory(feats, pe)
         patches = np.stack([feats.keyframe_patches(np.array([k])).data[0]
                             for k in range(T)])
@@ -397,15 +397,15 @@ def test_config_validation():
                      frames=T, patches=P)  # a slab row per frame
 
 
-def test_features_of_different_encoders_do_not_join():
-    clip = generate_clip(2, ClipConfig(frames=T, height=16, width=16))
-    encoders = [build_encoder("per_frame_token", rng_for(s, "enc"), width=D,
-                              heads=2, frames=T, image=16, patch=8)
-                for s in (1, 2)]
-    joined = ClipFeatures.concat([encoders[0].encode(clip)] * 2)
-    assert joined.batch == 2 and len(joined.slabs) == 2
-    with pytest.raises(ContractError, match="different encoders"):
-        ClipFeatures.concat([enc.encode(clip) for enc in encoders])
+def test_slabs_of_another_width_need_patch_rows():
+    """Slabs of the encoder's own width, such as raw patches, are accepted
+    only with the function that makes patch rows of them."""
+    h_frames, slabs = tl.zeros((1, T, D)), [tl.zeros((T, P, 3 * D))]
+    with pytest.raises(ShapeError, match=r"\(4, S, 8\)"):
+        ClipFeatures(h_frames=h_frames, slabs=slabs, frames=T, patches=P)
+    feats = ClipFeatures(h_frames=h_frames, slabs=slabs, frames=T, patches=P,
+                         patch_rows=lambda s: tl.narrow(s, 2, 0, D))
+    assert feats.keyframe_patches(np.array([1])).shape == (1, P, D)
 
 
 def test_keyframe_patch_rows_must_have_the_declared_shape():

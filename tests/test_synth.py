@@ -11,7 +11,7 @@ from taskfusion.synth import (BOX_CONTRAST, ClipConfig, DatasetCorruptionError,
                               _min_raster_side, box_to_rect, build_encoder,
                               generate_clip, read_dataset, write_dataset)
 from taskfusion import tensor as tl
-from taskfusion.tensor import ShapeError
+from taskfusion.tensor import ContractError, ShapeError
 
 CFG = ClipConfig(frames=4, height=16, width=16, p_change=1.0)
 
@@ -118,9 +118,49 @@ def test_embed_frame_is_the_frames_summary_row(kind):
     enc = build_encoder(kind, np.random.default_rng(3), width=16, heads=2,
                         frames=4, image=16, patch=8)
     clip = generate_clip(2, ClipConfig(frames=4, height=16, width=16))
-    rows = enc.encode(clip).h_frames.data[0]
+    rows = enc.encode([clip]).h_frames.data[0]
     for k, frame in enumerate(clip.frames):
         assert np.allclose(enc.embed_frame(frame), rows[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["per_frame_token", "clip_token",
+                                  "conv_grid"])
+def test_encoding_a_batch_equals_encoding_each_clip(kind):
+    """In float64, the rows ``encode`` gives a batch of four clips are the
+    rows of each clip encoded alone, keyframe patch rows included, and,
+    for the encoders that see each frame on its own, ``embed_frame``'s."""
+    enc = build_encoder(kind, np.random.default_rng(8), width=16, heads=2,
+                        frames=4, image=16, patch=8)
+    rng = np.random.default_rng(9)
+    for t in enc.parameters().values():  # far from uniform attention
+        t.data[...] = rng.standard_normal(t.shape) * 0.3
+    clips = [generate_clip(s, ClipConfig(frames=4, height=16, width=16))
+             for s in range(4)]
+    keyframes = np.array([0, 3, 1, 2])
+    batch = enc.encode(clips)
+    rows = batch.h_frames.data
+    patches = batch.keyframe_patches(keyframes).data
+    assert rows.dtype == np.float64 and rows.shape == (4, 4, 16)
+    for i, clip in enumerate(clips):
+        alone = enc.encode([clip])
+        assert np.max(np.abs(rows[i] - alone.h_frames.data[0])) <= 1e-12
+        alone_patches = alone.keyframe_patches(keyframes[i:i + 1]).data[0]
+        assert np.max(np.abs(patches[i] - alone_patches)) <= 1e-12
+        if kind != "clip_token":
+            for k, frame in enumerate(clip.frames):
+                assert np.max(np.abs(enc.embed_frame(frame) - rows[i, k])
+                              ) <= 1e-12
+
+
+def test_encode_rejects_an_empty_or_mixed_batch():
+    enc = build_encoder("per_frame_token", np.random.default_rng(8),
+                        width=16, heads=2, frames=4, image=16, patch=8)
+    clips = [generate_clip(0, ClipConfig(frames=4, height=16, width=16)),
+             generate_clip(1, ClipConfig(frames=3, height=16, width=16))]
+    with pytest.raises(ContractError, match="at least one clip"):
+        enc.encode([])
+    with pytest.raises(ShapeError, match="differ in shape"):
+        enc.encode(clips)
 
 
 @pytest.mark.parametrize("kind", ["per_frame_token", "clip_token",
@@ -129,7 +169,7 @@ def test_embed_frame_is_off_the_tape(kind, recorded_nodes):
     enc = build_encoder(kind, np.random.default_rng(4), width=16, heads=2,
                         frames=4, image=16, patch=8)
     frame = generate_clip(5, ClipConfig(frames=4, height=16, width=16)).frames[1]
-    h_frames, _ = enc._forward(frame[None])
+    h_frames, _ = enc._forward([frame[None]])
     assert h_frames.node is not None
     recorded_nodes.clear()
     embedding = enc.embed_frame(frame)
@@ -147,7 +187,7 @@ def test_keyframe_patch_rows_come_in_the_encoders_dtype(kind):
                             heads=2, frames=4, image=16, patch=8)
     clip = generate_clip(3, ClipConfig(frames=4, height=16, width=16))
     with tl.precision("float64"):
-        features = enc.encode(clip)
+        features = enc.encode([clip])
         rows = features.keyframe_patches(np.array([2]))
     assert features.h_frames.data.dtype == np.float32
     assert rows.shape == (1, enc.patches, 16)

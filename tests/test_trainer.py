@@ -9,7 +9,8 @@ from taskfusion import trainer
 from taskfusion.attention import linear, self_attention
 from taskfusion.decoder import ClipFeatures, TaskFusionDecoder
 from taskfusion.losses import TASK_ORDER, joint_loss
-from taskfusion.synth import ClipConfig, ClipRecord, generate_clip, patchify
+from taskfusion.synth import (ClipConfig, ClipRecord, generate_clip,
+                              patch_constant)
 from taskfusion.tensor import ContractError, backward
 from taskfusion.trainer import (CheckpointError, ParamStore, TrainConfig,
                                 batch_losses, build_model, load_checkpoint,
@@ -54,7 +55,7 @@ def test_batched_losses_equal_sum_of_single_clip_losses(encoder):
     clips = _mixed_clips()
 
     # batched: one decode and one loss per task over the whole batch
-    features = ClipFeatures.concat([model.encoder.encode(c) for c in clips])
+    features = model.encoder.encode(clips)
     parts, _ = batch_losses(model, clips, features, TASK_ORDER)
     batched = joint_loss(parts, model.sigma, TASK_ORDER)
     backward(batched)
@@ -63,7 +64,7 @@ def test_batched_losses_equal_sum_of_single_clip_losses(encoder):
     # reference: each clip as a batch of one, per-task sums over the clips
     sums, counts = {}, {}
     for clip in clips:
-        one, _ = batch_losses(model, [clip], model.encoder.encode(clip),
+        one, _ = batch_losses(model, [clip], model.encoder.encode([clip]),
                               TASK_ORDER)
         for task, value in one.items():
             sums[task] = tl.add(sums[task], value) if task in sums else value
@@ -223,7 +224,7 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, value):
 def test_inference_is_off_the_tape_and_equals_on_tape_infer(recorded_nodes):
     model = build_model(_config(), frames=4, image=16)
     clips = _mixed_clips()
-    on_tape = model.decoder.infer(model.encoder.encode(clips[0]))
+    on_tape = model.decoder.infer(model.encoder.encode(clips[:1]))
     assert on_tape.pnr_logits.node is not None
     recorded_nodes.clear()
     pred = model.predict(clips[0])
@@ -244,7 +245,7 @@ def test_inference_is_off_the_tape_and_equals_on_tape_infer(recorded_nodes):
 def test_batch_losses_builds_a_tape(recorded_nodes):
     model = build_model(_config(), frames=4, image=16)
     clips = _mixed_clips()
-    features = ClipFeatures.concat([model.encoder.encode(c) for c in clips])
+    features = model.encoder.encode(clips)
     parts, _ = batch_losses(model, clips, features, TASK_ORDER)
     assert set(parts) == set(TASK_ORDER)
     assert all(loss.node is not None for loss in parts.values())
@@ -253,16 +254,20 @@ def test_batch_losses_builds_a_tape(recorded_nodes):
 
 def test_per_frame_token_attends_only_with_the_queries_it_reads(
         recorded_nodes):
-    """One train step: each frame's class query (B*T rows), then each
-    clip's keyframe slab, class and patch rows (B*(P+1)); the full
-    self-attention of every frame would be B*T*(P+1)."""
+    """One train step: one class-row op over every frame of the batch (B*T
+    frames, from their raw patches), then one self-attention over each
+    clip's keyframe tokens, class and patch rows (B*(P+1) query rows); the
+    full self-attention of every frame would be B*T*(P+1)."""
     config = _config(steps=1)
     result = trainer.train(_records(), config)
     attn = result.model.encoder.attn
     rows = [node.inputs[0].size // config.width for node in recorded_nodes
             if node.op == "attention" and attn.wq in node.inputs]
+    frames = [node.inputs[0].shape[0] for node in recorded_nodes
+              if node.op == "class_attention"]
     b, t, p = config.batch_size, CLIP_CFG.frames, result.model.encoder.patches
-    assert sum(rows) == b * t + b * (p + 1)
+    assert rows == [b * (p + 1)]
+    assert frames == [b * t]
 
 
 def _full_attention_features(encoder, clip):
@@ -270,7 +275,8 @@ def _full_attention_features(encoder, clip):
     token of every frame makes them: h_frames [1, T, D] and the patch rows
     of every frame [1, T, P, D]."""
     t, p, d = clip.frames.shape[0], encoder.patches, encoder.width
-    tok = linear(tl.constant(patchify(clip.frames, encoder.patch)),
+    tok = linear(tl.reshape(patch_constant([clip.frames], encoder.patch),
+                            (t * p, encoder.patch_dim)),
                  encoder.w_patch, encoder.b_patch)
     tok = encoder.pe.encode(tl.reshape(tok, (t, p, d)))
     x = tl.concat([tl.repeat0(encoder.cls, t), tok], axis=1)
@@ -290,7 +296,7 @@ def test_per_frame_token_matches_full_self_attention():
     clips = _mixed_clips()
     keyframes = np.array([c.labels.pnr_frame or 2 for c in clips])
 
-    features = ClipFeatures.concat([encoder.encode(c) for c in clips])
+    features = encoder.encode(clips)
     oracle = [_full_attention_features(encoder, c) for c in clips]
     want_frames = np.concatenate([h.data for h, _ in oracle])
     assert np.max(np.abs(features.h_frames.data - want_frames)) <= 1e-12
@@ -321,14 +327,17 @@ ENCODERS = ("per_frame_token", "clip_token", "conv_grid")
 # sha256 of the JSON loss log and of the checkpoint payload of an 8-step
 # float64 run, recorded before models had a compute dtype: float64
 # training is unchanged by it. The per_frame_token payload was re-pinned
-# when its encoder stopped computing the patch rows no decode reads: its
-# gradients sum in another order (1,007 of 14,401 values moved, at most
-# 1.4e-17), and test_per_frame_token_matches_full_self_attention checks
-# it against the full self-attention.
+# twice, its loss log never: when its encoder stopped computing the patch
+# rows no decode reads (its gradients sum in another order: 1,007 of
+# 14,401 values moved, at most 1.4e-17), and when its class rows became
+# one class_attention op with the key and value projections absorbed
+# (2,480 values moved, at most 7.1e-16).
+# test_per_frame_token_matches_full_self_attention checks it against the
+# full self-attention.
 FLOAT64_DIGESTS = {
     "per_frame_token": (
         "ea21341e97c3ee8dad9e216866b7148d48e3556fd646462289b639dcaeb4f63e",
-        "6d9c7c5ac0c3bd6f3390ae52ffc0f6abfda12311e6702d43e03ca9a5579a9a70"),
+        "5bd6bb34f271431ff52bb0905b8a878bb4af8d4961adf188dc396f8ad8aca9e2"),
     "clip_token": (
         "93763f04debcf263ee04e7832547151f7d55b6bdbc44d9f9d0d048f8166563f6",
         "1cab3b9d3bb7c339c396a35a5a97531e47b1bf63d2ed061b1aac14ee66325104"),
