@@ -1,18 +1,23 @@
-"""Minimum-cost bipartite assignment (Kuhn-Munkres) with a brute-force oracle.
+"""Exact minimum-cost matching of a batch of clips' boxes to their queries.
 
-Ground-truth boxes are rows, prediction queries are columns; g <= q
-always holds here (at most 2 boxes against 8 queries). Rectangular
-inputs are reduced to the square case by appending zero-cost dummy rows,
-whose pairs are stripped from the result.
+Ground-truth boxes are rows, prediction queries are columns. A clip
+carries at most 2 boxes (a hand and an object) against Q queries, so its
+optimal assignment is found exhaustively: the best single query for one
+box, or the cheapest of the Q * (Q - 1) pairs of distinct queries for
+two. The whole batch is one numpy pass over a [B, Q, Q] array of pair
+costs, in place of one Kuhn-Munkres solve per clip (DETR's Hungarian
+matching, arXiv 2005.12872).
+
+The solver keeps the name ``hungarian``: it computes the same optimum
+the Hungarian algorithm does, and callers (and the benchmark's
+per-layer ``assignment.hungarian`` span) look it up by that name.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
+
+MAX_BOXES = 2
 
 
 class AssignmentError(Exception):
@@ -20,125 +25,50 @@ class AssignmentError(Exception):
 
 
 class AssignmentDomainError(AssignmentError):
-    """Cost matrix contains non-finite entries."""
+    """Cost array contains non-finite entries."""
 
 
 class AssignmentSizeError(AssignmentError):
-    """Problem too large for exhaustive enumeration."""
+    """More boxes per clip than the exhaustive solver enumerates."""
 
 
-@dataclass
-class CostMatrix:
-    costs: np.ndarray  # [g, q]
+def hungarian(costs, counts) -> np.ndarray:
+    """Optimal assignment of each clip's boxes to distinct queries.
 
-    def __post_init__(self):
-        self.costs = np.asarray(self.costs, dtype=np.float64)
-        if self.costs.ndim != 2:
-            raise AssignmentError(f"cost matrix must be 2-D, got shape "
-                                  f"{self.costs.shape}")
-        g, q = self.costs.shape
-        if g > q:
-            raise AssignmentError(f"more rows than columns ({g} > {q}); "
-                                  "pad with dummy columns first")
-        if self.costs.size and not np.all(np.isfinite(self.costs)):
-            raise AssignmentDomainError("cost matrix has non-finite entries")
-
-    @property
-    def rows(self) -> int:
-        return self.costs.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.costs.shape[1]
-
-
-@dataclass
-class Assignment:
-    pairs: list[tuple[int, int]] = field(default_factory=list)
-    total_cost: float = 0.0
-
-
-def hungarian(costs: CostMatrix) -> Assignment:
-    """Optimal assignment of every row to a distinct column.
-
-    Shortest-augmenting-path formulation with dual potentials, O(n^3) on
-    the zero-padded square matrix. Ties break by lowest column index
-    (strict-improvement scan order).
+    ``costs`` [B, G, Q] holds the cost of box g of clip b on query q;
+    ``counts`` [B] says how many of its G rows clip b uses (the rest are
+    padding and are never read). Returns [B, G] query indices, -1 where
+    a row is padding. Ties go to the lowest query for the first box, then
+    for the second.
     """
-    g, q = costs.rows, costs.cols
+    costs = np.asarray(costs, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.intp)
+    if costs.ndim != 3 or counts.shape != costs.shape[:1]:
+        raise AssignmentError(f"costs must be [B, G, Q] with one box count "
+                              f"per clip, got {costs.shape} and "
+                              f"{counts.shape}")
+    b, g, q = costs.shape
+    if g > MAX_BOXES:
+        raise AssignmentSizeError(f"at most {MAX_BOXES} boxes per clip, "
+                                  f"got {g}")
+    if g > q:
+        raise AssignmentError(f"more boxes than queries ({g} > {q})")
+    if np.any((counts < 0) | (counts > g)):
+        raise AssignmentError(f"box counts {counts} outside [0, {g}]")
+    used = np.arange(g) < counts[:, None]                   # [B, G]
+    if not np.all(np.isfinite(costs[used])):
+        raise AssignmentDomainError("cost array has non-finite entries")
+    out = np.full((b, g), -1, dtype=np.intp)
     if g == 0:
-        return Assignment(pairs=[], total_cost=0.0)
-    if not np.all(np.isfinite(costs.costs)):
-        raise AssignmentDomainError("cost matrix has non-finite entries")
-
-    n = q
-    a = np.zeros((n + 1, n + 1))
-    a[1:g + 1, 1:] = costs.costs  # rows g+1..n are zero-cost dummies
-
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match_row = [0] * (n + 1)  # column j -> assigned row
-    way = [0] * (n + 1)
-
-    for i in range(1, n + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = match_row[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = a[i0][j] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[match_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-
-    pairs = []
-    for j in range(1, n + 1):
-        row = match_row[j] - 1
-        if 0 <= row < g:
-            pairs.append((row, j - 1))
-    pairs.sort()
-    total = float(sum(costs.costs[r, c] for r, c in pairs))
-    return Assignment(pairs=pairs, total_cost=total)
-
-
-def brute_force_assign(costs: CostMatrix) -> Assignment:
-    """Exhaustive minimum over all injections row -> column (oracle)."""
-    g, q = costs.rows, costs.cols
-    if g > 8:
-        raise AssignmentSizeError(f"brute force capped at 8 rows, got {g}")
-    if g == 0:
-        return Assignment(pairs=[], total_cost=0.0)
-    best_cost = math.inf
-    best: tuple[int, ...] | None = None
-    for combo in itertools.permutations(range(q), g):
-        c = float(sum(costs.costs[r, col] for r, col in enumerate(combo)))
-        if c < best_cost:
-            best_cost = c
-            best = combo
-    assert best is not None
-    return Assignment(pairs=[(r, c) for r, c in enumerate(best)],
-                      total_cost=best_cost)
+        return out
+    single = np.argmin(costs[:, 0], axis=1)                 # [B]
+    if g == 2:
+        pairs = costs[:, 0, :, None] + costs[:, 1, None, :]  # [B, Q, Q]
+        pairs[:, np.arange(q), np.arange(q)] = np.inf
+        first, second = np.divmod(np.argmin(pairs.reshape(b, q * q), axis=1),
+                                  q)
+        two = counts == 2
+        out[two, 1] = second[two]
+        single = np.where(two, first, single)
+    out[:, 0] = np.where(counts > 0, single, -1)
+    return out

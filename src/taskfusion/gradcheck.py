@@ -351,8 +351,8 @@ def _decode_joint_check(seed: int, tol: float, eps: float) -> GradCheckReport:
                       LabeledBox("object", tuple(gt_boxes[1]))]),
                   ClipLabels(False)]
         fixed = match_queries(preds0.scod_logits, preds0.scod_boxes, labels)
-        if all(_box_margins_ok(pred_boxes[q], gt_boxes[g])
-               for g, q in fixed[0].pairs):
+        if all(_box_margins_ok(pred_boxes[q], gt)
+               for q, gt in zip(fixed.queries, fixed.boxes)):
             break
     else:
         raise TensorError(f"none of the {len(candidates)} ground-truth "

@@ -4,11 +4,14 @@ Each task loss takes the outputs of a batch of B clips and returns its
 mean over the clips it applies to, in one vectorized pass.
 Classification uses log-sum-exp stabilized cross-entropy. The keyframe
 task is supervised as a distribution over frames with target-first KL
-(one-hot targets reduce it to negative log-likelihood). Detection is a
-set-prediction loss: each clip's queries are matched to its ground-truth
-boxes by minimum-cost assignment, the match is held fixed during
-backward, and unmatched queries are pushed toward the no-object class;
-no-change clips are masked out. The combined loss weighs tasks by
+(one-hot targets reduce it to negative log-likelihood); the targets of a
+batch are built as one array. Detection is a set-prediction loss: each
+clip's queries are matched to its ground-truth boxes by minimum-cost
+assignment, the match is held fixed during backward, and unmatched
+queries are pushed toward the no-object class; no-change clips are
+masked out. A clip has at most 2 boxes, so one call of the exact batched
+solver ``assignment.hungarian`` matches the whole batch, and the loss
+gathers the matched pairs as arrays. The combined loss weighs tasks by
 learnable log-variances.
 """
 
@@ -20,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor as tl
-from .assignment import Assignment, CostMatrix, hungarian
+from .assignment import MAX_BOXES, hungarian
 from .tensor import ContractError, DomainError, Tensor
 
 CLASS_HAND = 0
@@ -72,8 +75,9 @@ class ClipLabels:
         else:
             if self.pnr_frame is not None or self.boxes:
                 raise LabelError("no-change clip must carry no keyframe/boxes")
-        if len(self.boxes) > 2:
-            raise LabelError(f"at most 2 boxes per clip, got {len(self.boxes)}")
+        if len(self.boxes) > MAX_BOXES:
+            raise LabelError(f"at most {MAX_BOXES} boxes per clip, got "
+                             f"{len(self.boxes)}")
 
 
 @dataclass
@@ -133,22 +137,25 @@ def oscc_loss(oscc_logits: Tensor, state_change) -> Tensor:
     return tl.mean_all(cross_entropy(oscc_logits, labels))
 
 
-def make_pnr_target(labels: ClipLabels, frames: int) -> PnrTarget:
-    """One-hot at the change frame, or uniform 1/T when nothing changes."""
-    if labels.state_change:
-        if labels.pnr_frame >= frames or labels.pnr_frame < 0:
-            raise LabelError(f"keyframe {labels.pnr_frame} outside [0, {frames})")
-        dist = np.zeros(frames)
-        dist[labels.pnr_frame] = 1.0
-    else:
-        dist = np.full(frames, 1.0 / frames)
-    return PnrTarget(dist=dist)
-
-
 def make_pnr_targets(labels: Sequence[ClipLabels], frames: int) -> PnrTarget:
-    """One target row per clip, stacked: [B, T]."""
-    return PnrTarget(np.stack([make_pnr_target(lab, frames).dist
-                               for lab in labels]))
+    """One target row per clip, stacked: [B, T]; one-hot at the change
+    frame, or uniform 1/T when nothing changes."""
+    change = np.array([lab.state_change for lab in labels], dtype=bool)
+    keyframe = np.array([lab.pnr_frame if lab.state_change else 0
+                         for lab in labels], dtype=np.intp)
+    outside = change & ((keyframe < 0) | (keyframe >= frames))
+    if outside.any():
+        raise LabelError(f"keyframe {keyframe[outside][0]} outside "
+                         f"[0, {frames})")
+    dist = np.full((len(labels), frames), 1.0 / frames)
+    dist[change] = 0.0
+    dist[np.flatnonzero(change), keyframe[change]] = 1.0
+    return PnrTarget(dist)
+
+
+def make_pnr_target(labels: ClipLabels, frames: int) -> PnrTarget:
+    """The [T] target of one clip."""
+    return PnrTarget(make_pnr_targets([labels], frames).dist[0])
 
 
 def pnr_loss(pnr_logits: Tensor, target: PnrTarget) -> Tensor:
@@ -242,17 +249,29 @@ def _check_detection(class_logits: Tensor, boxes: Tensor,
         raise ContractError(f"{len(labels)} label sets for a batch of {b}")
 
 
+@dataclass
+class Match:
+    """The matched (clip, query, ground-truth box) triples of a batch, one
+    entry per box, in clip order and each clip's box order."""
+
+    clips: np.ndarray    # [M] clip index
+    queries: np.ndarray  # [M] query index within the clip
+    boxes: np.ndarray    # [M, 4] the ground-truth box
+    classes: np.ndarray  # [M] its class index
+
+
 def match_queries(class_logits: Tensor, boxes: Tensor,
-                  labels: Sequence[ClipLabels]) -> list[Assignment | None]:
-    """Minimum-cost pairing of each clip's ground-truth boxes (rows) to its
-    queries (cols); None for clips without boxes.
+                  labels: Sequence[ClipLabels]) -> Match:
+    """Minimum-cost pairing of each clip's ground-truth boxes (rows) to
+    distinct queries (cols).
 
     The costs of every clip are built in one numpy pass over detached
     values and mirror the loss terms; gradients never flow through the
-    discrete match. Each clip is then matched on its own.
+    discrete match. One call of the exact batched solver matches them.
     """
     _check_detection(class_logits, boxes, labels)
-    g = max((len(lab.boxes) for lab in labels), default=0)
+    counts = np.array([len(lab.boxes) for lab in labels], dtype=np.intp)
+    g = int(counts.max(initial=0))
     gt = np.full((len(labels), g, 4), 0.5)
     gt_class = np.zeros((len(labels), g), dtype=np.intp)
     for i, lab in enumerate(labels):
@@ -268,14 +287,16 @@ def match_queries(class_logits: Tensor, boxes: Tensor,
     _, g_iou = iou_giou_values(pred, gt[:, :, None, :])
     costs = (LAMBDA_CLS * (-np.swapaxes(prob_gt, 1, 2)) + LAMBDA_L1 * l1
              + LAMBDA_GIOU * (1.0 - g_iou))
-    return [hungarian(CostMatrix(costs[i, :len(lab.boxes)]))
-            if lab.boxes else None for i, lab in enumerate(labels)]
+    cols = hungarian(costs, counts)
+    clips, rows = np.nonzero(cols >= 0)
+    return Match(clips=clips, queries=cols[clips, rows], boxes=gt[clips, rows],
+                 classes=gt_class[clips, rows])
 
 
 def scod_loss(class_logits: Tensor, boxes: Tensor,
-              labels: Sequence[ClipLabels],
-              match: Sequence[Assignment | None] | None = None) -> Tensor:
-    """Hungarian-matched detection loss, averaged over state-change clips.
+              labels: Sequence[ClipLabels], match: Match | None = None
+              ) -> Tensor:
+    """Set-prediction detection loss, averaged over state-change clips.
 
     ``class_logits`` [B, Q, 3] and ``boxes`` [B, Q, 4] are the query
     outputs of B clips. On a state-change clip, matched queries pay class
@@ -293,23 +314,17 @@ def scod_loss(class_logits: Tensor, boxes: Tensor,
                             "boxes; caller must mask no-change clips")
     if match is None:
         match = match_queries(class_logits, boxes, labels)
-    q = class_logits.shape[1]
-    target = np.full((len(labels), q), CLASS_NO_OBJECT, dtype=np.intp)
-    rows, gt = [], []
-    for i, (lab, assignment) in enumerate(zip(labels, match)):
-        if not lab.state_change:
-            continue
-        for gi, qj in assignment.pairs:
-            target[i, qj] = lab.boxes[gi].class_index
-            rows.append(i * q + qj)
-            gt.append(lab.boxes[gi].box)
+    b, q = class_logits.shape[:2]
+    target = np.full((b, q), CLASS_NO_OBJECT, dtype=np.intp)
+    target[match.clips, match.queries] = match.classes
     ce = tl.sum_all(tl.mul(cross_entropy(class_logits, target),
                            tl.constant(np.outer(mask, np.ones(q)))))
-    matched = tl.take0(tl.reshape(boxes, (len(labels) * q, 4)), rows)
-    gt = np.asarray(gt, dtype=np.float64)
-    d = tl.sub(matched, tl.constant(gt))
+    matched = tl.take0(tl.reshape(boxes, (b * q, 4)),
+                       match.clips * q + match.queries)
+    gt = tl.constant(match.boxes)
+    d = tl.sub(matched, gt)
     l1 = tl.sum_all(tl.add(tl.relu(d), tl.relu(tl.scale(d, -1.0))))
-    giou_gap = tl.sum_all(tl.sub(1.0, giou(matched, tl.constant(gt))))
+    giou_gap = tl.sum_all(tl.sub(1.0, giou(matched, gt)))
     total = tl.add(ce, tl.add(tl.scale(l1, LAMBDA_L1),
                               tl.scale(giou_gap, LAMBDA_GIOU)))
     return tl.scale(total, 1.0 / int(mask.sum()))

@@ -8,8 +8,15 @@ flag, change frame, hand/object boxes at the keyframe) fall out of the
 script that drew the pixels, so rendered geometry and labels agree
 exactly.
 
-Dataset files store only (seed, config, labels); clips regenerate from
-the seed on read, and the stored labels double as a corruption check.
+Dataset files store only (seed, config, labels). The stored labels
+double as a corruption check: reading a file scripts each record's scene
+from its seed and compares, and writing one scripts it too; neither
+renders a frame. A record keeps its scene script, the hand's position in
+each frame, the object and the change frame as small integers, so each
+``ClipRecord.clip()`` redraws only the backdrop (the seed's first draw)
+and renders. Frames are rendered in the compute dtype
+(``tensor.precision``); every pixel is a copy of a backdrop or colour
+value, so float32 frames are exactly the float64 frames cast.
 
 Three trainable encoder variants mirror common backbone families:
 per-frame tokens (one class token per frame), a single clip-level token
@@ -30,13 +37,13 @@ encoders run attention without collecting its weights. An encoder keeps
 the compute dtype it was built in (``tensor.precision``; float64 unless a
 caller such as ``trainer.build_model`` sets another) and computes its
 features and keyframe patch rows in it, whatever the caller's dtype; the
-raw patches are made clip by clip straight in that dtype.
+raw patches are gathered from the frames in one copy into that dtype.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -114,12 +121,15 @@ class ClipConfig:
 
 @dataclass
 class SceneScript:
-    """Everything needed to draw a clip and derive its labels."""
+    """Everything of a clip but its backdrop: where the hand is in each
+    frame, the object and the change frame, as small integers, and the
+    labels they give."""
 
-    hand_rects: list[tuple[int, int, int, int]]  # per frame: x0, y0, w, h (px)
+    hand_xy: np.ndarray  # [T, 2] int16: per frame the hand's x0, y0 (px)
+    hand_side: int       # the hand is a square, inside the raster
     object_rect: tuple[int, int, int, int]
     change_frame: int | None
-    background: np.ndarray  # [H, W, 3], static
+    labels: ClipLabels
 
 
 @dataclass
@@ -150,19 +160,24 @@ def draw_rect(img: np.ndarray, rect: tuple[int, int, int, int],
     img[..., max(y0, 0):y0 + h, max(x0, 0):x0 + w, :] = color
 
 
-def _rects_clear(a, b, gap: int) -> bool:
+def _rects_clear(a, b, gap: int):
+    """Whether rects a and b are at least ``gap`` px apart; a's corner may
+    be arrays, giving one answer per position."""
     ax, ay, aw, ah = a
     bx, by, bw, bh = b
-    return (ax + aw + gap <= bx or bx + bw + gap <= ax
-            or ay + ah + gap <= by or by + bh + gap <= ay)
+    return ((ax + aw + gap <= bx) | (bx + bw + gap <= ax)
+            | (ay + ah + gap <= by) | (by + bh + gap <= ay))
+
+
+def _backdrop(rng: np.random.Generator, cfg: ClipConfig) -> np.ndarray:
+    """The static noisy backdrop [H, W, 3]: a seed's first draw."""
+    noise = rng.uniform(-cfg.noise, cfg.noise, size=(cfg.height, cfg.width, 3))
+    return np.clip(BACKGROUND_LEVEL + noise, 0.0, 1.0)
 
 
 def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
+    """Script the scene from the draws that follow the backdrop's."""
     t, h, w = cfg.frames, cfg.height, cfg.width
-    background = BACKGROUND_LEVEL + rng.uniform(-cfg.noise, cfg.noise,
-                                                size=(h, w, 3))
-    background = np.clip(background, 0.0, 1.0)
-
     hand_w, obj_lo, obj_hi = _scene_sizes(w)
     hand_h = hand_w
     obj_w = obj_h = max(4, int(rng.integers(obj_lo, obj_hi + 1)))
@@ -170,6 +185,12 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
     ox = int(rng.integers(margin, w - obj_w - margin + 1))
     oy = int(rng.integers(margin, h - obj_h - margin + 1))
     obj = (ox, oy, obj_w, obj_h)
+    steps = np.arange(t)
+
+    def hand_path(start, end, frac) -> np.ndarray:
+        xy = np.round(start + (end - start) * frac[:, None])
+        return np.minimum(np.maximum(xy, 0),
+                          (w - hand_w, h - hand_h)).astype(np.int16)
 
     change = rng.random() < cfg.p_change
     if change:
@@ -185,13 +206,13 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
             contact = (ox + (obj_w - hand_w) // 2 + jitter, oy - gap - hand_h)
         else:            # below
             contact = (ox + (obj_w - hand_w) // 2 + jitter, oy + obj_h + gap)
-        contact = (min(max(contact[0], 0), w - hand_w),
-                   min(max(contact[1], 0), h - hand_h))
+        contact = np.array([min(max(contact[0], 0), w - hand_w),
+                            min(max(contact[1], 0), h - hand_h)])
 
         # Approach from farther out along the contact normal, speed-capped
         # so the color flip dominates every inter-frame pixel difference.
-        away = np.array([contact[0] + hand_w / 2 - (ox + obj_w / 2),
-                         contact[1] + hand_h / 2 - (oy + obj_h / 2)])
+        away = contact + (hand_w / 2, hand_h / 2) - (ox + obj_w / 2,
+                                                     oy + obj_h / 2)
         away = away / (np.linalg.norm(away) + 1e-12)
         angle = rng.uniform(-0.6, 0.6)
         rot = np.array([[np.cos(angle), -np.sin(angle)],
@@ -199,20 +220,13 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
         away = rot @ away
         max_speed = 0.07 * w
         dist = min(float(rng.uniform(3.0, 0.55 * w)), max_speed * change_frame)
-        # Python floats from here on: the same float64 arithmetic as numpy
-        # without its per-scalar overhead in the per-frame loop.
-        start_x = contact[0] + float(away[0]) * dist
-        start_y = contact[1] + float(away[1]) * dist
-
-        rects = []
-        for k in range(t):
-            frac = min(k / change_frame, 1.0)
-            x0 = round(start_x + (contact[0] - start_x) * frac)
-            y0 = round(start_y + (contact[1] - start_y) * frac)
-            rects.append((min(max(x0, 0), w - hand_w),
-                          min(max(y0, 0), h - hand_h), hand_w, hand_h))
-        return SceneScript(hand_rects=rects, object_rect=obj,
-                           change_frame=change_frame, background=background)
+        xy = hand_path(contact + away * dist, contact,
+                       np.minimum(steps / change_frame, 1.0))
+        hand = (*xy[change_frame].tolist(), hand_w, hand_h)
+        return SceneScript(xy, hand_w, obj, change_frame, ClipLabels(
+            state_change=True, pnr_frame=change_frame, boxes=[
+                LabeledBox(kind="hand", box=_rect_to_box(hand, w, h)),
+                LabeledBox(kind="object", box=_rect_to_box(obj, w, h))]))
 
     # No-change clip: a slow drift that never comes near the object.
     for _ in range(100):
@@ -220,57 +234,52 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
         sy = int(rng.integers(0, h - hand_h + 1))
         ex = min(max(sx + int(rng.integers(-12, 13)), 0), w - hand_w)
         ey = min(max(sy + int(rng.integers(-12, 13)), 0), h - hand_h)
-        rects = []
-        for k in range(t):
-            frac = k / (t - 1)
-            x0 = round(sx + (ex - sx) * frac)
-            y0 = round(sy + (ey - sy) * frac)
-            rects.append((int(x0), int(y0), hand_w, hand_h))
-        if all(_rects_clear(r, obj, gap=2) for r in rects):
+        xy = hand_path(np.array([sx, sy]), np.array([ex, ey]),
+                       steps / (t - 1))
+        if np.all(_rects_clear((*xy.T, hand_w, hand_h), obj, gap=2)):
             break
     else:
-        corner = (0, 0, hand_w, hand_h) if _rects_clear(
-            (0, 0, hand_w, hand_h), obj, 2) else (w - hand_w, h - hand_h,
-                                                  hand_w, hand_h)
-        rects = [corner] * t
-    return SceneScript(hand_rects=rects, object_rect=obj, change_frame=None,
-                       background=background)
+        corner = (0, 0) if _rects_clear((0, 0, hand_w, hand_h), obj, 2) else (
+            w - hand_w, h - hand_h)
+        xy = np.tile(np.array(corner, dtype=np.int16), (t, 1))
+    return SceneScript(xy, hand_w, obj, None, ClipLabels(state_change=False))
 
 
-def _render(script: SceneScript, cfg: ClipConfig) -> np.ndarray:
+def _script_for(seed: int, cfg: ClipConfig) -> SceneScript:
+    """The scene script of ``seed``, without drawing its backdrop: the
+    generator skips the backdrop's one 64-bit draw per value."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.bit_generator.advance(cfg.height * cfg.width * 3)
+    return _make_script(rng, cfg)
+
+
+def _render(background: np.ndarray, script: SceneScript,
+            cfg: ClipConfig) -> np.ndarray:
+    """The frames [T, H, W, 3] in the compute dtype. Each pixel is a copy
+    of a backdrop or a colour value, so they equal the float64 frames
+    cast."""
     t = cfg.frames
-    frames = np.repeat(script.background[None], t, axis=0)
+    frames = np.empty((t, *background.shape), dtype=tl.compute_dtype())
+    frames[...] = background.astype(frames.dtype)
     change = t if script.change_frame is None else script.change_frame
     draw_rect(frames[:change], script.object_rect, OBJECT_COLOR_BEFORE)
     draw_rect(frames[change:], script.object_rect, OBJECT_COLOR_AFTER)
-    for frame, rect in zip(frames, script.hand_rects):
-        draw_rect(frame, rect, HAND_COLOR)
+    # every frame's hand square in one indexed write
+    side = np.arange(script.hand_side)
+    x, y = script.hand_xy.T
+    frames[np.arange(t)[:, None, None], (y[:, None] + side)[:, :, None],
+           (x[:, None] + side)[:, None, :]] = HAND_COLOR
     return frames
-
-
-def _labels_from_script(script: SceneScript, cfg: ClipConfig) -> ClipLabels:
-    if script.change_frame is None:
-        return ClipLabels(state_change=False)
-    w, h = cfg.width, cfg.height
-    k = script.change_frame
-    return ClipLabels(
-        state_change=True,
-        pnr_frame=k,
-        boxes=[
-            LabeledBox(kind="hand", box=_rect_to_box(script.hand_rects[k], w, h)),
-            LabeledBox(kind="object", box=_rect_to_box(script.object_rect, w, h)),
-        ],
-    )
 
 
 def generate_clip(seed: int, config: ClipConfig | None = None) -> SynthClip:
     """Deterministically render one clip; identical for identical seeds."""
     cfg = config or ClipConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
+    background = _backdrop(rng, cfg)
     script = _make_script(rng, cfg)
-    return SynthClip(frames=_render(script, cfg),
-                     labels=_labels_from_script(script, cfg),
-                     seed=int(seed), config=cfg)
+    return SynthClip(frames=_render(background, script, cfg),
+                     labels=script.labels, seed=int(seed), config=cfg)
 
 
 def pixel_change_keyframe(frames: np.ndarray) -> int:
@@ -285,12 +294,26 @@ def pixel_change_keyframe(frames: np.ndarray) -> int:
 
 @dataclass
 class ClipRecord:
+    """A clip as a dataset stores it. The record keeps its scene script:
+    ``read_dataset`` hands over the one it checked the labels with, and a
+    record built directly scripts its scene on its first ``clip()``. So
+    each ``clip()`` redraws only the backdrop and renders."""
+
     seed: int
     config: ClipConfig
     labels: ClipLabels
+    script: SceneScript | None = field(default=None, compare=False,
+                                       repr=False)
 
     def clip(self) -> SynthClip:
-        return generate_clip(self.seed, self.config)
+        """The same clip ``generate_clip(seed, config)`` makes."""
+        if self.script is None:
+            self.script = _script_for(self.seed, self.config)
+        rng = np.random.Generator(np.random.PCG64(self.seed))
+        return SynthClip(frames=_render(_backdrop(rng, self.config),
+                                        self.script, self.config),
+                         labels=self.script.labels, seed=int(self.seed),
+                         config=self.config)
 
 
 def _labels_to_dict(labels: ClipLabels) -> dict:
@@ -324,9 +347,8 @@ def write_dataset(path, count: int, seed_base: int,
         f.write("# " + json.dumps(head, sort_keys=True) + "\n")
         for i in range(count):
             seed = derive_seed(seed_base, "clip", i)
-            clip = generate_clip(seed, cfg)
             record = {"seed": seed, "config": asdict(cfg),
-                      "labels": _labels_to_dict(clip.labels)}
+                      "labels": _labels_to_dict(_script_for(seed, cfg).labels)}
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -349,8 +371,9 @@ def read_dataset(path) -> list[ClipRecord]:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                 LabelError, ShapeError) as e:
             raise DatasetParseError(f"line {lineno}: {e}") from None
-        regenerated = generate_clip(record.seed, record.config).labels
-        if _labels_to_dict(regenerated) != _labels_to_dict(record.labels):
+        record.script = _script_for(record.seed, record.config)
+        if _labels_to_dict(record.script.labels) != _labels_to_dict(
+                record.labels):
             raise DatasetCorruptionError(
                 f"record {index} (line {lineno}): stored labels do not "
                 "match regeneration")
@@ -373,8 +396,9 @@ def patch_constant(clips: Sequence[np.ndarray], patch: int) -> Tensor:
     if h % patch or w % patch:
         raise ShapeError(f"raster {h}x{w} not divisible into {patch}px patches")
     gy, gx = h // patch, w // patch
-    # One [B, T, gy, gx, patch, patch, 3] array, gathered and cast by the
-    # constructor in one pass: no float64 copy, no second copy.
+    # One [B, T, gy, gx, patch, patch, 3] array, gathered by the constructor
+    # in one pass: a plain copy when the frames are in the compute dtype,
+    # as ``train`` renders them, and a cast otherwise.
     raw = tl.constant([frames.reshape(t, gy, patch, gx, patch, c).transpose(
         0, 1, 3, 2, 4, 5) for frames in clips])
     return tl.reshape(raw, (len(clips) * t, gy * gx, patch * patch * c))

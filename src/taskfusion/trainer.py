@@ -1,13 +1,16 @@
 """Joint fine-tuning loop, Adam optimizer, metrics, and checkpoints.
 
-One training step regenerates its batch of clips from their seeds,
-encodes them in one call (each frame's summary row), makes one batched
-decode, for which the encoder makes the patch rows of each clip's
-keyframe alone, and one loss per task (each the mean over its clips,
-detection masked on no-change clips), combines them with the learnable
-variance weighting, and applies one Adam update.
-Batches follow a seeded Fisher-Yates shuffle per epoch with any trailing
-partial batch dropped, so runs are bit-reproducible.
+One training step renders its batch of clips from their records (each
+record scripts its scene once and then redraws only the backdrop, in the
+compute dtype), encodes them in one call (each frame's summary row),
+makes one batched decode, for which the encoder makes the patch rows of
+each clip's keyframe alone, and one loss per task (each the mean over
+its clips, detection masked on no-change clips, with one batched match),
+combines them with the learnable variance weighting, and applies one
+Adam update.
+Batches follow a seeded Fisher-Yates shuffle per epoch, its swap indices
+drawn as one array, with any trailing partial batch dropped, so runs are
+bit-reproducible.
 
 A model has one compute dtype, ``TrainConfig.dtype``: float32 by default,
 or float64. ``build_model``, ``train`` and ``ModelBundle.predict`` run
@@ -346,9 +349,12 @@ def load_model(path) -> ModelBundle:
 
 
 def fisher_yates(indices: list[int], rng: np.random.Generator) -> list[int]:
+    """Swap position i = n-1, ..., 1 with a uniform j in [0, i]. The j
+    come from one array draw, which consumes the generator as n-1 scalar
+    ``rng.integers(0, i + 1)`` calls would."""
     order = list(indices)
-    for i in range(len(order) - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    draws = rng.integers(0, np.arange(len(order), 1, -1)).tolist()
+    for i, j in zip(range(len(order) - 1, 0, -1), draws):
         order[i], order[j] = order[j], order[i]
     return order
 
@@ -474,8 +480,9 @@ def evaluate(model, records: list[ClipRecord]) -> EvalReport:
     ``model`` needs ``predict(clip) -> ClipPrediction`` and
     ``enabled_tasks``; the keyframe for spatial predictions comes from the
     keyframe head's argmax (first index on ties). Predictions are made
-    clip by clip; the losses and the matching then run once over all of
-    them. It all runs under ``tensor.no_tape``, recording no tape node.
+    clip by clip; the losses, the matching and the IoU of the matched
+    pairs then run once over all of them, as arrays. It all runs under
+    ``tensor.no_tape``, recording no tape node.
     """
     if not records:
         raise ContractError("evaluation dataset is empty")
@@ -513,9 +520,8 @@ def evaluate(model, records: list[ClipRecord]) -> EvalReport:
         match = match_queries(class_logits, boxes, labels)
         loss_means["scod"] = scod_loss(class_logits, boxes, labels,
                                        match=match).item()
-        ious = [iou_giou_values(boxes.data[i, q_j], lab.boxes[gt_i].box)[0]
-                for i, (lab, m) in enumerate(zip(labels, match)) if m is not None
-                for gt_i, q_j in m.pairs]
+        ious, _ = iou_giou_values(boxes.data[match.clips, match.queries],
+                                  match.boxes)
         mean_iou = float(np.mean(ious))
 
     return EvalReport(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from taskfusion import tensor as tl
-from taskfusion.assignment import brute_force_assign, CostMatrix
 from taskfusion.losses import (ClipLabels, LabeledBox, LabelError, PnrTarget,
                                SigmaParams, TASK_ORDER, cross_entropy, giou,
                                iou_giou_values, joint_loss, make_pnr_target,
@@ -12,6 +11,8 @@ from taskfusion.losses import (ClipLabels, LabeledBox, LabelError, PnrTarget,
 from taskfusion.seeding import rng_for
 from taskfusion.tensor import ContractError, DomainError, backward, grad_check
 from taskfusion.trainer import AdamState, ParamStore, adam_step
+
+from oracles import brute_force_assign
 
 
 def test_oscc_uniform_logits_is_ln2():
@@ -232,7 +233,7 @@ def test_scod_single_box_match_agrees_with_brute_force():
                              rng.uniform(0.1, 0.3, 2)]) for _ in range(8)],
             [int(rng.integers(0, 3)) for _ in range(8)],
             confident=False, rng=rng)
-        match = match_queries(logits, boxes, [labels])[0]
+        match = match_queries(logits, boxes, [labels])
         # oracle: the cost of each query on its own, exhaustive minimum
         from taskfusion.losses import LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1
         gt = labels.boxes[0]
@@ -244,8 +245,9 @@ def test_scod_single_box_match_agrees_with_brute_force():
             l1 = float(np.abs(box - np.asarray(gt.box)).sum())
             _, g = iou_giou_values(tuple(box), gt.box)
             costs[0, j] = -LAMBDA_CLS * prob + LAMBDA_L1 * l1 + LAMBDA_GIOU * (1 - g)
-        oracle = brute_force_assign(CostMatrix(costs))
-        assert match.total_cost == pytest.approx(oracle.total_cost, abs=1e-12)
+        _, oracle = brute_force_assign(costs)
+        assert list(match.clips) == [0]
+        assert costs[0, match.queries[0]] == pytest.approx(oracle, abs=1e-12)
 
 
 def test_scod_query_permutation_invariance():

@@ -1,5 +1,5 @@
-"""Property-based tests (hypothesis): the Hungarian solver against the
-brute-force oracle, the bounds and symmetry of generalized IoU, and the
+"""Property-based tests (hypothesis): the batched exact matcher against
+the brute-force oracle, the bounds and symmetry of generalized IoU, and the
 broadcast rules of the binary tensor ops. Draws are derandomized, so
 every run checks the same examples."""
 
@@ -10,36 +10,62 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from taskfusion import tensor as tl
-from taskfusion.assignment import CostMatrix, brute_force_assign, hungarian
+from taskfusion.assignment import AssignmentDomainError, hungarian
 from taskfusion.losses import giou, iou_giou_values
 from taskfusion.tensor import ShapeError
+
+from oracles import brute_force_assign
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None,
                     deadline=None)
 
 
+# Costs from a handful of values tie exactly and often; the rest are any
+# finite floats.
+COSTS = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                  st.floats(-100, 100, allow_nan=False))
+
+
 @st.composite
-def cost_matrices(draw):
-    q = draw(st.integers(1, 6))
-    g = draw(st.integers(0, q))
-    return draw(arrays(np.float64, (g, q),
-                       elements=st.floats(-100, 100, allow_nan=False)))
+def batched_costs(draw):
+    """[B, G, Q] costs with G <= 2 rows, and each clip's box count."""
+    q = draw(st.integers(2, 6))
+    g = draw(st.integers(0, 2))
+    b = draw(st.integers(1, 4))
+    costs = draw(arrays(np.float64, (b, g, q), elements=COSTS))
+    counts = draw(arrays(np.intp, b, elements=st.integers(0, g)))
+    return costs, counts
 
 
 @SETTINGS
-@given(cost_matrices())
-def test_hungarian_matches_the_brute_force_oracle(costs):
-    got = hungarian(CostMatrix(costs))
-    want = brute_force_assign(CostMatrix(costs))
-    g, q = costs.shape
-    rows = sorted(r for r, _ in got.pairs)
-    cols = [c for _, c in got.pairs]
-    assert rows == list(range(g))
-    assert len(set(cols)) == g and all(0 <= c < q for c in cols)
-    paid = sum(costs[r, c] for r, c in got.pairs)
-    assert abs(paid - got.total_cost) <= 1e-9 * (1 + abs(paid))
-    assert abs(got.total_cost - want.total_cost) <= 1e-9 * (
-        1 + abs(want.total_cost))
+@given(batched_costs())
+@example((np.zeros((3, 2, 2)), np.array([0, 1, 2])))
+@example((np.ones((1, 2, 6)), np.array([2])))
+def test_hungarian_matches_the_brute_force_oracle(case):
+    costs, counts = case
+    got = hungarian(costs, counts)
+    g, q = costs.shape[1:]
+    assert got.shape == (len(costs), g)
+    for c, n, cols in zip(costs, counts, got):
+        assert list(cols[n:]) == [-1] * (g - n)
+        cols = list(cols[:n])
+        assert len(set(cols)) == n and all(0 <= j < q for j in cols)
+        paid = float(sum(c[r, j] for r, j in enumerate(cols)))
+        assert paid == brute_force_assign(c[:n])[1]
+
+
+@SETTINGS
+@given(batched_costs(), st.sampled_from([np.inf, -np.inf, np.nan]),
+       st.integers(0, 10 ** 6))
+def test_hungarian_rejects_non_finite_costs(case, bad, where):
+    costs, counts = case
+    used = np.argwhere(np.arange(costs.shape[1]) < counts[:, None])
+    if not len(used):
+        return
+    i, r = used[where % len(used)]
+    costs[i, r, where % costs.shape[2]] = bad
+    with pytest.raises(AssignmentDomainError):
+        hungarian(costs, counts)
 
 
 boxes = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),

@@ -6,11 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from taskfusion.synth import (BOX_CONTRAST, ClipConfig, DatasetCorruptionError,
-                              DatasetParseError, _make_script,
-                              _min_raster_side, box_to_rect, build_encoder,
-                              generate_clip, read_dataset, write_dataset)
+from taskfusion import synth
 from taskfusion import tensor as tl
+from taskfusion.synth import (BOX_CONTRAST, ClipConfig, ClipRecord,
+                              DatasetCorruptionError, DatasetParseError,
+                              _backdrop, _make_script, _min_raster_side,
+                              box_to_rect, build_encoder, generate_clip,
+                              read_dataset, write_dataset)
 from taskfusion.tensor import ContractError, ShapeError
 
 CFG = ClipConfig(frames=4, height=16, width=16, p_change=1.0)
@@ -102,7 +104,7 @@ def test_labeled_boxes_contrast_with_the_backdrop(image):
     for seed in range(100):
         clip = generate_clip(seed, cfg)
         rng = np.random.Generator(np.random.PCG64(seed))
-        backdrop = _make_script(rng, cfg).background
+        backdrop = _backdrop(rng, cfg)
         frame = clip.frames[clip.labels.pnr_frame]
         for box in clip.labels.boxes:
             x0, y0, w, h = box_to_rect(box.box, image, image)
@@ -215,3 +217,61 @@ def test_clips_match_their_pinned_digests(image):
         h.update(json.dumps(asdict(clip.labels), sort_keys=True).encode())
     assert changes == {True, False}
     assert h.hexdigest() == CLIP_DIGESTS[image]
+
+
+def _same_clip(a, b) -> bool:
+    return (a.frames.dtype == b.frames.dtype
+            and np.array_equal(a.frames, b.frames) and a.labels == b.labels
+            and (a.seed, a.config) == (b.seed, b.config))
+
+
+@pytest.mark.parametrize("cfg", [
+    ClipConfig(frames=8, height=16, width=16, p_change=0.5),
+    ClipConfig(frames=5, height=20, width=24, p_change=0.5, noise=0.0)])
+def test_a_record_renders_the_clip_of_its_seed(tmp_path, cfg):
+    """From ``read_dataset`` or built directly, on its first call and on
+    later ones, bit for bit."""
+    path = tmp_path / "data"
+    write_dataset(path, 12, 4, cfg)
+    records = read_dataset(path)
+    assert {r.labels.state_change for r in records} == {True, False}
+    built = [ClipRecord(r.seed, cfg, r.labels) for r in records]
+    for record in records + built:
+        want = generate_clip(record.seed, cfg)
+        for _ in range(3):
+            assert _same_clip(record.clip(), want), record.seed
+    assert records == built
+
+
+def test_float32_frames_are_the_float64_frames_cast():
+    cfg = ClipConfig(frames=8, height=32, width=32, p_change=0.5)
+    for seed in range(12):
+        frames = generate_clip(seed, cfg).frames
+        with tl.precision("float32"):
+            frames32 = generate_clip(seed, cfg).frames
+            record_frames = ClipRecord(seed, cfg, None).clip().frames
+        assert frames.dtype == np.float64
+        assert frames32.dtype == record_frames.dtype == np.float32
+        assert np.array_equal(frames32, frames.astype(np.float32))
+        assert np.array_equal(record_frames, frames32)
+
+
+def test_records_from_a_dataset_script_no_clip_again(tmp_path, monkeypatch):
+    path = tmp_path / "data"
+    write_dataset(path, 6, 0, CFG)
+    calls = []
+    make = synth._make_script
+
+    def counting(rng, cfg):
+        calls.append(1)
+        return make(rng, cfg)
+
+    monkeypatch.setattr(synth, "_make_script", counting)
+    records = read_dataset(path)
+    assert len(calls) == 6
+    for _ in range(3):
+        for record in records:
+            record.clip()
+    assert len(calls) == 6
+    ClipRecord(records[0].seed, CFG, records[0].labels).clip()
+    assert len(calls) == 7

@@ -9,6 +9,7 @@ from taskfusion import trainer
 from taskfusion.attention import linear, self_attention
 from taskfusion.decoder import ClipFeatures, TaskFusionDecoder
 from taskfusion.losses import TASK_ORDER, joint_loss
+from taskfusion.seeding import rng_for
 from taskfusion.synth import (ClipConfig, ClipRecord, generate_clip,
                               patch_constant)
 from taskfusion.tensor import ContractError, backward
@@ -98,6 +99,25 @@ def test_train_decodes_once_per_step(monkeypatch):
     result = trainer.train(_records(), _config(steps=2))
     assert calls == [4, 4]
     assert all(np.isfinite(row["loss_total"]) for row in result.log)
+
+
+def _scalar_fisher_yates(indices, rng):
+    """The shuffle as one scalar draw per swap."""
+    order = list(indices)
+    for i in range(len(order) - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+def test_fisher_yates_draws_as_the_scalar_loop_does():
+    for seed in range(4):
+        for n in range(0, 301):
+            rngs = [rng_for(seed, "shuffle", n) for _ in range(2)]
+            assert (trainer.fisher_yates(range(n), rngs[0])
+                    == _scalar_fisher_yates(range(n), rngs[1])), (seed, n)
+            # and leaves the generator where the loop leaves it
+            assert rngs[0].integers(0, 2 ** 62) == rngs[1].integers(0, 2 ** 62)
 
 
 def test_adam_rejects_non_finite_gradient_before_any_update(monkeypatch):
