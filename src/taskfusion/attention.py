@@ -6,13 +6,12 @@ fused tape op, ``tensor.attention`` (node kind ``"attention"``): the
 projections, the head split, the scaled max-subtracted softmax, the head
 merge and the output projection are one node whose backward rule computes
 every gradient in numpy. Self-attention hands the op its token set once,
-as queries and memory both. A caller that passes a ``cache`` list gets the
-call's per-head weight matrices appended to it: ``[heads, nq, nk]`` for an
-unbatched call, ``[B, heads, nq, nk]`` for a batched one. They are a
-read-only view (``writeable`` False) of the array the op's backward rule
-reads, not a copy, so writing to them raises; copy them to edit. The
-decoder passes one on every call and returns the weights with its
-predictions; the encoders pass none. The encoders call
+as queries and memory both. Each block returns its output and the call's
+per-head weight matrices: ``[heads, nq, nk]`` for an unbatched call,
+``[B, heads, nq, nk]`` for a batched one. The weights are a read-only view
+(``writeable`` False) of the array the op's backward rule reads, not a
+copy, so writing to them raises; copy them to edit. The decoder returns
+them with its predictions; the encoders drop them. The encoders call
 ``self_attention`` only: the ``per_frame_token`` encoder's class query
 runs through ``tensor.class_attention`` instead. Queries carry no positional
 information of their own; position enters only where a caller adds a
@@ -73,15 +72,13 @@ class AttentionParams:
                 f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
 
 
-def _attend(queries: Tensor, memory: Tensor | None, params: AttentionParams,
-            cache: list[np.ndarray] | None) -> Tensor:
+def _attend(queries: Tensor, memory: Tensor | None, params: AttentionParams
+            ) -> tuple[Tensor, np.ndarray]:
     out, weights = tl.attention(queries, memory, params.wq, params.wk,
                                 params.wv, params.wo, params.head_count)
-    if cache is not None:
-        view = weights.reshape(queries.shape[:-2] + weights.shape[1:])
-        view.flags.writeable = False
-        cache.append(view)
-    return out
+    view = weights.reshape(queries.shape[:-2] + weights.shape[1:])
+    view.flags.writeable = False
+    return out, view
 
 
 def _check_tokens(x: Tensor, what: str, width: int) -> None:
@@ -93,22 +90,24 @@ def _check_tokens(x: Tensor, what: str, width: int) -> None:
         raise ShapeError(f"{what} width {x.shape[-1]} != params width {width}")
 
 
-def self_attention(tokens: Tensor, params: AttentionParams,
-                   cache: list[np.ndarray] | None = None) -> Tensor:
-    """Scaled dot-product attention of each token set over itself."""
+def self_attention(tokens: Tensor, params: AttentionParams
+                   ) -> tuple[Tensor, np.ndarray]:
+    """Scaled dot-product attention of each token set over itself: the
+    output and the weights."""
     _check_tokens(tokens, "self_attention: token set", params.width)
-    return _attend(tokens, None, params, cache)
+    return _attend(tokens, None, params)
 
 
-def cross_attention(memory: Tensor, queries: Tensor, params: AttentionParams,
-                    cache: list[np.ndarray] | None = None) -> Tensor:
-    """Queries attend over a separate memory; output shape matches queries."""
+def cross_attention(memory: Tensor, queries: Tensor, params: AttentionParams
+                    ) -> tuple[Tensor, np.ndarray]:
+    """Queries attend over a separate memory: the output, shaped as the
+    queries, and the weights."""
     _check_tokens(memory, "cross_attention: memory", params.width)
     _check_tokens(queries, "cross_attention: query set", params.width)
     if memory.shape[:-2] != queries.shape[:-2]:
         raise ShapeError(f"cross_attention: memory batch {memory.shape[:-2]} "
                          f"!= query batch {queries.shape[:-2]}")
-    return _attend(queries, memory, params, cache)
+    return _attend(queries, memory, params)
 
 
 class PositionalEncoding:
@@ -127,15 +126,16 @@ class PositionalEncoding:
         self.max_len = max_len
         self.width = width
 
-    def rows(self, offset: int, n: int) -> Tensor:
-        if offset < 0 or offset + n > self.max_len:
-            raise ShapeError(f"positions [{offset}, {offset + n}) exceed table "
-                             f"length {self.max_len}")
-        return tl.narrow(self.table, 0, offset, n)
+    def rows(self, n: int) -> Tensor:
+        """The first ``n`` table rows [n, D]."""
+        if n > self.max_len:
+            raise ShapeError(f"positions [0, {n}) exceed table length "
+                             f"{self.max_len}")
+        return tl.narrow(self.table, 0, 0, n)
 
-    def encode(self, features: Tensor, offset: int = 0) -> Tensor:
-        """Add table rows [offset, offset+n) to an [..., n, D] feature block."""
+    def encode(self, features: Tensor) -> Tensor:
+        """Add table rows [0, n) to an [..., n, D] feature block."""
         n, d = features.shape[-2:]
         if d != self.width:
             raise ShapeError(f"feature width {d} != table width {self.width}")
-        return tl.add(features, self.rows(offset, n))
+        return tl.add(features, self.rows(n))

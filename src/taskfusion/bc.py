@@ -362,9 +362,11 @@ def _demo_features(demos: list[Demo], embed_fn,
     return np.stack(xs), np.stack(ys)
 
 
+BC_BATCH_SIZE = 64  # transitions per ``bc_train`` step, or all if fewer
+
+
 def bc_train(demos: list[Demo], embed_fn, steps: int, seed: int,
-             lr: float = 1e-3, batch_size: int = 64,
-             use_proprio: bool = True,
+             lr: float = 1e-3, use_proprio: bool = True,
              max_step: float = 0.05) -> tuple[Policy, list[float]]:
     """Regress expert actions from frozen embeddings (+ proprio).
 
@@ -383,7 +385,7 @@ def bc_train(demos: list[Demo], embed_fn, steps: int, seed: int,
     store = policy.store()
     adam = AdamState(lr=lr)
     log: list[float] = []
-    size = min(batch_size, n)
+    size = min(BC_BATCH_SIZE, n)
     for _ in range(steps):
         idx = rng.choice(n, size=size, replace=False)
         xb = tl.constant(x_all[idx])

@@ -17,14 +17,14 @@ row 1 localizes the change frame, rows 2..9 are detection queries. A
 single clip is a batch of one; there is no separate per-clip path.
 
 The contract with the encoders and the callers: an encoder hands over
-``ClipFeatures`` for a batch (one summary row per frame, and per frame
-the rows its patch rows are made from, of any width, with the encoder's
-function that makes them), a caller names each clip's keyframe as an
-int, and the decode asks the features for the patch rows of those
-keyframes only. Every decode returns its attention weights with its
-predictions. The decoder is the only caller that passes attention a
-``cache`` list, one per block and layer, and it keeps no state between
-decodes.
+``ClipFeatures`` for a batch of B clips of T frames: one summary row per
+frame ``h_frames [B, T, D]``, one slab tensor ``slabs [B*T, S, D']``
+whose row ``b*T + t`` holds the rows clip b's frame t's patch rows are
+made from, of any width, and the encoder's function that makes them. A
+caller names each clip's keyframe as an int, and the decode gathers the
+slabs of those keyframes in one op and makes patch rows of them only.
+Every decode returns, with its predictions, the attention weights each
+attention block returns, and it keeps no state between decodes.
 """
 
 from __future__ import annotations
@@ -57,52 +57,60 @@ class ClipFeatures:
 
     ``h_frames`` holds each encoder's summary row of every frame (its class
     row, or the mean of the frame's patches). The patch rows of a frame
-    are made only for the keyframes a decode asks for: ``slabs`` holds, per
-    clip, the rows [T, S, D'] each frame's patch rows are computed from, and
-    ``patch_rows`` maps a batch of gathered frame slabs [B, S, D'] to their
-    patch rows [B, P, D]. Its slabs may have any width D' (the
-    ``per_frame_token`` encoder's are the frames' raw patches). None means
-    the slabs already are the patch rows, of width D.
+    are made only for the keyframes a decode asks for: row ``b*T + t`` of
+    ``slabs`` holds the rows [S, D'] clip b's frame t's patch rows are
+    computed from, and ``patch_rows`` maps a batch of gathered frame slabs
+    [B, S, D'] to their patch rows [B, P, D]. Its slabs may have any width
+    D' (the ``per_frame_token`` encoder's are the frames' raw patches).
+    None means the slabs already are the patch rows; ``keyframe_patches``
+    checks the shape of the patch rows either way.
     """
 
-    h_frames: Tensor     # [B, T, D]
-    slabs: list[Tensor]  # B of [T, S, D']
-    frames: int
+    h_frames: Tensor  # [B, T, D]
+    slabs: Tensor     # [B*T, S, D']
     patches: int
     patch_rows: Callable[[Tensor], Tensor] | None = None
 
     def __post_init__(self):
-        t, p = self.frames, self.patches
-        if t < 2 or p < 1:
-            raise ShapeError(f"need T >= 2 and P >= 1, got T={t} P={p}")
-        if self.h_frames.data.ndim != 3 or self.h_frames.shape[1] != t:
+        if self.h_frames.data.ndim != 3:
             raise ShapeError(f"h_frames shape {self.h_frames.shape} != "
-                             f"(B, {t}, D)")
-        b, _, d = self.h_frames.shape
-        shapes = {slab.shape for slab in self.slabs}
-        if len(self.slabs) != b or len(shapes) != 1 or any(
-                len(s) != 3 or s[0] != t
-                or (self.patch_rows is None and s[2] != d) for s in shapes):
-            width = d if self.patch_rows is None else "D'"
-            raise ShapeError(f"slabs {sorted(shapes)} are not {b} of one "
-                             f"shape ({t}, S, {width})")
+                             f"(B, T, D)")
+        b, t, _ = self.h_frames.shape
+        if t < 2 or self.patches < 1:
+            raise ShapeError(f"need T >= 2 and P >= 1, got T={t} "
+                             f"P={self.patches}")
+        if self.slabs.data.ndim != 3 or self.slabs.shape[0] != b * t:
+            raise ShapeError(f"slabs {self.slabs.shape} are not "
+                             f"({b * t}, S, D')")
 
     @property
     def batch(self) -> int:
         return self.h_frames.shape[0]
 
     @property
+    def frames(self) -> int:
+        return self.h_frames.shape[1]
+
+    @property
     def width(self) -> int:
         return self.h_frames.shape[2]
 
-    def keyframe_patches(self, keyframes: np.ndarray) -> Tensor:
-        """Patch rows [B, P, D] of one frame per clip (checked ints): each
-        clip's slab of that frame, joined, then ``patch_rows``."""
-        rows = tl.concat([tl.narrow(slab, 0, int(k), 1)
-                          for slab, k in zip(self.slabs, keyframes)], axis=0)
+    def keyframe_patches(self, keyframes: Sequence[int] | np.ndarray
+                         ) -> Tensor:
+        """Patch rows [B, P, D] of one frame per clip (one int per clip):
+        the slabs of those frames, gathered in one op, then
+        ``patch_rows``."""
+        b, t = self.batch, self.frames
+        ks = np.asarray(keyframes)
+        if ks.shape != (b,) or not np.issubdtype(ks.dtype, np.integer):
+            raise ContractError(f"keyframes {keyframes!r} are not one int per "
+                                f"clip of a batch of {b}")
+        if np.any(ks < 0) or np.any(ks >= t):
+            raise ContractError(f"keyframes {ks.tolist()} outside [0, {t})")
+        rows = tl.take0(self.slabs, np.arange(b) * t + ks)
         if self.patch_rows is not None:
             rows = self.patch_rows(rows)
-        want = (self.batch, self.patches, self.width)
+        want = (b, self.patches, self.width)
         if rows.shape != want:
             raise ShapeError(f"keyframe patch rows {rows.shape} != {want}")
         return rows
@@ -230,28 +238,6 @@ class TaskPredictions(_Outputs):
                               keyframe_used=int(self.keyframes[b]))
 
 
-def build_temporal_memory(features: ClipFeatures,
-                          pe: PositionalEncoding) -> Tensor:
-    """Per-frame memory h_t [B, T, D]: frame features plus the time
-    position table."""
-    return pe.encode(features.h_frames, 0)
-
-
-def select_keyframe(features: ClipFeatures, pe: PositionalEncoding,
-                    keyframes: Sequence[int] | np.ndarray
-                    ) -> tuple[Tensor, np.ndarray]:
-    """Spatial memory h_s [B, P, D] from the patch rows of each clip's
-    keyframe (one int per clip), made for those frames only."""
-    b, t = features.batch, features.frames
-    ks = np.asarray(keyframes)
-    if ks.shape != (b,) or not np.issubdtype(ks.dtype, np.integer):
-        raise ContractError(f"keyframes {keyframes!r} are not one int per "
-                            f"clip of a batch of {b}")
-    if np.any(ks < 0) or np.any(ks >= t):
-        raise ContractError(f"keyframes {ks.tolist()} outside [0, {t})")
-    return pe.encode(features.keyframe_patches(ks), 0), ks
-
-
 @dataclass
 class _Layer:
     self_attn: AttentionParams
@@ -359,11 +345,13 @@ class TaskFusionDecoder:
     def _tokens(self, features: ClipFeatures,
                 keyframes: Sequence[int] | np.ndarray, detection: bool = True
                 ) -> tuple[Tensor, np.ndarray, list[LayerAttention]]:
-        """The decoder layers: refined tokens [B, 10, D], the keyframes
-        used and each layer's attention weights. With ``detection`` False
-        the last layer leaves out its detection block, which only the
-        detection heads read: the tokens are then the two temporal rows
-        [B, 2, D], and the attention has no entry for the last layer."""
+        """The decoder layers over the per-frame memory h_t [B, T, D] and
+        the keyframes' spatial memory h_s [B, P, D], each with the position
+        table added: refined tokens [B, 10, D], the keyframes used and each
+        layer's attention weights. With ``detection`` False the last layer
+        leaves out its detection block, which only the detection heads
+        read: the tokens are then the two temporal rows [B, 2, D], and the
+        attention has no entry for the last layer."""
         cfg = self.config
         if features.width != cfg.width or features.frames != cfg.frames \
                 or features.patches != cfg.patches:
@@ -374,32 +362,26 @@ class TaskFusionDecoder:
                 f"width {cfg.width})")
         b, d = features.batch, cfg.width
 
-        h_t = build_temporal_memory(features, self.pe)
-        h_s, keyframes = select_keyframe(features, self.pe, keyframes)
+        h_t = self.pe.encode(features.h_frames)
+        h_s = self.pe.encode(features.keyframe_patches(keyframes))
+        keyframes = np.asarray(keyframes)
 
         attention: list[LayerAttention] = []
         z = tl.repeat0(tl.reshape(self.tokens, (1, TOKEN_COUNT, d)), b)
         for k, layer in enumerate(self.layers):
-            c_self: list[np.ndarray] = []
-            c_t: list[np.ndarray] = []
-            c_s: list[np.ndarray] = []
-            f = tl.layer_norm(
-                tl.add(z, self_attention(z, layer.self_attn, c_self)),
-                layer.ln_self_g, layer.ln_self_b)
+            a, w_self = self_attention(z, layer.self_attn)
+            f = tl.layer_norm(tl.add(z, a), layer.ln_self_g, layer.ln_self_b)
             f_t = tl.narrow(f, 1, 0, 2)
             f_s = tl.narrow(f, 1, 2, SCOD_QUERY_COUNT)
-            z_t = tl.layer_norm(
-                tl.add(f_t, cross_attention(h_t, f_t, layer.cross_temporal, c_t)),
-                layer.ln_t_g, layer.ln_t_b)
+            a, w_t = cross_attention(h_t, f_t, layer.cross_temporal)
+            z_t = tl.layer_norm(tl.add(f_t, a), layer.ln_t_g, layer.ln_t_b)
             if not detection and k == len(self.layers) - 1:
                 return z_t, keyframes, attention
-            z_s = tl.layer_norm(
-                tl.add(f_s, cross_attention(h_s, f_s, layer.cross_spatial, c_s)),
-                layer.ln_s_g, layer.ln_s_b)
+            a, w_s = cross_attention(h_s, f_s, layer.cross_spatial)
+            z_s = tl.layer_norm(tl.add(f_s, a), layer.ln_s_g, layer.ln_s_b)
             z = tl.concat([z_t, z_s], axis=1)
-            attention.append(LayerAttention(self_attn=c_self[0],
-                                            temporal=c_t[0],
-                                            spatial=c_s[0]))
+            attention.append(LayerAttention(self_attn=w_self, temporal=w_t,
+                                            spatial=w_s))
         return z, keyframes, attention
 
     def _heads(self, z: Tensor, tasks: Sequence[str]

@@ -214,7 +214,7 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
             inputs = [tokens, params.wq, params.wk, params.wv, params.wo]
             check(f"self_attention{tag}[{c}]",
                   lambda t, *_, p=params, w=w: tl.sum_all(
-                      tl.mul(self_attention(t, p), w)),
+                      tl.mul(self_attention(t, p)[0], w)),
                   inputs, names=["tokens", "wq", "wk", "wv", "wo"])
 
             memory = tl.tensor(rng.standard_normal(batch + (6, 8)),
@@ -224,7 +224,7 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
             wq = tl.constant(rng.standard_normal(batch + (3, 8)))
             check(f"cross_attention{tag}[{c}]",
                   lambda m, q, *_, p=params, w=wq: tl.sum_all(
-                      tl.mul(cross_attention(m, q, p), w)),
+                      tl.mul(cross_attention(m, q, p)[0], w)),
                   [memory, queries, params.wq, params.wk, params.wv,
                    params.wo],
                   names=["memory", "queries", "wq", "wk", "wv", "wo"])
@@ -327,10 +327,9 @@ def _decode_joint_check(seed: int, tol: float, eps: float) -> GradCheckReport:
     keyframes = np.array([2, t // 2])  # the change frame; mid frame
 
     def features():
-        # one slab per clip, as the encoders hand them over
-        slabs = [tl.reshape(tl.narrow(h_patches, 0, i, 1), (t, p, d))
-                 for i in range(b)]
-        return ClipFeatures(h_frames=h_frames, slabs=slabs, frames=t,
+        # one slab per frame, as the encoders hand them over
+        return ClipFeatures(h_frames=h_frames,
+                            slabs=tl.reshape(h_patches, (b * t, p, d)),
                             patches=p)
 
     # Ground-truth boxes are the initial predictions shifted by a fixed

@@ -25,15 +25,19 @@ through a two-layer transformer-encoder adapter. ``Encoder.encode`` takes
 a batch of clips, the whole batch of a training step or one clip of a
 prediction, and hands the decoder ``ClipFeatures``: one summary row per
 frame (the per-frame class rows, or else the mean of the frame's
-patches), and per frame the rows that frame's patch rows are made from,
-which the decoder turns into patch rows only for the keyframe each decode
-names. The per-frame-token encoder computes only what is read: it makes
-every frame's class row of the batch in one ``tensor.class_attention``
-op straight from the frames' raw patches, which it hands over as its
-slabs, and embeds the tokens of a frame and runs its attention over them
-only for a keyframe. The other two need every patch row for their patch
-mean, encode clip by clip, and hand those rows over as they are. The
-encoders run attention without collecting its weights. An encoder keeps
+patches), and one slab tensor [B*T, S, D'] whose row ``b*T + t`` holds
+the rows clip b's frame t's patch rows are made from, which the decoder
+turns into patch rows only for the keyframe each decode names. The
+per-frame-token encoder computes only what is read: it makes every
+frame's class row of the batch in one ``tensor.class_attention`` op
+straight from the frames' raw patches [B*T, P, F], which it hands over
+as its slabs, and embeds the tokens of a frame and runs its attention
+over them only for a keyframe. The other two need every patch row for
+their patch mean, encode clip by clip, and join the clips' patch rows
+[T, P, D] into their slabs in one concat. Their position tables and
+pooling indices are built once, for the encoder's frame count; a clip
+may have fewer frames (``embed_frame`` encodes one), not more. The
+encoders drop the attention weights. An encoder keeps
 the compute dtype it was built in (``tensor.precision``; float64 unless a
 caller such as ``trainer.build_model`` sets another) and computes its
 features and keyframe patch rows in it, whatever the caller's dtype; the
@@ -66,6 +70,7 @@ OBJECT_COLOR_AFTER = np.array([0.90, 0.15, 0.10])
 BOX_CONTRAST = 0.5
 
 ENCODER_KINDS = ("per_frame_token", "clip_token", "conv_grid")
+CONV_CHANNELS = 32  # the conv_grid encoder's stage-1 channels
 
 
 class DatasetError(Exception):
@@ -425,13 +430,16 @@ class Encoder:
     def parameters(self) -> dict[str, Tensor]:
         raise NotImplementedError
 
-    def _features(self, clips: list[np.ndarray]) -> tuple[Tensor, list[Tensor]]:
+    def _features(self, clips: list[np.ndarray]) -> tuple[Tensor, Tensor]:
         """Frame stacks [T, H, W, 3] of B clips -> (h_frames [B, T, D],
-        slabs: B of [T, S, D']): each frame's summary row, and per clip
-        the rows ``_patch_rows`` makes its frames' patch rows from. Here
-        clip by clip, by ``_clip_features``."""
+        slabs [B*T, S, D']): each frame's summary row, and per frame the
+        rows ``_patch_rows`` makes its patch rows from. Here clip by clip,
+        by ``_clip_features``, from tables built for at most ``frames``."""
+        if clips[0].shape[0] > self.frames:
+            raise ShapeError(f"clips of {clips[0].shape[0]} frames exceed the "
+                             f"{self.kind} encoder's {self.frames}")
         rows, slabs = zip(*(self._clip_features(frames) for frames in clips))
-        return tl.concat(rows, axis=0), list(slabs)
+        return tl.concat(rows, axis=0), tl.concat(slabs, axis=0)
 
     def _clip_features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         """[T, H, W, 3] -> (h_frames [1, T, D], slab [T, P, D]): the
@@ -449,7 +457,7 @@ class Encoder:
         with tl.precision(self.dtype):
             return fn(arg)
 
-    def _forward(self, clips: list[np.ndarray]) -> tuple[Tensor, list[Tensor]]:
+    def _forward(self, clips: list[np.ndarray]) -> tuple[Tensor, Tensor]:
         if not clips:
             raise ContractError("encoding needs at least one clip")
         shape = clips[0].shape
@@ -470,8 +478,7 @@ class Encoder:
         """Features of a batch of clips, in one call."""
         h_frames, slabs = self._forward([clip.frames for clip in clips])
         return ClipFeatures(h_frames=h_frames, slabs=slabs,
-                            frames=h_frames.shape[1], patches=self.patches,
-                            patch_rows=self.patch_rows)
+                            patches=self.patches, patch_rows=self.patch_rows)
 
     @tl.no_tape()
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
@@ -507,17 +514,16 @@ class PerFrameTokenEncoder(Encoder):
 
     def _bias_rows(self) -> Tensor:
         """The patch embedding's bias plus position rows [P, D]."""
-        return tl.add(self.pe.rows(0, self.patches), self.b_patch)
+        return tl.add(self.pe.rows(self.patches), self.b_patch)
 
-    def _features(self, clips: list[np.ndarray]) -> tuple[Tensor, list[Tensor]]:
+    def _features(self, clips: list[np.ndarray]) -> tuple[Tensor, Tensor]:
         b, t = len(clips), clips[0].shape[0]
         raw = patch_constant(clips, self.patch)  # [b*t, P, F]
         a = self.attn
         h_frames = tl.class_attention(raw, self.w_patch, self._bias_rows(),
                                       self.cls, a.wq, a.wk, a.wv, a.wo,
                                       a.head_count)
-        slabs = [tl.narrow(raw, 0, i * t, t) for i in range(b)]
-        return tl.reshape(h_frames, (b, t, self.width)), slabs
+        return tl.reshape(h_frames, (b, t, self.width)), raw
 
     def _patch_rows(self, slabs: Tensor) -> Tensor:
         b = slabs.shape[0]
@@ -526,7 +532,7 @@ class PerFrameTokenEncoder(Encoder):
         tok = tl.add(tl.reshape(tok, (b, self.patches, self.width)),
                      self._bias_rows())
         x = tl.concat([tl.repeat0(self.cls, b), tok], axis=1)  # [b, P+1, D]
-        out = tl.add(x, self_attention(x, self.attn))
+        out = tl.add(x, self_attention(x, self.attn)[0])
         return tl.narrow(out, 1, 1, self.patches)
 
 
@@ -544,7 +550,11 @@ class ClipTokenEncoder(Encoder):
         self.b_patch = tl.zeros(width, requires_grad=True)
         self.cls = tl.randn(rng, (1, width), std=0.02, requires_grad=True)
         self.attn = AttentionParams.init(rng, width, heads)
-        self._pe_tables: dict[int, Tensor] = {}
+        # space plus time position rows [frames*P, D], frame-major
+        space = self.pe.rows(self.patches).data
+        time = self.pe.rows(frames).data
+        self._positions = tl.constant((space[None] + time[:, None]).reshape(
+            frames * self.patches, width))
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"w_patch": self.w_patch, "b_patch": self.b_patch,
@@ -552,26 +562,15 @@ class ClipTokenEncoder(Encoder):
         params.update(self.attn.named("attn"))
         return params
 
-    def _pe_spacetime(self, t: int) -> Tensor:
-        """Space plus time position rows [t*P, D], built once per frame
-        count."""
-        table = self._pe_tables.get(t)
-        if table is None:
-            space = self.pe.rows(0, self.patches).data
-            time = self.pe.rows(0, t).data
-            table = tl.constant((space[None] + time[:, None]).reshape(
-                t * self.patches, self.width))
-            self._pe_tables[t] = table
-        return table
-
     def _clip_features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
         tok = linear(tl.reshape(patch_constant([frames], self.patch),
                                 (t * self.patches, self.patch_dim)),
                      self.w_patch, self.b_patch)
-        tok = tl.add(tok, self._pe_spacetime(t))
+        tok = tl.add(tok, tl.narrow(self._positions, 0, 0,
+                                    t * self.patches))
         x = tl.concat([self.cls, tok], axis=0)  # [1 + t*P, D]
-        out = tl.add(x, self_attention(x, self.attn))
+        out = tl.add(x, self_attention(x, self.attn)[0])
         patches = tl.reshape(tl.narrow(out, 0, 1, t * self.patches),
                              (t, self.patches, self.width))
         h_frames = tl.mean_axis(patches, axis=1)
@@ -583,8 +582,7 @@ class ConvGridEncoder(Encoder):
 
     kind = "conv_grid"
 
-    def __init__(self, rng, width=64, heads=2, frames=16, image=32, patch=8,
-                 conv_channels=32):
+    def __init__(self, rng, width=64, heads=2, frames=16, image=32, patch=8):
         super().__init__(width, frames, image, patch)
         # stage 1: k4 s4 over pixels; stage 2: k2 s2 over the stage-1 grid.
         self.grid1 = image // 4
@@ -593,11 +591,10 @@ class ConvGridEncoder(Encoder):
                              "downsampling stack")
         if self.grid1 // 2 != self.grid:
             raise ShapeError("conv grid must match the patch grid")
-        self.c1 = conv_channels
-        self.w1 = tl.randn(rng, (4 * 4 * 3, self.c1), std=0.05,
+        self.w1 = tl.randn(rng, (4 * 4 * 3, CONV_CHANNELS), std=0.05,
                            requires_grad=True)
-        self.b1 = tl.zeros(self.c1, requires_grad=True)
-        self.w2 = tl.randn(rng, (2 * 2 * self.c1, width), std=0.05,
+        self.b1 = tl.zeros(CONV_CHANNELS, requires_grad=True)
+        self.w2 = tl.randn(rng, (2 * 2 * CONV_CHANNELS, width), std=0.05,
                            requires_grad=True)
         self.b2 = tl.zeros(width, requires_grad=True)
         self.adapter = []
@@ -611,6 +608,14 @@ class ConvGridEncoder(Encoder):
                                    requires_grad=True),
                 "ffn_b2": tl.zeros(width, requires_grad=True),
             })
+        # Per frame and 2x2 output cell, row-major, the four stage-1 rows
+        # it pools: (r, c), (r, c+1), (r+1, c), (r+1, c+1).
+        g1 = self.grid1
+        corner = 2 * g1 * np.arange(self.grid)[:, None] + 2 * np.arange(
+            self.grid)
+        self._pool_indices = (g1 * g1 * np.arange(frames)[:, None, None]
+                              + corner.reshape(1, -1, 1)
+                              + np.array([0, 1, g1, g1 + 1])).reshape(-1)
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"conv1.w": self.w1, "conv1.b": self.b1,
@@ -621,31 +626,17 @@ class ConvGridEncoder(Encoder):
                 params[f"adapter{i}.{key}"] = lay[key]
         return params
 
-    def _pool_indices(self, t: int) -> np.ndarray:
-        # For each 2x2 output cell, the four stage-1 rows it gathers.
-        g1, g = self.grid1, self.grid
-        idx = []
-        for frame in range(t):
-            base = frame * g1 * g1
-            for i in range(g):
-                for j in range(g):
-                    r0, c0 = 2 * i, 2 * j
-                    idx.extend([base + r0 * g1 + c0, base + r0 * g1 + c0 + 1,
-                                base + (r0 + 1) * g1 + c0,
-                                base + (r0 + 1) * g1 + c0 + 1])
-        return np.asarray(idx, dtype=np.intp)
-
     def _clip_features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
         cells = tl.reshape(patch_constant([frames], 4),
                            (t * self.grid1 * self.grid1, 48))
         x = tl.gelu(linear(cells, self.w1, self.b1))
-        x = tl.take0(x, self._pool_indices(t))
-        x = tl.reshape(x, (t * self.patches, 4 * self.c1))
+        x = tl.take0(x, self._pool_indices[:4 * t * self.patches])
+        x = tl.reshape(x, (t * self.patches, 4 * CONV_CHANNELS))
         x = tl.gelu(linear(x, self.w2, self.b2))
         x = self.pe.encode(tl.reshape(x, (t, self.patches, self.width)))
         for lay in self.adapter:
-            x = tl.add(x, self_attention(x, lay["attn"]))
+            x = tl.add(x, self_attention(x, lay["attn"])[0])
             flat = tl.reshape(x, (t * self.patches, self.width))
             ff = linear(tl.gelu(linear(flat, lay["ffn_w1"], lay["ffn_b1"])),
                         lay["ffn_w2"], lay["ffn_b2"])

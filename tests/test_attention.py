@@ -16,27 +16,25 @@ def _params(seed, width=8, heads=2, std=0.3):
 
 def test_single_token_attention_weight_is_one():
     params = _params(0)
-    cache = []
     tokens = tl.constant(rng_for(1, "tok").standard_normal((1, 8)))
-    self_attention(tokens, params, cache)
-    assert cache[0].shape == (2, 1, 1)
-    assert np.allclose(cache[0], 1.0, atol=0)
+    _, weights = self_attention(tokens, params)
+    assert weights.shape == (2, 1, 1)
+    assert np.allclose(weights, 1.0, atol=0)
 
 
 def test_duplicate_tokens_produce_identical_rows():
     params = _params(2)
     row = rng_for(3, "row").standard_normal(8)
     tokens = tl.constant(np.stack([row, row]))
-    out = self_attention(tokens, params).data
+    out = self_attention(tokens, params)[0].data
     assert np.array_equal(out[0], out[1])
 
 
 def test_attention_rows_sum_to_one_per_head():
     params = _params(4, heads=4, width=16)
     tokens = tl.constant(rng_for(5, "t").standard_normal((4, 16)) * 3)
-    cache = []
-    self_attention(tokens, params, cache)
-    sums = cache[0].sum(axis=-1)
+    _, weights = self_attention(tokens, params)
+    sums = weights.sum(axis=-1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-12
 
 
@@ -44,10 +42,9 @@ def test_cross_attention_single_memory_slot():
     params = _params(6)
     memory = tl.constant(rng_for(7, "m").standard_normal((1, 8)))
     queries = tl.constant(rng_for(8, "q").standard_normal((3, 8)))
-    cache = []
-    cross_attention(memory, queries, params, cache)
-    assert cache[0].shape == (2, 3, 1)
-    assert np.allclose(cache[0], 1.0, atol=0)
+    _, weights = cross_attention(memory, queries, params)
+    assert weights.shape == (2, 3, 1)
+    assert np.allclose(weights, 1.0, atol=0)
 
 
 def test_cross_attention_identical_memory_rows_permutation_invariant():
@@ -55,9 +52,9 @@ def test_cross_attention_identical_memory_rows_permutation_invariant():
     row = rng_for(10, "m").standard_normal(8)
     memory = tl.constant(np.stack([row] * 5))
     queries = tl.constant(rng_for(11, "q").standard_normal((2, 8)))
-    out1 = cross_attention(memory, queries, params).data
+    out1 = cross_attention(memory, queries, params)[0].data
     out2 = cross_attention(tl.constant(memory.data[::-1].copy()), queries,
-                           params).data
+                           params)[0].data
     assert np.allclose(out1, out2, atol=1e-15)
 
 
@@ -65,9 +62,8 @@ def test_cross_attention_weight_rows_sum_to_one():
     params = _params(12, heads=4, width=16)
     memory = tl.constant(rng_for(13, "m").standard_normal((6, 16)))
     queries = tl.constant(rng_for(14, "q").standard_normal((3, 16)))
-    cache = []
-    cross_attention(memory, queries, params, cache)
-    assert np.max(np.abs(cache[0].sum(axis=-1) - 1.0)) <= 1e-12
+    _, weights = cross_attention(memory, queries, params)
+    assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) <= 1e-12
 
 
 def test_query_permutation_equivariance():
@@ -76,17 +72,17 @@ def test_query_permutation_equivariance():
     queries = tl.constant(rng.standard_normal((5, 8)))
     memory = tl.constant(rng.standard_normal((4, 8)))
     perm = rng.permutation(5)
-    out = cross_attention(memory, queries, params).data
+    out = cross_attention(memory, queries, params)[0].data
     out_perm = cross_attention(memory,
                                tl.constant(queries.data[perm].copy()),
-                               params).data
+                               params)[0].data
     assert np.allclose(out[perm], out_perm, atol=1e-14)
 
-    tokens_out = self_attention(queries, params).data
+    tokens_out = self_attention(queries, params)[0].data
     # for self-attention the memory permutes with the queries; identical
     # key set means permuting rows permutes outputs
     tokens_perm = self_attention(tl.constant(queries.data[perm].copy()),
-                                 params).data
+                                 params)[0].data
     assert np.allclose(tokens_out[perm], tokens_perm, atol=1e-14)
 
 
@@ -96,7 +92,7 @@ def test_attention_blocks_pass_grad_check():
     tokens = tl.tensor(rng.standard_normal((4, 8)), requires_grad=True)
     w = tl.constant(rng.standard_normal((4, 8)))
     report = grad_check(
-        lambda t, *_: tl.sum_all(tl.mul(self_attention(t, params), w)),
+        lambda t, *_: tl.sum_all(tl.mul(self_attention(t, params)[0], w)),
         [tokens, params.wq, params.wk, params.wv, params.wo],
         eps=1e-5, tol=1e-4,
         names=["tokens", "wq", "wk", "wv", "wo"])
@@ -106,7 +102,8 @@ def test_attention_blocks_pass_grad_check():
     queries = tl.tensor(rng.standard_normal((2, 8)), requires_grad=True)
     wq = tl.constant(rng.standard_normal((2, 8)))
     report = grad_check(
-        lambda m, q, *_: tl.sum_all(tl.mul(cross_attention(m, q, params), wq)),
+        lambda m, q, *_: tl.sum_all(tl.mul(cross_attention(m, q, params)[0],
+                                           wq)),
         [memory, queries, params.wq, params.wk, params.wv, params.wo],
         eps=1e-5, tol=1e-4,
         names=["memory", "queries", "wq", "wk", "wv", "wo"])
@@ -131,7 +128,7 @@ def test_positional_table_bounds_and_determinism():
 
 def test_positional_encode_zero_features_yields_table_rows():
     pe = PositionalEncoding(16, 8)
-    out = pe.encode(tl.constant(np.zeros((4, 8))), offset=0)
+    out = pe.encode(tl.constant(np.zeros((4, 8))))
     assert np.array_equal(out.data, pe.table.data[:4])
 
 
@@ -147,15 +144,15 @@ def test_positional_encode_additivity():
     pe = PositionalEncoding(16, 8)
     rng = rng_for(21, "pe")
     x = tl.constant(rng.standard_normal((5, 8)))
-    once = pe.encode(x, 2)
-    twice = pe.encode(once, 2)
-    assert np.allclose(twice.data - once.data, pe.table.data[2:7], atol=0)
+    once = pe.encode(x)
+    twice = pe.encode(once)
+    assert np.allclose(twice.data - once.data, pe.table.data[:5], atol=0)
 
 
 def test_positional_encode_range_overflow():
     pe = PositionalEncoding(8, 8)
     with pytest.raises(ShapeError):
-        pe.encode(tl.constant(np.zeros((5, 8))), offset=4)
+        pe.encode(tl.constant(np.zeros((9, 8))))
 
 
 def test_linear_bias_tiling():
@@ -172,19 +169,17 @@ def test_batched_attention_matches_per_item_calls():
     rng = rng_for(24, "batch")
     tokens = tl.constant(rng.standard_normal((3, 5, 8)))
     memory = tl.constant(rng.standard_normal((3, 4, 8)))
-    self_cache, cross_cache = [], []
-    out_self = self_attention(tokens, params, self_cache).data
-    out_cross = cross_attention(memory, tokens, params, cross_cache).data
-    assert self_cache[0].shape == (3, 2, 5, 5)
-    assert cross_cache[0].shape == (3, 2, 5, 4)
+    out_self, self_weights = self_attention(tokens, params)
+    out_cross, cross_weights = cross_attention(memory, tokens, params)
+    assert self_weights.shape == (3, 2, 5, 5)
+    assert cross_weights.shape == (3, 2, 5, 4)
     for b in range(3):
-        item_cache = []
-        one = self_attention(tl.constant(tokens.data[b]), params, item_cache)
-        assert np.max(np.abs(out_self[b] - one.data)) <= 1e-14
-        assert np.max(np.abs(self_cache[0][b] - item_cache[0])) <= 1e-14
-        one = cross_attention(tl.constant(memory.data[b]),
-                              tl.constant(tokens.data[b]), params)
-        assert np.max(np.abs(out_cross[b] - one.data)) <= 1e-14
+        one, item_weights = self_attention(tl.constant(tokens.data[b]), params)
+        assert np.max(np.abs(out_self.data[b] - one.data)) <= 1e-14
+        assert np.max(np.abs(self_weights[b] - item_weights)) <= 1e-14
+        one, _ = cross_attention(tl.constant(memory.data[b]),
+                                 tl.constant(tokens.data[b]), params)
+        assert np.max(np.abs(out_cross.data[b] - one.data)) <= 1e-14
     with pytest.raises(ShapeError):
         cross_attention(tl.constant(memory.data[:2]), tokens, params)
 
@@ -237,12 +232,9 @@ def test_fused_attention_matches_the_op_chain(batch, heads, kind):
         return out, weights, [t.grad for t in leaves]
 
     def fused():
-        cache = []
         if kind == "self":
-            out = self_attention(queries, params, cache)
-        else:
-            out = cross_attention(memory, queries, params, cache)
-        return out, cache[0]
+            return self_attention(queries, params)
+        return cross_attention(memory, queries, params)
 
     out, weights, grads = run(fused)
     ref_out, ref_weights, ref_grads = run(
@@ -268,14 +260,13 @@ def test_returned_attention_weights_are_a_read_only_view():
     params = _params(40)
     x = tl.tensor(rng_for(41, "x").standard_normal((2, 3, 8)),
                   requires_grad=True)
-    cache = []
-    out = self_attention(x, params, cache)
+    out, returned = self_attention(x, params)
     _, weights = tl.attention(x, None, params.wq, params.wk, params.wv,
                               params.wo, params.head_count)
-    assert np.array_equal(cache[0], weights)
-    assert not cache[0].flags.writeable and cache[0].base is not None
+    assert np.array_equal(returned, weights)
+    assert not returned.flags.writeable and returned.base is not None
     with pytest.raises(ValueError):
-        cache[0][0, 0, 0, 0] = 1.0
+        returned[0, 0, 0, 0] = 1.0
     backward(tl.sum_all(out))
     assert x.grad is not None and params.wq.grad is not None
 
@@ -308,7 +299,7 @@ def test_class_attention_matches_embedding_then_attention(frames, heads):
         tok = tl.add(tl.reshape(tok, (n, p, d)), rows)
         c = tl.repeat0(cls, n)
         x = tl.concat([c, tok], axis=1)
-        return tl.reshape(tl.add(c, cross_attention(x, c, params)), (n, d))
+        return tl.reshape(tl.add(c, cross_attention(x, c, params)[0]), (n, d))
 
     out, grads = run(lambda: tl.class_attention(
         raw, w_patch, rows, cls, params.wq, params.wk, params.wv, params.wo,

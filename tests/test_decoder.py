@@ -7,8 +7,7 @@ from taskfusion import decoder as decoder_module
 from taskfusion import tensor as tl
 from taskfusion.attention import PositionalEncoding
 from taskfusion.decoder import (ClipFeatures, DecoderConfig,
-                                TaskFusionDecoder, TOKEN_COUNT,
-                                build_temporal_memory, select_keyframe)
+                                TaskFusionDecoder, TOKEN_COUNT)
 from taskfusion.losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER,
                                joint_loss, make_pnr_targets, oscc_loss,
                                pnr_loss, scod_loss)
@@ -22,14 +21,15 @@ T, P, D = 4, 4, 8
 
 def _from_patches(h_frames, h_patches):
     """Features whose slabs are the given patch rows [B, T, P, D]."""
+    b = len(h_patches)
     return ClipFeatures(h_frames=tl.tensor(h_frames),
-                        slabs=[tl.tensor(clip) for clip in h_patches],
-                        frames=T, patches=P)
+                        slabs=tl.tensor(np.reshape(h_patches, (b * T, P, D))),
+                        patches=P)
 
 
 def _patches(feats):
     """[B, T, P, D] patch rows of features made by ``_from_patches``."""
-    return np.stack([slab.data for slab in feats.slabs])
+    return feats.slabs.data.reshape(feats.batch, T, P, D)
 
 
 def _features(seed=0, scale=0.5, batch=1):
@@ -54,7 +54,7 @@ def _labels(frame=2):
 def test_temporal_memory_per_frame_adds_positions():
     pe = PositionalEncoding(T + 1, D)
     feats = _features(1)
-    h_t = build_temporal_memory(feats, pe)
+    h_t = pe.encode(feats.h_frames)  # as a decode makes it
     delta = h_t.data - feats.h_frames.data
     assert np.allclose(delta, pe.table.data[:T], atol=0)
 
@@ -62,7 +62,7 @@ def test_temporal_memory_per_frame_adds_positions():
 def test_temporal_memory_zero_cls_is_position_table():
     pe = PositionalEncoding(T + 1, D)
     feats = _from_patches(np.zeros((1, T, D)), np.zeros((1, T, P, D)))
-    h_t = build_temporal_memory(feats, pe)
+    h_t = pe.encode(feats.h_frames)  # as a decode makes it
     assert np.array_equal(h_t.data[0], pe.table.data[:T])
 
 
@@ -75,19 +75,34 @@ def test_temporal_memory_clip_level_pools_patches():
         enc = build_encoder(kind, rng_for(2, "pool"), width=D, heads=2,
                             frames=T, image=16, patch=8)
         feats = enc.encode([clip])
-        h_t = build_temporal_memory(feats, pe)
+        h_t = pe.encode(feats.h_frames)  # as a decode makes it
         patches = np.stack([feats.keyframe_patches(np.array([k])).data[0]
                             for k in range(T)])
         expected = patches.mean(axis=1) + pe.table.data[:T]
         assert np.allclose(h_t.data[0], expected, atol=1e-15), kind
 
 
+def test_keyframe_patches_gather_every_clip_in_one_take0(recorded_nodes):
+    """A batch's keyframe slabs come from one gather op, not a slice per
+    clip and a join."""
+    clips = [generate_clip(seed, ClipConfig(frames=T, height=16, width=16))
+             for seed in range(3)]
+    enc = build_encoder("clip_token", rng_for(41, "enc"), width=D, heads=2,
+                        frames=T, image=16, patch=8)
+    feats = enc.encode(clips)
+    recorded_nodes.clear()
+    rows = feats.keyframe_patches([1, 0, 3])
+    assert [node.op for node in recorded_nodes] == ["take0"]
+    assert np.array_equal(rows.data,
+                          feats.slabs.data[[1, T + 0, 2 * T + 3]])
+
+
 def test_select_keyframe_train_uses_label():
     pe = PositionalEncoding(P + 1, D)
     feats = _features(3, batch=2)
-    h_s, ks = select_keyframe(feats, pe, [2, 0])
-    assert list(ks) == [2, 0]
-    for b, k in enumerate(ks):
+    h_s = pe.encode(feats.keyframe_patches([2, 0]))
+    assert list(_decoder(3).decode(feats, [2, 0]).keyframes) == [2, 0]
+    for b, k in enumerate([2, 0]):
         assert np.allclose(h_s.data[b],
                            _patches(feats)[b, k] + pe.table.data[:P], atol=0)
 
@@ -114,7 +129,6 @@ def test_select_keyframe_infer_argmax_and_ties():
 
 
 def test_select_keyframe_contract_errors():
-    pe = PositionalEncoding(P + 1, D)
     for keyframes in ([1, 2],            # two keyframes, one clip
                       [],                # none
                       [T],               # out of range
@@ -123,7 +137,7 @@ def test_select_keyframe_contract_errors():
                       [1.0],
                       np.ones((1, 1), dtype=int)):  # not one per clip
         with pytest.raises(ContractError):
-            select_keyframe(_features(6), pe, keyframes)
+            _features(6).keyframe_patches(keyframes)
 
 
 def test_constant_network_outputs_head_biases():
@@ -378,32 +392,32 @@ def test_config_validation():
     with pytest.raises(ShapeError):
         DecoderConfig(width=10, heads=4)
     with pytest.raises(ShapeError):
-        ClipFeatures(h_frames=tl.zeros((1, 1, D)),
-                     slabs=[tl.zeros((T, P, D))],
-                     frames=T, patches=P)  # one row per frame
+        ClipFeatures(h_frames=tl.zeros((1, 1, D)), slabs=tl.zeros((1, P, D)),
+                     patches=P)  # at least two frames
     with pytest.raises(ShapeError):
-        ClipFeatures(h_frames=tl.zeros((T, D)), slabs=[tl.zeros((T, P, D))],
-                     frames=T, patches=P)  # the batch axis is required
+        ClipFeatures(h_frames=tl.zeros((T, D)), slabs=tl.zeros((T, P, D)),
+                     patches=P)  # the batch axis is required
     with pytest.raises(ShapeError):
-        ClipFeatures(h_frames=tl.zeros((2, T, D)), slabs=[tl.zeros((T, P, D))],
-                     frames=T, patches=P)  # a slab for every clip
+        ClipFeatures(h_frames=tl.zeros((2, T, D)), slabs=tl.zeros((T, P, D)),
+                     patches=P)  # a slab for every frame of every clip
     with pytest.raises(ShapeError):
-        ClipFeatures(h_frames=tl.zeros((2, T, D)),
-                     slabs=[tl.zeros((T, P, D)), tl.zeros((T, P + 1, D))],
-                     frames=T, patches=P)  # one slab shape
+        ClipFeatures(h_frames=tl.zeros((2, T, D)), slabs=tl.zeros((2 * T, D)),
+                     patches=P)  # slabs are [B*T, S, D]
     with pytest.raises(ShapeError):
         ClipFeatures(h_frames=tl.zeros((1, T, D)),
-                     slabs=[tl.zeros((T + 1, P, D))],
-                     frames=T, patches=P)  # a slab row per frame
+                     slabs=tl.zeros((T + 1, P, D)),
+                     patches=P)  # a slab row per frame
 
 
 def test_slabs_of_another_width_need_patch_rows():
-    """Slabs of the encoder's own width, such as raw patches, are accepted
-    only with the function that makes patch rows of them."""
-    h_frames, slabs = tl.zeros((1, T, D)), [tl.zeros((T, P, 3 * D))]
-    with pytest.raises(ShapeError, match=r"\(4, S, 8\)"):
-        ClipFeatures(h_frames=h_frames, slabs=slabs, frames=T, patches=P)
-    feats = ClipFeatures(h_frames=h_frames, slabs=slabs, frames=T, patches=P,
+    """Slabs of another width than the decoder's, such as raw patches,
+    give keyframe patch rows only with the function that makes patch rows
+    of them."""
+    h_frames, slabs = tl.zeros((1, T, D)), tl.zeros((T, P, 3 * D))
+    feats = ClipFeatures(h_frames=h_frames, slabs=slabs, patches=P)
+    with pytest.raises(ShapeError, match=r"\(1, 4, 24\) != \(1, 4, 8\)"):
+        feats.keyframe_patches(np.array([1]))
+    feats = ClipFeatures(h_frames=h_frames, slabs=slabs, patches=P,
                          patch_rows=lambda s: tl.narrow(s, 2, 0, D))
     assert feats.keyframe_patches(np.array([1])).shape == (1, P, D)
 
@@ -412,4 +426,4 @@ def test_keyframe_patch_rows_must_have_the_declared_shape():
     feats = _features(40)
     feats.patch_rows = lambda slabs: tl.narrow(slabs, 1, 0, P - 1)
     with pytest.raises(ShapeError, match="keyframe patch rows"):
-        select_keyframe(feats, PositionalEncoding(P + 1, D), [1])
+        feats.keyframe_patches([1])

@@ -165,6 +165,39 @@ def test_encode_rejects_an_empty_or_mixed_batch():
         enc.encode(clips)
 
 
+@pytest.mark.parametrize("kind", ["clip_token", "conv_grid"])
+def test_clip_level_encoders_take_clips_up_to_their_frame_count(kind):
+    """Their position table and pooling indices are built once, for the
+    encoder's frame count: a shorter clip encodes, a longer one is
+    refused."""
+    enc = build_encoder(kind, np.random.default_rng(8), width=16, heads=2,
+                        frames=4, image=16, patch=8)
+    short = generate_clip(0, ClipConfig(frames=3, height=16, width=16))
+    assert enc.encode([short]).h_frames.shape == (1, 3, 16)
+    long = generate_clip(0, ClipConfig(frames=5, height=16, width=16))
+    with pytest.raises(ShapeError, match="clips of 5 frames exceed"):
+        enc.encode([long])
+
+
+@pytest.mark.parametrize("image", [16, 32])
+def test_conv_grid_pool_indices_are_the_cell_loops(image):
+    """The pooling indices, built once with array arithmetic, are the ones
+    the per-frame, per-cell loop gives."""
+    enc = build_encoder("conv_grid", np.random.default_rng(8), width=16,
+                        heads=2, frames=3, image=image, patch=8)
+    g1, g = enc.grid1, enc.grid
+    want = []
+    for frame in range(3):
+        base = frame * g1 * g1
+        for i in range(g):
+            for j in range(g):
+                r0, c0 = 2 * i, 2 * j
+                want.extend([base + r0 * g1 + c0, base + r0 * g1 + c0 + 1,
+                             base + (r0 + 1) * g1 + c0,
+                             base + (r0 + 1) * g1 + c0 + 1])
+    assert np.array_equal(enc._pool_indices, want)
+
+
 @pytest.mark.parametrize("kind", ["per_frame_token", "clip_token",
                                   "conv_grid"])
 def test_embed_frame_is_off_the_tape(kind, recorded_nodes):

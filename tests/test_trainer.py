@@ -300,7 +300,7 @@ def _full_attention_features(encoder, clip):
                  encoder.w_patch, encoder.b_patch)
     tok = encoder.pe.encode(tl.reshape(tok, (t, p, d)))
     x = tl.concat([tl.repeat0(encoder.cls, t), tok], axis=1)
-    out = tl.add(x, self_attention(x, encoder.attn))
+    out = tl.add(x, self_attention(x, encoder.attn)[0])
     return (tl.reshape(tl.narrow(out, 1, 0, 1), (1, t, d)),
             tl.reshape(tl.narrow(out, 1, 1, p), (1, t, p, d)))
 
@@ -328,10 +328,11 @@ def test_per_frame_token_matches_full_self_attention():
     grads = []
     for feats in (features, ClipFeatures(
             h_frames=tl.concat([h for h, _ in oracle], axis=0),
-            slabs=[tl.reshape(patches, (CLIP_CFG.frames, encoder.patches,
-                                        encoder.width))
-                   for _, patches in oracle],
-            frames=CLIP_CFG.frames, patches=encoder.patches)):
+            slabs=tl.reshape(tl.concat([patches for _, patches in oracle],
+                                       axis=0),
+                             (len(clips) * CLIP_CFG.frames, encoder.patches,
+                              encoder.width)),
+            patches=encoder.patches)):
         parts, _ = batch_losses(model, clips, feats, TASK_ORDER)
         backward(joint_loss(parts, model.sigma, TASK_ORDER))
         grads.append({name: g for name, g in _grads(model).items()
