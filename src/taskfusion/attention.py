@@ -54,7 +54,7 @@ class AttentionParams:
 
     @property
     def width(self) -> int:
-        return self.wq.shape[0]
+        return self.wq.data.shape[0]
 
     @classmethod
     def init(cls, rng: np.random.Generator, width: int, head_count: int,
@@ -76,18 +76,19 @@ def _attend(queries: Tensor, memory: Tensor | None, params: AttentionParams
             ) -> tuple[Tensor, np.ndarray]:
     out, weights = tl.attention(queries, memory, params.wq, params.wk,
                                 params.wv, params.wo, params.head_count)
-    view = weights.reshape(queries.shape[:-2] + weights.shape[1:])
+    view = weights.reshape(queries.data.shape[:-2] + weights.shape[1:])
     view.flags.writeable = False
     return out, view
 
 
 def _check_tokens(x: Tensor, what: str, width: int) -> None:
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"{what} must be [n, D] or [B, n, D], got {x.shape}")
-    if x.shape[-2] < 1:
+    shape = x.data.shape
+    if len(shape) not in (2, 3):
+        raise ShapeError(f"{what} must be [n, D] or [B, n, D], got {shape}")
+    if shape[-2] < 1:
         raise ContractError(f"empty {what}")
-    if x.shape[-1] != width:
-        raise ShapeError(f"{what} width {x.shape[-1]} != params width {width}")
+    if shape[-1] != width:
+        raise ShapeError(f"{what} width {shape[-1]} != params width {width}")
 
 
 def self_attention(tokens: Tensor, params: AttentionParams
@@ -104,7 +105,7 @@ def cross_attention(memory: Tensor, queries: Tensor, params: AttentionParams
     queries, and the weights."""
     _check_tokens(memory, "cross_attention: memory", params.width)
     _check_tokens(queries, "cross_attention: query set", params.width)
-    if memory.shape[:-2] != queries.shape[:-2]:
+    if memory.data.shape[:-2] != queries.data.shape[:-2]:
         raise ShapeError(f"cross_attention: memory batch {memory.shape[:-2]} "
                          f"!= query batch {queries.shape[:-2]}")
     return _attend(queries, memory, params)

@@ -25,6 +25,14 @@ caller names each clip's keyframe as an int, and the decode gathers the
 slabs of those keyframes in one op and makes patch rows of them only.
 Every decode returns, with its predictions, the attention weights each
 attention block returns, and it keeps no state between decodes.
+
+A pass reads the keyframe first in layer 0's detection block. Everything
+before it, the position-encoded per-frame memory and layer 0's self and
+temporal blocks, is the pass's prefix and is the same whatever the
+keyframe. ``infer`` computes it once and hands it to both of its passes,
+so its final pass starts at layer 0's detection block; ``decode``
+computes its own. Batched inference shares it the same way, one prefix
+per batch.
 """
 
 from __future__ import annotations
@@ -85,33 +93,34 @@ class ClipFeatures:
 
     @property
     def batch(self) -> int:
-        return self.h_frames.shape[0]
+        return self.h_frames.data.shape[0]
 
     @property
     def frames(self) -> int:
-        return self.h_frames.shape[1]
+        return self.h_frames.data.shape[1]
 
     @property
     def width(self) -> int:
-        return self.h_frames.shape[2]
+        return self.h_frames.data.shape[2]
 
     def keyframe_patches(self, keyframes: Sequence[int] | np.ndarray
                          ) -> Tensor:
         """Patch rows [B, P, D] of one frame per clip (one int per clip):
         the slabs of those frames, gathered in one op, then
         ``patch_rows``."""
-        b, t = self.batch, self.frames
+        b, t, _ = self.h_frames.data.shape
         ks = np.asarray(keyframes)
-        if ks.shape != (b,) or not np.issubdtype(ks.dtype, np.integer):
+        if ks.shape != (b,) or ks.dtype.kind not in "iu":
             raise ContractError(f"keyframes {keyframes!r} are not one int per "
                                 f"clip of a batch of {b}")
-        if np.any(ks < 0) or np.any(ks >= t):
-            raise ContractError(f"keyframes {ks.tolist()} outside [0, {t})")
-        rows = tl.take0(self.slabs, np.arange(b) * t + ks)
+        ks = ks.tolist()
+        if any(k < 0 or k >= t for k in ks):
+            raise ContractError(f"keyframes {ks} outside [0, {t})")
+        rows = tl.take0(self.slabs, [i * t + k for i, k in enumerate(ks)])
         if self.patch_rows is not None:
             rows = self.patch_rows(rows)
         want = (b, self.patches, self.width)
-        if rows.shape != want:
+        if rows.data.shape != want:
             raise ShapeError(f"keyframe patch rows {rows.shape} != {want}")
         return rows
 
@@ -288,6 +297,18 @@ class _HeadGroup:
                 f"{prefix}.w2": self.w2, f"{prefix}.b2": self.b2}
 
 
+@dataclass
+class _Prefix:
+    """What every pass over one batch computes before it reads a keyframe
+    (``TaskFusionDecoder._prefix``)."""
+
+    h_t: Tensor                # [B, T, D] per-frame memory plus positions
+    z_t: Tensor                # [B, 2, D] layer 0's temporal rows
+    f_s: Tensor                # [B, 8, D] layer 0's detection rows
+    self_attn: np.ndarray      # layer 0's weights, as in LayerAttention
+    temporal: np.ndarray
+
+
 class TaskFusionDecoder:
     """The decoder stack plus its three prediction head groups."""
 
@@ -342,16 +363,10 @@ class TaskFusionDecoder:
         return TaskPredictions(*self._heads(z, self.config.enabled_tasks),
                                keyframes, attention)
 
-    def _tokens(self, features: ClipFeatures,
-                keyframes: Sequence[int] | np.ndarray, detection: bool = True
-                ) -> tuple[Tensor, np.ndarray, list[LayerAttention]]:
-        """The decoder layers over the per-frame memory h_t [B, T, D] and
-        the keyframes' spatial memory h_s [B, P, D], each with the position
-        table added: refined tokens [B, 10, D], the keyframes used and each
-        layer's attention weights. With ``detection`` False the last layer
-        leaves out its detection block, which only the detection heads
-        read: the tokens are then the two temporal rows [B, 2, D], and the
-        attention has no entry for the last layer."""
+    def _prefix(self, features: ClipFeatures) -> _Prefix:
+        """Every op of a pass that reads no keyframe: the per-frame memory
+        h_t [B, T, D] with the position table added, and layer 0's self
+        and temporal blocks."""
         cfg = self.config
         if features.width != cfg.width or features.frames != cfg.frames \
                 or features.patches != cfg.patches:
@@ -360,29 +375,56 @@ class TaskFusionDecoder:
                 f"{features.patches}, width {features.width}) do not match "
                 f"the decoder's (frames {cfg.frames}, patches {cfg.patches}, "
                 f"width {cfg.width})")
-        b, d = features.batch, cfg.width
-
         h_t = self.pe.encode(features.h_frames)
-        h_s = self.pe.encode(features.keyframe_patches(keyframes))
-        keyframes = np.asarray(keyframes)
+        z = tl.repeat0(tl.reshape(self.tokens, (1, TOKEN_COUNT, cfg.width)),
+                       features.batch)
+        return _Prefix(h_t, *self._temporal(self.layers[0], z, h_t))
 
+    @staticmethod
+    def _temporal(layer: _Layer, z: Tensor, h_t: Tensor
+                  ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+        """One layer's self block over tokens z [B, 10, D], then its
+        temporal block over h_t: the temporal rows [B, 2, D], the detection
+        rows [B, 8, D] for the layer's detection block, and the two
+        blocks' attention weights."""
+        a, w_self = self_attention(z, layer.self_attn)
+        f = tl.layer_norm(tl.add(z, a), layer.ln_self_g, layer.ln_self_b)
+        f_t = tl.narrow(f, 1, 0, 2)
+        f_s = tl.narrow(f, 1, 2, SCOD_QUERY_COUNT)
+        a, w_t = cross_attention(h_t, f_t, layer.cross_temporal)
+        z_t = tl.layer_norm(tl.add(f_t, a), layer.ln_t_g, layer.ln_t_b)
+        return z_t, f_s, w_self, w_t
+
+    def _tokens(self, features: ClipFeatures,
+                keyframes: Sequence[int] | np.ndarray, detection: bool = True,
+                prefix: _Prefix | None = None
+                ) -> tuple[Tensor, np.ndarray, list[LayerAttention]]:
+        """The decoder layers over the per-frame memory h_t [B, T, D] and
+        the keyframes' spatial memory h_s [B, P, D], each with the position
+        table added: refined tokens [B, 10, D], the keyframes used and each
+        layer's attention weights. ``prefix`` is this batch's ``_prefix``,
+        computed here when None. With ``detection`` False the last layer
+        leaves out its detection block, which only the detection heads
+        read: the tokens are then the two temporal rows [B, 2, D], and the
+        attention has no entry for the last layer."""
+        p = self._prefix(features) if prefix is None else prefix
+        z_t, f_s, w_self, w_t = p.z_t, p.f_s, p.self_attn, p.temporal
+        used = np.asarray(keyframes)
+        h_s = None
         attention: list[LayerAttention] = []
-        z = tl.repeat0(tl.reshape(self.tokens, (1, TOKEN_COUNT, d)), b)
         for k, layer in enumerate(self.layers):
-            a, w_self = self_attention(z, layer.self_attn)
-            f = tl.layer_norm(tl.add(z, a), layer.ln_self_g, layer.ln_self_b)
-            f_t = tl.narrow(f, 1, 0, 2)
-            f_s = tl.narrow(f, 1, 2, SCOD_QUERY_COUNT)
-            a, w_t = cross_attention(h_t, f_t, layer.cross_temporal)
-            z_t = tl.layer_norm(tl.add(f_t, a), layer.ln_t_g, layer.ln_t_b)
+            if k:
+                z_t, f_s, w_self, w_t = self._temporal(layer, z, p.h_t)
             if not detection and k == len(self.layers) - 1:
-                return z_t, keyframes, attention
+                return z_t, used, attention
+            if h_s is None:  # the first op that reads a keyframe
+                h_s = self.pe.encode(features.keyframe_patches(keyframes))
             a, w_s = cross_attention(h_s, f_s, layer.cross_spatial)
             z_s = tl.layer_norm(tl.add(f_s, a), layer.ln_s_g, layer.ln_s_b)
             z = tl.concat([z_t, z_s], axis=1)
             attention.append(LayerAttention(self_attn=w_self, temporal=w_t,
                                             spatial=w_s))
-        return z, keyframes, attention
+        return z, used, attention
 
     def _heads(self, z: Tensor, tasks: Sequence[str]
                ) -> tuple[Tensor | None, Tensor | None,
@@ -411,16 +453,23 @@ class TaskFusionDecoder:
         are returned: they chose the keyframe; its last layer leaves out
         the detection block. The final pass runs only the detection group;
         the detection outputs and the attention weights come from it, the
-        last layer's temporal block included. Without the keyframe task
-        there are no logits to choose by, and the mid-frame pass, through
-        every enabled head group, is the only one."""
+        last layer's temporal block included. The two passes share their
+        prefix, the ops before the first one that reads a keyframe: the
+        position-encoded per-frame memory and layer 0's self and temporal
+        blocks run once, and the final pass's layer-0 weights are the
+        provisional pass's arrays. So an infer makes 2·3·L − 3 attention
+        calls for L layers. Without the keyframe task there are no logits
+        to choose by, and the mid-frame pass, through every enabled head
+        group, is the only one."""
         enabled = self.config.enabled_tasks
         mid_frame = [features.frames // 2] * features.batch
         if "pnr" not in enabled:
             return self.decode(features, mid_frame)
-        z, _, _ = self._tokens(features, mid_frame, detection=False)
+        prefix = self._prefix(features)
+        z, _, _ = self._tokens(features, mid_frame, detection=False,
+                               prefix=prefix)
         oscc, pnr, _ = self._heads(z, [t for t in enabled if t != "scod"])
         z, keyframes, attention = self._tokens(
-            features, np.argmax(pnr.data, axis=1))
+            features, pnr.data.argmax(1), prefix=prefix)
         _, _, scod = self._heads(z, [t for t in enabled if t == "scod"])
         return TaskPredictions(oscc, pnr, scod, keyframes, attention)

@@ -37,21 +37,32 @@ class token, with the key and value projections absorbed into it). The
 perfbench tape breakdown, whose list of kinds predates the last two,
 counts their nodes under ``other``.
 
+The ops call numpy's ufunc reductions directly: ``np.add.reduce`` and
+``np.maximum.reduce``, and a mean is that sum divided by the axis length.
+``np.sum``, ``np.max`` and ``np.mean`` run these same loops behind a few
+microseconds of Python argument handling per call, which a B=1 inference
+pays on every op; the results are the same bits (the hypothesis tests
+check the fused ops against the ``np.mean``/``np.max``/``np.sum``
+formulas, in both dtypes). For the same reason the op checks read
+``data.shape`` rather than the ``shape`` property, and ``permute`` builds
+its inverse permutation in Python.
+
 Inside ``with no_tape():`` no op records a node, even on inputs that
 require gradients: every result is a plain tensor with ``node`` None and
 ``requires_grad`` False, holding the same values as on the tape. The
 inference entry points (``ModelBundle.predict``, ``evaluate``,
 ``Encoder.embed_frame``, ``Policy.act`` and the CLI's attention and
 embedding dumps) run in it, so they keep no backward closures or
-activations alive. The mode is one module flag; it nests, and leaving the
-block restores it, also on an exception.
+activations alive. The mode is one module flag; it nests, also when one
+decorated function calls itself, and leaving the block restores it, also
+on an exception.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from contextlib import ContextDecorator, contextmanager
+from contextlib import ContextDecorator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -201,16 +212,24 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-@contextmanager
-def no_tape():
+class no_tape(ContextDecorator):
     """Record no tape nodes inside the block (see the module docstring);
-    as ``@no_tape()``, inside every call of the decorated function."""
-    global _recording
-    saved, _recording = _recording, False
-    try:
-        yield
-    finally:
-        _recording = saved
+    as ``@no_tape()``, inside every call of the decorated function. A
+    class, as ``precision`` is: ``predict``, ``embed_frame`` and
+    ``Policy.act`` enter it on every call, and a generator-based context
+    manager costs about three times as much per entry."""
+
+    def __init__(self):
+        self._saved: list[bool] = []  # a stack: one instance may nest
+
+    def __enter__(self):
+        global _recording
+        self._saved.append(_recording)
+        _recording = False
+
+    def __exit__(self, *exc):
+        global _recording
+        _recording = self._saved.pop()
 
 
 def compute_dtype() -> np.dtype:
@@ -263,12 +282,13 @@ def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
 
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape == b.shape:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
         return
-    for small, big in ((a, b), (b, a)):
-        k = len(small.shape)
-        if k <= len(big.shape) and (
-                small.size == 1 or big.shape[len(big.shape) - k:] == small.shape):
+    for small, big in ((sa, sb), (sb, sa)):
+        k = len(small)
+        if k <= len(big) and (
+                math.prod(small) == 1 or big[len(big) - k:] == small):
             return
     raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are neither equal, "
                      "scalar-with-tensor, nor a trailing-suffix broadcast")
@@ -280,8 +300,8 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if grad.shape == shape:
         return grad
     if math.prod(shape) == 1:
-        return np.sum(grad).reshape(shape)
-    return np.sum(grad, axis=tuple(range(grad.ndim - len(shape))))
+        return np.add.reduce(grad, None).reshape(shape)
+    return np.add.reduce(grad, tuple(range(grad.ndim - len(shape))))
 
 
 def _gelu_forward(x: np.ndarray) -> np.ndarray:
@@ -309,9 +329,9 @@ def _binary(kind: str, fwd, da_rule, db_rule):
         data = fwd(a.data, b.data)
 
         def backward_rule(dout: np.ndarray):
-            da = _reduce_to(da_rule(dout, a.data, b.data), a.shape) \
+            da = _reduce_to(da_rule(dout, a.data, b.data), a.data.shape) \
                 if (a.requires_grad or a.node) else None
-            db = _reduce_to(db_rule(dout, a.data, b.data), b.shape) \
+            db = _reduce_to(db_rule(dout, a.data, b.data), b.data.shape) \
                 if (b.requires_grad or b.node) else None
             return da, db
 
@@ -381,7 +401,8 @@ def scale(a, c: float) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or \
+            a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
 
@@ -396,8 +417,8 @@ def matmul(a, b) -> Tensor:
 def bmm(a, b) -> Tensor:
     """Batched matmul over the leading axis: [B,n,k] @ [B,k,m] -> [B,n,m]."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if (a.data.ndim != 3 or b.data.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
         raise ShapeError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
 
@@ -412,20 +433,23 @@ def bmm(a, b) -> Tensor:
 def permute(a, axes: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    if sorted(axes) != list(range(a.data.ndim)):
+    n = a.data.ndim
+    if sorted(axes) != list(range(n)):
         raise ShapeError(f"permute: axes {axes} invalid for shape {a.shape}")
-    inv = np.argsort(axes)
+    inv = [0] * n  # the inverse permutation: inv[axes[i]] = i
+    for i, ax in enumerate(axes):
+        inv[ax] = i
 
     def backward_rule(dout: np.ndarray):
-        return (np.ascontiguousarray(np.transpose(dout, inv)),)
+        return (np.ascontiguousarray(dout.transpose(inv)),)
 
-    return _make(np.ascontiguousarray(np.transpose(a.data, axes)),
+    return _make(np.ascontiguousarray(a.data.transpose(axes)),
                  "permute", (a,), backward_rule)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    old_shape = a.shape
+    old_shape = a.data.shape
 
     def backward_rule(dout: np.ndarray):
         return (dout.reshape(old_shape),)
@@ -441,12 +465,12 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = tuple(_as_tensor(p) for p in parts)
     if not parts:
         raise ContractError("concat of zero tensors")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def backward_rule(dout: np.ndarray):
         grads = []
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+        stop = 0
+        for p in parts:
+            start, stop = stop, stop + p.data.shape[axis]
             if p.requires_grad or p.node:
                 idx = [slice(None)] * dout.ndim
                 idx[axis] = slice(start, stop)
@@ -462,7 +486,7 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 def narrow(a, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` entries along one axis."""
     a = _as_tensor(a)
-    if not (0 <= start and start + length <= a.shape[axis]):
+    if not (0 <= start and start + length <= a.data.shape[axis]):
         raise ShapeError(f"narrow: [{start}:{start + length}] out of range for "
                          f"axis {axis} of shape {a.shape}")
     idx = [slice(None)] * a.data.ndim
@@ -483,7 +507,8 @@ def take0(a, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("take0: indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    if idx.size and (np.minimum.reduce(idx) < 0
+                     or np.maximum.reduce(idx) >= a.data.shape[0]):
         raise ShapeError(f"take0: index out of range for shape {a.shape}")
 
     def backward_rule(dout: np.ndarray):
@@ -497,13 +522,13 @@ def take0(a, indices) -> Tensor:
 def repeat0(a, n: int) -> Tensor:
     """Tile a leading axis of size 1 to size ``n``."""
     a = _as_tensor(a)
-    if a.shape[0] != 1:
+    if a.data.shape[0] != 1:
         raise ShapeError(f"repeat0: leading axis must be 1, got {a.shape}")
 
     def backward_rule(dout: np.ndarray):
-        return (np.sum(dout, axis=0, keepdims=True),)
+        return (np.add.reduce(dout, 0, keepdims=True),)
 
-    return _make(np.ascontiguousarray(np.repeat(a.data, n, axis=0)),
+    return _make(np.ascontiguousarray(a.data.repeat(n, 0)),
                  "repeat0", (a,), backward_rule)
 
 
@@ -513,7 +538,8 @@ def sum_all(a) -> Tensor:
     def backward_rule(dout: np.ndarray):
         return (np.full_like(a.data, float(dout)),)
 
-    return _make(np.asarray(np.sum(a.data)), "sum_all", (a,), backward_rule)
+    return _make(np.asarray(np.add.reduce(a.data, None)), "sum_all", (a,),
+                 backward_rule)
 
 
 def mean_all(a) -> Tensor:
@@ -526,9 +552,9 @@ def sum_axis(a, axis: int, keepdims: bool = False) -> Tensor:
 
     def backward_rule(dout: np.ndarray):
         g = dout if keepdims else np.expand_dims(dout, axis)
-        return (np.broadcast_to(g, a.shape).copy(),)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
-    return _make(np.sum(a.data, axis=axis, keepdims=keepdims),
+    return _make(np.add.reduce(a.data, axis, keepdims=keepdims),
                  "sum_axis", (a,), backward_rule)
 
 
@@ -542,12 +568,12 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     if not (-a.data.ndim <= axis < a.data.ndim):
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    shifted = a.data - np.maximum.reduce(a.data, axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = e / np.add.reduce(e, axis, keepdims=True)
 
     def backward_rule(dout: np.ndarray):
-        inner = np.sum(dout * y, axis=axis, keepdims=True)
+        inner = np.add.reduce(dout * y, axis, keepdims=True)
         return (y * (dout - inner),)
 
     return _make(y, "softmax", (a,), backward_rule)
@@ -558,14 +584,15 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     a, gain, bias = _as_tensor(a), _as_tensor(gain), _as_tensor(bias)
     if eps <= 0:
         raise DomainError("layer_norm: eps must be > 0")
-    d = a.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    x = a.data
+    d = x.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got "
                          f"{gain.shape}/{bias.shape}")
-    mu = np.mean(a.data, axis=-1, keepdims=True)
-    var = np.mean((a.data - mu) ** 2, axis=-1, keepdims=True)
+    mu = np.add.reduce(x, -1, keepdims=True) / d
+    var = np.add.reduce((x - mu) ** 2, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (a.data - mu) * inv
+    xhat = (x - mu) * inv
     data = xhat * gain.data + bias.data
 
     def backward_rule(dout: np.ndarray):
@@ -573,12 +600,14 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
         da = None
         if need_a:
             dxhat = dout * gain.data
-            m1 = np.mean(dxhat, axis=-1, keepdims=True)
-            m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+            m1 = np.add.reduce(dxhat, -1, keepdims=True) / d
+            m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / d
             da = inv * (dxhat - m1 - xhat * m2)
         axes = tuple(range(dout.ndim - 1))
-        dg = np.sum(dout * xhat, axis=axes) if (gain.requires_grad or gain.node) else None
-        db = np.sum(dout, axis=axes) if (bias.requires_grad or bias.node) else None
+        dg = np.add.reduce(dout * xhat, axes) \
+            if (gain.requires_grad or gain.node) else None
+        db = np.add.reduce(dout, axes) \
+            if (bias.requires_grad or bias.node) else None
         return da, dg, db
 
     return _make(data, "layer_norm", (a, gain, bias), backward_rule)
@@ -600,20 +629,19 @@ def attention(queries, memory, wq, wk, wv, wo,
     """
     queries = _as_tensor(queries)
     mem = queries if memory is None else _as_tensor(memory)
-    ws = tuple(_as_tensor(w) for w in (wq, wk, wv, wo))
-    if (queries.data.ndim < 2 or mem.data.ndim != queries.data.ndim
-            or mem.shape[:-2] != queries.shape[:-2]):
-        raise ShapeError(f"attention: queries {queries.shape} and memory "
-                         f"{mem.shape} need equal leading axes")
-    nq, d = queries.shape[-2:]
-    nk = mem.shape[-2]
-    if mem.shape[-1] != d or any(w.shape != (d, d) for w in ws):
+    ws = (_as_tensor(wq), _as_tensor(wk), _as_tensor(wv), _as_tensor(wo))
+    sq, sm = queries.data.shape, mem.data.shape
+    if len(sq) < 2 or len(sm) != len(sq) or sm[:-2] != sq[:-2]:
+        raise ShapeError(f"attention: queries {sq} and memory {sm} need "
+                         f"equal leading axes")
+    nq, d = sq[-2:]
+    nk = sm[-2]
+    if sm[-1] != d or [w.data.shape for w in ws] != [(d, d)] * 4:
         raise ShapeError(f"attention: width {d} needs [{d}, {d}] weights and "
-                         f"memory, got {mem.shape} and "
-                         f"{[w.shape for w in ws]}")
+                         f"memory, got {sm} and {[w.shape for w in ws]}")
     if heads < 1 or d % heads:
         raise ShapeError(f"attention: width {d} not divisible by {heads} heads")
-    b = queries.size // (nq * d)
+    b = queries.data.size // (nq * d)
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
     xq = queries.data.reshape(b * nq, d)
@@ -636,19 +664,18 @@ def attention(queries, memory, wq, wk, wv, wo,
         (xm @ ws[1].data).reshape(b, nk, heads, dh).transpose(0, 2, 3, 1))
     v = split(xm @ ws[2].data, nk)
     s = (q @ kt) * c
-    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
-    p = e / np.sum(e, axis=-1, keepdims=True)  # [b, heads, nq, nk]
+    e = np.exp(s - np.maximum.reduce(s, -1, keepdims=True))
+    p = e / np.add.reduce(e, -1, keepdims=True)  # [b, heads, nq, nk]
     o = merge(p @ v)
-    data = (o @ ws[3].data).reshape(queries.shape)
+    data = (o @ ws[3].data).reshape(sq)
+    inputs = (queries,) + ws if memory is None else (queries, mem) + ws
 
     def needs(t: Tensor) -> bool:
         return t.requires_grad or t.node is not None
 
-    inputs = (queries,) + ws if memory is None else (queries, mem) + ws
-    need_x = needs(queries), needs(mem)
-    need_w = tuple(needs(w) for w in ws)
-
     def backward_rule(dout: np.ndarray):
+        need_x = needs(queries), needs(mem)
+        need_w = tuple(needs(w) for w in ws)
         g = dout.reshape(b * nq, d)
         dwo = o.T @ g if need_w[3] else None
         need_q = need_x[0] or need_w[0]
@@ -657,16 +684,16 @@ def attention(queries, memory, wq, wk, wv, wo,
         if need_q or need_kv:
             do = split(g @ ws[3].data.T, nq)
             dp = do @ v.swapaxes(2, 3)
-            ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True)) * c
+            ds = p * (dp - np.add.reduce(dp * p, -1, keepdims=True)) * c
             if need_q:
                 dq = merge(ds @ kt.swapaxes(2, 3))
             if need_kv:
                 dk = merge(q.swapaxes(2, 3) @ ds, (0, 3, 1, 2))
                 dv = merge(p.swapaxes(2, 3) @ do)
         if need_x[0]:
-            dxq = (dq @ ws[0].data.T).reshape(queries.shape)
+            dxq = (dq @ ws[0].data.T).reshape(sq)
         if need_x[1]:
-            dxm = (dk @ ws[1].data.T + dv @ ws[2].data.T).reshape(mem.shape)
+            dxm = (dk @ ws[1].data.T + dv @ ws[2].data.T).reshape(sm)
         dws = (xq.T @ dq if need_w[0] else None,
                xm.T @ dk if need_w[1] else None,
                xm.T @ dv if need_w[2] else None, dwo)
@@ -725,13 +752,13 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
     wv3 = ws[2].data.reshape(d, heads, dh).transpose(1, 0, 2)
 
     qh = (c0 @ ws[0].data).reshape(heads, dh)
-    u = (wk3 * qh).sum(axis=2) * c  # [D, heads]: the absorbed keys
+    u = np.add.reduce(wk3 * qh, 2) * c  # [D, heads]: the absorbed keys
     s = np.empty((n, heads, p + 1), dtype=x.dtype)
     s[:, :, 0] = c0 @ u
     s[:, :, 1:] = ((x @ (wp @ u)).reshape(n, p, heads)
                    + rw @ u).transpose(0, 2, 1)
-    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
-    pr = e / np.sum(e, axis=-1, keepdims=True)  # [N, heads, 1+P]
+    e = np.exp(s - np.maximum.reduce(s, -1, keepdims=True))
+    pr = e / np.add.reduce(e, -1, keepdims=True)  # [N, heads, 1+P]
     p0, pj = pr[:, :, 0], np.ascontiguousarray(pr[:, :, 1:])
     m = (pj @ raw.data).reshape(n * heads, f)  # Σ_j p_hj raw_j
     # Σ over the tokens of p_hj times token j's embedding, per head
@@ -756,15 +783,15 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
         dp = np.empty_like(pr)
         dp[:, :, 0] = (demb @ c0).reshape(n, heads)
         dp[:, :, 1:] = dpj
-        ds = pr * (dp - np.sum(dp * pr, axis=-1, keepdims=True))
-        ds0 = ds[:, :, 0].sum(axis=0)  # [heads]
+        ds = pr * (dp - np.add.reduce(dp * pr, -1, keepdims=True))
+        ds0 = np.add.reduce(ds[:, :, 0], 0)  # [heads]
         dsj = np.ascontiguousarray(ds[:, :, 1:].transpose(0, 2, 1))
         da = x.T @ dsj.reshape(n * p, heads)  # [F, heads]
-        dr = dsj.sum(axis=0)  # [P, heads]
+        dr = np.add.reduce(dsj, 0)  # [P, heads]
         du = wp.T @ da + rw.T @ dr + np.outer(c0, ds0)
-        dqh = (du[:, :, None] * wk3).sum(axis=0) * c  # [heads, dh]
+        dqh = np.add.reduce(du[:, :, None] * wk3, 0) * c  # [heads, dh]
         dq = dqh.reshape(d)
-        dcls = (g.sum(axis=0) + p0.reshape(-1) @ demb + u @ ds0
+        dcls = (np.add.reduce(g, 0) + p0.reshape(-1) @ demb + u @ ds0
                 + ws[0].data @ dq)
         grads = (None,
                  m.T @ demb + da @ u.T,

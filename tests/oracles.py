@@ -19,3 +19,66 @@ def brute_force_assign(costs) -> tuple[list[tuple[int, int]], float]:
     if best is None:
         return [], 0.0
     return list(enumerate(best)), best_cost
+
+
+# The formulas the fused tensor ops used before they called numpy's ufunc
+# reductions (np.add.reduce, np.maximum.reduce, then ``/ d``) directly:
+# np.mean, np.max and np.sum, whose results those must equal bit for bit.
+
+
+def softmax_reference(s: np.ndarray) -> np.ndarray:
+    """Max-subtracted softmax over the last axis."""
+    e = np.exp(s - np.max(s, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def layer_norm_reference(x, gain, bias, dout, eps=1e-5):
+    """``tensor.layer_norm``'s output and its input, gain and bias
+    gradients for the output gradient ``dout``."""
+    mu = np.mean(x, axis=-1, keepdims=True)
+    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    dxhat = dout * gain
+    m1 = np.mean(dxhat, axis=-1, keepdims=True)
+    m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+    axes = tuple(range(dout.ndim - 1))
+    return (xhat * gain + bias, inv * (dxhat - m1 - xhat * m2),
+            np.sum(dout * xhat, axis=axes), np.sum(dout, axis=axes))
+
+
+def attention_weights_reference(xq, xm, wq, wk, heads):
+    """The weights [b, heads, nq, nk] of queries xq [b, nq, D] over memory
+    xm [b, nk, D], from scores computed as ``tensor.attention`` does."""
+    b, nq, d = xq.shape
+    nk, dh = xm.shape[1], d // heads
+    q = np.ascontiguousarray((xq.reshape(b * nq, d) @ wq).reshape(
+        b, nq, heads, dh).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray((xm.reshape(b * nk, d) @ wk).reshape(
+        b, nk, heads, dh).transpose(0, 2, 3, 1))
+    return softmax_reference((q @ kt) * (1.0 / math.sqrt(dh)))
+
+
+def class_attention_reference(raw, w_patch, rows, cls, wq, wk, wv, wo,
+                              heads):
+    """``tensor.class_attention``'s output [N, D], computed as that op
+    computes it."""
+    n, p, f = raw.shape
+    d = w_patch.shape[1]
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+    c0 = cls.reshape(d)
+    qh = (c0 @ wq).reshape(heads, dh)
+    u = (wk.reshape(d, heads, dh) * qh).sum(axis=2) * c
+    s = np.empty((n, heads, p + 1), dtype=raw.dtype)
+    s[:, :, 0] = c0 @ u
+    s[:, :, 1:] = ((raw.reshape(n * p, f) @ (w_patch @ u)).reshape(
+        n, p, heads) + rows @ u).transpose(0, 2, 1)
+    pr = softmax_reference(s)
+    p0, pj = pr[:, :, 0], np.ascontiguousarray(pr[:, :, 1:])
+    emb = ((pj @ raw).reshape(n * heads, f) @ w_patch
+           + pj.reshape(n * heads, p) @ rows + p0.reshape(-1, 1) * c0)
+    emb3 = emb.reshape(n, heads, d).transpose(1, 0, 2)
+    wv3 = wv.reshape(d, heads, dh).transpose(1, 0, 2)
+    o = (emb3 @ wv3).transpose(1, 0, 2).reshape(n, d)
+    return o @ wo + c0

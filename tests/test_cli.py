@@ -4,6 +4,8 @@ rebuild the model from the checkpoint, malformed inputs exit 2 with a
 message, and same-seed runs repeat byte for byte."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -389,6 +391,17 @@ def test_model_flags_on_eval_are_a_usage_error(work, capsys):
     assert "unrecognized arguments: --width 16" in capsys.readouterr().err
 
 
+def _attention_rows(attention) -> list[list]:
+    """The rows ``dump-attention`` writes for one clip's layer weights."""
+    return [[layer, block, head, r, c, float(mat[head, r, c])]
+            for layer, att in enumerate(attention)
+            for block, mat in (("self", att.self_attn[0]),
+                               ("temporal", att.temporal[0]),
+                               ("spatial", att.spatial[0]))
+            for head in range(mat.shape[0]) for r in range(mat.shape[1])
+            for c in range(mat.shape[2])]
+
+
 def test_dump_attention_without_the_keyframe_task(work):
     """The oscc+scod checkpoint has no keyframe head: the dump holds the
     mid-frame decode that ``predict`` makes for it."""
@@ -399,18 +412,38 @@ def test_dump_attention_without_the_keyframe_task(work):
     model = load_model(work / "model.ckpt")
     clip = read_dataset(work / "data")[3].clip()
     preds = model.decoder.decode(model.encoder.encode([clip]), [4 // 2])
-    expected = [[layer, block, head, r, c, mat[head, r, c]]
-                for layer, att in enumerate(preds.attention)
-                for block, mat in (("self", att.self_attn[0]),
-                                   ("temporal", att.temporal[0]),
-                                   ("spatial", att.spatial[0]))
-                for head in range(mat.shape[0]) for r in range(mat.shape[1])
-                for c in range(mat.shape[2])]
+    expected = _attention_rows(preds.attention)
     lines = out.read_text().splitlines()
     assert lines[1] == "layer,block,head,row,col,weight"
     rows = [line.split(",") for line in lines[2:]]
     assert [[int(a), b, int(h), int(r), int(c), float(w)]
             for a, b, h, r, c, w in rows] == expected
+
+
+def test_dump_attention_equals_two_full_decodes_byte_for_byte(work):
+    """With the keyframe task, inference shares layer 0's self and temporal
+    blocks between its mid-frame and keyframe passes. The dump still
+    holds, byte for byte, the weights of a full decode at the keyframe
+    that a full mid-frame decode picks."""
+    ckpt = work / "all_tasks.ckpt"
+    assert cli.main(["train", "--data", str(work / "data"), "--out-checkpoint",
+                     str(ckpt), "--log", str(work / "all_tasks.csv"),
+                     "--steps", "0", "--seed", "6", *MODEL_FLAGS]) == 0
+    out = work / "attention_all_tasks.csv"
+    assert cli.main(["dump-attention", "--data", str(work / "data"),
+                     "--checkpoint", str(ckpt), "--clip-index", "1", "--out",
+                     str(out)]) == 0
+    model = load_model(ckpt)
+    features = model.encoder.encode([read_dataset(work / "data")[1].clip()])
+    mid = model.decoder.decode(features, [4 // 2])
+    keyframe = int(np.argmax(mid.pnr_logits.data[0]))
+    assert keyframe != 4 // 2  # so the two passes read different patches
+    final = model.decoder.decode(features, [keyframe])
+    body = io.StringIO()
+    writer = csv.writer(body)
+    writer.writerow(["layer", "block", "head", "row", "col", "weight"])
+    writer.writerows(_attention_rows(final.attention))
+    assert out.read_bytes().split(b"\n", 1)[1] == body.getvalue().encode()
 
 
 @pytest.mark.parametrize("index", ["8", "-1"])

@@ -331,23 +331,32 @@ def test_infer_two_pass_keyframe_follows_pnr_argmax():
 @pytest.mark.parametrize("layers", [1, 2])
 def test_infer_leaves_out_only_the_provisional_last_detection_block(
         layers, monkeypatch):
-    """Of the 3 attention calls per layer and pass, infer skips one: the
-    mid-frame pass's last detection block, which no head it runs reads.
-    Its outputs still equal two full decodes', and the final pass returns
-    every block of every layer."""
+    """Of the 3 attention calls per layer and pass, infer skips three: the
+    mid-frame pass's last detection block, which no head it runs reads,
+    and the final pass's layer-0 self and temporal blocks, which read no
+    keyframe and so are shared with the mid-frame pass. Its outputs still
+    equal two full decodes', and the final pass returns every block of
+    every layer, its layer-0 weights the very arrays the shared blocks
+    returned."""
     dec = _decoder(37, layers=layers)
     feats = _features(38, batch=2)
     calls = []
     for name in ("self_attention", "cross_attention"):
         real = getattr(decoder_module, name)
 
-        def counted(*args, real=real, **kwargs):
-            calls.append(real)
-            return real(*args, **kwargs)
+        def counted(*args, real=real, name=name, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append((name, out[1]))
+            return out
 
         monkeypatch.setattr(decoder_module, name, counted)
     preds = dec.infer(feats)
-    assert len(calls) == 2 * 3 * layers - 1
+    assert len(calls) == 2 * 3 * layers - 3
+    # The shared prefix runs first: layer 0's self, then temporal block.
+    assert [name for name, _ in calls[:2]] == ["self_attention",
+                                               "cross_attention"]
+    assert preds.attention[0].self_attn is calls[0][1]
+    assert preds.attention[0].temporal is calls[1][1]
     provisional = dec.decode(feats, [T // 2, T // 2])
     final = dec.decode(feats, preds.keyframes)
     for got, want in ((preds.oscc_logits, provisional.oscc_logits),

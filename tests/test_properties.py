@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis): the batched exact matcher against
-the brute-force oracle, the bounds and symmetry of generalized IoU, and the
-broadcast rules of the binary tensor ops. Draws are derandomized, so
-every run checks the same examples."""
+the brute-force oracle, the bounds and symmetry of generalized IoU, the
+broadcast rules of the binary tensor ops, and the fused ops' direct ufunc
+reductions against the np.mean/np.max/np.sum formulas, bit for bit. Draws
+are derandomized, so every run checks the same examples."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from taskfusion.assignment import AssignmentDomainError, hungarian
 from taskfusion.losses import giou, iou_giou_values
 from taskfusion.tensor import ShapeError
 
-from oracles import brute_force_assign
+from oracles import (attention_weights_reference, brute_force_assign,
+                     class_attention_reference, layer_norm_reference)
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None,
                     deadline=None)
@@ -172,3 +174,66 @@ def test_binary_ops_broadcast_only_as_documented(kind, shapes, seed):
                     (tb, _sum_to(w * db, b_shape))):
         assert t.grad.shape == t.shape
         assert np.allclose(t.grad, want, rtol=1e-12, atol=1e-12)
+
+
+# The fused ops call np.add.reduce / np.maximum.reduce (and divide by the
+# axis length for a mean) where they called np.mean, np.max and np.sum; the
+# results must be the same bits, in both compute dtypes.
+DTYPES = st.sampled_from(["float32", "float64"])
+lead = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+
+
+@SETTINGS
+@given(lead, st.integers(1, 24), DTYPES, st.integers(0, 2**32))
+def test_layer_norm_equals_the_mean_formulas_bit_for_bit(shape, d, dtype,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    x, dout = (rng.standard_normal(shape + (d,)) * rng.uniform(0.1, 10)
+               for _ in range(2))
+    gain, bias = rng.standard_normal(d), rng.standard_normal(d)
+    with tl.precision(dtype):
+        ts = [tl.tensor(v, requires_grad=True) for v in (x, gain, bias)]
+        out = tl.layer_norm(*ts)
+        tl.backward(tl.sum_all(tl.mul(out, dout)))
+        want = layer_norm_reference(*(t.data for t in ts),
+                                    tl.constant(dout).data)
+    for got, ref in zip([out.data] + [t.grad for t in ts], want):
+        assert got.dtype == ref.dtype == np.dtype(dtype)
+        assert np.array_equal(got, ref)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 6), st.integers(1, 9),
+       st.sampled_from([(8, 1), (8, 2), (12, 3), (16, 4)]), st.booleans(),
+       DTYPES, st.integers(0, 2**32))
+def test_attention_weights_equal_the_max_sum_softmax_bit_for_bit(
+        b, nq, nk, width_heads, own, dtype, seed):
+    d, heads = width_heads
+    rng = np.random.default_rng(seed)
+    with tl.precision(dtype):
+        xq = tl.constant(rng.standard_normal((b, nq, d)))
+        xm = xq if own else tl.constant(rng.standard_normal((b, nk, d)))
+        ws = [tl.constant(rng.standard_normal((d, d))) for _ in range(4)]
+        _, weights = tl.attention(xq, None if own else xm, *ws, heads)
+    want = attention_weights_reference(xq.data, xm.data, ws[0].data,
+                                       ws[1].data, heads)
+    assert weights.dtype == want.dtype == np.dtype(dtype)
+    assert np.array_equal(weights, want)
+
+
+@SETTINGS
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 7),
+       st.sampled_from([(8, 1), (8, 2), (12, 3), (16, 4)]), DTYPES,
+       st.integers(0, 2**32))
+def test_class_attention_equals_the_max_sum_softmax_bit_for_bit(
+        n, p, f, width_heads, dtype, seed):
+    d, heads = width_heads
+    rng = np.random.default_rng(seed)
+    with tl.precision(dtype):
+        args = [tl.constant(rng.standard_normal(shape)) for shape in
+                ((n, p, f), (f, d), (p, d), (1, 1, d))
+                + ((d, d),) * 4]
+        out = tl.class_attention(*args, heads)
+    want = class_attention_reference(*(a.data for a in args), heads)
+    assert out.data.dtype == want.dtype == np.dtype(dtype)
+    assert np.array_equal(out.data, want)

@@ -276,6 +276,15 @@ def test_a_record_renders_the_clip_of_its_seed(tmp_path, cfg):
     assert records == built
 
 
+def test_records_restore_their_seeded_generator_on_every_clip():
+    """A record keeps its seeded generator: repeated calls of one record,
+    and interleaved calls of two, each render their seed's clip."""
+    first, second = (ClipRecord(seed, CFG, None) for seed in (11, 12))
+    want = {11: generate_clip(11, CFG), 12: generate_clip(12, CFG)}
+    for record in (first, first, second, first, second, second, first):
+        assert _same_clip(record.clip(), want[record.seed]), record.seed
+
+
 def test_float32_frames_are_the_float64_frames_cast():
     cfg = ClipConfig(frames=8, height=32, width=32, p_change=0.5)
     for seed in range(12):

@@ -355,6 +355,36 @@ def test_no_tape_as_a_decorator_covers_each_call(recorded_nodes):
     assert tl.mul(x, x).node is not None and len(recorded_nodes) == 1
 
 
+def test_no_tape_decorated_function_may_recurse():
+    """A recursive decorated function enters the one decorator instance
+    once per call; each exit restores the flag its entry found, so the
+    outer call still runs off the tape after the inner one returns, and
+    recording is back on after the outermost, also on an exception."""
+    x = tl.tensor(np.ones(2), requires_grad=True)
+    nodes = []
+
+    @tl.no_tape()
+    def descend(depth):
+        nodes.append(tl.mul(x, x).node)
+        if depth:
+            descend(depth - 1)
+        nodes.append(tl.mul(x, x).node)
+
+    descend(2)
+    assert nodes == [None] * 6
+    assert tl.mul(x, x).node is not None
+
+    @tl.no_tape()
+    def fail(depth):
+        if not depth:
+            raise RuntimeError("innermost call")
+        fail(depth - 1)
+
+    with pytest.raises(RuntimeError):
+        fail(2)
+    assert tl.mul(x, x).node is not None
+
+
 def test_constructor_copies_its_input():
     a = np.zeros(3)
     t, u, c = tl.Tensor(a), tl.tensor(a), tl.constant(a)
