@@ -377,6 +377,8 @@ def bc_train(demos: list[Demo], embed_fn, steps: int, seed: int,
         raise ContractError("no demonstrations")
     if steps < 1:
         raise ContractError(f"BC steps must be >= 1, got {steps}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ContractError(f"BC lr must be finite and > 0, got {lr}")
     x_all, y_all = _demo_features(demos, embed_fn, use_proprio)
     n = x_all.shape[0]
     rng = rng_for(seed, "bc")

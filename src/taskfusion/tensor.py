@@ -813,7 +813,12 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf."""
+    """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
+
+    The tape is not consumed: each node keeps its inputs and the arrays
+    its backward rule reads, so a tape, activations included, lives as
+    long as any tensor that reaches it does, the loss among them.
+    """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     # One walk collects each node's output tensor; node ids follow execution
@@ -893,6 +898,9 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ContractError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ContractError(f"grad_check: tol must be finite and > 0, got "
+                            f"{tol}")
     for t in inputs:
         if t.data.dtype != np.float64:
             raise ContractError(f"grad_check: inputs must be float64, got "

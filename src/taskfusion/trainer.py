@@ -12,6 +12,15 @@ Batches follow a seeded Fisher-Yates shuffle per epoch, its swap indices
 drawn as one array, with any trailing partial batch dropped, so runs are
 bit-reproducible.
 
+A step holds its own memory only. Its clips' frames live until
+``encode`` has copied their patches; its features, predictions, losses
+and the tape under them (the activations backward reads) live until the
+step returns its log row. So no two steps' tapes are alive at once: step
+k's is freed before step k+1 renders its first clip. Non-finite
+predictions raise ``TrainingAbort`` with the step and the first such
+clip's seed before any loss reads them (the detection match refuses
+non-finite costs), and so does a non-finite loss.
+
 A model has one compute dtype, ``TrainConfig.dtype``: float32 by default,
 or float64. ``build_model``, ``train`` and ``ModelBundle.predict`` run
 under ``tensor.precision`` of it, and the encoder computes its features
@@ -33,9 +42,9 @@ import numpy as np
 from . import tensor as tl
 from .decoder import (ClipFeatures, ClipPrediction, DecoderConfig,
                       TaskFusionDecoder, TaskPredictions)
-from .losses import (SigmaParams, TASK_ORDER, joint_loss, iou_giou_values,
-                     make_pnr_targets, match_queries, oscc_loss, pnr_loss,
-                     scod_loss)
+from .losses import (ClipLabels, SigmaParams, TASK_ORDER, joint_loss,
+                     iou_giou_values, make_pnr_targets, match_queries,
+                     oscc_loss, pnr_loss, scod_loss)
 from .seeding import rng_for
 from .synth import ClipRecord, Encoder, SynthClip, build_encoder
 from .tensor import ContractError, ShapeError, Tensor, TensorError, backward
@@ -46,13 +55,14 @@ class CheckpointError(Exception):
 
 
 class TrainingAbort(Exception):
-    """Training hit a non-finite loss; carries the step and clip seed."""
+    """Training hit a non-finite prediction or loss; carries the step, the
+    clip seed and what was non-finite ("predictions", "oscc loss", ...)."""
 
-    def __init__(self, step: int, clip_seed: int, task: str):
+    def __init__(self, step: int, clip_seed: int, what: str):
         self.step = step
         self.clip_seed = clip_seed
-        self.task = task
-        super().__init__(f"non-finite {task} loss at step {step} "
+        self.what = what
+        super().__init__(f"non-finite {what} at step {step} "
                          f"(clip seed {clip_seed})")
 
 
@@ -278,6 +288,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got "
                                 f"{self.batch_size}")
+        if not (np.isfinite(self.lr) and self.lr > 0):
+            raise ContractError(f"lr must be finite and > 0, got {self.lr}")
         if self.dtype not in ("float32", "float64"):
             raise ContractError(f"dtype must be 'float32' or 'float64', got "
                                 f"{self.dtype!r}")
@@ -377,7 +389,7 @@ class TrainResult:
     log: list[dict]
 
 
-def batch_losses(model: ModelBundle, clips: list[SynthClip],
+def batch_losses(model: ModelBundle, labels: list[ClipLabels],
                  features: ClipFeatures,
                  enabled: tuple[str, ...]) -> tuple[dict[str, Tensor],
                                                     TaskPredictions]:
@@ -385,28 +397,37 @@ def batch_losses(model: ModelBundle, clips: list[SynthClip],
     no-change clip at its mid frame; its detection loss is masked), and one
     loss per enabled task; detection is left out when no clip of the batch
     changes state."""
-    labels = [clip.labels for clip in clips]
+    preds = _decode_at_labels(model, labels, features)
+    return _task_losses(preds, labels, features.frames, enabled), preds
+
+
+def _decode_at_labels(model: ModelBundle, labels: list[ClipLabels],
+                      features: ClipFeatures) -> TaskPredictions:
     keyframes = [features.frames // 2 if lab.pnr_frame is None
                  else lab.pnr_frame for lab in labels]
-    preds = model.decoder.decode(features, keyframes)
+    return model.decoder.decode(features, keyframes)
+
+
+def _task_losses(preds: TaskPredictions, labels: list[ClipLabels],
+                 frames: int, enabled: tuple[str, ...]) -> dict[str, Tensor]:
     out: dict[str, Tensor] = {}
     if "oscc" in enabled:
         out["oscc"] = oscc_loss(preds.oscc_logits,
                                 [lab.state_change for lab in labels])
     if "pnr" in enabled:
         out["pnr"] = pnr_loss(preds.pnr_logits,
-                              make_pnr_targets(labels, features.frames))
+                              make_pnr_targets(labels, frames))
     if "scod" in enabled and any(lab.state_change for lab in labels):
         out["scod"] = scod_loss(preds.scod_logits, preds.scod_boxes, labels)
-    return out, preds
+    return out
 
 
-def _first_nonfinite_clip(preds: TaskPredictions) -> int:
-    """Index of the first clip with a non-finite output (0 if none)."""
+def _first_nonfinite_clip(preds: TaskPredictions) -> int | None:
+    """Index of the first clip with a non-finite output, None if none."""
     b = preds.keyframes.shape[0]
     ok = np.all([np.isfinite(t.data.reshape(b, -1)).all(axis=1)
                  for t in preds.outputs()], axis=0)
-    return int(np.argmin(ok))
+    return None if ok.all() else int(np.argmin(ok))
 
 
 def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
@@ -418,36 +439,48 @@ def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
     model = build_model(config, frames=clip_cfg.frames, image=clip_cfg.height)
     adam = AdamState(lr=config.lr)
     batches = _batches(len(records), config.batch_size, config.seed)
-    enabled = config.enabled_tasks
     log: list[dict] = []
 
     with tl.precision(config.dtype):
         for step in range(1, config.steps + 1):
-            batch = [records[i] for i in next(batches)]
-            clips = [record.clip() for record in batch]
-            parts, preds = batch_losses(model, clips,
-                                        model.encoder.encode(clips), enabled)
-            for task, value in parts.items():
-                if not np.isfinite(value.item()):
-                    raise TrainingAbort(
-                        step, batch[_first_nonfinite_clip(preds)].seed, task)
-            present = tuple(t for t in enabled if t in parts)
-            total = joint_loss(parts, model.sigma, present)
-            if not np.isfinite(total.item()):
-                raise TrainingAbort(step, batch[0].seed, "joint")
-            backward(total)
-            model.store.fill_missing_grads()
-            adam_step(model.store, adam)
-
-            sigma2 = model.sigma.sigma2()
-            row = {"step": step, "loss_total": total.item()}
-            for i, task in enumerate(TASK_ORDER):
-                row[f"loss_{task}"] = (parts[task].item() if task in parts
-                                       else None)
-                row[f"sigma2_{i + 1}"] = (float(sigma2[i]) if task in enabled
-                                          else None)
-            log.append(row)
+            log.append(_train_step(model, adam, step,
+                                   [records[i] for i in next(batches)],
+                                   config.enabled_tasks))
     return TrainResult(model=model, log=log)
+
+
+def _train_step(model: ModelBundle, adam: AdamState, step: int,
+                batch: list[ClipRecord], enabled: tuple[str, ...]) -> dict:
+    """Train on one batch and return the step's log row. What the step
+    makes is local to this call, so none of it outlives the step; the
+    frames go right after ``encode``, which copies their patches."""
+    clips = [record.clip() for record in batch]
+    labels = [clip.labels for clip in clips]
+    features = model.encoder.encode(clips)
+    del clips
+    preds = _decode_at_labels(model, labels, features)
+    bad = _first_nonfinite_clip(preds)
+    if bad is not None:
+        raise TrainingAbort(step, batch[bad].seed, "predictions")
+    parts = _task_losses(preds, labels, features.frames, enabled)
+    for task, value in parts.items():
+        if not np.isfinite(value.item()):
+            raise TrainingAbort(step, batch[0].seed, f"{task} loss")
+    present = tuple(t for t in enabled if t in parts)
+    total = joint_loss(parts, model.sigma, present)
+    if not np.isfinite(total.item()):
+        raise TrainingAbort(step, batch[0].seed, "joint loss")
+    backward(total)
+    model.store.fill_missing_grads()
+    adam_step(model.store, adam)
+
+    sigma2 = model.sigma.sigma2()
+    row = {"step": step, "loss_total": total.item()}
+    for i, task in enumerate(TASK_ORDER):
+        row[f"loss_{task}"] = parts[task].item() if task in parts else None
+        row[f"sigma2_{i + 1}"] = (float(sigma2[i]) if task in enabled
+                                  else None)
+    return row
 
 
 @dataclass

@@ -385,6 +385,42 @@ def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     assert err.startswith(f"error in {args[0]}: ") and message in err
 
 
+NON_POSITIVE_OR_NON_FINITE = ["nan", "inf", "0", "-1"]
+
+
+@pytest.mark.parametrize("lr", NON_POSITIVE_OR_NON_FINITE)
+def test_train_refuses_a_bad_lr_and_writes_nothing(work, capsys, lr):
+    ckpt, log = work / "bad_lr.ckpt", work / "bad_lr.csv"
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(work / "data"), "--out-checkpoint",
+                     str(ckpt), "--log", str(log), "--steps", "1", "--lr",
+                     lr, *MODEL_FLAGS]) == 2
+    assert (f"error in train: lr must be finite and > 0, got {float(lr)}"
+            in capsys.readouterr().err)
+    assert not ckpt.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("lr", NON_POSITIVE_OR_NON_FINITE)
+def test_bc_train_refuses_a_bad_lr_and_writes_nothing(work, capsys, lr):
+    policy = work / "bad_lr_policy.ckpt"
+    capsys.readouterr()
+    assert cli.main(["bc-train", "--demos", str(work / "demos"),
+                     "--checkpoint", str(work / "model.ckpt"), "--out-policy",
+                     str(policy), "--bc-steps", "1", "--bc-lr", lr]) == 2
+    assert (f"error in bc-train: BC lr must be finite and > 0, got "
+            f"{float(lr)}" in capsys.readouterr().err)
+    assert not policy.exists()
+
+
+@pytest.mark.parametrize("tol", NON_POSITIVE_OR_NON_FINITE)
+def test_gradcheck_refuses_a_bad_tol_and_reports_nothing(capsys, tol):
+    assert cli.main(["gradcheck", "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert (f"error in gradcheck: grad_check: tol must be finite and > 0, "
+            f"got {float(tol)}" in err)
+
+
 def test_model_flags_on_eval_are_a_usage_error(work, capsys):
     assert cli.main(["eval", "--data", str(work / "data"), "--checkpoint",
                      str(work / "model.ckpt"), "--width", "16"]) == 1

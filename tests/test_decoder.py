@@ -109,9 +109,8 @@ def test_select_keyframe_train_uses_label():
 
 def test_select_keyframe_no_change_uses_mid_frame():
     # training decodes a no-change clip at its mid frame
-    clips = [SimpleNamespace(labels=ClipLabels(False)),
-             SimpleNamespace(labels=_labels(frame=1))]
-    _, preds = batch_losses(SimpleNamespace(decoder=_decoder(4)), clips,
+    labels = [ClipLabels(False), _labels(frame=1)]
+    _, preds = batch_losses(SimpleNamespace(decoder=_decoder(4)), labels,
                             _features(4, batch=2), TASK_ORDER)
     assert list(preds.keyframes) == [T // 2, 1]
 

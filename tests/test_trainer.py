@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from taskfusion.trainer import (CheckpointError, ParamStore, TrainConfig,
                                 save_checkpoint)
 
 CLIP_CFG = ClipConfig(frames=4, height=16, width=16, p_change=0.5)
+ENCODERS = ("per_frame_token", "clip_token", "conv_grid")
 
 
 def _config(encoder="per_frame_token", **overrides):
@@ -48,8 +50,7 @@ def _grads(model):
     return out
 
 
-@pytest.mark.parametrize("encoder",
-                         ["per_frame_token", "clip_token", "conv_grid"])
+@pytest.mark.parametrize("encoder", ENCODERS)
 def test_batched_losses_equal_sum_of_single_clip_losses(encoder):
     model = build_model(_config(encoder, dtype="float64"), frames=4, image=16)
     model.sigma.s.data[...] = [0.3, -0.2, 0.1]
@@ -57,7 +58,8 @@ def test_batched_losses_equal_sum_of_single_clip_losses(encoder):
 
     # batched: one decode and one loss per task over the whole batch
     features = model.encoder.encode(clips)
-    parts, _ = batch_losses(model, clips, features, TASK_ORDER)
+    parts, _ = batch_losses(model, [c.labels for c in clips], features,
+                            TASK_ORDER)
     batched = joint_loss(parts, model.sigma, TASK_ORDER)
     backward(batched)
     batched_grads = _grads(model)
@@ -65,8 +67,8 @@ def test_batched_losses_equal_sum_of_single_clip_losses(encoder):
     # reference: each clip as a batch of one, per-task sums over the clips
     sums, counts = {}, {}
     for clip in clips:
-        one, _ = batch_losses(model, [clip], model.encoder.encode([clip]),
-                              TASK_ORDER)
+        one, _ = batch_losses(model, [clip.labels],
+                              model.encoder.encode([clip]), TASK_ORDER)
         for task, value in one.items():
             sums[task] = tl.add(sums[task], value) if task in sums else value
             counts[task] = counts.get(task, 0) + 1
@@ -140,6 +142,92 @@ def test_adam_rejects_non_finite_gradient_before_any_update(monkeypatch):
         trainer.train(_records(), _config())
     for name, t in models[0].store.items():
         assert np.array_equal(t.data, before[name]), name
+
+
+def _poison_on_second_render(monkeypatch, seed):
+    """Renders the clip of ``seed`` with NaN frames from its second
+    ``clip()`` on."""
+    real_clip, calls = ClipRecord.clip, []
+
+    def clip(record):
+        out = real_clip(record)
+        if record.seed == seed:
+            calls.append(seed)
+            if len(calls) > 1:
+                out.frames[...] = np.nan
+        return out
+
+    monkeypatch.setattr(ClipRecord, "clip", clip)
+
+
+@pytest.mark.parametrize("tasks", [TASK_ORDER, ("oscc", "pnr")])
+def test_non_finite_predictions_abort_with_the_step_and_clip(monkeypatch,
+                                                             tasks):
+    """NaN frames make NaN predictions: one batch of four holds every
+    record, so the poisoned clip reaches step 2, which must stop before
+    any loss (the detection match would refuse the NaN costs)."""
+    records = _records()
+    _poison_on_second_render(monkeypatch, records[2].seed)
+    with pytest.raises(trainer.TrainingAbort) as info:
+        trainer.train(records, _config(steps=3, enabled_tasks=tasks))
+    assert (info.value.step, info.value.clip_seed) == (2, records[2].seed)
+    assert str(info.value) == (f"non-finite predictions at step 2 (clip "
+                               f"seed {records[2].seed})")
+
+
+def _tape_nodes(loss):
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop().node
+        if node is not None and node.nid not in nodes:
+            nodes[node.nid] = node
+            stack.extend(node.inputs)
+    return list(nodes.values())
+
+
+def _watch_step_lifetimes(monkeypatch):
+    """Wraps ``ClipRecord.clip`` and ``trainer.backward``; the returned
+    lists fill as ``train`` runs. "tape": at each step's first clip after
+    step 1, how many of the previous step's tape nodes are alive.
+    "frames": at each step's backward, how many of its clips' frames are
+    alive. Weak references only, and no garbage collection: what
+    refcounting keeps is what the test sees."""
+    real_clip, real_backward = ClipRecord.clip, trainer.backward
+    tape, frames = [], []
+    seen = {"tape": [], "frames": []}
+
+    def clip(record):
+        if tape:
+            seen["tape"].append(sum(ref() is not None for ref in tape))
+            tape.clear()
+            frames.clear()
+        out = real_clip(record)
+        frames.append(weakref.ref(out.frames))
+        return out
+
+    def backward(loss):
+        seen["frames"].append(sum(ref() is not None for ref in frames))
+        tape.extend(weakref.ref(node) for node in _tape_nodes(loss))
+        real_backward(loss)
+
+    monkeypatch.setattr(ClipRecord, "clip", clip)
+    monkeypatch.setattr(trainer, "backward", backward)
+    return seen
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_a_step_frees_its_tape_before_the_next_step_renders(monkeypatch,
+                                                            encoder):
+    seen = _watch_step_lifetimes(monkeypatch)
+    trainer.train(_records(), _config(encoder, steps=3))
+    assert seen["tape"] == [0, 0]
+
+
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_a_step_frees_its_frames_before_backward(monkeypatch, encoder):
+    seen = _watch_step_lifetimes(monkeypatch)
+    trainer.train(_records(), _config(encoder, steps=3))
+    assert seen["frames"] == [0, 0, 0]
 
 
 def _checkpoint(tmp_path):
@@ -266,7 +354,8 @@ def test_batch_losses_builds_a_tape(recorded_nodes):
     model = build_model(_config(), frames=4, image=16)
     clips = _mixed_clips()
     features = model.encoder.encode(clips)
-    parts, _ = batch_losses(model, clips, features, TASK_ORDER)
+    parts, _ = batch_losses(model, [c.labels for c in clips], features,
+                            TASK_ORDER)
     assert set(parts) == set(TASK_ORDER)
     assert all(loss.node is not None for loss in parts.values())
     assert len(recorded_nodes) > 100
@@ -333,7 +422,8 @@ def test_per_frame_token_matches_full_self_attention():
                              (len(clips) * CLIP_CFG.frames, encoder.patches,
                               encoder.width)),
             patches=encoder.patches)):
-        parts, _ = batch_losses(model, clips, feats, TASK_ORDER)
+        parts, _ = batch_losses(model, [c.labels for c in clips], feats,
+                                TASK_ORDER)
         backward(joint_loss(parts, model.sigma, TASK_ORDER))
         grads.append({name: g for name, g in _grads(model).items()
                       if name.startswith("enc.")})
@@ -342,8 +432,6 @@ def test_per_frame_token_matches_full_self_attention():
         assert np.any(g), name
         assert np.max(np.abs(grads[0][name] - g)) <= 1e-10, name
 
-
-ENCODERS = ("per_frame_token", "clip_token", "conv_grid")
 
 # sha256 of the JSON loss log and of the checkpoint payload of an 8-step
 # float64 run, recorded before models had a compute dtype: float64
