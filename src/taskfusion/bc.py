@@ -6,7 +6,10 @@ cube ends within the success radius of the target. A scripted expert
 walks behind the cube and pushes it along the cube-to-target line,
 supplying demonstrations. The policy is a small MLP over a frozen
 single-frame encoder embedding, optionally concatenated with the
-gripper position, trained with mean squared action error.
+gripper position, trained with mean squared action error. Its forward
+is one ``tensor.mlp`` op, one tape node; with the loss a training step
+records five, and one Adam update moves all four parameter tensors.
+Every environment call but ``reset`` needs a reset first.
 
 Scene rendering reuses the synthetic-clip palette (the cube is drawn as
 the object, the gripper as the hand) so a fine-tuned encoder sees
@@ -24,7 +27,6 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import tensor as tl
-from .attention import linear
 from .seeding import derive_seed, rng_for
 from .synth import (BACKGROUND_LEVEL, HAND_COLOR, OBJECT_COLOR_AFTER,
                     DatasetError, box_to_rect, draw_rect)
@@ -80,32 +82,38 @@ class ToyEnv:
         self.steps = 0
         return self.state
 
-    def step(self, action: np.ndarray) -> EnvState:
+    def _reset_state(self, what: str) -> EnvState:
         if self.state is None:
-            raise ContractError("step before reset")
+            raise ContractError(f"{what} before reset")
+        return self.state
+
+    def step(self, action: np.ndarray) -> EnvState:
+        state = self._reset_state("step")
         cfg = self.config
         a = np.clip(np.asarray(action, dtype=np.float64),
                     -cfg.max_step, cfg.max_step)
-        g = np.clip(self.state.gripper + a, 0.0, 1.0)
-        cube = self.state.cube
+        g = np.clip(state.gripper + a, 0.0, 1.0)
+        cube = state.cube
         sep = cube - g
         dist = float(np.linalg.norm(sep))
         if dist < cfg.contact_radius:
             direction = sep / dist if dist > 0 else np.array([1.0, 0.0])
             cube = np.clip(g + direction * cfg.contact_radius, 0.0, 1.0)
-        self.state = EnvState(gripper=g, cube=cube, target=self.state.target)
+        self.state = EnvState(gripper=g, cube=cube, target=state.target)
         self.steps += 1
         return self.state
 
     def success(self) -> bool:
-        return (np.linalg.norm(self.state.cube - self.state.target)
+        state = self._reset_state("success")
+        return (np.linalg.norm(state.cube - state.target)
                 < self.config.success_radius)
 
     def render(self) -> np.ndarray:
+        state = self._reset_state("render")
         cfg = self.config
         img = self._background.copy()
         n = cfg.image
-        tx, ty = self.state.target
+        tx, ty = state.target
         marker = box_to_rect((tx, ty, cfg.cube_size * 0.6, cfg.cube_size * 0.6),
                              n, n)
         x0, y0, w, h = marker
@@ -114,10 +122,10 @@ class ToyEnv:
         ix, iy, iw, ih = inner
         img[max(iy, 0):iy + ih, max(ix, 0):ix + iw] = \
             self._background[max(iy, 0):iy + ih, max(ix, 0):ix + iw]
-        cx, cy = self.state.cube
+        cx, cy = state.cube
         draw_rect(img, box_to_rect((cx, cy, cfg.cube_size, cfg.cube_size),
                                    n, n), OBJECT_COLOR_AFTER)
-        gx, gy = self.state.gripper
+        gx, gy = state.gripper
         draw_rect(img, box_to_rect((gx, gy, cfg.gripper_size, cfg.gripper_size),
                                    n, n), HAND_COLOR)
         return np.clip(img, 0.0, 1.0)
@@ -323,8 +331,7 @@ class Policy:
         return s
 
     def forward(self, x: Tensor) -> Tensor:
-        h = tl.gelu(linear(x, self.w1, self.b1))
-        return linear(h, self.w2, self.b2)
+        return tl.mlp(x, self.w1, self.b1, self.w2, self.b2)
 
     @tl.no_tape()
     def act(self, embedding: np.ndarray, proprio: np.ndarray) -> np.ndarray:
@@ -353,13 +360,11 @@ def load_policy(path) -> Policy:
 
 def _demo_features(demos: list[Demo], embed_fn,
                    use_proprio: bool) -> tuple[np.ndarray, np.ndarray]:
-    xs, ys = [], []
-    for demo in demos:
-        for tr in demo.transitions:
-            e = embed_fn(tr.obs)
-            xs.append(np.concatenate([e, tr.proprio]) if use_proprio else e)
-            ys.append(tr.action)
-    return np.stack(xs), np.stack(ys)
+    steps = [tr for demo in demos for tr in demo.transitions]
+    x = np.stack([embed_fn(tr.obs) for tr in steps])
+    if use_proprio:
+        x = np.concatenate([x, np.stack([tr.proprio for tr in steps])], 1)
+    return x, np.stack([tr.action for tr in steps])
 
 
 BC_BATCH_SIZE = 64  # transitions per ``bc_train`` step, or all if fewer

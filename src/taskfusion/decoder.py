@@ -8,9 +8,10 @@ memory and the eight detection tokens through cross-attention over its
 keyframe's patch memory. Residual additions and layer normalization wrap
 every attention sublayer. After the last layer, three head groups
 translate the tokens into predictions: one two-layer MLP for the state
-change token, one for the keyframe token, and eight stacked MLPs, applied
-together by batched matmul, for the detection tokens. Every token keeps
-its own head weights.
+change token, one for the keyframe token, and eight for the detection
+tokens. Every token keeps its own head weights, stacked per group, and
+each group is one ``tensor.mlp`` op (one tape node) whose matmuls run
+all of its tokens' MLPs at once, batched over the token axis.
 
 Token roles are fixed: row 0 predicts whether a state change occurs,
 row 1 localizes the change frame, rows 2..9 are detection queries. A
@@ -285,12 +286,7 @@ class _HeadGroup:
 
     def forward(self, tokens: Tensor) -> Tensor:
         """[B, G, D] -> [B, G, O], token g through its own MLP."""
-        def per_token(x, w, b):  # [B, G, i] @ [G, i, o] + [G, o]
-            y = tl.bmm(tl.permute(x, (1, 0, 2)), w)
-            return tl.add(tl.permute(y, (1, 0, 2)), b)
-
-        h = tl.gelu(per_token(tokens, self.w1, self.b1))
-        return per_token(h, self.w2, self.b2)
+        return tl.mlp(tokens, self.w1, self.b1, self.w2, self.b2)
 
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w1": self.w1, f"{prefix}.b1": self.b1,

@@ -2,9 +2,10 @@
 
 ``run_gradcheck`` checks every tape op, both attention blocks (on token
 sets and on a batch of two), the class-row op ``class_attention`` (over
-one frame and over three), all three task losses, the uncertainty
-weighting, and the joint loss through a tiny two-layer decode of two
-clips, every parameter included. Its inputs derive from one seed; each
+one frame and over three), the fused MLP ``mlp`` (with shared and with
+per-token weights), all three task losses, the uncertainty weighting,
+and the joint loss through a tiny two-layer decode of two clips, every
+parameter included. Its inputs derive from one seed; each
 check is named, and ``taskfusion gradcheck`` prints one line per check.
 It needs float64 inputs, as ``tensor.grad_check`` does.
 """
@@ -92,8 +93,8 @@ def _query_boxes(rng, n_queries: int, gt_boxes) -> np.ndarray:
 def run_gradcheck(seed: int = 0, tol: float = 1e-4,
                   eps: float = 1e-5) -> list[tuple[str, GradCheckReport]]:
     """Finite-difference verification of every op, both attention blocks,
-    the class-row op, all three losses, and the full joint loss through a
-    tiny decode."""
+    the class-row op, the fused MLP, all three losses, and the full joint
+    loss through a tiny decode."""
     results: list[tuple[str, GradCheckReport]] = []
 
     def check(name, f, inputs, names=None):
@@ -247,6 +248,21 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
                   [w_patch, rows, cls, params.wq, params.wk, params.wv,
                    params.wo],
                   names=["w_patch", "rows", "cls", "wq", "wk", "wv", "wo"])
+
+    # the fused two-layer MLP, with shared weights over [N, D] rows and
+    # with stacked per-token weights over [B, G, D]
+    for tokens, tag in ((None, ""), (3, "_stacked")):
+        g = () if tokens is None else (tokens,)
+        for c in range(3):
+            rng = rng_for(seed, "gc", "mlp" + tag, c)
+            shapes = [(2,) + g + (4,), g + (4, 5), g + (5,), g + (5, 2),
+                      g + (2,)]
+            inputs = [tl.tensor(rng.standard_normal(s) * 0.7,
+                                requires_grad=True) for s in shapes]
+            w = tl.constant(rng.standard_normal((2,) + g + (2,)))
+            check(f"mlp{tag}[{c}]",
+                  lambda *args, w=w: tl.sum_all(tl.mul(tl.mlp(*args), w)),
+                  inputs, names=["x", "w1", "b1", "w2", "b2"])
 
     # losses
     for c in range(3):

@@ -650,8 +650,8 @@ class ConvGridEncoder(Encoder):
         for lay in self.adapter:
             x = tl.add(x, self_attention(x, lay["attn"])[0])
             flat = tl.reshape(x, (t * self.patches, self.width))
-            ff = linear(tl.gelu(linear(flat, lay["ffn_w1"], lay["ffn_b1"])),
-                        lay["ffn_w2"], lay["ffn_b2"])
+            ff = tl.mlp(flat, lay["ffn_w1"], lay["ffn_b1"], lay["ffn_w2"],
+                        lay["ffn_b2"])
             x = tl.add(x, tl.reshape(ff, (t, self.patches, self.width)))
         h_frames = tl.mean_axis(x, axis=1)
         return tl.reshape(h_frames, (1, t, self.width)), x

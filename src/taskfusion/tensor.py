@@ -26,16 +26,19 @@ whose shape is a trailing suffix of the other's (a ``[D]`` bias onto
 operand's gradient is summed over the axes it was repeated along, so
 every backward rule stays exact and obvious.
 
-Four ops are fused blocks with hand-written backward rules, each one node
+Five ops are fused blocks with hand-written backward rules, each one node
 on the tape: ``softmax``, ``layer_norm``, ``attention`` (node kind
 ``"attention"``: a whole multi-head attention block, from the q/k/v
 projections to the output projection, computing gradients only for the
-inputs that need them) and ``class_attention`` (node kind
+inputs that need them), ``class_attention`` (node kind
 ``"class_attention"``: the class rows of N frames from their raw patches,
 a patch embedding plus an attention block whose one query is a shared
-class token, with the key and value projections absorbed into it). The
-perfbench tape breakdown, whose list of kinds predates the last two,
-counts their nodes under ``other``.
+class token, with the key and value projections absorbed into it) and
+``mlp`` (node kind ``"mlp"``: a two-layer GELU MLP, with one set of
+weights for all rows or one per token, whose values and gradients are
+those of the op chain it replaces, bit for bit, in fewer numpy calls).
+The perfbench tape breakdown, whose list of kinds predates the last
+three, counts their nodes under ``other``.
 
 The ops call numpy's ufunc reductions directly: ``np.add.reduce`` and
 ``np.maximum.reduce``, and a mean is that sum divided by the axis length.
@@ -108,6 +111,7 @@ __all__ = [
     "layer_norm",
     "attention",
     "class_attention",
+    "mlp",
     "backward",
     "no_tape",
     "precision",
@@ -304,21 +308,26 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.add.reduce(grad, tuple(range(grad.ndim - len(shape))))
 
 
-def _gelu_forward(x: np.ndarray) -> np.ndarray:
-    # tanh approximation: 0.5*x*(1 + tanh(sqrt(2/pi)*(x + 0.044715*x^3))).
-    # x*x*x, not x**3: numpy sends a cube through the C pow() per element,
-    # about 70x slower (x**2 has its own fast path).
-    c = math.sqrt(2.0 / math.pi)
-    u = c * (x + 0.044715 * (x * x * x))
-    return 0.5 * x * (1.0 + np.tanh(u))
+_GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    # Exact derivative of the tanh approximation above.
-    c = math.sqrt(2.0 / math.pi)
-    u = c * (x + 0.044715 * (x * x * x))
-    t = np.tanh(u)
-    du = c * (1.0 + 3.0 * 0.044715 * x**2)
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The tanh approximation 0.5*x*(1 + tanh(u)), u = sqrt(2/pi)*(x +
+    # 0.044715*x^3), and its derivative are computed from tanh(u) and x*x;
+    # ``mlp`` keeps them from its forward for its backward. The cube is
+    # (x*x)*x, not x**3: numpy sends a cube through the C pow() per
+    # element, about 70x slower (x**2 has its own fast path, x*x's bits).
+    sq = x * x
+    return np.tanh(_GELU_C * (x + 0.044715 * (sq * x))), sq
+
+
+def _gelu_value(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return 0.5 * x * (1.0 + t)
+
+
+def _gelu_grad(x: np.ndarray, t: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    # Exact derivative of the tanh approximation, from its parts.
+    du = _GELU_C * (1.0 + 3.0 * 0.044715 * sq)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du
 
 
@@ -377,7 +386,8 @@ minimum = _binary("minimum", np.minimum,
 
 relu = _unary("relu", lambda x: np.maximum(x, 0.0),
               lambda x, y: (x > 0.0).astype(x.dtype))
-gelu = _unary("gelu", _gelu_forward, lambda x, y: _gelu_grad(x))
+gelu = _unary("gelu", lambda x: _gelu_value(x, _gelu_parts(x)[0]),
+              lambda x, y: _gelu_grad(x, *_gelu_parts(x)))
 exp = _unary("exp", np.exp, lambda x, y: y)
 log = _unary("log", np.log, lambda x, y: 1.0 / x, domain=_log_domain)
 sigmoid = _unary("sigmoid", lambda x: 1.0 / (1.0 + np.exp(-x)),
@@ -806,6 +816,74 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
                      for gr, t in zip(grads, inputs))
 
     return _make(data, "class_attention", inputs, backward_rule)
+
+
+def mlp(x, w1, b1, w2, b2) -> Tensor:
+    """``gelu(x @ w1 + b1) @ w2 + b2`` as one op.
+
+    Shared weights apply one MLP to every row: ``x`` [N, D], ``w1`` [D, H],
+    ``b1`` [H], ``w2`` [H, O], ``b2`` [O]. Stacked weights give each of G
+    tokens its own MLP: ``x`` [B, G, D], ``w1`` [G, D, H], ``b1`` [G, H],
+    ``w2`` [G, H, O], ``b2`` [G, O]; the matmuls run per token over
+    contiguous [G, B, .] copies of their operands. The op evaluates the
+    expressions of ``add(matmul(x, w1), b1)``, ``gelu`` and the second
+    linear layer (``permute``/``bmm``/``permute`` per stacked layer) in
+    their order, so its output and gradients are theirs bit for bit; the
+    backward rule reuses the forward's GELU intermediates and computes
+    gradients only for the inputs that need them.
+    """
+    x, w1, b1, w2, b2 = (_as_tensor(a) for a in (x, w1, b1, w2, b2))
+    sx, s1, s2 = x.data.shape, w1.data.shape, w2.data.shape
+    stacked = len(s1) == 3
+    g = s1[:1] if stacked else ()  # the token axis of stacked weights
+    if not (len(s1) in (2, 3) and len(sx) == len(s1)
+            and sx[1:-1] == g and sx[-1] == s1[-2]
+            and s2[:-1] == g + s1[-1:] and b1.data.shape == g + s1[-1:]
+            and b2.data.shape == g + s2[-1:]):
+        raise ShapeError(f"mlp: x {sx} needs [N, D] rows with w1 [D, H], b1 "
+                         f"[H], w2 [H, O], b2 [O], or [B, G, D] with w1 "
+                         f"[G, D, H], b1 [G, H], w2 [G, H, O], b2 [G, O]; got "
+                         f"{w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}")
+
+    if stacked:
+        def swap(a: np.ndarray) -> np.ndarray:  # [B, G, .] <-> [G, B, .]
+            return np.ascontiguousarray(a.transpose(1, 0, 2))
+
+        def tr(a: np.ndarray) -> np.ndarray:
+            return np.swapaxes(a, 1, 2)
+    else:
+        def swap(a: np.ndarray) -> np.ndarray:
+            return a
+
+        def tr(a: np.ndarray) -> np.ndarray:
+            return a.T
+
+    xs = swap(x.data)
+    z = swap(xs @ w1.data) + b1.data
+    th, sq = _gelu_parts(z)  # kept for the backward rule
+    hid = _gelu_value(z, th)
+    hs = swap(hid)
+    data = swap(hs @ w2.data) + b2.data
+    inputs = (x, w1, b1, w2, b2)
+
+    def backward_rule(dout: np.ndarray):
+        need = [a.requires_grad or a.node is not None for a in inputs]
+        dx = dw1 = db1 = None
+        dy = swap(dout)
+        dw2 = tr(hs) @ dy if need[3] else None
+        db2 = _reduce_to(dout, b2.data.shape) if need[4] else None
+        if need[0] or need[1] or need[2]:
+            dz = swap(dy @ tr(w2.data)) * _gelu_grad(z, th, sq)
+            dzs = swap(dz)
+            if need[0]:
+                dx = swap(dzs @ tr(w1.data))
+            if need[1]:
+                dw1 = tr(xs) @ dzs
+            if need[2]:
+                db1 = _reduce_to(dz, b1.data.shape)
+        return dx, dw1, db1, dw2, db2
+
+    return _make(data, "mlp", inputs, backward_rule)
 
 
 # ---------------------------------------------------------------------------

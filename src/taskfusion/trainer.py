@@ -7,7 +7,11 @@ makes one batched decode, for which the encoder makes the patch rows of
 each clip's keyframe alone, and one loss per task (each the mean over
 its clips, detection masked on no-change clips, with one batched match),
 combines them with the learnable variance weighting, and applies one
-Adam update.
+Adam update. Adam keeps its two moments in one flat buffer each, over
+the trainable parameters in store order; an update gathers the gradients
+into one array, runs each elementwise operation once over all of them,
+and subtracts each parameter's slice in place. A store must keep the
+trainable parameters, shapes and dtype it had at its first update.
 Batches follow a seeded Fisher-Yates shuffle per epoch, its swap indices
 drawn as one array, with any trailing partial batch dropped, so runs are
 bit-reproducible.
@@ -35,6 +39,7 @@ overflows the model's dtype is an error.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -224,43 +229,105 @@ def load_described(path, kind: str, build):
 
 @dataclass
 class AdamState:
+    """Adam's settings and state. The first step lays out the store's
+    trainable parameters, in store order, in one flat buffer per moment;
+    ``m[name]`` and ``v[name]`` are views of a parameter's slice of them."""
+
     lr: float = 3e-4
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    # (name, shape, dtype) of each trainable parameter, and the buffers
+    _layout: list | None = field(default=None, repr=False)
+    _m: np.ndarray | None = field(default=None, repr=False)
+    _v: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def m(self) -> dict[str, np.ndarray]:
+        return self._views(self._m)
+
+    @property
+    def v(self) -> dict[str, np.ndarray]:
+        return self._views(self._v)
+
+    def _views(self, flat: np.ndarray | None) -> dict[str, np.ndarray]:
+        """Each parameter's slice of a flat buffer in the layout."""
+        views, start = {}, 0
+        for name, shape, _ in self._layout or ():
+            stop = start + math.prod(shape)
+            views[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return views
+
+
+def _adam_layout(state: AdamState, layout: list) -> None:
+    """Allocate the moment buffers for ``layout`` on the first step, or
+    check that it is the layout they were allocated for."""
+    if state._layout is not None:
+        if layout != state._layout:
+            old, new = ({name: f"{shape} {dtype}" for name, shape, dtype in x}
+                        for x in (state._layout, layout))
+            moved = [n for n in (*new, *old) if old.get(n) != new.get(n)]
+            what = "their order moved"
+            if moved:
+                n = moved[0]
+                what = (f"{n!r} was {old.get(n, 'absent')}, is "
+                        f"{new.get(n, 'absent')}")
+            raise ContractError("the store's trainable parameters changed "
+                                f"since the first Adam step: {what}")
+        return
+    dtypes = sorted({str(dtype) for _, _, dtype in layout})
+    if len(dtypes) > 1:
+        raise ContractError(f"Adam needs one dtype; the store mixes {dtypes}")
+    total = sum(math.prod(shape) for _, shape, _ in layout)
+    state._m = np.zeros(total, layout[0][2])
+    state._v = np.zeros(total, layout[0][2])
+    state._layout = layout
 
 
 def adam_step(store: ParamStore, state: AdamState) -> None:
     """One bias-corrected Adam update; gradients are consumed (reset).
 
     Every gradient is checked to be present and finite before any
-    parameter moves, so a failed step leaves the model untouched.
+    parameter moves, so a failed step leaves the model untouched. The
+    update runs once over all gradients, gathered into one array, with
+    the elementwise operations of a per-parameter update in their order;
+    then each parameter subtracts its slice.
     """
-    for name, p in store.items():
-        if not p.requires_grad:
-            continue
+    params = [(name, p) for name, p in store.items() if p.requires_grad]
+    for name, p in params:
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient")
-        if not np.all(np.isfinite(p.grad)):
-            raise ContractError(f"parameter {name!r} has a non-finite gradient")
+    if not params:
+        state.step_count += 1
+        return
+    _adam_layout(state, [(name, p.data.shape, p.data.dtype)
+                         for name, p in params])
+    g = np.concatenate([p.grad.reshape(-1) for _, p in params])
+    if not np.isfinite(g).all():
+        bad = next(name for name, p in params
+                   if not np.isfinite(p.grad).all())
+        raise ContractError(f"parameter {bad!r} has a non-finite gradient")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for name, p in store.items():
-        if not p.requires_grad:
-            continue
-        g = p.grad
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** t)
-        v_hat = state.v[name] / (1 - b2 ** t)
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state._m, state._v
+    sq = (1 - b2) * g  # (1 - b2) * g * g
+    sq *= g
+    v *= b2
+    v += sq
+    g *= 1 - b1
+    m *= b1
+    m += g
+    upd = np.divide(m, 1 - b1 ** t, out=g)  # lr * m_hat / (sqrt(v_hat) + eps)
+    upd *= state.lr
+    np.divide(v, 1 - b2 ** t, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += state.eps
+    upd /= sq
+    for (_, p), step in zip(params, state._views(upd).values()):
+        p.data -= step
         p.grad = None
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from taskfusion import tensor as tl
+
 
 def brute_force_assign(costs) -> tuple[list[tuple[int, int]], float]:
     """Exhaustive minimum over all injections of the rows of ``costs``
@@ -82,3 +84,17 @@ def class_attention_reference(raw, w_patch, rows, cls, wq, wk, wv, wo,
     wv3 = wv.reshape(d, heads, dh).transpose(1, 0, 2)
     o = (emb3 @ wv3).transpose(1, 0, 2).reshape(n, d)
     return o @ wo + c0
+
+
+def mlp_reference(x, w1, b1, w2, b2):
+    """The op chain ``tensor.mlp`` fuses, on tensors: two linear layers
+    (``matmul`` then ``add``) around ``gelu`` for shared 2-D weights, and
+    for stacked per-token weights each layer as ``permute``, ``bmm``,
+    ``permute`` and ``add``."""
+    def layer(x, w, b):
+        if w.data.ndim == 2:
+            return tl.add(tl.matmul(x, w), b)
+        y = tl.bmm(tl.permute(x, (1, 0, 2)), w)
+        return tl.add(tl.permute(y, (1, 0, 2)), b)
+
+    return layer(tl.gelu(layer(x, w1, b1)), w2, b2)

@@ -1,13 +1,16 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from taskfusion import tensor as tl
-from taskfusion.bc import (Policy, ToyEnv, ToyEnvConfig, collect_demos,
-                           expert_demo, load_policy, read_demos, write_demos)
+from taskfusion.bc import (Policy, ToyEnv, ToyEnvConfig, bc_train,
+                           collect_demos, expert_demo, load_policy, read_demos,
+                           write_demos)
 from taskfusion.seeding import derive_seed
 from taskfusion.synth import DatasetError
+from taskfusion.tensor import ContractError
 from taskfusion.trainer import CheckpointError, save_checkpoint
 
 ENV = ToyEnvConfig(image=16)
@@ -83,6 +86,15 @@ def test_collect_demos_finds_its_demos_at_a_short_horizon():
         f"expert failed on 892 demo seeds, the first {first}; discarded"]
 
 
+def test_env_before_reset_is_a_contract_error():
+    env = ToyEnv(ENV)
+    for call in (lambda: env.step(np.zeros(2)), env.success, env.render):
+        with pytest.raises(ContractError, match="before reset"):
+            call()
+    env.reset(0)
+    assert env.render().shape == (16, 16, 3) and not env.success()
+
+
 def test_policy_checkpoint_rebuilds_the_policy(tmp_path):
     policy = Policy.init(np.random.default_rng(1), embed_dim=6, hidden=5,
                          use_proprio=False, max_step=0.03)
@@ -113,3 +125,35 @@ def test_policy_act_is_off_the_tape(recorded_nodes):
     assert recorded_nodes == []
     assert np.array_equal(action, np.clip(raw.data[0], -policy.max_step,
                                           policy.max_step))
+
+
+# sha256 of the JSON loss log and of the trained policy's parameters
+# (float64 bytes in store order) of ``_bc_run``, recorded before the policy
+# forward became one ``mlp`` op and Adam one vectorised update.
+BC_DIGESTS = (
+    "eb58d9e289dcac6e45fa88c5da840ba20c436add6dcf5b51a4b0b1de547c3d37",
+    "4072a77448216a11e82b65b1023f1e326e9c5c7aef0f2ea815415813abc865e2")
+
+
+def _bc_run():
+    """A 30-step float64 ``bc_train`` on two demos, embedded by a fixed
+    random projection of the frame."""
+    demos = collect_demos(2, 5, ENV)
+    proj = np.random.default_rng(4).standard_normal((16 * 16 * 3, 8)) * 0.05
+
+    def embed(obs):
+        return np.tanh(obs.reshape(-1) @ proj)
+
+    with tl.precision("float64"):
+        return bc_train(demos, embed, steps=30, seed=6, lr=3e-3)
+
+
+def test_float64_bc_train_is_reproducible_and_matches_its_digests():
+    (policy, log), (again, log_again) = _bc_run(), _bc_run()
+    assert log == log_again and log[-1] < log[0]
+    for name, t in policy.parameters().items():
+        assert t.data.dtype == np.float64, name
+        assert np.array_equal(t.data, again.parameters()[name].data), name
+    params = b"".join(t.data.tobytes() for _, t in policy.store().items())
+    assert (hashlib.sha256(json.dumps(log).encode()).hexdigest(),
+            hashlib.sha256(params).hexdigest()) == BC_DIGESTS

@@ -18,7 +18,7 @@ GT_BOXES = [(0.3, 0.3, 0.2, 0.2), (0.7, 0.6, 0.25, 0.25)]
 @pytest.mark.slow
 def test_gradcheck_passes_every_check(capsys):
     assert cli.main(["gradcheck"]) == 0
-    assert "133/133 checks passed" in capsys.readouterr().out
+    assert "139/139 checks passed" in capsys.readouterr().out
 
 
 def test_each_query_box_clears_every_ground_truth_box():

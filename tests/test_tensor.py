@@ -6,6 +6,8 @@ from taskfusion.seeding import rng_for
 from taskfusion.tensor import (ContractError, DomainError, ShapeError,
                                backward, grad_check)
 
+from oracles import mlp_reference
+
 
 def test_matmul_identity():
     eye = tl.constant(np.eye(2))
@@ -329,6 +331,76 @@ def test_attention_op_shape_errors():
             (x, None, w, 3)]:                                  # 4 % 3 heads
         with pytest.raises(ShapeError):
             tl.attention(queries, memory, weights, w, w, w, heads)
+
+
+def _mlp_leaves(rng, batch, tokens, dtype):
+    """x and the four weights of ``tl.mlp``: shared when ``tokens`` is
+    None, else stacked for that many tokens; every leaf requires grad."""
+    g = () if tokens is None else (tokens,)
+    rows = (batch,) + g + (5,)
+    shapes = [rows, g + (5, 7), g + (7,), g + (7, 3), g + (3,)]
+    with tl.precision(dtype):
+        return [tl.tensor(rng.standard_normal(s) * 0.7, requires_grad=True)
+                for s in shapes]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("tokens", [None, 1, 8])
+@pytest.mark.parametrize("batch", [1, 6])
+def test_mlp_equals_the_unfused_composition_bit_for_bit(dtype, tokens,
+                                                        batch):
+    rng = rng_for(15, "mlp", dtype, tokens or 0, batch)
+    leaves = _mlp_leaves(rng, batch, tokens, dtype)
+    with tl.precision(dtype):
+        twins = [tl.tensor(t.data, requires_grad=True) for t in leaves]
+        w = tl.constant(rng.standard_normal(leaves[0].shape[:-1] + (3,)))
+    outs = []
+    for op, inputs in ((tl.mlp, leaves), (mlp_reference, twins)):
+        out = op(*inputs)
+        tl.backward(tl.sum_all(tl.mul(out, w)))
+        outs.append(out)
+    assert outs[0].node.op == "mlp"
+    assert outs[0].data.dtype == np.dtype(dtype)
+    assert outs[0].data.flags.c_contiguous
+    assert np.array_equal(outs[0].data, outs[1].data)
+    for name, t, twin in zip(("x", "w1", "b1", "w2", "b2"), leaves, twins):
+        assert t.grad.dtype == np.dtype(dtype), name
+        assert np.array_equal(t.grad, twin.grad), name
+
+
+def test_mlp_is_one_node_on_the_tape_and_none_off_it(recorded_nodes):
+    leaves = _mlp_leaves(rng_for(16, "mlp"), 4, 8, "float64")
+    out = tl.mlp(*leaves)
+    assert [n.op for n in recorded_nodes] == ["mlp"]
+    recorded_nodes.clear()
+    with tl.no_tape():
+        again = tl.mlp(*leaves)
+    assert recorded_nodes == [] and again.node is None
+    assert not again.requires_grad
+    assert np.array_equal(again.data, out.data)
+
+
+def test_mlp_shape_errors():
+    def z(*shape):
+        return tl.constant(np.zeros(shape))
+
+    shared = [z(4, 5), z(5, 7), z(7), z(7, 3), z(3)]
+    stacked = [z(2, 8, 5), z(8, 5, 7), z(8, 7), z(8, 7, 3), z(8, 3)]
+    for base, i, bad in [
+            (shared, 0, z(4, 6)),        # x width != w1 rows
+            (shared, 0, z(2, 4, 5)),     # batched rows, shared weights
+            (shared, 2, z(6)),           # b1 width
+            (shared, 3, z(6, 3)),        # w2 rows != hidden
+            (shared, 4, z(1, 3)),        # b2 not [O]
+            (stacked, 0, z(2, 5, 5)),    # 5 tokens, 8 stacked MLPs
+            (stacked, 0, z(8, 5)),       # rows, stacked weights
+            (stacked, 2, z(7)),          # b1 not per token
+            (stacked, 3, z(7, 3)),       # w2 not stacked
+            (stacked, 4, z(8, 4))]:      # b2 width != w2 columns
+        args = list(base)
+        args[i] = bad
+        with pytest.raises(ShapeError, match="mlp"):
+            tl.mlp(*args)
 
 
 def test_no_tape_records_no_node_and_restores_recording():

@@ -144,6 +144,102 @@ def test_adam_rejects_non_finite_gradient_before_any_update(monkeypatch):
         assert np.array_equal(t.data, before[name]), name
 
 
+def _adam_store(rng, dtype):
+    """Trainable tensors of mixed shapes, and one frozen tensor between
+    them."""
+    store = ParamStore()
+    with tl.precision(dtype):
+        for name, shape in (("s", ()), ("b", (3,)), ("w", (2, 4)),
+                            ("k", (2, 3, 2))):
+            store.register(name, tl.tensor(rng.standard_normal(shape),
+                                           requires_grad=True))
+        store.register("frozen", tl.tensor(rng.standard_normal(2)))
+    return store
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_step_equals_a_per_tensor_update_bit_for_bit(dtype):
+    rng = rng_for(7, "adam", dtype)
+    store = _adam_store(rng, dtype)
+    state = trainer.AdamState(lr=0.01)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    ref = {name: [t.data.copy(), 0.0, 0.0] for name, t in store.items()
+           if t.requires_grad}
+    frozen = store["frozen"].data.copy()
+    for t in range(1, 5):
+        for name, (p, m, v) in ref.items():
+            g = rng.standard_normal(p.shape).astype(dtype)
+            store[name].grad = g.copy()
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            ref[name][1:] = m, v
+        trainer.adam_step(store, state)
+        assert state.step_count == t
+        for name, (p, m, v) in ref.items():
+            assert store[name].grad is None, name
+            for got, want in ((store[name].data, p), (state.m[name], m),
+                              (state.v[name], v)):
+                assert got.dtype == np.dtype(dtype), name
+                assert np.array_equal(got, want), (t, name)
+    assert np.array_equal(store["frozen"].data, frozen)
+    assert sorted(state.m) == ["b", "k", "s", "w"]
+
+
+def _adam_after_one_step():
+    store = _adam_store(rng_for(8, "adam"), "float64")
+    state = trainer.AdamState()
+    store.fill_missing_grads()
+    trainer.adam_step(store, state)
+    store.fill_missing_grads()
+    return store, state
+
+
+def test_adam_step_names_a_missing_gradient():
+    store, state = _adam_after_one_step()
+    store["w"].grad = None
+    before = {name: t.data.copy() for name, t in store.items()}
+    with pytest.raises(ContractError, match="parameter 'w' has no gradient"):
+        trainer.adam_step(store, state)
+    assert state.step_count == 1
+    for name, t in store.items():
+        assert np.array_equal(t.data, before[name]), name
+
+
+def test_adam_step_refuses_a_store_whose_trainable_layout_changed():
+    store, state = _adam_after_one_step()
+    store.register("extra", tl.tensor(np.zeros(2), requires_grad=True))
+    store.fill_missing_grads()
+    with pytest.raises(ContractError, match="changed since the first Adam "
+                       r"step: 'extra' was absent, is \(2,\) float64"):
+        trainer.adam_step(store, state)
+
+    store, state = _adam_after_one_step()
+    store["b"].data = np.zeros(4)
+    store["b"].grad = np.zeros(4)
+    with pytest.raises(ContractError, match=r"'b' was \(3,\) float64, is "
+                       r"\(4,\) float64"):
+        trainer.adam_step(store, state)
+
+    store, state = _adam_after_one_step()
+    store["frozen"].requires_grad = True
+    store.fill_missing_grads()
+    with pytest.raises(ContractError, match="'frozen' was absent"):
+        trainer.adam_step(store, state)
+
+
+def test_adam_step_refuses_a_store_of_mixed_dtypes():
+    store = _adam_store(rng_for(9, "adam"), "float64")
+    with tl.precision("float32"):
+        store.register("half", tl.tensor(np.ones(3), requires_grad=True))
+    store.fill_missing_grads()
+    with pytest.raises(ContractError, match="mixes"):
+        trainer.adam_step(store, trainer.AdamState())
+    assert store["half"].grad is not None
+
+
 def _poison_on_second_render(monkeypatch, seed):
     """Renders the clip of ``seed`` with NaN frames from its second
     ``clip()`` on."""
