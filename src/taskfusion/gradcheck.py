@@ -152,12 +152,12 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
               lambda x, y, w=w: tl.sum_all(tl.mul(tl.matmul(x, y), w)),
               [a, b], names=["a", "b"])
 
-        rng = rng_for(seed, "gc", "bmm", c)
+        rng = rng_for(seed, "gc", "matmul_batched", c)
         a3 = tl.tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         b3 = tl.tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
         w3 = tl.constant(rng.standard_normal((2, 3, 2)))
-        check(f"bmm[{c}]",
-              lambda x, y, w=w3: tl.sum_all(tl.mul(tl.bmm(x, y), w)),
+        check(f"matmul_batched[{c}]",
+              lambda x, y, w=w3: tl.sum_all(tl.mul(tl.matmul(x, y), w)),
               [a3, b3], names=["a", "b"])
 
     structural = {

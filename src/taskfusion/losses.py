@@ -109,9 +109,18 @@ def _comp(t: Tensor, i: int) -> Tensor:
     return tl.reshape(tl.narrow(t, 0, i, 1), ())
 
 
+def _shifted_log_sum_exp(logits: Tensor) -> tuple[Tensor, Tensor]:
+    """``z = logits - max`` and ``log(sum(exp(z)))`` over the last axis:
+    log softmax is ``z - lse``. The max is detached, so the shift has
+    exactly zero gradient."""
+    m = np.max(logits.data, axis=-1, keepdims=True)
+    z = tl.sub(logits, tl.constant(np.broadcast_to(m, logits.shape)))
+    return z, tl.log(tl.sum_axis(tl.exp(z), axis=-1))
+
+
 def cross_entropy(logits: Tensor, labels) -> Tensor:
     """-log softmax(logits)[label] for every row of ``logits`` [..., C];
-    ``labels`` has shape [...]. Stabilized by a detached max shift."""
+    ``labels`` has shape [...]."""
     labels = np.asarray(labels, dtype=np.intp)
     n = logits.shape[-1]
     if labels.shape != logits.shape[:-1]:
@@ -119,10 +128,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
                             f"logits shape {logits.shape}")
     if np.any((labels < 0) | (labels >= n)):
         raise ContractError(f"labels {labels} out of range for {n} classes")
-    # the shift has exactly zero gradient
-    m = np.max(logits.data, axis=-1, keepdims=True)
-    z = tl.sub(logits, tl.constant(np.broadcast_to(m, logits.shape)))
-    lse = tl.log(tl.sum_axis(tl.exp(z), axis=-1))
+    z, lse = _shifted_log_sum_exp(logits)
     one_hot = tl.constant(np.eye(n)[labels])
     return tl.sub(lse, tl.sum_axis(tl.mul(z, one_hot), axis=-1))
 
@@ -166,9 +172,7 @@ def pnr_loss(pnr_logits: Tensor, target: PnrTarget) -> Tensor:
         raise ContractError(f"logits shape {pnr_logits.shape} != target shape "
                             f"{t.shape}")
     target_entropy = np.sum(t * np.log(np.where(t > 0, t, 1.0)), axis=-1)
-    m = np.max(pnr_logits.data, axis=-1, keepdims=True)
-    z = tl.sub(pnr_logits, tl.constant(np.broadcast_to(m, t.shape)))
-    lse = tl.log(tl.sum_axis(tl.exp(z), axis=-1))
+    z, lse = _shifted_log_sum_exp(pnr_logits)
     # sum_t target * log p = sum_t target * z - lse * sum_t target
     cross = tl.sub(tl.sum_axis(tl.mul(tl.constant(t), z), axis=-1),
                    tl.mul(lse, tl.constant(np.sum(t, axis=-1))))
@@ -260,6 +264,7 @@ class Match:
     classes: np.ndarray  # [M] its class index
 
 
+@tl.no_tape()
 def match_queries(class_logits: Tensor, boxes: Tensor,
                   labels: Sequence[ClipLabels]) -> Match:
     """Minimum-cost pairing of each clip's ground-truth boxes (rows) to
@@ -278,9 +283,7 @@ def match_queries(class_logits: Tensor, boxes: Tensor,
         for j, box in enumerate(lab.boxes):
             gt[i, j] = box.box
             gt_class[i, j] = box.class_index
-    logits = class_logits.data
-    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-    prob = e / np.sum(e, axis=-1, keepdims=True)               # [B, Q, 3]
+    prob = tl.softmax(class_logits).data                       # [B, Q, 3]
     prob_gt = np.take_along_axis(prob, gt_class[:, None, :], axis=2)
     pred = boxes.data[:, None, :, :]                            # [B, 1, Q, 4]
     l1 = np.abs(pred - gt[:, :, None, :]).sum(axis=-1)          # [B, G, Q]

@@ -287,12 +287,6 @@ def generate_clip(seed: int, config: ClipConfig | None = None) -> SynthClip:
                      labels=script.labels, seed=int(seed), config=cfg)
 
 
-def pixel_change_keyframe(frames: np.ndarray) -> int:
-    """Trivial keyframe detector: argmax of summed inter-frame difference."""
-    diffs = np.abs(np.diff(frames, axis=0)).sum(axis=(1, 2, 3))
-    return int(np.argmax(diffs)) + 1
-
-
 # ---------------------------------------------------------------------------
 # dataset files
 

@@ -96,7 +96,6 @@ __all__ = [
     "maximum",
     "minimum",
     "matmul",
-    "bmm",
     "permute",
     "reshape",
     "concat",
@@ -410,34 +409,21 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """[n, k] @ [k, m] -> [n, m], or batched over a leading axis:
+    [B, n, k] @ [B, k, m] -> [B, n, m]."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or \
-            a.data.shape[1] != b.data.shape[0]:
+    sa, sb = a.data.shape, b.data.shape
+    if not (len(sa) == len(sb) and len(sa) in (2, 3)
+            and sa[:-2] == sb[:-2] and sa[-1] == sb[-2]):
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
 
     def backward_rule(dout: np.ndarray):
-        da = dout @ b.data.T if (a.requires_grad or a.node) else None
-        db = a.data.T @ dout if (b.requires_grad or b.node) else None
+        da = dout @ b.data.swapaxes(-1, -2) if (a.requires_grad or a.node) else None
+        db = a.data.swapaxes(-1, -2) @ dout if (b.requires_grad or b.node) else None
         return da, db
 
     return _make(data, "matmul", (a, b), backward_rule)
-
-
-def bmm(a, b) -> Tensor:
-    """Batched matmul over the leading axis: [B,n,k] @ [B,k,m] -> [B,n,m]."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} and {b.shape}")
-    data = a.data @ b.data
-
-    def backward_rule(dout: np.ndarray):
-        da = dout @ np.swapaxes(b.data, 1, 2) if (a.requires_grad or a.node) else None
-        db = np.swapaxes(a.data, 1, 2) @ dout if (b.requires_grad or b.node) else None
-        return da, db
-
-    return _make(data, "bmm", (a, b), backward_rule)
 
 
 def permute(a, axes: Sequence[int]) -> Tensor:
@@ -827,7 +813,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     ``w2`` [G, H, O], ``b2`` [G, O]; the matmuls run per token over
     contiguous [G, B, .] copies of their operands. The op evaluates the
     expressions of ``add(matmul(x, w1), b1)``, ``gelu`` and the second
-    linear layer (``permute``/``bmm``/``permute`` per stacked layer) in
+    linear layer (``permute``/``matmul``/``permute`` per stacked layer) in
     their order, so its output and gradients are theirs bit for bit; the
     backward rule reuses the forward's GELU intermediates and computes
     gradients only for the inputs that need them.
@@ -923,9 +909,10 @@ def backward(loss: Tensor) -> None:
                 continue
             if inp.node is None:
                 if inp.requires_grad:
-                    if inp.grad is None:
-                        inp.grad = np.zeros_like(inp.data)
-                    inp.grad += g
+                    if inp.grad is None:  # a copy: rules may share g
+                        inp.grad = np.array(g, dtype=inp.data.dtype)
+                    else:
+                        inp.grad += g
             else:
                 key = id(inp)
                 if key in grads:

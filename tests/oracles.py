@@ -89,12 +89,12 @@ def class_attention_reference(raw, w_patch, rows, cls, wq, wk, wv, wo,
 def mlp_reference(x, w1, b1, w2, b2):
     """The op chain ``tensor.mlp`` fuses, on tensors: two linear layers
     (``matmul`` then ``add``) around ``gelu`` for shared 2-D weights, and
-    for stacked per-token weights each layer as ``permute``, ``bmm``,
-    ``permute`` and ``add``."""
+    for stacked per-token weights each layer as ``permute``, a batched
+    ``matmul``, ``permute`` and ``add``."""
     def layer(x, w, b):
         if w.data.ndim == 2:
             return tl.add(tl.matmul(x, w), b)
-        y = tl.bmm(tl.permute(x, (1, 0, 2)), w)
+        y = tl.matmul(tl.permute(x, (1, 0, 2)), w)
         return tl.add(tl.permute(y, (1, 0, 2)), b)
 
     return layer(tl.gelu(layer(x, w1, b1)), w2, b2)

@@ -186,8 +186,9 @@ def test_batched_attention_matches_per_item_calls():
 
 def _op_chain_attention(queries, memory, params):
     """Reference built from primitive ops, the chain the fused ``attention``
-    tape op replaced: matmul projections, reshape/permute head split, bmm
-    scores, scale, softmax, bmm with v, head merge, output matmul."""
+    tape op replaced: matmul projections, reshape/permute head split,
+    batched matmul scores, scale, softmax, batched matmul with v, head
+    merge, output matmul."""
     nq, d = queries.shape[-2:]
     nk = memory.shape[-2]
     b = queries.size // (nq * d)
@@ -202,9 +203,9 @@ def _op_chain_attention(queries, memory, params):
     q = split(queries, params.wq, nq)
     k = split(memory, params.wk, nk)
     v = split(memory, params.wv, nk)
-    weights = tl.softmax(tl.scale(tl.bmm(q, tl.permute(k, (0, 2, 1))),
+    weights = tl.softmax(tl.scale(tl.matmul(q, tl.permute(k, (0, 2, 1))),
                                   1.0 / math.sqrt(dh)), axis=-1)
-    o = tl.permute(tl.reshape(tl.bmm(weights, v), (b, h, nq, dh)),
+    o = tl.permute(tl.reshape(tl.matmul(weights, v), (b, h, nq, dh)),
                    (0, 2, 1, 3))
     out = tl.matmul(tl.reshape(o, (b * nq, d)), params.wo)
     return (tl.reshape(out, queries.shape),

@@ -31,9 +31,32 @@ def test_matmul_gradient_vs_finite_differences():
 
 
 def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError) as e:
-        tl.matmul(tl.constant(np.zeros((2, 3))), tl.constant(np.zeros((4, 2))))
-    assert "(2, 3)" in str(e.value) and "(4, 2)" in str(e.value)
+    # inner sizes, batch sizes or ranks that differ, and a 4-D operand
+    for sa, sb in (((2, 3), (4, 2)), ((2, 2, 3), (3, 3, 2)),
+                   ((2, 3), (1, 3, 2)), ((1, 2, 2, 3), (1, 2, 3, 2))):
+        with pytest.raises(ShapeError) as e:
+            tl.matmul(tl.constant(np.zeros(sa)), tl.constant(np.zeros(sb)))
+        assert str(sa) in str(e.value) and str(sb) in str(e.value)
+
+
+def test_batched_matmul_is_the_per_item_matmuls():
+    rng = rng_for(4, "matmul-batched")
+    for dtype in ("float32", "float64"):
+        with tl.precision(dtype):
+            a = tl.tensor(rng.standard_normal((3, 2, 4)), requires_grad=True)
+            b = tl.tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+            w = tl.constant(rng.standard_normal((3, 2, 5)))
+            out = tl.matmul(a, b)
+            backward(tl.sum_all(tl.mul(out, w)))
+            assert out.node.op == "matmul"
+            for i in range(3):
+                ai = tl.tensor(a.data[i], requires_grad=True)
+                bi = tl.tensor(b.data[i], requires_grad=True)
+                yi = tl.matmul(ai, bi)
+                backward(tl.sum_all(tl.mul(yi, tl.constant(w.data[i]))))
+                assert np.array_equal(out.data[i], yi.data)
+                assert np.array_equal(a.grad[i], ai.grad)
+                assert np.array_equal(b.grad[i], bi.grad)
 
 
 def test_softmax_uniform_on_equal_logits():
