@@ -17,8 +17,8 @@ import numpy as np
 from . import tensor as tl
 from .attention import AttentionParams, cross_attention, self_attention
 from .decoder import ClipFeatures, DecoderConfig, TaskFusionDecoder
-from .losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER, giou,
-                     joint_loss, make_pnr_target, make_pnr_targets,
+from .losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER,
+                     iou_giou, joint_loss, make_pnr_target, make_pnr_targets,
                      match_queries, oscc_loss, pnr_loss, scod_loss)
 from .seeding import rng_for
 from .tensor import GradCheckReport, TensorError, grad_check
@@ -283,7 +283,8 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
         a_box, b_box = _kink_free_boxes(rng)
         a = tl.tensor(a_box, requires_grad=True)
         b = tl.tensor(b_box, requires_grad=True)
-        check(f"giou[{c}]", lambda x, y: giou(x, y), [a, b], names=["a", "b"])
+        check(f"giou[{c}]", lambda x, y: iou_giou(x, y)[1], [a, b],
+              names=["a", "b"])
 
     for c in range(3):
         rng = rng_for(seed, "gc", "scod", c)

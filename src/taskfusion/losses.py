@@ -184,11 +184,15 @@ def _pair_product(x: Tensor, axis: int) -> Tensor:
     return tl.mul(tl.narrow(x, axis, 0, 1), tl.narrow(x, axis, 1, 1))
 
 
-def giou(a: Tensor, b: Tensor) -> Tensor:
-    """Generalized IoU of (cx, cy, w, h) boxes, row by row: [..., 4] pairs
-    give [...]; differentiable, in [-1, 1] up to an ulp."""
-    a = a if isinstance(a, Tensor) else tl.constant(np.asarray(a, dtype=np.float64))
-    b = b if isinstance(b, Tensor) else tl.constant(np.asarray(b, dtype=np.float64))
+def iou_giou(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
+    """IoU and generalized IoU of (cx, cy, w, h) boxes, row by row: two
+    [..., 4] tensors of one shape give two [...] tensors, differentiable.
+
+    The corners are a centre plus or minus half a side, so each is off by
+    up to an ulp of the centre: identical boxes can give an IoU of 1 plus
+    ulps. IoU is clamped at 1, and every value already in range is
+    unchanged. On constants the chain records no tape node.
+    """
     if a.shape != b.shape or a.shape[-1:] != (4,):
         raise ContractError(f"boxes must be [..., 4] pairs, got {a.shape} and "
                             f"{b.shape}")
@@ -207,39 +211,11 @@ def giou(a: Tensor, b: Tensor) -> Tensor:
         tl.relu(tl.sub(tl.minimum(a_hi, b_hi), tl.maximum(a_lo, b_lo))), ax)
     union = tl.sub(tl.add(_pair_product(a_size, ax), _pair_product(b_size, ax)),
                    inter)
-    # IoU is clamped at 1 as in iou_giou_values. The hull is not clamped at
-    # the union: where nested boxes round it below, the clamp would move
-    # the loss and reroute its gradient, and giou exceeds iou by ulps only.
     iou = tl.minimum(tl.div(inter, union), 1.0)
     hull = _pair_product(
         tl.sub(tl.maximum(a_hi, b_hi), tl.minimum(a_lo, b_lo)), ax)
-    out = tl.sub(iou, tl.div(tl.sub(hull, union), hull))
-    return tl.reshape(out, a.shape[:-1])
-
-
-def iou_giou_values(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Plain-number IoU and generalized IoU of (cx, cy, w, h) boxes; the
-    [..., 4] operands broadcast against each other.
-
-    The corners are a centre plus or minus half a side, so each is off by
-    up to an ulp of the centre: identical boxes can give an IoU of 1 plus
-    ulps, and where the union is a rectangle the hull can round below it.
-    IoU is clamped at 1 and the hull at the union, so ``-1 <= giou <= iou
-    <= 1`` holds exactly, and every value already in range is unchanged.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if np.any(a[..., 2:] <= 0) or np.any(b[..., 2:] <= 0):
-        raise DomainError("degenerate (zero-area) box")
-    a_lo, a_hi = a[..., :2] - a[..., 2:] / 2, a[..., :2] + a[..., 2:] / 2
-    b_lo, b_hi = b[..., :2] - b[..., 2:] / 2, b[..., :2] + b[..., 2:] / 2
-    overlap = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
-    inter = overlap[..., 0] * overlap[..., 1]
-    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
-    iou = np.minimum(inter / union, 1.0)
-    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
-    hull = np.maximum(hull_wh[..., 0] * hull_wh[..., 1], union)
-    return iou, iou - (hull - union) / hull
+    g = tl.sub(iou, tl.div(tl.sub(hull, union), hull))
+    return tl.reshape(iou, a.shape[:-1]), tl.reshape(g, a.shape[:-1])
 
 
 def _check_detection(class_logits: Tensor, boxes: Tensor,
@@ -270,9 +246,10 @@ def match_queries(class_logits: Tensor, boxes: Tensor,
     """Minimum-cost pairing of each clip's ground-truth boxes (rows) to
     distinct queries (cols).
 
-    The costs of every clip are built in one numpy pass over detached
-    values and mirror the loss terms; gradients never flow through the
-    discrete match. One call of the exact batched solver matches them.
+    The costs of every clip are built in one pass over detached values,
+    under ``tensor.no_tape``, and mirror the loss terms; gradients never
+    flow through the discrete match. The box terms are float64 whatever
+    the model's dtype. One call of the exact batched solver matches them.
     """
     _check_detection(class_logits, boxes, labels)
     counts = np.array([len(lab.boxes) for lab in labels], dtype=np.intp)
@@ -287,9 +264,11 @@ def match_queries(class_logits: Tensor, boxes: Tensor,
     prob_gt = np.take_along_axis(prob, gt_class[:, None, :], axis=2)
     pred = boxes.data[:, None, :, :]                            # [B, 1, Q, 4]
     l1 = np.abs(pred - gt[:, :, None, :]).sum(axis=-1)          # [B, G, Q]
-    _, g_iou = iou_giou_values(pred, gt[:, :, None, :])
+    with tl.precision("float64"):
+        _, g_iou = iou_giou(*map(tl.constant, np.broadcast_arrays(
+            pred, gt[:, :, None, :])))
     costs = (LAMBDA_CLS * (-np.swapaxes(prob_gt, 1, 2)) + LAMBDA_L1 * l1
-             + LAMBDA_GIOU * (1.0 - g_iou))
+             + LAMBDA_GIOU * (1.0 - g_iou.data))
     cols = hungarian(costs, counts)
     clips, rows = np.nonzero(cols >= 0)
     return Match(clips=clips, queries=cols[clips, rows], boxes=gt[clips, rows],
@@ -327,7 +306,7 @@ def scod_loss(class_logits: Tensor, boxes: Tensor,
     gt = tl.constant(match.boxes)
     d = tl.sub(matched, gt)
     l1 = tl.sum_all(tl.add(tl.relu(d), tl.relu(tl.scale(d, -1.0))))
-    giou_gap = tl.sum_all(tl.sub(1.0, giou(matched, gt)))
+    giou_gap = tl.sum_all(tl.sub(1.0, iou_giou(matched, gt)[1]))
     total = tl.add(ce, tl.add(tl.scale(l1, LAMBDA_L1),
                               tl.scale(giou_gap, LAMBDA_GIOU)))
     return tl.scale(total, 1.0 / int(mask.sum()))

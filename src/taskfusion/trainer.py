@@ -47,9 +47,9 @@ import numpy as np
 from . import tensor as tl
 from .decoder import (ClipFeatures, ClipPrediction, DecoderConfig,
                       TaskFusionDecoder, TaskPredictions)
-from .losses import (ClipLabels, SigmaParams, TASK_ORDER, joint_loss,
-                     iou_giou_values, make_pnr_targets, match_queries,
-                     oscc_loss, pnr_loss, scod_loss)
+from .losses import (ClipLabels, SigmaParams, TASK_ORDER, iou_giou,
+                     joint_loss, make_pnr_targets, match_queries, oscc_loss,
+                     pnr_loss, scod_loss)
 from .seeding import rng_for
 from .synth import ClipRecord, Encoder, SynthClip, build_encoder
 from .tensor import ContractError, ShapeError, Tensor, TensorError, backward
@@ -620,9 +620,9 @@ def evaluate(model, records: list[ClipRecord]) -> EvalReport:
         match = match_queries(class_logits, boxes, labels)
         loss_means["scod"] = scod_loss(class_logits, boxes, labels,
                                        match=match).item()
-        ious, _ = iou_giou_values(boxes.data[match.clips, match.queries],
-                                  match.boxes)
-        mean_iou = float(np.mean(ious))
+        iou, _ = iou_giou(tl.constant(boxes.data[match.clips, match.queries]),
+                          tl.constant(match.boxes))
+        mean_iou = float(np.mean(iou.data))
 
     return EvalReport(
         oscc_accuracy=accuracy,

@@ -98,3 +98,21 @@ def mlp_reference(x, w1, b1, w2, b2):
         return tl.add(tl.permute(y, (1, 0, 2)), b)
 
     return layer(tl.gelu(layer(x, w1, b1)), w2, b2)
+
+
+def iou_giou_values(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """IoU and generalized IoU of (cx, cy, w, h) boxes in float64 numpy;
+    the [..., 4] operands broadcast against each other. IoU is clamped at
+    1 and the hull at the union, so ``-1 <= giou <= iou <= 1`` holds
+    exactly: ``losses.iou_giou`` must equal it bit for bit in float64."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a_lo, a_hi = a[..., :2] - a[..., 2:] / 2, a[..., :2] + a[..., 2:] / 2
+    b_lo, b_hi = b[..., :2] - b[..., 2:] / 2, b[..., :2] + b[..., 2:] / 2
+    overlap = np.maximum(0.0, np.minimum(a_hi, b_hi) - np.maximum(a_lo, b_lo))
+    inter = overlap[..., 0] * overlap[..., 1]
+    union = a[..., 2] * a[..., 3] + b[..., 2] * b[..., 3] - inter
+    iou = np.minimum(inter / union, 1.0)
+    hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
+    hull = np.maximum(hull_wh[..., 0] * hull_wh[..., 1], union)
+    return iou, iou - (hull - union) / hull

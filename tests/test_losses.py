@@ -5,14 +5,14 @@ import pytest
 
 from taskfusion import tensor as tl
 from taskfusion.losses import (ClipLabels, LabeledBox, LabelError, PnrTarget,
-                               SigmaParams, TASK_ORDER, cross_entropy, giou,
-                               iou_giou_values, joint_loss, make_pnr_target,
+                               SigmaParams, TASK_ORDER, cross_entropy,
+                               iou_giou, joint_loss, make_pnr_target,
                                match_queries, oscc_loss, pnr_loss, scod_loss)
 from taskfusion.seeding import rng_for
 from taskfusion.tensor import ContractError, DomainError, backward, grad_check
 from taskfusion.trainer import AdamState, ParamStore, adam_step
 
-from oracles import brute_force_assign
+from oracles import brute_force_assign, iou_giou_values
 
 
 def test_oscc_uniform_logits_is_ln2():
@@ -115,7 +115,7 @@ def test_pnr_loss_nonnegative():
 
 def test_giou_identical_boxes():
     box = tl.constant([0.4, 0.6, 0.3, 0.2])
-    assert giou(box, box).item() == pytest.approx(1.0, abs=0)
+    assert [t.item() for t in iou_giou(box, box)] == [1.0, 1.0]
 
 
 def test_giou_disjoint_boxes_geometric_oracle():
@@ -126,7 +126,7 @@ def test_giou_disjoint_boxes_geometric_oracle():
     hull = hull_w * hull_w
     union = 2 * 0.2 * 0.2
     expected = 0.0 - (hull - union) / hull
-    got = giou(tl.constant(a), tl.constant(b)).item()
+    got = iou_giou(tl.constant(a), tl.constant(b))[1].item()
     assert abs(got - expected) <= 1e-15
 
 
@@ -134,7 +134,7 @@ def test_giou_concentric_containment():
     outer = tl.constant([0.5, 0.5, 0.4, 0.4])
     inner = tl.constant([0.5, 0.5, 0.4 / math.sqrt(2), 0.4 / math.sqrt(2)])
     # half the area, concentric: IoU = 0.5 and the hull is the outer box
-    assert giou(inner, outer).item() == pytest.approx(0.5, abs=1e-12)
+    assert iou_giou(inner, outer)[1].item() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_giou_symmetric_and_bounded():
@@ -142,17 +142,19 @@ def test_giou_symmetric_and_bounded():
     for _ in range(100):
         a = np.concatenate([rng.uniform(0.2, 0.8, 2), rng.uniform(0.05, 0.4, 2)])
         b = np.concatenate([rng.uniform(0.2, 0.8, 2), rng.uniform(0.05, 0.4, 2)])
-        ab = giou(tl.constant(a), tl.constant(b)).item()
-        ba = giou(tl.constant(b), tl.constant(a)).item()
+        ab = iou_giou(tl.constant(a), tl.constant(b))[1].item()
+        ba = iou_giou(tl.constant(b), tl.constant(a))[1].item()
         assert abs(ab - ba) <= 1e-15
         assert -1.0 < ab <= 1.0
 
 
 def test_giou_degenerate_box_rejected():
     with pytest.raises(DomainError):
-        giou(tl.constant([0.5, 0.5, 0.0, 0.2]), tl.constant([0.5, 0.5, 0.2, 0.2]))
+        iou_giou(tl.constant([0.5, 0.5, 0.0, 0.2]),
+                 tl.constant([0.5, 0.5, 0.2, 0.2]))
     with pytest.raises(DomainError):
-        iou_giou_values((0.5, 0.5, 0.2, 0.0), (0.5, 0.5, 0.2, 0.2))
+        iou_giou(tl.constant([0.5, 0.5, 0.2, 0.2]),
+                 tl.constant([0.5, 0.5, 0.2, 0.0]))
 
 
 def test_giou_row_wise_matches_scalar_values():
@@ -161,7 +163,7 @@ def test_giou_row_wise_matches_scalar_values():
                         rng.uniform(0.05, 0.4, (3, 5, 2))], axis=-1)
     b = np.concatenate([rng.uniform(0.2, 0.8, (3, 5, 2)),
                         rng.uniform(0.05, 0.4, (3, 5, 2))], axis=-1)
-    got = giou(tl.constant(a), tl.constant(b)).data
+    got = iou_giou(tl.constant(a), tl.constant(b))[1].data
     assert got.shape == (3, 5)
     for i in range(3):
         for j in range(5):
