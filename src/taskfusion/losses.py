@@ -2,17 +2,20 @@
 
 Each task loss takes the outputs of a batch of B clips and returns its
 mean over the clips it applies to, in one vectorized pass.
-Classification uses log-sum-exp stabilized cross-entropy. The keyframe
-task is supervised as a distribution over frames with target-first KL
-(one-hot targets reduce it to negative log-likelihood); the targets of a
-batch are built as one array. Detection is a set-prediction loss: each
-clip's queries are matched to its ground-truth boxes by minimum-cost
-assignment, the match is held fixed during backward, and unmatched
-queries are pushed toward the no-object class; no-change clips are
-masked out. A clip has at most 2 boxes, so one call of the exact batched
-solver ``assignment.hungarian`` matches the whole batch, and the loss
-gathers the matched pairs as arrays. The combined loss weighs tasks by
-learnable log-variances.
+Classification uses cross-entropy. The keyframe task is supervised as a
+distribution over frames with target-first KL (one-hot targets reduce it
+to negative log-likelihood); the targets of a batch are built as one
+array. Both take log softmax from one max-shifted log-sum-exp. Detection
+is a set-prediction loss: each clip's queries are matched to its
+ground-truth boxes by minimum-cost assignment, the match is held fixed
+during backward, and unmatched queries are pushed toward the no-object
+class; no-change clips are masked out. A clip has at most 2 boxes, so
+one call of the exact batched solver ``assignment.hungarian`` matches
+the whole batch, and the loss gathers the matched pairs as arrays. The
+matcher's costs mirror the loss terms with the same functions: class
+probabilities from ``tensor.softmax``, and the GIoU of ``iou_giou``, the
+one box-overlap formula, which ``trainer.evaluate`` also reads its IoU
+from. The combined loss weighs tasks by learnable log-variances.
 """
 
 from __future__ import annotations

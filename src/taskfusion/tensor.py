@@ -38,7 +38,9 @@ class token, with the key and value projections absorbed into it) and
 weights for all rows or one per token, whose values and gradients are
 those of the op chain it replaces, bit for bit, in fewer numpy calls).
 The perfbench tape breakdown, whose list of kinds predates the last
-three, counts their nodes under ``other``.
+three, counts their nodes under ``other``. One ``matmul`` op takes 2-D
+operands and batches of them, ``[B, n, k] @ [B, k, m]``, both as node
+kind ``"matmul"``: the breakdown's ``bmm`` kind is recorded by no op.
 
 The ops call numpy's ufunc reductions directly: ``np.add.reduce`` and
 ``np.maximum.reduce``, and a mean is that sum divided by the axis length.
@@ -878,6 +880,9 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``grad`` of every requires_grad leaf.
+
+    A leaf whose ``grad`` is None gets a copy of its first contribution,
+    in its own dtype; later contributions add to it in place.
 
     The tape is not consumed: each node keeps its inputs and the arrays
     its backward rule reads, so a tape, activations included, lives as

@@ -30,7 +30,8 @@ or float64. ``build_model``, ``train`` and ``ModelBundle.predict`` run
 under ``tensor.precision`` of it, and the encoder computes its features
 in it wherever it is called, so parameters, activations, gradients and
 Adam moments are all of that dtype; ``evaluate`` computes its losses and
-metrics in float64 from the model's predictions. Same-seed runs are
+metrics in float64 from the model's predictions, the IoU of each matched
+box with ``losses.iou_giou`` on constants. Same-seed runs are
 bit-reproducible within one dtype. Checkpoints store float64 whatever
 the dtype, so float32 values round-trip exactly; loading a value that
 overflows the model's dtype is an error.
