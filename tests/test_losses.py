@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from taskfusion import losses
 from taskfusion import tensor as tl
-from taskfusion.losses import (ClipLabels, LabeledBox, LabelError, PnrTarget,
+from taskfusion.losses import (LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1,
+                               ClipLabels, LabeledBox, LabelError, PnrTarget,
                                SigmaParams, TASK_ORDER, cross_entropy,
                                iou_giou, joint_loss, make_pnr_target,
                                match_queries, oscc_loss, pnr_loss, scod_loss)
@@ -163,12 +165,12 @@ def test_giou_row_wise_matches_scalar_values():
                         rng.uniform(0.05, 0.4, (3, 5, 2))], axis=-1)
     b = np.concatenate([rng.uniform(0.2, 0.8, (3, 5, 2)),
                         rng.uniform(0.05, 0.4, (3, 5, 2))], axis=-1)
-    got = iou_giou(tl.constant(a), tl.constant(b))[1].data
+    iou, got = (t.data for t in iou_giou(tl.constant(a), tl.constant(b)))
     assert got.shape == (3, 5)
     for i in range(3):
         for j in range(5):
-            _, want = iou_giou_values(tuple(a[i, j]), tuple(b[i, j]))
-            assert abs(got[i, j] - want) <= 1e-15
+            want = iou_giou_values(tuple(a[i, j]), tuple(b[i, j]))
+            assert (iou[i, j], got[i, j]) == want
 
 
 def test_batched_oscc_and_pnr_are_row_means():
@@ -237,7 +239,6 @@ def test_scod_single_box_match_agrees_with_brute_force():
             confident=False, rng=rng)
         match = match_queries(logits, boxes, [labels])
         # oracle: the cost of each query on its own, exhaustive minimum
-        from taskfusion.losses import LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1
         gt = labels.boxes[0]
         costs = np.zeros((1, 8))
         for j in range(8):
@@ -250,6 +251,53 @@ def test_scod_single_box_match_agrees_with_brute_force():
         _, oracle = brute_force_assign(costs)
         assert list(match.clips) == [0]
         assert costs[0, match.queries[0]] == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_match_costs_equal_the_numpy_formulas(dtype, monkeypatch,
+                                              recorded_nodes):
+    """The costs the matcher hands the solver, from float32 or float64
+    outputs: class probabilities in the outputs' dtype, the L1 and GIoU
+    box terms in float64, bit for bit the numpy formulas, also on boxes
+    equal to or nested in a ground-truth box. No tape node is recorded."""
+    costs = []
+    solve = losses.hungarian
+
+    def spy(c, counts):
+        costs.append(c)
+        return solve(c, counts)
+
+    monkeypatch.setattr(losses, "hungarian", spy)
+    rng = rng_for(13, "match-costs")
+    labels = [_two_box_labels(), ClipLabels(False),
+              ClipLabels(True, pnr_frame=1, boxes=[
+                  LabeledBox("object", (0.0, 0.0, 0.5, 1.0))])]
+    pred = np.concatenate([rng.uniform(0.2, 0.8, (3, 8, 2)),
+                           rng.uniform(0.05, 0.4, (3, 8, 2))], axis=-1)
+    pred[0, 0] = labels[0].boxes[0].box
+    pred[0, 1] = (0.7, 0.6, 0.2, 0.1)
+    pred[2, 0] = (0.3516211874727259, 0.0, 0.3516211874727259, 1.0)
+    with tl.precision(dtype):
+        logits, boxes = (tl.tensor(x, requires_grad=True) for x in (
+            rng.standard_normal((3, 8, 3)) * 2, pred))
+        match_queries(logits, boxes, labels)
+    assert recorded_nodes == []
+
+    x = logits.data
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    prob = e / np.sum(e, axis=-1, keepdims=True)
+    gt = np.full((3, 2, 4), 0.5)
+    gt_class = np.zeros((3, 2), dtype=np.intp)
+    for i, lab in enumerate(labels):
+        for j, box in enumerate(lab.boxes):
+            gt[i, j], gt_class[i, j] = box.box, box.class_index
+    prob_gt = np.take_along_axis(prob, gt_class[:, None, :], axis=2)
+    l1 = np.abs(boxes.data[:, None] - gt[:, :, None]).sum(axis=-1)
+    _, g = iou_giou_values(boxes.data[:, None], gt[:, :, None])
+    want = (LAMBDA_CLS * (-np.swapaxes(prob_gt, 1, 2)) + LAMBDA_L1 * l1
+            + LAMBDA_GIOU * (1.0 - g))
+    assert len(costs) == 1 and costs[0].dtype == np.float64
+    assert np.array_equal(costs[0], want)
 
 
 def test_scod_query_permutation_invariance():
