@@ -193,8 +193,10 @@ def iou_giou(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
 
     The corners are a centre plus or minus half a side, so each is off by
     up to an ulp of the centre: identical boxes can give an IoU of 1 plus
-    ulps. IoU is clamped at 1, and every value already in range is
-    unchanged. On constants the chain records no tape node.
+    ulps, and where the union is a rectangle the hull can round below it.
+    IoU is clamped at 1 and the hull at the union, so ``-1 <= giou <= iou
+    <= 1`` holds exactly, and every value already in range is unchanged.
+    On constants the chain records no tape node.
     """
     if a.shape != b.shape or a.shape[-1:] != (4,):
         raise ContractError(f"boxes must be [..., 4] pairs, got {a.shape} and "
@@ -215,8 +217,8 @@ def iou_giou(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     union = tl.sub(tl.add(_pair_product(a_size, ax), _pair_product(b_size, ax)),
                    inter)
     iou = tl.minimum(tl.div(inter, union), 1.0)
-    hull = _pair_product(
-        tl.sub(tl.maximum(a_hi, b_hi), tl.minimum(a_lo, b_lo)), ax)
+    hull = tl.maximum(_pair_product(
+        tl.sub(tl.maximum(a_hi, b_hi), tl.minimum(a_lo, b_lo)), ax), union)
     g = tl.sub(iou, tl.div(tl.sub(hull, union), hull))
     return tl.reshape(iou, a.shape[:-1]), tl.reshape(g, a.shape[:-1])
 

@@ -83,14 +83,14 @@ boxes = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
 @example((0.0, 0.0, 0.5, 1.0), (0.3516211874727259, 0.0, 0.3516211874727259,
                                 1.0))
 def test_giou_is_bounded_by_iou_and_symmetric(a, b):
-    iou, g = iou_giou_values(a, b)
-    assert -1.0 <= g <= iou
-    assert 0.0 <= iou <= 1.0
-    iou_ba, g_ba = iou_giou_values(b, a)
-    assert iou_ba == iou and g_ba == g
     with tl.precision("float64"):
-        _, taped = iou_giou(tl.constant(np.array(a)), tl.constant(np.array(b)))
-    assert abs(taped.item() - g) <= 1e-12
+        iou, g = (t.item() for t in iou_giou(tl.constant(a), tl.constant(b)))
+        iou_ba, g_ba = (t.item()
+                        for t in iou_giou(tl.constant(b), tl.constant(a)))
+    assert -1.0 <= g <= iou <= 1.0
+    assert 0.0 <= iou
+    assert iou_ba == iou and g_ba == g
+    assert (iou, g) == tuple(float(v) for v in iou_giou_values(a, b))
 
 
 BINARY = {

@@ -538,17 +538,22 @@ def test_per_frame_token_matches_full_self_attention():
 # one class_attention op with the key and value projections absorbed
 # (2,480 values moved, at most 7.1e-16).
 # test_per_frame_token_matches_full_self_attention checks it against the
-# full self-attention.
+# full self-attention. All three payloads and the clip_token and
+# conv_grid loss logs were re-pinned when the detection loss's GIoU began
+# to clamp its hull at the union, as the matcher's always had: 617, 1,711
+# and 2,033 parameter values moved (at most 6.9e-18, 1.2e-16 and
+# 3.4e-16), and the two logs' last loss_scod and loss_total by at most
+# 3.6e-15.
 FLOAT64_DIGESTS = {
     "per_frame_token": (
         "ea21341e97c3ee8dad9e216866b7148d48e3556fd646462289b639dcaeb4f63e",
-        "5bd6bb34f271431ff52bb0905b8a878bb4af8d4961adf188dc396f8ad8aca9e2"),
+        "07d722465feb2e1128ceadc9b62fd26e4a722b898223222eb15e353fa1f1e1b9"),
     "clip_token": (
-        "93763f04debcf263ee04e7832547151f7d55b6bdbc44d9f9d0d048f8166563f6",
-        "1cab3b9d3bb7c339c396a35a5a97531e47b1bf63d2ed061b1aac14ee66325104"),
+        "569eef3c78fde9c3391552f4d595ec01e37830777f19fbf3d1dc9fe31ec6a322",
+        "a7dad6c0ec8252bc5206bfc59c8d72bb41a84db8f2bb03f6935f607faac00dbf"),
     "conv_grid": (
-        "d445da9c6c67f30cddc6c35861be044a120a216fbad34cc305c9127a8ec85ef6",
-        "c5aa398e377e9ee46e77ed4f2ab8481da64a1dcf3576c1eb8818d5acef8d5a96"),
+        "bdd88756efbeefe45014ca05fd2d1212aee48d5cf320e520fe6c91d6660681ab",
+        "92523911da6b6689a1902749646ddcf26a0763af3a75f8de68bb807c0a8b86ce"),
 }
 
 
