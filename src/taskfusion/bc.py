@@ -47,6 +47,12 @@ class ToyEnvConfig:
     cube_size: float = 0.25
     gripper_size: float = 0.16
 
+    def __post_init__(self):
+        for name in ("horizon", "image"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ContractError(f"env {name} must be >= 1, got {value}")
+
 
 @dataclass
 class EnvState:
@@ -248,10 +254,12 @@ def write_demos(path, env_cfg: ToyEnvConfig, demos: list[Demo],
                            sort_keys=True) + "\n")
 
 
-def _check_types(cfg: ToyEnvConfig, seeds) -> None:
-    for f in fields(cfg):
+def _check_types(env, seeds) -> None:
+    if not isinstance(env, dict):
+        raise TypeError("env must be an object")
+    for f in fields(ToyEnvConfig):
         allowed = (int,) if f.type == "int" else (int, float)
-        if type(getattr(cfg, f.name)) not in allowed:
+        if type(env.get(f.name, f.default)) not in allowed:
             raise TypeError(f"env {f.name} must be {f.type}")
     if not (isinstance(seeds, list) and seeds
             and all(type(s) is int and s >= 0 for s in seeds)):
@@ -271,9 +279,10 @@ def read_demos(path) -> tuple[ToyEnvConfig, list[Demo]]:
     lineno, line = records[0]
     try:
         raw = json.loads(line)
-        cfg, seeds = ToyEnvConfig(**raw["env"]), raw["seeds"]
-        _check_types(cfg, seeds)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        env, seeds = raw["env"], raw["seeds"]
+        _check_types(env, seeds)
+        cfg = ToyEnvConfig(**env)
+    except (json.JSONDecodeError, KeyError, TypeError, ContractError) as e:
         raise DatasetError(f"line {lineno}: {e!r}") from None
     env = ToyEnv(cfg)
     demos = [expert_demo(env, seed) for seed in seeds]

@@ -116,7 +116,7 @@ def _shifted_log_sum_exp(logits: Tensor) -> tuple[Tensor, Tensor]:
     """``z = logits - max`` and ``log(sum(exp(z)))`` over the last axis:
     log softmax is ``z - lse``. The max is detached, so the shift has
     exactly zero gradient."""
-    m = np.max(logits.data, axis=-1, keepdims=True)
+    m = tl._row_max(logits.data)
     z = tl.sub(logits, tl.constant(np.broadcast_to(m, logits.shape)))
     return z, tl.log(tl.sum_axis(tl.exp(z), axis=-1))
 

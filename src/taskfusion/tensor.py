@@ -50,7 +50,16 @@ pays on every op; the results are the same bits (the hypothesis tests
 check the fused ops against the ``np.mean``/``np.max``/``np.sum``
 formulas, in both dtypes). For the same reason the op checks read
 ``data.shape`` rather than the ``shape`` property, and ``permute`` builds
-its inverse permutation in Python.
+its inverse permutation in Python. Every softmax row max (``softmax``,
+``attention``, ``class_attention`` and the losses' log-sum-exp) of 32
+rows or more runs over a transposed copy of the scores, one elementwise
+pass per column instead of numpy's row-by-row reduce of a 2 to 17 long
+last axis (several times faster on the decoder's [32, 4, 10, 10]
+self-attention scores). A max is
+exact in any order, so every softmax output keeps its bits. Sums stay
+``np.add.reduce`` over the last axis: a sum's bits depend on the order of
+its additions, which differs over the transposed copy, and the tests pin
+float64 digests of those bits.
 
 Inside ``with no_tape():`` no op records a node, even on inputs that
 require gradients: every result is a plain tensor with ``node`` None and
@@ -561,13 +570,29 @@ def mean_axis(a, axis: int, keepdims: bool = False) -> Tensor:
     return scale(sum_axis(a, axis, keepdims), 1.0 / a.shape[axis])
 
 
+def _row_max(s: np.ndarray) -> np.ndarray:
+    """The max over the last axis, kept as a length-1 axis: the values of
+    ``np.maximum.reduce(s, -1, keepdims=True)``. numpy reduces a short
+    contiguous last axis row by row; from 32 rows on, one elementwise pass
+    per column of a transposed copy is faster. Below that the copy's fixed
+    cost (about 1 µs) exceeds the saving, and the rows go to numpy's own
+    reduce: a B=1 inference's class-row softmax has 2. Only the sign of a
+    zero max may differ between the two, as it follows the visiting order,
+    and a softmax's exponentials of ``s - max`` never see it."""
+    k = s.shape[-1]
+    if s.size < 32 * k:
+        return np.maximum.reduce(s, -1, keepdims=True)
+    return np.maximum.reduce(s.reshape(-1, k).T.copy(), 0).reshape(
+        s.shape[:-1] + (1,))
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     """Numerically stable softmax (max-subtraction) along one axis."""
     a = _as_tensor(a)
     if not (-a.data.ndim <= axis < a.data.ndim):
         raise ShapeError(f"softmax: axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - np.maximum.reduce(a.data, axis, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(a.data - np.swapaxes(
+        _row_max(np.swapaxes(a.data, axis, -1)), axis, -1))
     y = e / np.add.reduce(e, axis, keepdims=True)
 
     def backward_rule(dout: np.ndarray):
@@ -587,10 +612,10 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm: gain/bias must be ({d},), got "
                          f"{gain.shape}/{bias.shape}")
-    mu = np.add.reduce(x, -1, keepdims=True) / d
-    var = np.add.reduce((x - mu) ** 2, -1, keepdims=True) / d
+    xc = x - np.add.reduce(x, -1, keepdims=True) / d
+    var = np.add.reduce(xc ** 2, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     data = xhat * gain.data + bias.data
 
     def backward_rule(dout: np.ndarray):
@@ -662,7 +687,7 @@ def attention(queries, memory, wq, wk, wv, wo,
         (xm @ ws[1].data).reshape(b, nk, heads, dh).transpose(0, 2, 3, 1))
     v = split(xm @ ws[2].data, nk)
     s = (q @ kt) * c
-    e = np.exp(s - np.maximum.reduce(s, -1, keepdims=True))
+    e = np.exp(s - _row_max(s))
     p = e / np.add.reduce(e, -1, keepdims=True)  # [b, heads, nq, nk]
     o = merge(p @ v)
     data = (o @ ws[3].data).reshape(sq)
@@ -721,6 +746,12 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
     + p_h0 cls) wv_h``. So no patch is ever embedded. ``raw`` is a
     constant: the op keeps a reference to it for its backward rule, and
     no gradient flows into it.
+
+    Every product reads the raw patches frame by frame, as [N, P, F]: the
+    scores ``raw @ (w_patch u)``, the token mix ``p @ raw`` and, in the
+    backward rule, the absorbed-key gradient ``Σ_n raw[n]ᵀ ds[n]``, never
+    one skinny [N·P, F] @ [F, heads] product over every patch, which at
+    the CLI default (N=512, F=192) is the slower BLAS path.
     """
     raw = _as_tensor(raw)
     w_patch, rows, cls = _as_tensor(w_patch), _as_tensor(rows), _as_tensor(cls)
@@ -743,7 +774,7 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
                          f"{heads} heads")
     dh = d // heads
     c = 1.0 / math.sqrt(dh)
-    x = raw.data.reshape(n * p, f)
+    x = raw.data  # [N, P, F], read frame by frame
     wp, rw, c0 = w_patch.data, rows.data, cls.data.reshape(d)
     wk3 = ws[1].data.reshape(d, heads, dh)
     # [heads, D, dh]: head h's value projection
@@ -753,12 +784,11 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
     u = np.add.reduce(wk3 * qh, 2) * c  # [D, heads]: the absorbed keys
     s = np.empty((n, heads, p + 1), dtype=x.dtype)
     s[:, :, 0] = c0 @ u
-    s[:, :, 1:] = ((x @ (wp @ u)).reshape(n, p, heads)
-                   + rw @ u).transpose(0, 2, 1)
-    e = np.exp(s - np.maximum.reduce(s, -1, keepdims=True))
+    s[:, :, 1:] = (x @ (wp @ u) + rw @ u).transpose(0, 2, 1)
+    e = np.exp(s - _row_max(s))
     pr = e / np.add.reduce(e, -1, keepdims=True)  # [N, heads, 1+P]
     p0, pj = pr[:, :, 0], np.ascontiguousarray(pr[:, :, 1:])
-    m = (pj @ raw.data).reshape(n * heads, f)  # Σ_j p_hj raw_j
+    m = (pj @ x).reshape(n * heads, f)  # Σ_j p_hj raw_j
     # Σ over the tokens of p_hj times token j's embedding, per head
     emb = m @ wp + pj.reshape(n * heads, p) @ rw + p0.reshape(-1, 1) * c0
     emb3 = emb.reshape(n, heads, d).transpose(1, 0, 2)  # [heads, N, D]
@@ -777,14 +807,14 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
         demb = (do3 @ wv3.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(
             n * heads, d)
         dpj = (demb @ rw.T).reshape(n, heads, p) + (
-            (demb @ wp.T).reshape(n, heads, f) @ raw.data.transpose(0, 2, 1))
+            (demb @ wp.T).reshape(n, heads, f) @ x.transpose(0, 2, 1))
         dp = np.empty_like(pr)
         dp[:, :, 0] = (demb @ c0).reshape(n, heads)
         dp[:, :, 1:] = dpj
         ds = pr * (dp - np.add.reduce(dp * pr, -1, keepdims=True))
         ds0 = np.add.reduce(ds[:, :, 0], 0)  # [heads]
         dsj = np.ascontiguousarray(ds[:, :, 1:].transpose(0, 2, 1))
-        da = x.T @ dsj.reshape(n * p, heads)  # [F, heads]
+        da = np.add.reduce(x.transpose(0, 2, 1) @ dsj, 0)  # [F, heads]
         dr = np.add.reduce(dsj, 0)  # [P, heads]
         du = wp.T @ da + rw.T @ dr + np.outer(c0, ds0)
         dqh = np.add.reduce(du[:, :, None] * wk3, 0) * c  # [heads, dh]

@@ -353,9 +353,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0:
             raise ContractError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ContractError(f"batch_size must be >= 1, got "
-                                f"{self.batch_size}")
+        for name in ("batch_size", "width", "layers", "dec_heads",
+                     "enc_heads", "mlp_hidden", "patch"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ContractError(f"{name} must be >= 1, got {value}")
         if not (np.isfinite(self.lr) and self.lr > 0):
             raise ContractError(f"lr must be finite and > 0, got {self.lr}")
         if self.dtype not in ("float32", "float64"):

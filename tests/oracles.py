@@ -64,7 +64,8 @@ def attention_weights_reference(xq, xm, wq, wk, heads):
 def class_attention_reference(raw, w_patch, rows, cls, wq, wk, wv, wo,
                               heads):
     """``tensor.class_attention``'s output [N, D], computed as that op
-    computes it."""
+    computes it: its products read the raw patches [N, P, F] frame by
+    frame."""
     n, p, f = raw.shape
     d = w_patch.shape[1]
     dh = d // heads
@@ -74,8 +75,7 @@ def class_attention_reference(raw, w_patch, rows, cls, wq, wk, wv, wo,
     u = (wk.reshape(d, heads, dh) * qh).sum(axis=2) * c
     s = np.empty((n, heads, p + 1), dtype=raw.dtype)
     s[:, :, 0] = c0 @ u
-    s[:, :, 1:] = ((raw.reshape(n * p, f) @ (w_patch @ u)).reshape(
-        n, p, heads) + rows @ u).transpose(0, 2, 1)
+    s[:, :, 1:] = (raw @ (w_patch @ u) + rows @ u).transpose(0, 2, 1)
     pr = softmax_reference(s)
     p0, pj = pr[:, :, 0], np.ascontiguousarray(pr[:, :, 1:])
     emb = ((pj @ raw).reshape(n * heads, f) @ w_patch

@@ -272,17 +272,15 @@ def test_returned_attention_weights_are_a_read_only_view():
     assert x.grad is not None and params.wq.grad is not None
 
 
-@pytest.mark.parametrize("heads", [1, 2, 4])
-@pytest.mark.parametrize("frames", [1, 3])
-def test_class_attention_matches_embedding_then_attention(frames, heads):
-    """The fused class-row op against the patch embedding, the class token
-    prepended, cross-attention of the class token over the frame's tokens
-    and the residual, as separate ops: values and every gradient."""
-    rng = rng_for(50, "class", frames, heads)
-    n, p, f, d = frames, 5, 6, 8
-    params = AttentionParams.init(rng, d, heads, std=0.5)
+def _class_attention_and_chain(rng, n, p, f, d, heads, std):
+    """The fused class-row op and, as separate ops, the patch embedding,
+    the class token prepended, cross-attention of the class token over the
+    frame's tokens and the residual, on the same inputs (weights of
+    standard deviation ``std``): each one's output and the gradients of
+    the seven weight leaves for one output gradient."""
+    params = AttentionParams.init(rng, d, heads, std=std)
     raw = tl.constant(rng.standard_normal((n, p, f)))
-    w_patch = tl.tensor(rng.standard_normal((f, d)) * 0.5, requires_grad=True)
+    w_patch = tl.tensor(rng.standard_normal((f, d)) * std, requires_grad=True)
     rows = tl.tensor(rng.standard_normal((p, d)) * 0.5, requires_grad=True)
     cls = tl.tensor(rng.standard_normal((1, 1, d)), requires_grad=True)
     g = tl.constant(rng.standard_normal((n, d)))
@@ -302,16 +300,39 @@ def test_class_attention_matches_embedding_then_attention(frames, heads):
         x = tl.concat([c, tok], axis=1)
         return tl.reshape(tl.add(c, cross_attention(x, c, params)[0]), (n, d))
 
-    out, grads = run(lambda: tl.class_attention(
+    fused = run(lambda: tl.class_attention(
         raw, w_patch, rows, cls, params.wq, params.wk, params.wv, params.wo,
         heads))
-    ref_out, ref_grads = run(chain)
+    assert fused[0].node.backward(g.data)[0] is None  # raw gets no gradient
+    return fused, run(chain), leaves
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("frames", [1, 3])
+def test_class_attention_matches_embedding_then_attention(frames, heads):
+    """The fused class-row op against the op chain: values and every
+    gradient."""
+    n, d = frames, 8
+    (out, grads), (ref_out, ref_grads), leaves = _class_attention_and_chain(
+        rng_for(50, "class", frames, heads), n, 5, 6, d, heads, std=0.5)
     assert out.node.op == "class_attention" and out.shape == (n, d)
-    assert out.node.backward(g.data)[0] is None  # raw gets no gradient
     assert np.max(np.abs(out.data - ref_out.data)) <= 1e-12
     for t, got, want in zip(leaves, grads, ref_grads):
         assert got.shape == t.shape
         assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_class_attention_matches_the_chain_at_the_default_size():
+    """The same comparison at the CLI default's size, 512 frames (B=32 of
+    16 frames) of 16 patches of 192 values, width 64 and 2 heads, where
+    the op's per-frame products and the chain's [N*P, F] products run
+    different BLAS paths: the output and all seven gradients agree within
+    1e-12 of their largest value, in float64."""
+    (out, grads), (ref_out, ref_grads), _ = _class_attention_and_chain(
+        rng_for(53, "class", "default"), 512, 16, 192, 64, 2, std=0.2)
+    assert out.data.dtype == np.float64
+    for got, want in zip([out.data] + grads, [ref_out.data] + ref_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_class_attention_errors():

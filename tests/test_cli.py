@@ -293,10 +293,26 @@ def _nonfinite_checkpoint(work, name, value, n=None):
     return path
 
 
-def _null_image_demos(work):
-    path = work / "demos_null"
-    path.write_text(json.dumps({"env": {"image": None}, "seeds": [1]}) + "\n")
+def _image_demos(work, image):
+    path = work / f"demos_{image}"
+    path.write_text(json.dumps({"env": {"image": image}, "seeds": [1]}) + "\n")
     return path
+
+
+# train's size flags below 1, each with its TrainConfig field: the values
+# that ended in a ZeroDivisionError or ValueError traceback, or trained
+# (--mlp-hidden 0), before TrainConfig refused them.
+SIZE_FLAGS_BELOW_1 = [
+    ("--width", "width", 0), ("--width", "width", -64),
+    ("--dec-heads", "dec_heads", 0), ("--enc-heads", "enc_heads", 0),
+    ("--patch", "patch", 0), ("--patch", "patch", -8),
+    ("--mlp-hidden", "mlp_hidden", 0), ("--mlp-hidden", "mlp_hidden", -1)]
+
+
+def _train_argv(work, flag, value):
+    return ["train", "--data", str(work / "data"), "--out-checkpoint",
+            str(work / "m.ckpt"), "--log", str(work / "l.csv"), "--steps",
+            "1", *MODEL_FLAGS, flag, str(value)]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -328,9 +344,13 @@ def _null_image_demos(work):
                 str(_nonfinite_checkpoint(w, "enc.w_patch", np.inf, n=1)),
                 "--out", str(w / "e.csv")],
      "parameter 'enc.w_patch' holds a non-finite value"),
-    (lambda w: ["bc-train", "--demos", str(_null_image_demos(w)),
+    (lambda w: ["bc-train", "--demos", str(_image_demos(w, None)),
                 "--checkpoint", str(w / "model.ckpt"), "--out-policy",
                 str(w / "p.ckpt")], "env image must be int"),
+    (lambda w: ["bc-train", "--demos", str(_image_demos(w, 0)),
+                "--checkpoint", str(w / "model.ckpt"), "--out-policy",
+                str(w / "p.ckpt")], "line 1: ContractError('env image must be "
+                                    ">= 1, got 0')"),
     (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
                 "--baseline-checkpoint",
                 str(_untrained_checkpoint(w, 5, _data_32px(w).name))],
@@ -357,6 +377,16 @@ def _null_image_demos(work):
     (lambda w: ["train", "--data", str(w / "data"), "--out-checkpoint",
                 str(w / "m.ckpt"), "--log", str(w / "l.csv"),
                 "--steps", "-1"], "steps must be >= 0, got -1"),
+    *[(lambda w, flag=flag, value=value: _train_argv(w, flag, value),
+       f"{field} must be >= 1, got {value}")
+      for flag, field, value in SIZE_FLAGS_BELOW_1],
+    (lambda w: ["bc-demos", "--count", "1", "--seed", "3", "--env-image", "0",
+                "--out", str(w / "d")], "env image must be >= 1, got 0"),
+    (lambda w: ["bc-demos", "--count", "1", "--seed", "3", "--env-image",
+                "-1", "--out", str(w / "d")], "env image must be >= 1, got -1"),
+    (lambda w: ["bc-eval", "--policy", str(w / "policy.ckpt"), "--checkpoint",
+                str(w / "model.ckpt"), "--episodes", "1", "--horizon", "0"],
+     "env horizon must be >= 1, got 0"),
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--image", "8",
                 "--out", str(w / "g")],
      "height and width must be at least 14 px for the scene script, got 8x8"),
@@ -371,11 +401,14 @@ def _null_image_demos(work):
 ], ids=["flat_header", "policy_as_checkpoint", "model_as_policy",
         "demo_image_mismatch", "dataset_size_mismatch",
         "dataset_frame_count_mismatch", "bad_label", "nan_parameters",
-        "inf_parameter_export", "bad_demo_type", "compare_image_mismatch",
+        "inf_parameter_export", "bad_demo_type", "demo_image_0",
+        "compare_image_mismatch",
         "compare_policy_as_baseline", "compare_no_bc_seeds", "bc_steps_0",
         "demos_beyond_the_horizon", "batch_size_0", "batch_size_negative",
-        "steps_negative", "image_8", "image_0", "noise_negative",
-        "duration_negative"])
+        "steps_negative",
+        *[f"{field}_{value}" for _, field, value in SIZE_FLAGS_BELOW_1],
+        "env_image_0", "env_image_negative", "bc_eval_horizon_0", "image_8",
+        "image_0", "noise_negative", "duration_negative"])
 @pytest.mark.filterwarnings("ignore:expert failed on")
 def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     args = argv(work)
@@ -383,6 +416,57 @@ def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error in {args[0]}: ") and message in err
+
+
+# Each subcommand's argv on the fixture's files at tiny size, and its
+# integer flags; argparse keeps the last value of a repeated flag.
+INTEGER_FLAGS = {
+    "gen-data": (lambda w, t: ["--count", "2", "--seed", "1", "--frames", "4",
+                               "--image", "16", "--out", str(t / "g")],
+                 ["--count", "--seed", "--frames", "--image"]),
+    "train": (lambda w, t: ["--data", str(w / "data"), "--out-checkpoint",
+                            str(t / "m.ckpt"), "--log", str(t / "l.csv"),
+                            "--steps", "1", "--layers", "1", "--patch", "8",
+                            *MODEL_FLAGS],
+              ["--seed", "--width", "--layers", "--dec-heads", "--enc-heads",
+               "--mlp-hidden", "--patch", "--steps", "--batch-size"]),
+    "dump-attention": (lambda w, t: ["--data", str(w / "data"),
+                                     "--checkpoint", str(w / "model.ckpt"),
+                                     "--out", str(t / "a.csv")],
+                       ["--clip-index"]),
+    "bc-demos": (lambda w, t: ["--count", "1", "--seed", "3", "--horizon",
+                               "30", "--env-image", "16", "--out",
+                               str(t / "d")],
+                 ["--count", "--seed", "--horizon", "--env-image"]),
+    "bc-train": (lambda w, t: ["--demos", str(w / "demos"), "--checkpoint",
+                               str(w / "model.ckpt"), "--out-policy",
+                               str(t / "p.ckpt"), "--bc-steps", "2"],
+                 ["--seed", "--bc-steps"]),
+    "bc-eval": (lambda w, t: ["--policy", str(w / "policy.ckpt"),
+                              "--checkpoint", str(w / "model.ckpt"),
+                              "--episodes", "1", "--horizon", "5"],
+                ["--episodes", "--seed", "--horizon"]),
+    "bc-compare": (lambda w, t: ["--checkpoint", str(w / "model.ckpt"),
+                                 "--baseline-checkpoint",
+                                 str(w / "model.ckpt"), "--demo-count", "1",
+                                 "--bc-steps", "2", "--bc-seeds", "1",
+                                 "--episodes", "1", "--horizon", "30"],
+                   ["--seed", "--demo-count", "--bc-steps", "--bc-seeds",
+                    "--episodes", "--horizon"]),
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, (_, flags) in INTEGER_FLAGS.items()
+    for flag in flags for value in ("0", "-1")])
+@pytest.mark.filterwarnings("ignore:expert failed on")
+def test_integer_flags_at_0_and_minus_1_end_in_an_exit_code(
+        work, tmp_path, capsys, command, flag, value):
+    """An exception escaping ``main`` is what ends the CLI in a
+    traceback: every integer flag at 0 and -1 ends in exit 0, 1 or 2."""
+    argv = [command, *INTEGER_FLAGS[command][0](work, tmp_path), flag, value]
+    assert cli.main(argv) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 NON_POSITIVE_OR_NON_FINITE = ["nan", "inf", "0", "-1"]

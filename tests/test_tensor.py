@@ -83,6 +83,32 @@ def test_softmax_matches_high_precision_oracle():
     assert np.max(np.abs(out.data - expected)) < 1e-15
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_row_max_has_the_values_of_the_last_axis_reduce(dtype):
+    """The softmax row max, over numpy's reduce below 32 rows and over a
+    transposed copy from 32 on, equals numpy's reduce over the last axis,
+    also on rows of NaN, +-inf and +-0.0. The values are the same, so
+    every nonzero max has the same bits; the sign of a zero max follows
+    the order numpy visits the row in, which differs, and leaves every
+    shifted exponential, the max's only use, the same."""
+    rng = rng_for(12, "row_max", dtype)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for shape in [(1, 2, 17), (1, 4, 2, 16), (1, 4, 1, 17), (31, 3),
+                  (32, 3), (1, 4, 10, 10), (32, 8, 2), (32, 4, 10, 10),
+                  (16, 2, 17), (512, 2, 17)]:
+        for share in (0.0, 0.1, 0.5, 1.0):
+            s = rng.standard_normal(shape).astype(dtype)
+            mask = rng.random(shape) < share
+            s[mask] = rng.choice(special, int(mask.sum()))
+            got = tl._row_max(s)
+            want = np.maximum.reduce(s, -1, keepdims=True)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert np.array_equal(np.exp(s - got), np.exp(s - want),
+                                      equal_nan=True)
+
+
 def test_softmax_rows_sum_to_one_and_positive():
     rng = rng_for(11, "softmax")
     for _ in range(50):
