@@ -1,21 +1,20 @@
 """Multi-head self/cross attention and sinusoidal positional encodings.
 
-Both attention blocks take token sets of shape ``[n, D]`` or a batch of
-them, ``[B, n, D]``, and run every batch entry and every head through one
-fused tape op, ``tensor.attention`` (node kind ``"attention"``): the
-projections, the head split, the scaled max-subtracted softmax, the head
-merge and the output projection are one node whose backward rule computes
-every gradient in numpy. Self-attention hands the op its token set once,
-as queries and memory both. Each block returns its output and the call's
-per-head weight matrices: ``[heads, nq, nk]`` for an unbatched call,
-``[B, heads, nq, nk]`` for a batched one. The weights are a read-only view
-(``writeable`` False) of the array the op's backward rule reads, not a
-copy, so writing to them raises; copy them to edit. The decoder returns
-them with its predictions; the encoders drop them. The encoders call
+Each attention block is one call of the fused tape op ``tensor.attention``
+(node kind ``"attention"``), which owns the whole contract. It checks its
+inputs: token sets ``[n, D]`` or a batch of them, ``[B, n, D]``,
+non-empty, with equal batch axes and width. Its one node covers every
+batch entry and head, from the projections to the output projection, and
+its backward rule computes every gradient in numpy. It returns the output
+and the per-head weights, ``[heads, nq, nk]`` unbatched or ``[B, heads,
+nq, nk]`` batched: a read-only view (``writeable`` False) of the array
+the backward rule reads, so copy them to edit. Self-attention hands the
+op its token set once, as queries and memory both. The decoder returns
+the weights with its predictions; the encoders drop them and call
 ``self_attention`` only: the ``per_frame_token`` encoder's class query
-runs through ``tensor.class_attention`` instead. Queries carry no positional
-information of their own; position enters only where a caller adds a
-positional encoding to the memory.
+runs through ``tensor.class_attention`` instead. Queries carry no
+positional information of their own; position enters only where a caller
+adds a positional encoding to the memory.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tl
-from .tensor import ContractError, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -49,6 +48,8 @@ class AttentionParams:
             m = getattr(self, name)
             if m.shape != (d, d):
                 raise ShapeError(f"{name} must be square [D, D], got {m.shape}")
+        if self.head_count < 1:
+            raise ShapeError(f"head_count must be >= 1, got {self.head_count}")
         if d % self.head_count != 0:
             raise ShapeError(f"width {d} not divisible by {self.head_count} heads")
 
@@ -72,43 +73,20 @@ class AttentionParams:
                 f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
 
 
-def _attend(queries: Tensor, memory: Tensor | None, params: AttentionParams
-            ) -> tuple[Tensor, np.ndarray]:
-    out, weights = tl.attention(queries, memory, params.wq, params.wk,
-                                params.wv, params.wo, params.head_count)
-    view = weights.reshape(queries.data.shape[:-2] + weights.shape[1:])
-    view.flags.writeable = False
-    return out, view
-
-
-def _check_tokens(x: Tensor, what: str, width: int) -> None:
-    shape = x.data.shape
-    if len(shape) not in (2, 3):
-        raise ShapeError(f"{what} must be [n, D] or [B, n, D], got {shape}")
-    if shape[-2] < 1:
-        raise ContractError(f"empty {what}")
-    if shape[-1] != width:
-        raise ShapeError(f"{what} width {shape[-1]} != params width {width}")
-
-
 def self_attention(tokens: Tensor, params: AttentionParams
                    ) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention of each token set over itself: the
     output and the weights."""
-    _check_tokens(tokens, "self_attention: token set", params.width)
-    return _attend(tokens, None, params)
+    return tl.attention(tokens, None, params.wq, params.wk, params.wv,
+                        params.wo, params.head_count)
 
 
 def cross_attention(memory: Tensor, queries: Tensor, params: AttentionParams
                     ) -> tuple[Tensor, np.ndarray]:
     """Queries attend over a separate memory: the output, shaped as the
     queries, and the weights."""
-    _check_tokens(memory, "cross_attention: memory", params.width)
-    _check_tokens(queries, "cross_attention: query set", params.width)
-    if memory.data.shape[:-2] != queries.data.shape[:-2]:
-        raise ShapeError(f"cross_attention: memory batch {memory.shape[:-2]} "
-                         f"!= query batch {queries.shape[:-2]}")
-    return _attend(queries, memory, params)
+    return tl.attention(queries, memory, params.wq, params.wk, params.wv,
+                        params.wo, params.head_count)
 
 
 class PositionalEncoding:

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as tl
 from .seeding import derive_seed, rng_for
 from .synth import (BACKGROUND_LEVEL, HAND_COLOR, OBJECT_COLOR_AFTER,
-                    DatasetError, box_to_rect, draw_rect)
+                    DatasetError, box_to_rect, check_json_types, draw_rect)
 from .tensor import ContractError, Tensor, backward
 from .trainer import AdamState, ParamStore, adam_step, load_described
 
@@ -48,10 +48,13 @@ class ToyEnvConfig:
     gripper_size: float = 0.16
 
     def __post_init__(self):
-        for name in ("horizon", "image"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ContractError(f"env {name} must be >= 1, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and value < 1:
+                raise ContractError(f"env {f.name} must be >= 1, got {value}")
+            if f.type == "float" and not (np.isfinite(value) and value >= 0):
+                raise ContractError(f"env {f.name} must be finite and >= 0, "
+                                    f"got {value}")
 
 
 @dataclass
@@ -254,18 +257,6 @@ def write_demos(path, env_cfg: ToyEnvConfig, demos: list[Demo],
                            sort_keys=True) + "\n")
 
 
-def _check_types(env, seeds) -> None:
-    if not isinstance(env, dict):
-        raise TypeError("env must be an object")
-    for f in fields(ToyEnvConfig):
-        allowed = (int,) if f.type == "int" else (int, float)
-        if type(env.get(f.name, f.default)) not in allowed:
-            raise TypeError(f"env {f.name} must be {f.type}")
-    if not (isinstance(seeds, list) and seeds
-            and all(type(s) is int and s >= 0 for s in seeds)):
-        raise TypeError("seeds must be a nonempty list of non-negative ints")
-
-
 def read_demos(path) -> tuple[ToyEnvConfig, list[Demo]]:
     """Regenerate a demo file's demos by re-running the expert on each
     seed; a malformed file or a seed the expert fails on is a
@@ -280,7 +271,7 @@ def read_demos(path) -> tuple[ToyEnvConfig, list[Demo]]:
     try:
         raw = json.loads(line)
         env, seeds = raw["env"], raw["seeds"]
-        _check_types(env, seeds)
+        check_json_types(ToyEnvConfig, env, seeds, "env")
         cfg = ToyEnvConfig(**env)
     except (json.JSONDecodeError, KeyError, TypeError, ContractError) as e:
         raise DatasetError(f"line {lineno}: {e!r}") from None

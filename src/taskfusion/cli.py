@@ -44,13 +44,11 @@ from .bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
                  compare_representations, load_policy, read_demos, write_demos)
 from .gradcheck import run_gradcheck
 from .seeding import derive_seed
-from .synth import (ClipConfig, DatasetError, ENCODER_KINDS, read_dataset,
-                    write_dataset)
+from .synth import (ARTIFACT_VERSION, ClipConfig, DatasetError, ENCODER_KINDS,
+                    read_dataset, write_dataset)
 from .tensor import TensorError
 from .trainer import (CheckpointError, TrainConfig, TrainingAbort, evaluate,
                       load_model, save_checkpoint, train)
-
-ARTIFACT_VERSION = "taskfusion-0.1.0"
 
 
 class UsageError(Exception):

@@ -5,13 +5,14 @@ The decoder works on a batch of B clips at once: tokens have shape
 information through self-attention (task fusion), then routes the two
 temporal-task tokens through cross-attention over the clip's per-frame
 memory and the eight detection tokens through cross-attention over its
-keyframe's patch memory. Residual additions and layer normalization wrap
-every attention sublayer. After the last layer, three head groups
-translate the tokens into predictions: one two-layer MLP for the state
-change token, one for the keyframe token, and eight for the detection
-tokens. Every token keeps its own head weights, stacked per group, and
-each group is one ``tensor.mlp`` op (one tape node) whose matmuls run
-all of its tokens' MLPs at once, batched over the token axis.
+keyframe's patch memory. Each of the three sublayers is one post-norm
+residual block, ``layer_norm(x + attention(x))``. After the last layer,
+three head groups translate the tokens into predictions: one two-layer
+MLP for the state change token, one for the keyframe token, and eight
+for the detection tokens. Every token keeps its own head weights,
+stacked per group, and each group is one ``tensor.mlp`` op (one tape
+node) whose matmuls run all of its tokens' MLPs at once, batched over
+the token axis.
 
 Token roles are fixed: row 0 predicts whether a state change occurs,
 row 1 localizes the change frame, rows 2..9 are detection queries. A
@@ -137,8 +138,11 @@ class DecoderConfig:
     enabled_tasks: tuple[str, ...] = ("oscc", "pnr", "scod")
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ShapeError("need at least one decoder layer")
+        for name in ("layers", "width", "heads", "frames", "patches",
+                     "mlp_hidden"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ShapeError(f"{name} must be >= 1, got {value}")
         if self.width % self.heads != 0:
             raise ShapeError(f"width {self.width} not divisible by "
                              f"{self.heads} heads")
@@ -249,16 +253,30 @@ class TaskPredictions(_Outputs):
 
 
 @dataclass
-class _Layer:
-    self_attn: AttentionParams
-    cross_temporal: AttentionParams
-    cross_spatial: AttentionParams
-    ln_self_g: Tensor
-    ln_self_b: Tensor
-    ln_t_g: Tensor
-    ln_t_b: Tensor
-    ln_s_g: Tensor
-    ln_s_b: Tensor
+class _Block:
+    """One post-norm residual attention sublayer: ``layer_norm(x +
+    attention(x))``, the attention over x itself or over a memory."""
+
+    attn: AttentionParams
+    ln_g: Tensor
+    ln_b: Tensor
+
+    @classmethod
+    def init(cls, rng: np.random.Generator, width: int, heads: int):
+        return cls(AttentionParams.init(rng, width, heads),
+                   tl.ones(width, requires_grad=True),
+                   tl.zeros(width, requires_grad=True))
+
+    def __call__(self, x: Tensor, memory: Tensor | None = None
+                 ) -> tuple[Tensor, np.ndarray]:
+        """The block's output, shaped as x, and its attention weights."""
+        a, weights = (self_attention(x, self.attn) if memory is None
+                      else cross_attention(memory, x, self.attn))
+        return tl.layer_norm(tl.add(x, a), self.ln_g, self.ln_b), weights
+
+
+# A layer's self, temporal and spatial blocks: (attention, LayerNorm) names.
+_BLOCK_NAMES = (("self", "ln_self"), ("cross_t", "ln_t"), ("cross_s", "ln_s"))
 
 
 @dataclass
@@ -315,20 +333,8 @@ class TaskFusionDecoder:
                                requires_grad=True)
         self.pe = PositionalEncoding(
             max(config.frames, config.patches) + 1, d)
-        self.layers = [
-            _Layer(
-                self_attn=AttentionParams.init(rng, d, h),
-                cross_temporal=AttentionParams.init(rng, d, h),
-                cross_spatial=AttentionParams.init(rng, d, h),
-                ln_self_g=tl.ones(d, requires_grad=True),
-                ln_self_b=tl.zeros(d, requires_grad=True),
-                ln_t_g=tl.ones(d, requires_grad=True),
-                ln_t_b=tl.zeros(d, requires_grad=True),
-                ln_s_g=tl.ones(d, requires_grad=True),
-                ln_s_b=tl.zeros(d, requires_grad=True),
-            )
-            for _ in range(config.layers)
-        ]
+        self.layers = [tuple(_Block.init(rng, d, h) for _ in _BLOCK_NAMES)
+                       for _ in range(config.layers)]
         out_width = {"oscc": 2, "pnr": config.frames,
                      "scod": SCOD_CLASS_COUNT + 4}
         self.heads = {task: _HeadGroup.init(rng, count, d, config.mlp_hidden,
@@ -338,15 +344,13 @@ class TaskFusionDecoder:
     def parameters(self) -> dict[str, Tensor]:
         params: dict[str, Tensor] = {"tokens": self.tokens}
         for k, layer in enumerate(self.layers):
-            params.update(layer.self_attn.named(f"layer{k}.self"))
-            params.update(layer.cross_temporal.named(f"layer{k}.cross_t"))
-            params.update(layer.cross_spatial.named(f"layer{k}.cross_s"))
-            params[f"layer{k}.ln_self.g"] = layer.ln_self_g
-            params[f"layer{k}.ln_self.b"] = layer.ln_self_b
-            params[f"layer{k}.ln_t.g"] = layer.ln_t_g
-            params[f"layer{k}.ln_t.b"] = layer.ln_t_b
-            params[f"layer{k}.ln_s.g"] = layer.ln_s_g
-            params[f"layer{k}.ln_s.b"] = layer.ln_s_b
+            # A layer's attention weights come before its LayerNorm pairs:
+            # the order of a checkpoint's payload.
+            for (attn, _), block in zip(_BLOCK_NAMES, layer):
+                params.update(block.attn.named(f"layer{k}.{attn}"))
+            for (_, ln), block in zip(_BLOCK_NAMES, layer):
+                params[f"layer{k}.{ln}.g"] = block.ln_g
+                params[f"layer{k}.{ln}.b"] = block.ln_b
         for task, group in self.heads.items():
             params.update(group.named(f"head.{task}"))
         return params
@@ -377,18 +381,15 @@ class TaskFusionDecoder:
         return _Prefix(h_t, *self._temporal(self.layers[0], z, h_t))
 
     @staticmethod
-    def _temporal(layer: _Layer, z: Tensor, h_t: Tensor
+    def _temporal(layer: tuple[_Block, ...], z: Tensor, h_t: Tensor
                   ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
         """One layer's self block over tokens z [B, 10, D], then its
         temporal block over h_t: the temporal rows [B, 2, D], the detection
         rows [B, 8, D] for the layer's detection block, and the two
         blocks' attention weights."""
-        a, w_self = self_attention(z, layer.self_attn)
-        f = tl.layer_norm(tl.add(z, a), layer.ln_self_g, layer.ln_self_b)
-        f_t = tl.narrow(f, 1, 0, 2)
-        f_s = tl.narrow(f, 1, 2, SCOD_QUERY_COUNT)
-        a, w_t = cross_attention(h_t, f_t, layer.cross_temporal)
-        z_t = tl.layer_norm(tl.add(f_t, a), layer.ln_t_g, layer.ln_t_b)
+        f, w_self = layer[0](z)
+        f_t, f_s = tl.narrow(f, 1, 0, 2), tl.narrow(f, 1, 2, SCOD_QUERY_COUNT)
+        z_t, w_t = layer[1](f_t, h_t)
         return z_t, f_s, w_self, w_t
 
     def _tokens(self, features: ClipFeatures,
@@ -415,8 +416,7 @@ class TaskFusionDecoder:
                 return z_t, used, attention
             if h_s is None:  # the first op that reads a keyframe
                 h_s = self.pe.encode(features.keyframe_patches(keyframes))
-            a, w_s = cross_attention(h_s, f_s, layer.cross_spatial)
-            z_s = tl.layer_norm(tl.add(f_s, a), layer.ln_s_g, layer.ln_s_b)
+            z_s, w_s = layer[2](f_s, h_s)
             z = tl.concat([z_t, z_s], axis=1)
             attention.append(LayerAttention(self_attn=w_self, temporal=w_t,
                                             spatial=w_s))

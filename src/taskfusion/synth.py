@@ -47,11 +47,13 @@ raw patches are gathered from the frames in one copy into that dtype.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from . import tensor as tl
 from .attention import (AttentionParams, PositionalEncoding, linear,
                         self_attention)
@@ -69,6 +71,7 @@ OBJECT_COLOR_AFTER = np.array([0.90, 0.15, 0.10])
 # test_labeled_boxes_contrast_with_the_backdrop asserts against this.
 BOX_CONTRAST = 0.5
 
+ARTIFACT_VERSION = f"taskfusion-{__version__}"  # every file header's tag
 ENCODER_KINDS = ("per_frame_token", "clip_token", "conv_grid")
 CONV_CHANNELS = 32  # the conv_grid encoder's stage-1 channels
 
@@ -122,6 +125,10 @@ class ClipConfig:
                              f"{self.clip_duration_seconds}")
         if not self.noise >= 0:
             raise ShapeError(f"noise must be >= 0, got {self.noise}")
+        for name in ("clip_duration_seconds", "noise"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ShapeError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -348,7 +355,7 @@ def write_dataset(path, count: int, seed_base: int,
     if count < 1:
         raise DatasetError("count must be >= 1")
     cfg = config or ClipConfig()
-    head = {"artifact": "taskfusion-0.1.0", "kind": "dataset"}
+    head = {"artifact": ARTIFACT_VERSION, "kind": "dataset"}
     if header:
         head.update(header)
     with open(path, "w", encoding="utf-8") as f:
@@ -358,6 +365,24 @@ def write_dataset(path, count: int, seed_base: int,
             record = {"seed": seed, "config": asdict(cfg),
                       "labels": _labels_to_dict(_script_for(seed, cfg).labels)}
             f.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def check_json_types(config_cls, config, seeds, what: str) -> None:
+    """Refuse a file record whose ``config`` object does not give each
+    field of the dataclass ``config_cls`` its JSON type (an int for an int
+    field, an int or a float for a float one), or whose ``seeds`` are not
+    a nonempty list of non-negative ints; ``what`` names the config."""
+    if not isinstance(config, dict):
+        raise TypeError(f"{what} must be an object")
+    for f in fields(config_cls):
+        allowed = (int,) if f.type == "int" else (int, float)
+        if type(config.get(f.name, f.default)) not in allowed:
+            raise TypeError(f"{what} {f.name} must be {f.type}")
+    if not (isinstance(seeds, list) and seeds):
+        raise TypeError("seeds must be a nonempty list")
+    for seed in seeds:
+        if type(seed) is not int or seed < 0:
+            raise TypeError(f"seed {seed!r} is not a non-negative int")
 
 
 def read_dataset(path) -> list[ClipRecord]:
@@ -373,7 +398,9 @@ def read_dataset(path) -> list[ClipRecord]:
             continue
         try:
             raw = json.loads(line)
-            record = ClipRecord(seed=int(raw["seed"]),
+            check_json_types(ClipConfig, raw["config"], [raw["seed"]],
+                             "config")
+            record = ClipRecord(seed=raw["seed"],
                                 config=ClipConfig(**raw["config"]),
                                 labels=_labels_from_dict(raw["labels"]))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
@@ -418,6 +445,10 @@ class Encoder:
     kind: str
 
     def __init__(self, width: int, frames: int, image: int, patch: int):
+        for name, value in (("width", width), ("frames", frames),
+                            ("image", image), ("patch", patch)):
+            if value < 1:
+                raise ShapeError(f"{name} must be >= 1, got {value}")
         if image % patch:
             raise ShapeError(f"image {image} not divisible by patch {patch}")
         self.width = width

@@ -4,7 +4,9 @@ Every tensor wraps a C-contiguous numpy array of the compute dtype,
 float64 by default. Operations on tensors that require gradients record a
 node (op kind, inputs, backward rule) onto the tensor they produce;
 ``backward`` collects the reachable nodes in one walk and visits them
-newest first.
+newest first. A tensor has a node only if it also has ``requires_grad``
+set, so that one flag says whether a backward rule computes an input's
+gradient: a leaf the caller marked, or an op result on the tape.
 
 The compute dtype is one module flag, float64 or float32, set for a block
 by ``with precision(dtype):`` (or as ``@precision(dtype)`` for every call
@@ -30,17 +32,16 @@ Five ops are fused blocks with hand-written backward rules, each one node
 on the tape: ``softmax``, ``layer_norm``, ``attention`` (node kind
 ``"attention"``: a whole multi-head attention block, from the q/k/v
 projections to the output projection, computing gradients only for the
-inputs that need them), ``class_attention`` (node kind
+inputs that need them; it checks its own inputs, so its callers in
+``attention`` add no checks of their own), ``class_attention`` (node kind
 ``"class_attention"``: the class rows of N frames from their raw patches,
 a patch embedding plus an attention block whose one query is a shared
 class token, with the key and value projections absorbed into it) and
 ``mlp`` (node kind ``"mlp"``: a two-layer GELU MLP, with one set of
 weights for all rows or one per token, whose values and gradients are
 those of the op chain it replaces, bit for bit, in fewer numpy calls).
-The perfbench tape breakdown, whose list of kinds predates the last
-three, counts their nodes under ``other``. One ``matmul`` op takes 2-D
-operands and batches of them, ``[B, n, k] @ [B, k, m]``, both as node
-kind ``"matmul"``: the breakdown's ``bmm`` kind is recorded by no op.
+One ``matmul`` op takes 2-D operands and batches of them, ``[B, n, k] @
+[B, k, m]``, both as node kind ``"matmul"``.
 
 The ops call numpy's ufunc reductions directly: ``np.add.reduce`` and
 ``np.maximum.reduce``, and a mean is that sum divided by the axis length.
@@ -284,7 +285,7 @@ def _make(data: np.ndarray, op: str, inputs: tuple[Tensor, ...],
     out.requires_grad = False
     out.grad = None
     out.node = None
-    if _recording and any(t.requires_grad or t.node is not None for t in inputs):
+    if _recording and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.node = Node(op=op, inputs=inputs, backward=backward_rule,
                         nid=next(_node_ids))
@@ -349,9 +350,9 @@ def _binary(kind: str, fwd, da_rule, db_rule):
 
         def backward_rule(dout: np.ndarray):
             da = _reduce_to(da_rule(dout, a.data, b.data), a.data.shape) \
-                if (a.requires_grad or a.node) else None
+                if a.requires_grad else None
             db = _reduce_to(db_rule(dout, a.data, b.data), b.data.shape) \
-                if (b.requires_grad or b.node) else None
+                if b.requires_grad else None
             return da, db
 
         return _make(data, kind, (a, b), backward_rule)
@@ -430,8 +431,8 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def backward_rule(dout: np.ndarray):
-        da = dout @ b.data.swapaxes(-1, -2) if (a.requires_grad or a.node) else None
-        db = a.data.swapaxes(-1, -2) @ dout if (b.requires_grad or b.node) else None
+        da = dout @ b.data.swapaxes(-1, -2) if a.requires_grad else None
+        db = a.data.swapaxes(-1, -2) @ dout if b.requires_grad else None
         return da, db
 
     return _make(data, "matmul", (a, b), backward_rule)
@@ -478,7 +479,7 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
         stop = 0
         for p in parts:
             start, stop = stop, stop + p.data.shape[axis]
-            if p.requires_grad or p.node:
+            if p.requires_grad:
                 idx = [slice(None)] * dout.ndim
                 idx[axis] = slice(start, stop)
                 grads.append(np.ascontiguousarray(dout[tuple(idx)]))
@@ -619,18 +620,15 @@ def layer_norm(a, gain, bias, eps: float = 1e-5) -> Tensor:
     data = xhat * gain.data + bias.data
 
     def backward_rule(dout: np.ndarray):
-        need_a = a.requires_grad or a.node
         da = None
-        if need_a:
+        if a.requires_grad:
             dxhat = dout * gain.data
             m1 = np.add.reduce(dxhat, -1, keepdims=True) / d
             m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / d
             da = inv * (dxhat - m1 - xhat * m2)
         axes = tuple(range(dout.ndim - 1))
-        dg = np.add.reduce(dout * xhat, axes) \
-            if (gain.requires_grad or gain.node) else None
-        db = np.add.reduce(dout, axes) \
-            if (bias.requires_grad or bias.node) else None
+        dg = np.add.reduce(dout * xhat, axes) if gain.requires_grad else None
+        db = np.add.reduce(dout, axes) if bias.requires_grad else None
         return da, dg, db
 
     return _make(data, "layer_norm", (a, gain, bias), backward_rule)
@@ -640,25 +638,27 @@ def attention(queries, memory, wq, wk, wv, wo,
               heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head scaled dot-product attention as one op.
 
-    ``queries`` [..., nq, D] attend over ``memory`` [..., nk, D] with the
-    same leading axes, or over themselves when ``memory`` is None. The op
-    covers the q/k/v projections, the split into ``heads`` heads of width
+    ``queries`` [nq, D] or [B, nq, D] attend over ``memory`` [nk, D] or
+    [B, nk, D], or over themselves when ``memory`` is None. The op covers
+    the q/k/v projections, the split into ``heads`` heads of width
     D/heads, the scaled scores, a max-subtracted softmax over the memory
     axis, weights @ v, the head merge and the output projection ``wo``.
-    Returns the output [..., nq, D] and the weights [B, heads, nq, nk], B
-    the product of the leading axes (1 for an unbatched [nq, D]). The
-    weights array is the one the backward rule reads; copy it before
-    writing to it.
+    It checks its own inputs: an empty query set or memory is a
+    ContractError, any other mismatch a ShapeError. Returns the output,
+    shaped as the queries, and the weights [..., heads, nq, nk]: a
+    read-only view of the array the backward rule reads.
     """
     queries = _as_tensor(queries)
     mem = queries if memory is None else _as_tensor(memory)
     ws = (_as_tensor(wq), _as_tensor(wk), _as_tensor(wv), _as_tensor(wo))
     sq, sm = queries.data.shape, mem.data.shape
-    if len(sq) < 2 or len(sm) != len(sq) or sm[:-2] != sq[:-2]:
+    if len(sq) not in (2, 3) or len(sm) != len(sq) or sm[:-2] != sq[:-2]:
         raise ShapeError(f"attention: queries {sq} and memory {sm} need "
-                         f"equal leading axes")
+                         f"shapes [n, D] or [B, n, D] with equal B")
     nq, d = sq[-2:]
     nk = sm[-2]
+    if nq < 1 or nk < 1:
+        raise ContractError(f"attention: empty query set {sq} or memory {sm}")
     if sm[-1] != d or [w.data.shape for w in ws] != [(d, d)] * 4:
         raise ShapeError(f"attention: width {d} needs [{d}, {d}] weights and "
                          f"memory, got {sm} and {[w.shape for w in ws]}")
@@ -692,13 +692,12 @@ def attention(queries, memory, wq, wk, wv, wo,
     o = merge(p @ v)
     data = (o @ ws[3].data).reshape(sq)
     inputs = (queries,) + ws if memory is None else (queries, mem) + ws
-
-    def needs(t: Tensor) -> bool:
-        return t.requires_grad or t.node is not None
+    weights = p.reshape(sq[:-2] + p.shape[1:])
+    weights.flags.writeable = False
 
     def backward_rule(dout: np.ndarray):
-        need_x = needs(queries), needs(mem)
-        need_w = tuple(needs(w) for w in ws)
+        need_x = queries.requires_grad, mem.requires_grad
+        need_w = tuple(w.requires_grad for w in ws)
         g = dout.reshape(b * nq, d)
         dwo = o.T @ g if need_w[3] else None
         need_q = need_x[0] or need_w[0]
@@ -724,7 +723,7 @@ def attention(queries, memory, wq, wk, wv, wo,
             return (None if dxq is None else dxq + dxm,) + dws
         return (dxq, dxm) + dws
 
-    return _make(data, "attention", inputs, backward_rule), p
+    return _make(data, "attention", inputs, backward_rule), weights
 
 
 def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
@@ -756,7 +755,7 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
     raw = _as_tensor(raw)
     w_patch, rows, cls = _as_tensor(w_patch), _as_tensor(rows), _as_tensor(cls)
     ws = tuple(_as_tensor(w) for w in (wq, wk, wv, wo))
-    if raw.requires_grad or raw.node is not None:
+    if raw.requires_grad:
         raise ContractError("class_attention: raw patch rows are constants")
     if raw.data.ndim != 3 or w_patch.data.ndim != 2:
         raise ShapeError(f"class_attention: raw {raw.shape} is not [N, P, F] "
@@ -797,9 +796,6 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
 
     inputs = (raw, w_patch, rows, cls) + ws
 
-    def needs(t: Tensor) -> bool:
-        return t.requires_grad or t.node is not None
-
     def backward_rule(dout: np.ndarray):
         g = dout.reshape(n, d)
         do3 = (g @ ws[3].data.T).reshape(n, heads, dh).transpose(1, 0, 2)
@@ -830,7 +826,7 @@ def class_attention(raw, w_patch, rows, cls, wq, wk, wv, wo,
                  (emb3.transpose(0, 2, 1) @ do3).transpose(1, 0, 2).reshape(
                      d, d),
                  o.T @ g)
-        return tuple(gr if needs(t) else None
+        return tuple(gr if t.requires_grad else None
                      for gr, t in zip(grads, inputs))
 
     return _make(data, "class_attention", inputs, backward_rule)
@@ -885,7 +881,7 @@ def mlp(x, w1, b1, w2, b2) -> Tensor:
     inputs = (x, w1, b1, w2, b2)
 
     def backward_rule(dout: np.ndarray):
-        need = [a.requires_grad or a.node is not None for a in inputs]
+        need = [a.requires_grad for a in inputs]
         dx = dw1 = db1 = None
         dy = swap(dout)
         dw2 = tr(hs) @ dy if need[3] else None

@@ -7,9 +7,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from taskfusion import tensor as tl
 from taskfusion.bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
                            load_policy)
 from taskfusion.seeding import derive_seed, rng_for
-from taskfusion.synth import build_encoder, read_dataset
+from taskfusion.synth import ClipConfig, build_encoder, read_dataset
 from taskfusion.trainer import (TrainConfig, evaluate, load_checkpoint,
                                 load_model, train)
 
@@ -398,6 +400,11 @@ def _train_argv(work, flag, value):
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--duration", "-1",
                 "--out", str(w / "g")],
      "clip_duration_seconds must be > 0, got -1.0"),
+    (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--noise", "inf",
+                "--out", str(w / "g")], "noise must be finite, got inf"),
+    (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--duration",
+                "inf", "--out", str(w / "g")],
+     "clip_duration_seconds must be finite, got inf"),
 ], ids=["flat_header", "policy_as_checkpoint", "model_as_policy",
         "demo_image_mismatch", "dataset_size_mismatch",
         "dataset_frame_count_mismatch", "bad_label", "nan_parameters",
@@ -408,7 +415,8 @@ def _train_argv(work, flag, value):
         "steps_negative",
         *[f"{field}_{value}" for _, field, value in SIZE_FLAGS_BELOW_1],
         "env_image_0", "env_image_negative", "bc_eval_horizon_0", "image_8",
-        "image_0", "noise_negative", "duration_negative"])
+        "image_0", "noise_negative", "duration_negative", "noise_inf",
+        "duration_inf"])
 @pytest.mark.filterwarnings("ignore:expert failed on")
 def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     args = argv(work)
@@ -467,6 +475,50 @@ def test_integer_flags_at_0_and_minus_1_end_in_an_exit_code(
     argv = [command, *INTEGER_FLAGS[command][0](work, tmp_path), flag, value]
     assert cli.main(argv) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# How a malformed record replaces a value (``float`` keeps an int's value
+# and makes it a float).
+BAD_VALUES = {"float": float, "-1": lambda v: -1, "1.5": lambda v: 1.5,
+              "nan": lambda v: math.nan, "inf": lambda v: math.inf}
+# (file, field, bad value): every config int field of a dataset record and
+# of a demo file given as a float and as -1, every float field as NaN, as
+# inf and as -1, and a seed as -1 and as 1.5.
+MALFORMED_RECORDS = [
+    (file, f.name, bad)
+    for file, config in (("data", ClipConfig), ("demos", ToyEnvConfig))
+    for f in fields(config)
+    for bad in (("float", "-1") if f.type == "int" else ("nan", "inf", "-1"))
+] + [(file, "seed", bad) for file in ("data", "demos") for bad in ("-1", "1.5")]
+
+
+@pytest.mark.parametrize("file, field, bad", MALFORMED_RECORDS,
+                         ids=[f"{file}-{field}-{bad}"
+                              for file, field, bad in MALFORMED_RECORDS])
+def test_a_malformed_record_exits_2_naming_its_line(work, tmp_path, capsys,
+                                                     file, field, bad):
+    """One bad value in the first record of the fixture's dataset (read by
+    ``eval``) or demo file (read by ``bc-train``) ends in exit 2 and one
+    message line naming the record's line, never in a traceback."""
+    lines = (work / file).read_text().splitlines()
+    raw = json.loads(lines[1])
+    if field == "seed" and file == "data":
+        raw["seed"] = BAD_VALUES[bad](raw["seed"])
+    elif field == "seed":
+        raw["seeds"][0] = BAD_VALUES[bad](raw["seeds"][0])
+    else:
+        config = raw["config" if file == "data" else "env"]
+        config[field] = BAD_VALUES[bad](config[field])
+    path = tmp_path / file
+    path.write_text("\n".join([lines[0], json.dumps(raw)] + lines[2:]) + "\n")
+    command = ["eval", "--data"] if file == "data" else [
+        "bc-train", "--out-policy", str(tmp_path / "p.ckpt"), "--demos"]
+    capsys.readouterr()
+    assert cli.main([*command, str(path), "--checkpoint",
+                     str(work / "model.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"error in {command[0]}: ") and "line 2: " in err
 
 
 NON_POSITIVE_OR_NON_FINITE = ["nan", "inf", "0", "-1"]

@@ -5,7 +5,7 @@ import pytest
 
 from taskfusion import decoder as decoder_module
 from taskfusion import tensor as tl
-from taskfusion.attention import PositionalEncoding
+from taskfusion.attention import AttentionParams, PositionalEncoding
 from taskfusion.decoder import (ClipFeatures, DecoderConfig,
                                 TaskFusionDecoder, TOKEN_COUNT)
 from taskfusion.losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER,
@@ -219,7 +219,7 @@ def test_stream_separation_with_identity_self_attention():
     # block adds exactly 0, layer norm acts token by token, and the temporal
     # outputs cannot see h_s
     dec = _decoder(17, layers=1)
-    dec.layers[0].self_attn.wo.data[...] = 0.0
+    dec.parameters()["layer0.self.wo"].data[...] = 0.0
     feats = _features(18)
     base = dec.decode(feats, [1])
     moved = dec.decode(_shifted_patches(feats), [1])
@@ -415,6 +415,36 @@ def test_config_validation():
         ClipFeatures(h_frames=tl.zeros((1, T, D)),
                      slabs=tl.zeros((T + 1, P, D)),
                      patches=P)  # a slab row per frame
+
+
+# Sizes below 1 given to the constructors directly (the CLI's TrainConfig
+# refuses them first); each ended in a ZeroDivisionError or, a width of 0,
+# was accepted.
+SIZES_BELOW_1 = [
+    (lambda: DecoderConfig(heads=0), "heads must be >= 1, got 0"),
+    (lambda: DecoderConfig(width=0), "width must be >= 1, got 0"),
+    (lambda: DecoderConfig(patches=-1), "patches must be >= 1, got -1"),
+    (lambda: DecoderConfig(mlp_hidden=0), "mlp_hidden must be >= 1, got 0"),
+    (lambda: AttentionParams.init(rng_for(0, "a"), 8, 0),
+     "head_count must be >= 1, got 0"),
+    (lambda: build_encoder("per_frame_token", rng_for(0, "e"), patch=0),
+     "patch must be >= 1, got 0"),
+    (lambda: build_encoder("conv_grid", rng_for(0, "e"), width=0),
+     "width must be >= 1, got 0"),
+    (lambda: build_encoder("clip_token", rng_for(0, "e"), heads=0),
+     "head_count must be >= 1, got 0"),
+    (lambda: build_encoder("clip_token", rng_for(0, "e"), image=-32),
+     "image must be >= 1, got -32"),
+]
+
+
+@pytest.mark.parametrize("build, message", SIZES_BELOW_1, ids=[
+    "decoder_heads", "decoder_width", "decoder_patches", "decoder_mlp_hidden",
+    "attention_heads", "per_frame_token_patch", "conv_grid_width",
+    "clip_token_heads", "clip_token_image"])
+def test_a_size_below_1_is_a_shape_error_naming_its_field(build, message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        build()
 
 
 def test_slabs_of_another_width_need_patch_rows():

@@ -382,6 +382,21 @@ def test_attention_op_shape_errors():
             tl.attention(queries, memory, weights, w, w, w, heads)
 
 
+@pytest.mark.parametrize("nq, nk", [(0, 3), (3, 0), (0, 0)])
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_attention_op_refuses_an_empty_set(nq, nk, batch):
+    """An empty query set or memory is a ContractError of the op itself
+    (it was a ZeroDivisionError or a numpy ValueError)."""
+    w = tl.constant(np.zeros((4, 4)))
+    queries = tl.constant(np.zeros(batch + (nq, 4)))
+    memory = tl.constant(np.zeros(batch + (nk, 4)))
+    with pytest.raises(ContractError, match="empty"):
+        tl.attention(queries, memory, w, w, w, w, 2)
+    if nq == nk:
+        with pytest.raises(ContractError, match="empty"):
+            tl.attention(queries, None, w, w, w, w, 2)
+
+
 def _mlp_leaves(rng, batch, tokens, dtype):
     """x and the four weights of ``tl.mlp``: shared when ``tokens`` is
     None, else stacked for that many tokens; every leaf requires grad."""

@@ -457,6 +457,23 @@ def test_batch_losses_builds_a_tape(recorded_nodes):
     assert len(recorded_nodes) > 100
 
 
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_every_taped_tensor_of_a_train_step_requires_grad(
+        recorded_nodes, monkeypatch, encoder):
+    """The tape invariant the backward rules rely on: a tensor with a node
+    has ``requires_grad`` set, so that flag alone says whether a rule
+    computes an input's gradient. Checked on every input of every node
+    one train step records, and on the loss it differentiates."""
+    losses = []
+    monkeypatch.setattr(trainer, "backward",
+                        lambda loss: (losses.append(loss), backward(loss)))
+    trainer.train(_records(), _config(encoder))
+    taped = [t for node in recorded_nodes for t in node.inputs
+             if t.node is not None] + losses
+    assert len(losses) == 1 and len(taped) > 100
+    assert all(t.requires_grad for t in taped)
+
+
 def test_per_frame_token_attends_only_with_the_queries_it_reads(
         recorded_nodes):
     """One train step: one class-row op over every frame of the batch (B*T
