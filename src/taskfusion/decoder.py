@@ -35,6 +35,14 @@ keyframe. ``infer`` computes it once and hands it to both of its passes,
 so its final pass starts at layer 0's detection block; ``decode``
 computes its own. Batched inference shares it the same way, one prefix
 per batch.
+
+Every attention block, the decoder's and the encoders', is one call of
+the fused op ``tensor.attention``, which checks its inputs, on the
+projections and head count an ``AttentionParams`` holds. The one-call
+wrappers ``self_attention`` and ``cross_attention`` keep their names, so
+a profiler can wrap them where the decoder and the encoders look them up
+(``perfbench``'s ``attention.*`` spans do). Each consumer builds the
+sinusoidal ``positions`` rows it adds once, at construction.
 """
 
 from __future__ import annotations
@@ -45,8 +53,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as tl
-from .attention import (AttentionParams, PositionalEncoding, cross_attention,
-                        self_attention)
 from .tensor import ContractError, ShapeError, Tensor
 
 TOKEN_COUNT = 10
@@ -252,6 +258,61 @@ class TaskPredictions(_Outputs):
                               keyframe_used=int(self.keyframes[b]))
 
 
+def positions(n: int, width: int) -> Tensor:
+    """The sinusoidal position rows [n, width] of Vaswani et al. (arXiv
+    1706.03762), a constant: sin/cos pairs over geometric periods. Entry
+    (i, j) depends only on i and j, so these are the first n rows for any
+    longer n."""
+    if width % 2:
+        raise ShapeError(f"position rows need an even width, got {width}")
+    pos = np.arange(n, dtype=np.float64)[:, None]
+    i = np.arange(0, width, 2, dtype=np.float64)[None, :]
+    angle = pos / np.power(10000.0, i / width)
+    table = np.zeros((n, width))
+    table[:, 0::2] = np.sin(angle)
+    table[:, 1::2] = np.cos(angle)
+    return tl.constant(table)
+
+
+@dataclass
+class AttentionParams:
+    """Projection matrices for one attention block (all [D, D]); the
+    attention ops check their shapes and the head count at every call."""
+
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
+    wo: Tensor
+    head_count: int
+
+    @classmethod
+    def init(cls, rng: np.random.Generator, width: int, head_count: int,
+             std: float = 0.02) -> "AttentionParams":
+        # drawn in the order wq, wk, wv, wo
+        return cls(*(tl.randn(rng, (width, width), std, requires_grad=True)
+                     for _ in range(4)), head_count)
+
+    def named(self, prefix: str) -> dict[str, Tensor]:
+        return {f"{prefix}.wq": self.wq, f"{prefix}.wk": self.wk,
+                f"{prefix}.wv": self.wv, f"{prefix}.wo": self.wo}
+
+
+def self_attention(tokens: Tensor, params: AttentionParams
+                   ) -> tuple[Tensor, np.ndarray]:
+    """Each token set [n, D] or [B, n, D] attends over itself: the output
+    and the weights."""
+    return tl.attention(tokens, None, params.wq, params.wk, params.wv,
+                        params.wo, params.head_count)
+
+
+def cross_attention(memory: Tensor, queries: Tensor, params: AttentionParams
+                    ) -> tuple[Tensor, np.ndarray]:
+    """Queries attend over a separate memory: the output, shaped as the
+    queries, and the weights."""
+    return tl.attention(queries, memory, params.wq, params.wk, params.wv,
+                        params.wo, params.head_count)
+
+
 @dataclass
 class _Block:
     """One post-norm residual attention sublayer: ``layer_norm(x +
@@ -331,8 +392,8 @@ class TaskFusionDecoder:
         d, h = config.width, config.heads
         self.tokens = tl.randn(rng, (TOKEN_COUNT, d), std=0.02,
                                requires_grad=True)
-        self.pe = PositionalEncoding(
-            max(config.frames, config.patches) + 1, d)
+        self._frame_positions = positions(config.frames, d)
+        self._patch_positions = positions(config.patches, d)
         self.layers = [tuple(_Block.init(rng, d, h) for _ in _BLOCK_NAMES)
                        for _ in range(config.layers)]
         out_width = {"oscc": 2, "pnr": config.frames,
@@ -365,7 +426,7 @@ class TaskFusionDecoder:
 
     def _prefix(self, features: ClipFeatures) -> _Prefix:
         """Every op of a pass that reads no keyframe: the per-frame memory
-        h_t [B, T, D] with the position table added, and layer 0's self
+        h_t [B, T, D] with its position rows added, and layer 0's self
         and temporal blocks."""
         cfg = self.config
         if features.width != cfg.width or features.frames != cfg.frames \
@@ -375,7 +436,7 @@ class TaskFusionDecoder:
                 f"{features.patches}, width {features.width}) do not match "
                 f"the decoder's (frames {cfg.frames}, patches {cfg.patches}, "
                 f"width {cfg.width})")
-        h_t = self.pe.encode(features.h_frames)
+        h_t = tl.add(features.h_frames, self._frame_positions)
         z = tl.repeat0(tl.reshape(self.tokens, (1, TOKEN_COUNT, cfg.width)),
                        features.batch)
         return _Prefix(h_t, *self._temporal(self.layers[0], z, h_t))
@@ -397,8 +458,8 @@ class TaskFusionDecoder:
                 prefix: _Prefix | None = None
                 ) -> tuple[Tensor, np.ndarray, list[LayerAttention]]:
         """The decoder layers over the per-frame memory h_t [B, T, D] and
-        the keyframes' spatial memory h_s [B, P, D], each with the position
-        table added: refined tokens [B, 10, D], the keyframes used and each
+        the keyframes' spatial memory h_s [B, P, D], each with its position
+        rows added: refined tokens [B, 10, D], the keyframes used and each
         layer's attention weights. ``prefix`` is this batch's ``_prefix``,
         computed here when None. With ``detection`` False the last layer
         leaves out its detection block, which only the detection heads
@@ -415,7 +476,8 @@ class TaskFusionDecoder:
             if not detection and k == len(self.layers) - 1:
                 return z_t, used, attention
             if h_s is None:  # the first op that reads a keyframe
-                h_s = self.pe.encode(features.keyframe_patches(keyframes))
+                h_s = tl.add(features.keyframe_patches(keyframes),
+                             self._patch_positions)
             z_s, w_s = layer[2](f_s, h_s)
             z = tl.concat([z_t, z_s], axis=1)
             attention.append(LayerAttention(self_attn=w_self, temporal=w_t,

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as tl
-from .attention import AttentionParams, cross_attention, self_attention
-from .decoder import ClipFeatures, DecoderConfig, TaskFusionDecoder
+from .decoder import (AttentionParams, ClipFeatures, DecoderConfig,
+                      TaskFusionDecoder, cross_attention, self_attention)
 from .losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER,
                      iou_giou, joint_loss, make_pnr_target, make_pnr_targets,
                      match_queries, oscc_loss, pnr_loss, scod_loss)

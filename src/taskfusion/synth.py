@@ -34,10 +34,11 @@ straight from the frames' raw patches [B*T, P, F], which it hands over
 as its slabs, and embeds the tokens of a frame and runs its attention
 over them only for a keyframe. The other two need every patch row for
 their patch mean, encode clip by clip, and join the clips' patch rows
-[T, P, D] into their slabs in one concat. Their position tables and
+[T, P, D] into their slabs in one concat. Their position rows and
 pooling indices are built once, for the encoder's frame count; a clip
 may have fewer frames (``embed_frame`` encodes one), not more. The
-encoders drop the attention weights. An encoder keeps
+encoders share the decoder's ``AttentionParams``, ``self_attention`` and
+``positions``, and drop the attention weights. An encoder keeps
 the compute dtype it was built in (``tensor.precision``; float64 unless a
 caller such as ``trainer.build_model`` sets another) and computes its
 features and keyframe patch rows in it, whatever the caller's dtype; the
@@ -55,9 +56,7 @@ import numpy as np
 
 from . import __version__
 from . import tensor as tl
-from .attention import (AttentionParams, PositionalEncoding, linear,
-                        self_attention)
-from .decoder import ClipFeatures
+from .decoder import AttentionParams, ClipFeatures, positions, self_attention
 from .losses import ClipLabels, LabelError, LabeledBox
 from .seeding import derive_seed
 from .tensor import ContractError, ShapeError, Tensor
@@ -444,11 +443,14 @@ class Encoder:
 
     kind: str
 
-    def __init__(self, width: int, frames: int, image: int, patch: int):
-        for name, value in (("width", width), ("frames", frames),
-                            ("image", image), ("patch", patch)):
+    def __init__(self, width: int, heads: int, frames: int, image: int,
+                 patch: int):
+        for name, value in dict(width=width, heads=heads, frames=frames,
+                                image=image, patch=patch).items():
             if value < 1:
                 raise ShapeError(f"{name} must be >= 1, got {value}")
+        if width % heads:
+            raise ShapeError(f"width {width} not divisible by {heads} heads")
         if image % patch:
             raise ShapeError(f"image {image} not divisible by patch {patch}")
         self.width = width
@@ -458,7 +460,6 @@ class Encoder:
         self.grid = image // patch
         self.patches = self.grid * self.grid
         self.patch_dim = patch * patch * 3
-        self.pe = PositionalEncoding(max(self.patches, frames) + 1, width)
         self.dtype = tl.compute_dtype()
 
     def parameters(self) -> dict[str, Tensor]:
@@ -468,7 +469,7 @@ class Encoder:
         """Frame stacks [T, H, W, 3] of B clips -> (h_frames [B, T, D],
         slabs [B*T, S, D']): each frame's summary row, and per frame the
         rows ``_patch_rows`` makes its patch rows from. Here clip by clip,
-        by ``_clip_features``, from tables built for at most ``frames``."""
+        by ``_clip_features``, from rows built for at most ``frames``."""
         if clips[0].shape[0] > self.frames:
             raise ShapeError(f"clips of {clips[0].shape[0]} frames exceed the "
                              f"{self.kind} encoder's {self.frames}")
@@ -480,16 +481,9 @@ class Encoder:
         frames' summary rows and patch rows."""
         raise NotImplementedError
 
-    def _patch_rows(self, slabs: Tensor) -> Tensor:
-        """Frame slabs [B, S, D'] -> their patch rows [B, P, D]; here the
-        slabs already are the patch rows."""
-        return slabs
-
-    def _in_dtype(self, fn, arg):
-        if self.dtype is tl.compute_dtype():
-            return fn(arg)
-        with tl.precision(self.dtype):
-            return fn(arg)
+    # Slabs [B, S, D'] -> patch rows [B, P, D]; None: the slabs are the rows.
+    # It makes no constant, so the rows keep the encoder's dtype.
+    _patch_rows = None
 
     def _forward(self, clips: list[np.ndarray]) -> tuple[Tensor, Tensor]:
         if not clips:
@@ -501,18 +495,16 @@ class Encoder:
         if any(frames.shape != shape for frames in clips):
             raise ShapeError(f"clips of one batch differ in shape: "
                              f"{sorted({f.shape for f in clips})}")
-        return self._in_dtype(self._features, clips)
-
-    def patch_rows(self, slabs: Tensor) -> Tensor:
-        """The patch rows [B, P, D] of frame slabs [B, S, D'] gathered from
-        this encoder's features, computed in its dtype."""
-        return self._in_dtype(self._patch_rows, slabs)
+        if self.dtype is tl.compute_dtype():
+            return self._features(clips)
+        with tl.precision(self.dtype):
+            return self._features(clips)
 
     def encode(self, clips: Sequence[SynthClip]) -> ClipFeatures:
         """Features of a batch of clips, in one call."""
         h_frames, slabs = self._forward([clip.frames for clip in clips])
         return ClipFeatures(h_frames=h_frames, slabs=slabs,
-                            patches=self.patches, patch_rows=self.patch_rows)
+                            patches=self.patches, patch_rows=self._patch_rows)
 
     @tl.no_tape()
     def embed_frame(self, frame: np.ndarray) -> np.ndarray:
@@ -533,13 +525,13 @@ class PerFrameTokenEncoder(Encoder):
     kind = "per_frame_token"
 
     def __init__(self, rng, width=64, heads=2, frames=16, image=32, patch=8):
-        super().__init__(width, frames, image, patch)
+        super().__init__(width, heads, frames, image, patch)
         self.w_patch = tl.randn(rng, (self.patch_dim, width), std=0.02,
                                 requires_grad=True)
         self.b_patch = tl.zeros(width, requires_grad=True)
         self.cls = tl.randn(rng, (1, 1, width), std=0.02, requires_grad=True)
         self.attn = AttentionParams.init(rng, width, heads)
-        self._positions = self.pe.rows(self.patches)  # [P, D], a constant
+        self._positions = positions(self.patches, width)  # [P, D]
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"w_patch": self.w_patch, "b_patch": self.b_patch,
@@ -581,15 +573,15 @@ class ClipTokenEncoder(Encoder):
     kind = "clip_token"
 
     def __init__(self, rng, width=64, heads=2, frames=16, image=32, patch=8):
-        super().__init__(width, frames, image, patch)
+        super().__init__(width, heads, frames, image, patch)
         self.w_patch = tl.randn(rng, (self.patch_dim, width), std=0.02,
                                 requires_grad=True)
         self.b_patch = tl.zeros(width, requires_grad=True)
         self.cls = tl.randn(rng, (1, width), std=0.02, requires_grad=True)
         self.attn = AttentionParams.init(rng, width, heads)
         # space plus time position rows [frames*P, D], frame-major
-        space = self.pe.rows(self.patches).data
-        time = self.pe.rows(frames).data
+        space = positions(self.patches, width).data
+        time = positions(frames, width).data
         self._positions = tl.constant((space[None] + time[:, None]).reshape(
             frames * self.patches, width))
 
@@ -601,9 +593,9 @@ class ClipTokenEncoder(Encoder):
 
     def _clip_features(self, frames: np.ndarray) -> tuple[Tensor, Tensor]:
         t = frames.shape[0]
-        tok = linear(tl.reshape(patch_constant([frames], self.patch),
-                                (t * self.patches, self.patch_dim)),
-                     self.w_patch, self.b_patch)
+        raw = tl.reshape(patch_constant([frames], self.patch),
+                         (t * self.patches, self.patch_dim))
+        tok = tl.add(tl.matmul(raw, self.w_patch), self.b_patch)
         tok = tl.add(tok, tl.narrow(self._positions, 0, 0,
                                     t * self.patches))
         x = tl.concat([self.cls, tok], axis=0)  # [1 + t*P, D]
@@ -620,7 +612,7 @@ class ConvGridEncoder(Encoder):
     kind = "conv_grid"
 
     def __init__(self, rng, width=64, heads=2, frames=16, image=32, patch=8):
-        super().__init__(width, frames, image, patch)
+        super().__init__(width, heads, frames, image, patch)
         # stage 1: k4 s4 over pixels; stage 2: k2 s2 over the stage-1 grid.
         self.grid1 = image // 4
         if self.grid1 % 2:
@@ -653,6 +645,7 @@ class ConvGridEncoder(Encoder):
         self._pool_indices = (g1 * g1 * np.arange(frames)[:, None, None]
                               + corner.reshape(1, -1, 1)
                               + np.array([0, 1, g1, g1 + 1])).reshape(-1)
+        self._positions = positions(self.patches, width)  # [P, D]
 
     def parameters(self) -> dict[str, Tensor]:
         params = {"conv1.w": self.w1, "conv1.b": self.b1,
@@ -667,11 +660,12 @@ class ConvGridEncoder(Encoder):
         t = frames.shape[0]
         cells = tl.reshape(patch_constant([frames], 4),
                            (t * self.grid1 * self.grid1, 48))
-        x = tl.gelu(linear(cells, self.w1, self.b1))
+        x = tl.gelu(tl.add(tl.matmul(cells, self.w1), self.b1))
         x = tl.take0(x, self._pool_indices[:4 * t * self.patches])
         x = tl.reshape(x, (t * self.patches, 4 * CONV_CHANNELS))
-        x = tl.gelu(linear(x, self.w2, self.b2))
-        x = self.pe.encode(tl.reshape(x, (t, self.patches, self.width)))
+        x = tl.gelu(tl.add(tl.matmul(x, self.w2), self.b2))
+        x = tl.add(tl.reshape(x, (t, self.patches, self.width)),
+                   self._positions)
         for lay in self.adapter:
             x = tl.add(x, self_attention(x, lay["attn"])[0])
             flat = tl.reshape(x, (t * self.patches, self.width))

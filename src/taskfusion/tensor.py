@@ -32,8 +32,9 @@ Five ops are fused blocks with hand-written backward rules, each one node
 on the tape: ``softmax``, ``layer_norm``, ``attention`` (node kind
 ``"attention"``: a whole multi-head attention block, from the q/k/v
 projections to the output projection, computing gradients only for the
-inputs that need them; it checks its own inputs, so its callers in
-``attention`` add no checks of their own), ``class_attention`` (node kind
+inputs that need them; it checks its own inputs, so its callers, the
+decoder's ``self_attention`` and ``cross_attention``, add no checks of
+their own), ``class_attention`` (node kind
 ``"class_attention"``: the class rows of N frames from their raw patches,
 a patch embedding plus an attention block whose one query is a shared
 class token, with the key and value projections absorbed into it) and

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from taskfusion import tensor as tl
-from taskfusion.attention import (AttentionParams, PositionalEncoding,
-                                  cross_attention, linear, self_attention)
+from taskfusion.decoder import (AttentionParams, cross_attention, positions,
+                                self_attention)
 from taskfusion.seeding import rng_for
 from taskfusion.tensor import ContractError, ShapeError, backward, grad_check
 
@@ -111,57 +111,50 @@ def test_attention_blocks_pass_grad_check():
 
 
 def test_attention_errors():
-    with pytest.raises(ShapeError):
-        AttentionParams.init(rng_for(19, "x"), 10, 4)  # 10 % 4 != 0
+    """The op checks the block's weights and head count at every call:
+    holding them in ``AttentionParams`` checks nothing."""
+    tokens = tl.constant(np.zeros((2, 10)))
+    for heads in (4, 0):  # 10 % 4 != 0, and no heads at all
+        params = AttentionParams.init(rng_for(19, "x"), 10, heads)
+        with pytest.raises(ShapeError, match=f"by {heads} heads"):
+            self_attention(tokens, params)
     params = _params(20)
+    wide = AttentionParams(params.wq, params.wk, params.wv,
+                           tl.tensor(np.zeros((8, 6))), params.head_count)
+    with pytest.raises(ShapeError, match="weights"):
+        self_attention(tl.constant(np.zeros((2, 8))), wide)  # wo not [8, 8]
     with pytest.raises(ContractError):
         cross_attention(tl.constant(np.zeros((0, 8))),
                         tl.constant(np.zeros((2, 8))), params)
 
 
 def test_positional_table_bounds_and_determinism():
-    pe = PositionalEncoding(32, 16)
-    assert np.all(pe.table.data <= 1.0) and np.all(pe.table.data >= -1.0)
-    pe2 = PositionalEncoding(32, 16)
-    assert np.array_equal(pe.table.data, pe2.table.data)
+    rows = positions(32, 16)
+    assert rows.shape == (32, 16) and not rows.requires_grad
+    assert np.all(rows.data <= 1.0) and np.all(rows.data >= -1.0)
+    assert np.array_equal(rows.data, positions(32, 16).data)
 
 
-def test_positional_encode_zero_features_yields_table_rows():
-    pe = PositionalEncoding(16, 8)
-    out = pe.encode(tl.constant(np.zeros((4, 8))))
-    assert np.array_equal(out.data, pe.table.data[:4])
+def test_positions_for_fewer_rows_are_the_first_rows_for_more():
+    """Each entry depends only on its row and column, so every consumer may
+    build just the rows it adds, in either dtype; the sin/cos pairs start
+    at (0, 1)."""
+    for dtype in ("float64", "float32"):
+        with tl.precision(dtype):
+            rows = positions(64, 8).data
+            assert rows.dtype == np.dtype(dtype)
+            for n in (1, 4, 17, 63):
+                assert np.array_equal(positions(n, 8).data, rows[:n]), n
+        assert np.array_equal(rows[0], np.tile([0.0, 1.0], 4))
+    with pytest.raises(ShapeError, match="even width"):
+        positions(4, 7)
 
 
 def test_positional_rows_injective():
-    pe = PositionalEncoding(64, 8)
-    rows = pe.table.data
+    rows = positions(64, 8).data
     for i in range(64):
         for j in range(i + 1, 64):
             assert not np.array_equal(rows[i], rows[j]), (i, j)
-
-
-def test_positional_encode_additivity():
-    pe = PositionalEncoding(16, 8)
-    rng = rng_for(21, "pe")
-    x = tl.constant(rng.standard_normal((5, 8)))
-    once = pe.encode(x)
-    twice = pe.encode(once)
-    assert np.allclose(twice.data - once.data, pe.table.data[:5], atol=0)
-
-
-def test_positional_encode_range_overflow():
-    pe = PositionalEncoding(8, 8)
-    with pytest.raises(ShapeError):
-        pe.encode(tl.constant(np.zeros((9, 8))))
-
-
-def test_linear_bias_tiling():
-    rng = rng_for(22, "lin")
-    x = tl.constant(rng.standard_normal((3, 4)))
-    w = tl.constant(rng.standard_normal((4, 2)))
-    b = tl.constant(np.array([10.0, -5.0]))
-    out = linear(x, w, b).data
-    assert np.allclose(out, x.data @ w.data + b.data)
 
 
 def test_batched_attention_matches_per_item_calls():

@@ -548,6 +548,21 @@ def test_bc_train_refuses_a_bad_lr_and_writes_nothing(work, capsys, lr):
     assert not policy.exists()
 
 
+@pytest.mark.parametrize("flag", ["--enc-heads", "--dec-heads"])
+def test_train_refuses_heads_that_do_not_divide_the_width(work, tmp_path,
+                                                          capsys, flag):
+    """3 heads cannot split width 16: building the model refuses it, in
+    one error line, before any file is written."""
+    capsys.readouterr()
+    assert cli.main(["train", "--data", str(work / "data"), "--out-checkpoint",
+                     str(tmp_path / "m.ckpt"), "--log",
+                     str(tmp_path / "l.csv"), "--steps", "1", *MODEL_FLAGS,
+                     flag, "3"]) == 2
+    assert capsys.readouterr().err == ("error in train: width 16 not "
+                                       "divisible by 3 heads\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("tol", NON_POSITIVE_OR_NON_FINITE)
 def test_gradcheck_refuses_a_bad_tol_and_reports_nothing(capsys, tol):
     assert cli.main(["gradcheck", "--tol", tol]) == 2
@@ -555,6 +570,57 @@ def test_gradcheck_refuses_a_bad_tol_and_reports_nothing(capsys, tol):
     assert out == ""
     assert (f"error in gradcheck: grad_check: tol must be finite and > 0, "
             f"got {float(tol)}" in err)
+
+
+def test_gradcheck_reports_each_check_and_exits_2_on_a_failure(monkeypatch,
+                                                               capsys):
+    """The report loop over a stand-in audit of one passing and one
+    failing check: a line for each, the summary, and exit 2."""
+    def report(passed, error):
+        return tl.GradCheckReport([tl.GradCheckEntry("x", error, passed)],
+                                  tol=1e-4)
+
+    monkeypatch.setattr(cli, "run_gradcheck", lambda seed, tol, eps: [
+        ("good", report(True, 1e-9)), ("bad", report(False, 0.5))])
+    assert cli.main(["gradcheck"]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["PASS good max_rel_err=1.000e-09",
+                                "FAIL bad max_rel_err=5.000e-01",
+                                "1/2 checks passed (tol 0.0001)"]
+    assert err == "error in gradcheck: 1 gradient checks failed\n"
+
+
+def test_export_embeddings_writes_every_frames_summary_row(work, capsys):
+    """A row per frame of every clip: its seed, frame, state-change tag
+    and the model encoder's summary row, bit for bit, under a header
+    that carries the checkpoint's description."""
+    out = work / "embeddings.csv"
+    capsys.readouterr()
+    assert cli.main(["export-embeddings", "--data", str(work / "data"),
+                     "--checkpoint", str(work / "model.ckpt"), "--out",
+                     str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 32 embedding rows to {out}\n"
+    model = load_model(work / "model.ckpt")
+    assert _csv_header(out)["checkpoint"] == model.store.description
+    lines = out.read_text().splitlines()
+    assert lines[1] == ",".join(["clip_seed", "frame", "tag"]
+                                + [f"e{i}" for i in range(16)])
+    rows = iter(csv.reader(lines[2:]))
+    tags = set()
+    for record in read_dataset(work / "data"):
+        clip = record.clip()
+        h_frames = model.encoder.encode([clip]).h_frames.data[0]
+        labels = clip.labels
+        for frame in range(4):
+            tag = ("none" if not labels.state_change else
+                   "before" if frame < labels.pnr_frame else "after")
+            seed, row_frame, row_tag, *values = next(rows)
+            assert (int(seed), int(row_frame), row_tag) == (record.seed,
+                                                            frame, tag)
+            assert [float(v) for v in values] == h_frames[frame].tolist()
+            tags.add(tag)
+    assert next(rows, None) is None
+    assert tags == {"none", "before", "after"}
 
 
 def test_model_flags_on_eval_are_a_usage_error(work, capsys):

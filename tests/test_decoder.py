@@ -5,9 +5,8 @@ import pytest
 
 from taskfusion import decoder as decoder_module
 from taskfusion import tensor as tl
-from taskfusion.attention import AttentionParams, PositionalEncoding
 from taskfusion.decoder import (ClipFeatures, DecoderConfig,
-                                TaskFusionDecoder, TOKEN_COUNT)
+                                TaskFusionDecoder, TOKEN_COUNT, positions)
 from taskfusion.losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER,
                                joint_loss, make_pnr_targets, oscc_loss,
                                pnr_loss, scod_loss)
@@ -52,33 +51,30 @@ def _labels(frame=2):
 
 
 def test_temporal_memory_per_frame_adds_positions():
-    pe = PositionalEncoding(T + 1, D)
     feats = _features(1)
-    h_t = pe.encode(feats.h_frames)  # as a decode makes it
+    h_t = _decoder(1)._prefix(feats).h_t  # the memory a decode reads
     delta = h_t.data - feats.h_frames.data
-    assert np.allclose(delta, pe.table.data[:T], atol=0)
+    assert np.allclose(delta, positions(T, D).data, atol=0)
 
 
 def test_temporal_memory_zero_cls_is_position_table():
-    pe = PositionalEncoding(T + 1, D)
     feats = _from_patches(np.zeros((1, T, D)), np.zeros((1, T, P, D)))
-    h_t = pe.encode(feats.h_frames)  # as a decode makes it
-    assert np.array_equal(h_t.data[0], pe.table.data[:T])
+    h_t = _decoder(1)._prefix(feats).h_t  # the memory a decode reads
+    assert np.array_equal(h_t.data[0], positions(T, D).data)
 
 
 def test_temporal_memory_clip_level_pools_patches():
     # encoders without per-frame class rows summarize a frame by its patch
     # mean, and that row is the frame's temporal memory
-    pe = PositionalEncoding(T + 1, D)
     clip = generate_clip(2, ClipConfig(frames=T, height=16, width=16))
     for kind in ("clip_token", "conv_grid"):
         enc = build_encoder(kind, rng_for(2, "pool"), width=D, heads=2,
                             frames=T, image=16, patch=8)
         feats = enc.encode([clip])
-        h_t = pe.encode(feats.h_frames)  # as a decode makes it
+        h_t = _decoder(2)._prefix(feats).h_t  # the memory a decode reads
         patches = np.stack([feats.keyframe_patches(np.array([k])).data[0]
                             for k in range(T)])
-        expected = patches.mean(axis=1) + pe.table.data[:T]
+        expected = patches.mean(axis=1) + positions(T, D).data
         assert np.allclose(h_t.data[0], expected, atol=1e-15), kind
 
 
@@ -98,13 +94,13 @@ def test_keyframe_patches_gather_every_clip_in_one_take0(recorded_nodes):
 
 
 def test_select_keyframe_train_uses_label():
-    pe = PositionalEncoding(P + 1, D)
     feats = _features(3, batch=2)
-    h_s = pe.encode(feats.keyframe_patches([2, 0]))
+    h_s = tl.add(feats.keyframe_patches([2, 0]), positions(P, D))
     assert list(_decoder(3).decode(feats, [2, 0]).keyframes) == [2, 0]
     for b, k in enumerate([2, 0]):
         assert np.allclose(h_s.data[b],
-                           _patches(feats)[b, k] + pe.table.data[:P], atol=0)
+                           _patches(feats)[b, k] + positions(P, D).data,
+                           atol=0)
 
 
 def test_select_keyframe_no_change_uses_mid_frame():
@@ -425,14 +421,12 @@ SIZES_BELOW_1 = [
     (lambda: DecoderConfig(width=0), "width must be >= 1, got 0"),
     (lambda: DecoderConfig(patches=-1), "patches must be >= 1, got -1"),
     (lambda: DecoderConfig(mlp_hidden=0), "mlp_hidden must be >= 1, got 0"),
-    (lambda: AttentionParams.init(rng_for(0, "a"), 8, 0),
-     "head_count must be >= 1, got 0"),
     (lambda: build_encoder("per_frame_token", rng_for(0, "e"), patch=0),
      "patch must be >= 1, got 0"),
     (lambda: build_encoder("conv_grid", rng_for(0, "e"), width=0),
      "width must be >= 1, got 0"),
     (lambda: build_encoder("clip_token", rng_for(0, "e"), heads=0),
-     "head_count must be >= 1, got 0"),
+     "heads must be >= 1, got 0"),
     (lambda: build_encoder("clip_token", rng_for(0, "e"), image=-32),
      "image must be >= 1, got -32"),
 ]
@@ -440,11 +434,21 @@ SIZES_BELOW_1 = [
 
 @pytest.mark.parametrize("build, message", SIZES_BELOW_1, ids=[
     "decoder_heads", "decoder_width", "decoder_patches", "decoder_mlp_hidden",
-    "attention_heads", "per_frame_token_patch", "conv_grid_width",
+    "per_frame_token_patch", "conv_grid_width",
     "clip_token_heads", "clip_token_image"])
 def test_a_size_below_1_is_a_shape_error_naming_its_field(build, message):
     with pytest.raises(ShapeError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("kind", ["per_frame_token", "clip_token",
+                                  "conv_grid"])
+def test_an_encoder_refuses_heads_that_do_not_divide_its_width(kind):
+    """Building the encoder is where a head count its attention blocks
+    cannot split the width into is refused, before any draw."""
+    with pytest.raises(ShapeError, match="^width 16 not divisible by 3 "
+                                         "heads$"):
+        build_encoder(kind, rng_for(0, "e"), width=16, heads=3)
 
 
 def test_slabs_of_another_width_need_patch_rows():

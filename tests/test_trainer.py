@@ -7,8 +7,8 @@ import pytest
 
 from taskfusion import tensor as tl
 from taskfusion import trainer
-from taskfusion.attention import linear, self_attention
-from taskfusion.decoder import ClipFeatures, TaskFusionDecoder
+from taskfusion.decoder import (ClipFeatures, TaskFusionDecoder, positions,
+                                self_attention)
 from taskfusion.losses import TASK_ORDER, joint_loss
 from taskfusion.seeding import rng_for
 from taskfusion.synth import (ClipConfig, ClipRecord, generate_clip,
@@ -271,6 +271,43 @@ def test_non_finite_predictions_abort_with_the_step_and_clip(monkeypatch,
                                f"seed {records[2].seed})")
 
 
+def _edit_built_model(monkeypatch, edit):
+    """``train`` builds its model through ``trainer.build_model``; ``edit``
+    changes each model built before the first step."""
+    build = trainer.build_model
+
+    def edited(*args, **kwargs):
+        model = build(*args, **kwargs)
+        edit(model)
+        return model
+
+    monkeypatch.setattr(trainer, "build_model", edited)
+
+
+def _oscc_logits_at_3e38(model):
+    head = model.decoder.heads["oscc"]
+    head.w2.data[...] = 0.0
+    head.b2.data[...] = [3e38, -3e38]
+
+
+@pytest.mark.parametrize("edit, what", [
+    # exp(200) overflows float32: a finite loss times an infinite weight
+    (lambda model: model.sigma.s.data.fill(-200.0), "joint loss"),
+    # finite logits 6e38 apart: the log-softmax of the low one overflows
+    (_oscc_logits_at_3e38, "oscc loss"),
+], ids=["joint", "oscc"])
+def test_a_non_finite_loss_of_finite_predictions_aborts_training(
+        monkeypatch, edit, what):
+    """The loss-level checks, reached with finite predictions in float32;
+    the predictions check before them passes."""
+    _edit_built_model(monkeypatch, edit)
+    with np.errstate(all="ignore"), \
+            pytest.raises(trainer.TrainingAbort) as info:
+        trainer.train(_records(), _config(steps=2))
+    assert (info.value.step, info.value.what) == (1, what)
+    assert str(info.value).startswith(f"non-finite {what} at step 1 (")
+
+
 def _tape_nodes(loss):
     nodes, stack = {}, [loss]
     while stack:
@@ -497,10 +534,10 @@ def _full_attention_features(encoder, clip):
     token of every frame makes them: h_frames [1, T, D] and the patch rows
     of every frame [1, T, P, D]."""
     t, p, d = clip.frames.shape[0], encoder.patches, encoder.width
-    tok = linear(tl.reshape(patch_constant([clip.frames], encoder.patch),
-                            (t * p, encoder.patch_dim)),
-                 encoder.w_patch, encoder.b_patch)
-    tok = encoder.pe.encode(tl.reshape(tok, (t, p, d)))
+    raw = tl.reshape(patch_constant([clip.frames], encoder.patch),
+                     (t * p, encoder.patch_dim))
+    tok = tl.add(tl.matmul(raw, encoder.w_patch), encoder.b_patch)
+    tok = tl.add(tl.reshape(tok, (t, p, d)), positions(p, d))
     x = tl.concat([tl.repeat0(encoder.cls, t), tok], axis=1)
     out = tl.add(x, self_attention(x, encoder.attn)[0])
     return (tl.reshape(tl.narrow(out, 1, 0, 1), (1, t, d)),
