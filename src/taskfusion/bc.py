@@ -11,11 +11,14 @@ is one ``tensor.mlp`` op, one tape node; with the loss a training step
 records five, and one Adam update moves all four parameter tensors.
 Every environment call but ``reset`` needs a reset first.
 
-Scene rendering reuses the synthetic-clip palette (the cube is drawn as
-the object, the gripper as the hand) so a fine-tuned encoder sees
-familiar pixels.
+Scene rendering reuses the synthetic-clip palette and backdrop (the
+cube is drawn as the object, the gripper as the hand) so a fine-tuned
+encoder sees familiar pixels.
 Demo files store the env config and the demo seeds; reading one re-runs
-the expert on each seed.
+the expert on each seed. ``save_policy`` and ``load_policy`` own the
+policy checkpoint: the ``policy.*`` parameters, the encoder's ``enc.*``
+parameters as the model checkpoint names them, that checkpoint's
+description (``model``) and the env config of the demos (``env``).
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ import numpy as np
 
 from . import tensor as tl
 from .seeding import derive_seed, rng_for
-from .synth import (BACKGROUND_LEVEL, HAND_COLOR, OBJECT_COLOR_AFTER,
-                    DatasetError, box_to_rect, check_json_types, draw_rect)
+from .synth import (HAND_COLOR, OBJECT_COLOR_AFTER, DatasetError, Encoder,
+                    backdrop, box_to_rect, check_seeds, config_from_json,
+                    draw_rect)
 from .tensor import ContractError, Tensor, backward
-from .trainer import AdamState, ParamStore, adam_step, load_described
+from .trainer import (AdamState, CheckpointError, ModelBundle, ParamStore,
+                      adam_step, load_described, model_from_description,
+                      save_checkpoint)
 
 TARGET_COLOR = np.array([0.20, 0.35, 0.95])
 
@@ -76,9 +82,7 @@ class ToyEnv:
     def reset(self, seed: int) -> EnvState:
         cfg = self.config
         rng = np.random.Generator(np.random.PCG64(seed))
-        bg = BACKGROUND_LEVEL + rng.uniform(-cfg.noise, cfg.noise,
-                                            size=(cfg.image, cfg.image, 3))
-        self._background = np.clip(bg, 0.0, 1.0)
+        self._background = backdrop(rng, cfg.image, cfg.image, cfg.noise)
         while True:
             cube = rng.uniform(0.3, 0.7, size=2)
             target = rng.uniform(0.3, 0.7, size=2)
@@ -270,9 +274,9 @@ def read_demos(path) -> tuple[ToyEnvConfig, list[Demo]]:
     lineno, line = records[0]
     try:
         raw = json.loads(line)
-        env, seeds = raw["env"], raw["seeds"]
-        check_json_types(ToyEnvConfig, env, seeds, "env")
-        cfg = ToyEnvConfig(**env)
+        cfg = config_from_json(ToyEnvConfig, raw["env"], "env")
+        seeds = raw["seeds"]
+        check_seeds(seeds)
     except (json.JSONDecodeError, KeyError, TypeError, ContractError) as e:
         raise DatasetError(f"line {lineno}: {e!r}") from None
     env = ToyEnv(cfg)
@@ -285,13 +289,7 @@ def read_demos(path) -> tuple[ToyEnvConfig, list[Demo]]:
 
 @dataclass
 class Policy:
-    """Two-layer MLP from [embedding (+ proprio)] to a (dx, dy) action.
-
-    ``encoder`` records the encoder the policy was trained on, None if
-    unknown; the CLI's ``bc-train`` sets it to the model checkpoint's
-    description and a sha256 of its ``enc.*`` payload, and the policy's
-    checkpoint keeps it.
-    """
+    """Two-layer MLP from [embedding (+ proprio)] to a (dx, dy) action."""
 
     w1: Tensor
     b1: Tensor
@@ -299,7 +297,6 @@ class Policy:
     b2: Tensor
     use_proprio: bool
     max_step: float
-    encoder: dict | None = None
 
     @classmethod
     def init(cls, rng: np.random.Generator, embed_dim: int, hidden: int = 64,
@@ -325,8 +322,7 @@ class Policy:
     def store(self) -> ParamStore:
         s = ParamStore({"kind": "policy", "embed_dim": self.embed_dim,
                         "hidden": self.w1.shape[1], "max_step": self.max_step,
-                        "use_proprio": self.use_proprio,
-                        "encoder": self.encoder})
+                        "use_proprio": self.use_proprio})
         s.add_module("policy", self.parameters())
         return s
 
@@ -346,15 +342,33 @@ class Policy:
         return actor
 
 
-def load_policy(path) -> Policy:
-    """Rebuild the policy a checkpoint describes, then load its values."""
+def save_policy(path, policy: Policy, model: ModelBundle,
+                env_cfg: ToyEnvConfig) -> None:
+    """Write ``policy`` with the encoder of ``model`` it acts on and the
+    env config of the demos it learned from."""
+    store = policy.store()
+    store.description.update(model=model.store.description,
+                             env=asdict(env_cfg))
+    store.add_module("enc", model.encoder.parameters())
+    save_checkpoint(store, path)
+
+
+def load_policy(path) -> tuple[Policy, Encoder, ToyEnvConfig, dict]:
+    """The policy a ``save_policy`` file holds, its encoder, its env config
+    and the file's description."""
     def build(desc):
+        if "model" not in desc or "env" not in desc:
+            raise CheckpointError(f"{path} holds no encoder and env, as "
+                                  "policy files of earlier versions; re-run "
+                                  "bc-train to write one that does")
+        env_cfg = config_from_json(ToyEnvConfig, desc["env"], "env")
+        encoder = model_from_description(desc["model"]).encoder
         policy = Policy.init(np.random.default_rng(0), desc["embed_dim"],
-                             hidden=desc["hidden"],
-                             use_proprio=desc["use_proprio"],
-                             max_step=desc["max_step"])
-        policy.encoder = desc.get("encoder")
-        return policy, policy.store()
+                             desc["hidden"], desc["use_proprio"],
+                             desc["max_step"])
+        store = policy.store()
+        store.add_module("enc", encoder.parameters())
+        return (policy, encoder, env_cfg, desc), store
     return load_described(path, "policy", build)
 
 
@@ -422,36 +436,35 @@ def bc_eval(actor, episodes: int, seed: int,
 @dataclass
 class CompareReport:
     tuned_rate: float
-    random_rate: float
+    baseline_rate: float
     tuned_per_seed: list[float] = field(default_factory=list)
-    random_per_seed: list[float] = field(default_factory=list)
+    baseline_per_seed: list[float] = field(default_factory=list)
 
     @property
     def gap(self) -> float:
-        return self.tuned_rate - self.random_rate
+        return self.tuned_rate - self.baseline_rate
 
 
-def compare_representations(tuned_embed, random_embed, demos: list[Demo],
+def compare_representations(tuned_embed, baseline_embed, demos: list[Demo],
                             bc_steps: int, seeds: list[int], episodes: int,
-                            env_cfg: ToyEnvConfig | None = None,
+                            env_cfg: ToyEnvConfig,
                             use_proprio: bool = True) -> CompareReport:
     """A/B the two frozen embeddings under the identical BC protocol:
     same demos, per-seed policy training, paired evaluation episodes."""
     if not seeds:
         raise ContractError("need at least one BC seed")
-    cfg = env_cfg or ToyEnvConfig()
-    results: dict[str, list[float]] = {"tuned": [], "random": []}
-    for name, embed in (("tuned", tuned_embed), ("random", random_embed)):
+    results: dict[str, list[float]] = {"tuned": [], "baseline": []}
+    for name, embed in (("tuned", tuned_embed), ("baseline", baseline_embed)):
         for s in seeds:
             policy, _ = bc_train(demos, embed, steps=bc_steps, seed=s,
                                  use_proprio=use_proprio,
-                                 max_step=cfg.max_step)
+                                 max_step=env_cfg.max_step)
             rate = bc_eval(policy.as_actor(embed), episodes,
-                           derive_seed(s, "bc-eval"), cfg)
+                           derive_seed(s, "bc-eval"), env_cfg)
             results[name].append(rate)
     return CompareReport(
         tuned_rate=float(np.mean(results["tuned"])),
-        random_rate=float(np.mean(results["random"])),
+        baseline_rate=float(np.mean(results["baseline"])),
         tuned_per_seed=results["tuned"],
-        random_per_seed=results["random"],
+        baseline_per_seed=results["baseline"],
     )

@@ -8,13 +8,16 @@ command that produced them. Exit codes: 0 success, 1 usage error,
 Checkpoints describe themselves: a JSON header line {"format":
 "taskfusion-checkpoint/1", "description", "params"}, then the payload,
 little-endian float64 whatever the model's compute dtype. ``eval``,
-``dump-attention``, ``export-embeddings``, ``bc-train``, ``bc-eval`` and
-``bc-compare`` rebuild the model from that description, so they take no
-model flags, ``--frames`` or ``--env-image``, and their CSVs carry it.
-For random-init BC features, use ``train --steps 0 --seed S``.
-``bc-compare`` A/Bs the frozen encoders of two model checkpoints,
-``--checkpoint`` against ``--baseline-checkpoint``, under one BC protocol
-(the same demos and BC seeds, both from its ``--seed``), and its header
+``dump-attention``, ``export-embeddings``, ``bc-train`` and ``bc-compare``
+rebuild the model from that description, so they take no model flags,
+``--frames`` or ``--env-image``, and their CSVs carry it. For random-init
+BC features, use ``train --steps 0 --seed S``. ``bc-train`` and
+``bc-compare`` take the env from their ``--demos`` file. ``bc-train``
+writes a policy checkpoint that holds the policy, the model's ``enc.*``
+parameters and description, and the demos' env config, so ``bc-eval``
+takes only ``--policy``. ``bc-compare`` A/Bs the frozen encoders of two
+model checkpoints, ``--checkpoint`` against ``--baseline-checkpoint``,
+under one BC protocol (the same demos and BC seeds), and its header
 carries both descriptions. With ``train --steps 0 --seed S`` as the
 baseline and a model trained with the same ``--seed S``, the baseline is
 the exact encoder the fine-tuned one started from.
@@ -22,26 +25,21 @@ the exact encoder the fine-tuned one started from.
 ``train`` builds and trains the model in float32, the default compute
 dtype of ``TrainConfig``. The description records the dtype, and every
 other subcommand runs the model in it; a description without one is
-float64. ``gradcheck`` always runs in float64. A policy checkpoint
-records the model checkpoint's description and a sha256 of its encoder
-payload, and ``bc-eval`` refuses a model checkpoint whose encoder
-differs from it.
+float64. ``gradcheck`` always runs in float64.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import sys
-
-import numpy as np
 
 from . import tensor as tl
 from .assignment import AssignmentError
 from .bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
-                 compare_representations, load_policy, read_demos, write_demos)
+                 compare_representations, load_policy, read_demos,
+                 save_policy, write_demos)
 from .gradcheck import run_gradcheck
 from .seeding import derive_seed
 from .synth import (ARTIFACT_VERSION, ClipConfig, DatasetError, ENCODER_KINDS,
@@ -216,80 +214,35 @@ def cmd_bc_demos(args) -> int:
     return 0
 
 
+def _demos_for(path, encoder):
+    """A demo file's env config and demos, rendered at ``encoder``'s size."""
+    env_cfg, demos = read_demos(path)
+    if env_cfg.image != encoder.image:
+        raise DatasetError(f"demos are rendered at {env_cfg.image} px; the "
+                           f"checkpoint's encoder takes {encoder.image} px")
+    return env_cfg, demos
+
+
 def cmd_bc_train(args) -> int:
     model = load_model(args.checkpoint)
-    env_cfg, demos = read_demos(args.demos)
-    if env_cfg.image != model.encoder.image:
-        raise DatasetError(f"demos are rendered at {env_cfg.image} px; the "
-                           f"checkpoint's encoder takes {model.encoder.image} "
-                           "px")
+    env_cfg, demos = _demos_for(args.demos, model.encoder)
     policy, log = bc_train(demos, model.encoder.embed_frame,
                            steps=args.bc_steps, seed=args.seed, lr=args.bc_lr,
                            use_proprio=(args.proprio == "on"),
                            max_step=env_cfg.max_step)
-    policy.encoder = _encoder_record(model)
-    save_checkpoint(policy.store(), args.out_policy)
+    save_policy(args.out_policy, policy, model, env_cfg)
     print(f"bc-train: {args.bc_steps} steps, final loss {log[-1]:.6f}, "
           f"policy {args.out_policy}")
     return 0
 
 
-def _encoder_record(model) -> dict:
-    """What a policy records of its encoder: the model checkpoint's
-    description and a sha256 of the checkpoint payload of its ``enc.*``
-    parameters."""
-    h = hashlib.sha256()
-    for name, t in model.store.items():
-        if name.startswith("enc."):
-            h.update(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
-    return {"checkpoint": model.store.description, "sha256": h.hexdigest()}
-
-
-# The model config fields that fix the encoder's layout and dtype; its
-# values are compared through the payload digest. The other fields (tasks,
-# decoder, optimiser, steps) may differ.
-_ENCODER_FIELDS = ("encoder", "width", "enc_heads", "patch", "dtype")
-
-
-def _encoder_identity(record) -> dict | None:
-    """What fixes the encoder in a record from ``_encoder_record``: its
-    config fields, the clip size and the payload digest; None when the
-    record lacks them."""
-    try:
-        desc = record["checkpoint"]
-        cfg = {"dtype": "float64", **desc["config"]}
-        return {**{k: cfg[k] for k in _ENCODER_FIELDS},
-                "frames": desc["frames"], "image": desc["image"],
-                "sha256": record["sha256"]}
-    except (KeyError, TypeError):
-        return None
-
-
 def cmd_bc_eval(args) -> int:
-    model = load_model(args.checkpoint)
-    policy = load_policy(args.policy)
-    want = _encoder_identity(policy.encoder)
-    found = _encoder_identity(_encoder_record(model))
-    if want is None:
-        raise CheckpointError(f"the policy records no encoder; the "
-                              f"checkpoint holds {found}")
-    if want != found:
-        differ = ", ".join(f"{k} {want[k]} (policy) != {found[k]} "
-                           f"(checkpoint)" for k in want if want[k] != found[k])
-        raise CheckpointError(f"the policy was trained on another encoder "
-                              f"than the checkpoint holds: {differ}")
-    enc = model.encoder
-    if policy.embed_dim != enc.width:
-        raise CheckpointError(f"policy takes {policy.embed_dim}-dim "
-                              f"embeddings; the encoder gives {enc.width}")
-    cfg = ToyEnvConfig(horizon=args.horizon, image=enc.image)
-    rate = bc_eval(policy.as_actor(enc.embed_frame), args.episodes, args.seed,
-                   cfg)
+    policy, encoder, env_cfg, description = load_policy(args.policy)
+    rate = bc_eval(policy.as_actor(encoder.embed_frame), args.episodes,
+                   args.seed, env_cfg)
     if args.out:
         _write_csv(args.out, args, ["seed", "episodes", "success_rate"],
-                   [[args.seed, args.episodes, rate]],
-                   checkpoint=model.store.description,
-                   policy=policy.store().description)
+                   [[args.seed, args.episodes, rate]], policy=description)
     print(f"success_rate,{rate}")
     return 0
 
@@ -302,27 +255,25 @@ def cmd_bc_compare(args) -> int:
         raise CheckpointError(f"--checkpoint takes {image} px frames and "
                               f"--baseline-checkpoint {baseline.encoder.image}"
                               " px; the env renders at one size")
-    cfg = ToyEnvConfig(horizon=args.horizon, image=image)
-    demos = collect_demos(args.demo_count, derive_seed(args.seed, "demos"),
-                          cfg)
+    env_cfg, demos = _demos_for(args.demos, tuned.encoder)
     seeds = [derive_seed(args.seed, "bc-seed", i)
              for i in range(args.bc_seeds)]
     report = compare_representations(
         tuned.encoder.embed_frame, baseline.encoder.embed_frame, demos,
         bc_steps=args.bc_steps, seeds=seeds, episodes=args.episodes,
-        env_cfg=cfg, use_proprio=(args.proprio == "on"))
+        env_cfg=env_cfg, use_proprio=(args.proprio == "on"))
     if args.out:
         _write_csv(args.out, args,
                    ["representation", "mean_success", "per_seed"],
                    [["checkpoint", report.tuned_rate,
                      ";".join(f"{r:.3f}" for r in report.tuned_per_seed)],
-                    ["baseline_checkpoint", report.random_rate,
-                     ";".join(f"{r:.3f}" for r in report.random_per_seed)],
+                    ["baseline_checkpoint", report.baseline_rate,
+                     ";".join(f"{r:.3f}" for r in report.baseline_per_seed)],
                     ["gap", report.gap, ""]],
                    checkpoint=tuned.store.description,
                    baseline_checkpoint=baseline.store.description)
     print(f"checkpoint_success,{report.tuned_rate}")
-    print(f"baseline_checkpoint_success,{report.random_rate}")
+    print(f"baseline_checkpoint_success,{report.baseline_rate}")
     print(f"gap,{report.gap}")
     return 0
 
@@ -413,13 +364,12 @@ def build_parser() -> _Parser:
     p.add_argument("--proprio", choices=("on", "off"), default="on")
     p.set_defaults(func=cmd_bc_train)
 
-    p = sub.add_parser("bc-eval", help="success rate of a trained policy")
+    p = sub.add_parser("bc-eval", help="success rate of a trained policy "
+                                       "in the env of its demos")
     p.add_argument("--policy", required=True)
-    p.add_argument("--checkpoint", required=True, help="the policy's model")
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.add_argument("--horizon", type=int, default=50)
     p.set_defaults(func=cmd_bc_eval)
 
     p = sub.add_parser("bc-compare",
@@ -431,12 +381,11 @@ def build_parser() -> _Parser:
                    help="model checkpoint to compare against; for "
                         "random-init, train --steps 0 with the fine-tuned "
                         "model's --seed")
+    p.add_argument("--demos", required=True, help="demo file from bc-demos")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--demo-count", type=int, default=25)
     p.add_argument("--bc-steps", type=int, default=2000)
     p.add_argument("--bc-seeds", type=int, default=3)
     p.add_argument("--episodes", type=int, default=100)
-    p.add_argument("--horizon", type=int, default=50)
     p.add_argument("--proprio", choices=("on", "off"), default="on")
     p.add_argument("--out")
     p.set_defaults(func=cmd_bc_compare)

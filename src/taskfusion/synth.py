@@ -180,10 +180,12 @@ def _rects_clear(a, b, gap: int):
             | (ay + ah + gap <= by) | (by + bh + gap <= ay))
 
 
-def _backdrop(rng: np.random.Generator, cfg: ClipConfig) -> np.ndarray:
-    """The static noisy backdrop [H, W, 3]: a seed's first draw."""
-    noise = rng.uniform(-cfg.noise, cfg.noise, size=(cfg.height, cfg.width, 3))
-    return np.clip(BACKGROUND_LEVEL + noise, 0.0, 1.0)
+def backdrop(rng: np.random.Generator, height: int, width: int,
+             noise: float) -> np.ndarray:
+    """The static noisy backdrop [H, W, 3]: a seed's first draw, for clips
+    and for the BC env's scenes."""
+    draws = rng.uniform(-noise, noise, size=(height, width, 3))
+    return np.clip(BACKGROUND_LEVEL + draws, 0.0, 1.0)
 
 
 def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
@@ -287,7 +289,7 @@ def generate_clip(seed: int, config: ClipConfig | None = None) -> SynthClip:
     """Deterministically render one clip; identical for identical seeds."""
     cfg = config or ClipConfig()
     rng = np.random.Generator(np.random.PCG64(seed))
-    background = _backdrop(rng, cfg)
+    background = backdrop(rng, cfg.height, cfg.width, cfg.noise)
     script = _make_script(rng, cfg)
     return SynthClip(frames=_render(background, script, cfg),
                      labels=script.labels, seed=int(seed), config=cfg)
@@ -324,10 +326,11 @@ class ClipRecord:
             self._seeded = rng, rng.bit_generator.state
         rng, state = self._seeded
         rng.bit_generator.state = state
-        return SynthClip(frames=_render(_backdrop(rng, self.config),
-                                        self.script, self.config),
+        cfg = self.config
+        background = backdrop(rng, cfg.height, cfg.width, cfg.noise)
+        return SynthClip(frames=_render(background, self.script, cfg),
                          labels=self.script.labels, seed=int(self.seed),
-                         config=self.config)
+                         config=cfg)
 
 
 def _labels_to_dict(labels: ClipLabels) -> dict:
@@ -366,17 +369,23 @@ def write_dataset(path, count: int, seed_base: int,
             f.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def check_json_types(config_cls, config, seeds, what: str) -> None:
-    """Refuse a file record whose ``config`` object does not give each
-    field of the dataclass ``config_cls`` its JSON type (an int for an int
-    field, an int or a float for a float one), or whose ``seeds`` are not
-    a nonempty list of non-negative ints; ``what`` names the config."""
+def config_from_json(config_cls, config, what: str):
+    """The dataclass ``config_cls`` a file's JSON ``config`` object gives;
+    a TypeError unless the object gives each field its JSON type (an int
+    for an int field, an int or a float for a float one). ``what`` names
+    the config."""
     if not isinstance(config, dict):
         raise TypeError(f"{what} must be an object")
     for f in fields(config_cls):
         allowed = (int,) if f.type == "int" else (int, float)
         if type(config.get(f.name, f.default)) not in allowed:
             raise TypeError(f"{what} {f.name} must be {f.type}")
+    return config_cls(**config)
+
+
+def check_seeds(seeds) -> None:
+    """Refuse a file record's ``seeds`` unless a nonempty list of
+    non-negative ints."""
     if not (isinstance(seeds, list) and seeds):
         raise TypeError("seeds must be a nonempty list")
     for seed in seeds:
@@ -397,10 +406,9 @@ def read_dataset(path) -> list[ClipRecord]:
             continue
         try:
             raw = json.loads(line)
-            check_json_types(ClipConfig, raw["config"], [raw["seed"]],
-                             "config")
-            record = ClipRecord(seed=raw["seed"],
-                                config=ClipConfig(**raw["config"]),
+            config = config_from_json(ClipConfig, raw["config"], "config")
+            check_seeds([raw["seed"]])
+            record = ClipRecord(seed=raw["seed"], config=config,
                                 labels=_labels_from_dict(raw["labels"]))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                 LabelError, ShapeError) as e:

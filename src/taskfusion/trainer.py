@@ -23,7 +23,8 @@ step returns its log row. So no two steps' tapes are alive at once: step
 k's is freed before step k+1 renders its first clip. Non-finite
 predictions raise ``TrainingAbort`` with the step and the first such
 clip's seed before any loss reads them (the detection match refuses
-non-finite costs), and so does a non-finite loss.
+non-finite costs), and so does a non-finite loss, which names no clip:
+each loss is a mean over the batch.
 
 A model has one compute dtype, ``TrainConfig.dtype``: float32 by default,
 or float64. ``build_model``, ``train`` and ``ModelBundle.predict`` run
@@ -62,14 +63,16 @@ class CheckpointError(Exception):
 
 class TrainingAbort(Exception):
     """Training hit a non-finite prediction or loss; carries the step, the
-    clip seed and what was non-finite ("predictions", "oscc loss", ...)."""
+    seed of the first clip with a non-finite prediction (None for a loss,
+    a mean over the batch) and what was non-finite ("predictions", "oscc
+    loss", ...)."""
 
-    def __init__(self, step: int, clip_seed: int, what: str):
+    def __init__(self, step: int, clip_seed: int | None, what: str):
         self.step = step
         self.clip_seed = clip_seed
         self.what = what
-        super().__init__(f"non-finite {what} at step {step} "
-                         f"(clip seed {clip_seed})")
+        clip = "" if clip_seed is None else f" (clip seed {clip_seed})"
+        super().__init__(f"non-finite {what} at step {step}{clip}")
 
 
 class ParamStore:
@@ -228,16 +231,20 @@ def load_described(path, kind: str, build):
     return owner
 
 
+# Adam's moment decay rates and denominator offset: the usual defaults,
+# which every model and policy trains with.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Adam's settings and state. The first step lays out the store's
+    """Adam's learning rate and state. The first step lays out the store's
     trainable parameters, in store order, in one flat buffer per moment;
     ``m[name]`` and ``v[name]`` are views of a parameter's slice of them."""
 
     lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     # (name, shape, dtype) of each trainable parameter, and the buffers
     _layout: list | None = field(default=None, repr=False)
@@ -312,7 +319,7 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
         raise ContractError(f"parameter {bad!r} has a non-finite gradient")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v = state._m, state._v
     sq = (1 - b2) * g  # (1 - b2) * g * g
     sq *= g
@@ -325,7 +332,7 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
     upd *= state.lr
     np.divide(v, 1 - b2 ** t, out=sq)
     np.sqrt(sq, out=sq)
-    sq += state.eps
+    sq += ADAM_EPS
     upd /= sq
     for (_, p), step in zip(params, state._views(upd).values()):
         p.data -= step
@@ -419,13 +426,17 @@ def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:
                            store=store)
 
 
+def model_from_description(desc: dict) -> ModelBundle:
+    """The model a checkpoint's description describes, at its init values.
+    A description without a dtype predates float32 models: it is float64."""
+    config = TrainConfig(**{"dtype": "float64", **desc["config"]})
+    return build_model(config, frames=desc["frames"], image=desc["image"])
+
+
 def load_model(path) -> ModelBundle:
-    """Rebuild the model a checkpoint describes, then load its values. A
-    description without a dtype predates float32 models: it is float64."""
+    """Rebuild the model a checkpoint describes, then load its values."""
     def build(desc):
-        config = TrainConfig(**{"dtype": "float64", **desc["config"]})
-        model = build_model(config, frames=desc["frames"],
-                            image=desc["image"])
+        model = model_from_description(desc)
         return model, model.store
     return load_described(path, "model", build)
 
@@ -535,11 +546,11 @@ def _train_step(model: ModelBundle, adam: AdamState, step: int,
     parts = _task_losses(preds, labels, features.frames, enabled)
     for task, value in parts.items():
         if not np.isfinite(value.item()):
-            raise TrainingAbort(step, batch[0].seed, f"{task} loss")
+            raise TrainingAbort(step, None, f"{task} loss")
     present = tuple(t for t in enabled if t in parts)
     total = joint_loss(parts, model.sigma, present)
     if not np.isfinite(total.item()):
-        raise TrainingAbort(step, batch[0].seed, "joint loss")
+        raise TrainingAbort(step, None, "joint loss")
     backward(total)
     model.store.fill_missing_grads()
     adam_step(model.store, adam)

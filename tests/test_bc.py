@@ -7,11 +7,12 @@ import pytest
 from taskfusion import tensor as tl
 from taskfusion.bc import (Policy, ToyEnv, ToyEnvConfig, bc_train,
                            collect_demos, expert_demo, load_policy, read_demos,
-                           write_demos)
+                           save_policy, write_demos)
 from taskfusion.seeding import derive_seed
 from taskfusion.synth import DatasetError
 from taskfusion.tensor import ContractError
-from taskfusion.trainer import CheckpointError, save_checkpoint
+from taskfusion.trainer import (CheckpointError, TrainConfig, build_model,
+                                load_checkpoint, save_checkpoint)
 
 ENV = ToyEnvConfig(image=16)
 
@@ -96,15 +97,31 @@ def test_env_before_reset_is_a_contract_error():
 
 
 def test_policy_checkpoint_rebuilds_the_policy(tmp_path):
-    policy = Policy.init(np.random.default_rng(1), embed_dim=6, hidden=5,
+    """``save_policy`` writes the policy, its model's encoder (moved off
+    the seed's init) and the env; ``load_policy`` rebuilds each. The
+    policy's own store keeps holding ``policy.*`` alone."""
+    model = build_model(TrainConfig(width=8, enc_heads=2, dec_heads=2,
+                                    mlp_hidden=8), frames=2, image=16)
+    for t in model.encoder.parameters().values():
+        t.data += 0.5
+    policy = Policy.init(np.random.default_rng(1), embed_dim=8, hidden=5,
                          use_proprio=False, max_step=0.03)
+    env = ToyEnvConfig(horizon=30, image=16)
     path = tmp_path / "policy.ckpt"
-    save_checkpoint(policy.store(), path)
-    loaded = load_policy(path)
+    save_policy(path, policy, model, env)
+    loaded, encoder, env_cfg, description = load_policy(path)
     assert (loaded.use_proprio, loaded.max_step, loaded.embed_dim) == (
-        False, 0.03, 6)
+        False, 0.03, 8)
     for name, t in policy.parameters().items():
         assert np.array_equal(loaded.parameters()[name].data, t.data), name
+    assert (env_cfg, description["model"]) == (env, model.store.description)
+    assert encoder.dtype == model.encoder.dtype
+    for name, t in model.encoder.parameters().items():
+        assert np.array_equal(encoder.parameters()[name].data, t.data), name
+    names = load_checkpoint(path).names()
+    assert names == [*policy.store().names(),
+                     *(n for n in model.store.names() if n.startswith("enc."))]
+    assert all(n.startswith("policy.") for n in loaded.store().names())
 
     store = policy.store()
     store.description = None

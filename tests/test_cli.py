@@ -21,11 +21,12 @@ import taskfusion
 from taskfusion import bc, cli
 from taskfusion import tensor as tl
 from taskfusion.bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
-                           load_policy)
+                           load_policy, read_demos)
 from taskfusion.seeding import derive_seed, rng_for
 from taskfusion.synth import ClipConfig, build_encoder, read_dataset
-from taskfusion.trainer import (TrainConfig, evaluate, load_checkpoint,
-                                load_model, train)
+from taskfusion.trainer import (ParamStore, TrainConfig, evaluate,
+                                load_checkpoint, load_model, save_checkpoint,
+                                train)
 
 MODEL_FLAGS = ["--width", "16", "--dec-heads", "2", "--enc-heads", "2",
                "--mlp-hidden", "16", "--batch-size", "4"]
@@ -74,14 +75,15 @@ def test_eval_rebuilds_the_trained_model(work, capsys):
 
 
 def test_bc_eval_header_carries_both_descriptions(work):
+    """The policy's description, which holds the model checkpoint's
+    description and the demos' env config."""
     out = work / "bc_eval.csv"
     assert cli.main(["bc-eval", "--policy", str(work / "policy.ckpt"),
-                     "--checkpoint", str(work / "model.ckpt"), "--episodes",
-                     "1", "--horizon", "5", "--out", str(out)]) == 0
-    header = _csv_header(out)
-    assert header["checkpoint"]["kind"] == "model"
-    assert header["policy"] == load_checkpoint(work /
-                                               "policy.ckpt").description
+                     "--episodes", "1", "--out", str(out)]) == 0
+    policy = _csv_header(out)["policy"]
+    assert policy == load_checkpoint(work / "policy.ckpt").description
+    assert policy["model"] == load_checkpoint(work / "model.ckpt").description
+    assert ToyEnvConfig(**policy["env"]) == read_demos(work / "demos")[0]
 
 
 def test_bc_train_on_untrained_checkpoint_uses_the_seed_init(work):
@@ -100,72 +102,38 @@ def test_bc_train_on_untrained_checkpoint_uses_the_seed_init(work):
     loaded = load_checkpoint(out)
     for name, t in policy.store().items():
         assert np.array_equal(loaded[name].data, t.data), name
+    model = load_checkpoint(ckpt)
+    encoder = [name for name in model.names() if name.startswith("enc.")]
+    assert loaded.names() == [*policy.store().names(), *encoder]
+    for name in encoder:
+        assert np.array_equal(loaded[name].data, model[name].data), name
 
 
-def _policy_without_encoder(work):
-    """The policy checkpoint with the description of earlier versions,
-    which record no encoder."""
-    head, body = (work / "policy.ckpt").read_bytes().split(b"\n", 1)
-    header = json.loads(head)
-    del header["description"]["encoder"]
-    path = work / "old_policy.ckpt"
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
-    return path
+def test_bc_eval_runs_the_episodes_in_the_env_of_the_policys_demos(
+        work, monkeypatch, capsys):
+    """A policy trained on horizon-30 demos runs its episodes at horizon
+    30, and its rate is the one ``bc_eval`` gives with the model
+    checkpoint's encoder in that env."""
+    demos, policy = work / "demos_h30", work / "policy_h30.ckpt"
+    assert cli.main(["bc-demos", "--count", "1", "--seed", "3", "--horizon",
+                     "30", "--env-image", "16", "--out", str(demos)]) == 0
+    assert cli.main(["bc-train", "--demos", str(demos), "--checkpoint",
+                     str(work / "model.ckpt"), "--out-policy", str(policy),
+                     "--bc-steps", "3"]) == 0
+    envs = []
 
+    def spy(actor, episodes, seed, env_cfg=None):
+        envs.append(env_cfg)
+        return bc_eval(actor, episodes, seed, env_cfg)
 
-def test_bc_eval_refuses_an_encoder_the_policy_was_not_trained_on(work,
-                                                                   capsys):
-    """The fixture's policy against the same model trained from another
-    seed, and a policy that records no encoder against the fixture's
-    model."""
-    twin = work / "model_seed6.ckpt"
-    assert cli.main(["train", "--data", str(work / "data"), "--out-checkpoint",
-                     str(twin), "--log", str(work / "log_seed6.csv"),
-                     "--steps", "2", "--seed", "6", "--tasks", "oscc,scod",
-                     *MODEL_FLAGS]) == 0
+    monkeypatch.setattr(cli, "bc_eval", spy)
     capsys.readouterr()
-    assert cli.main(["bc-eval", "--policy", str(work / "policy.ckpt"),
-                     "--checkpoint", str(twin), "--episodes", "1"]) == 2
-    err = capsys.readouterr().err
-    want = load_policy(work / "policy.ckpt").encoder["sha256"]
-    found = cli._encoder_record(load_model(twin))["sha256"]
-    assert want != found
-    assert ("the policy was trained on another encoder than the checkpoint "
-            f"holds: sha256 {want} (policy) != {found} (checkpoint)") in err
-    assert cli.main(["bc-eval", "--policy", str(_policy_without_encoder(work)),
-                     "--checkpoint", str(work / "model.ckpt"), "--episodes",
-                     "1"]) == 2
-    assert ("the policy records no encoder; the checkpoint holds "
-            "{'encoder': 'per_frame_token', 'width': 16, 'enc_heads': 2, "
-            "'patch': 8, 'dtype': 'float32', 'frames': 4, 'image': 16, "
-            "'sha256': ") in capsys.readouterr().err
-
-
-def test_bc_eval_accepts_an_encoder_that_only_the_decoder_config_changes(
-        work, capsys):
-    """Two untrained checkpoints from one seed that differ only in their
-    tasks, optimiser and decoder depth hold the same encoder."""
-    paths = []
-    for i, extra in enumerate((["--tasks", "oscc,scod"],
-                               ["--tasks", "pnr", "--lr", "0.1",
-                                "--layers", "1"])):
-        paths.append(work / f"untrained{i}.ckpt")
-        assert cli.main(["train", "--data", str(work / "data"),
-                         "--out-checkpoint", str(paths[-1]), "--log",
-                         str(work / f"untrained{i}.csv"), "--steps", "0",
-                         "--seed", "7", *MODEL_FLAGS, *extra]) == 0
-    assert cli.main(["bc-train", "--demos", str(work / "demos"),
-                     "--checkpoint", str(paths[0]), "--out-policy",
-                     str(work / "untrained_policy.ckpt"),
-                     "--bc-steps", "2"]) == 0
-    capsys.readouterr()
-    rates = []
-    for path in paths:
-        assert cli.main(["bc-eval", "--policy",
-                         str(work / "untrained_policy.ckpt"), "--checkpoint",
-                         str(path), "--episodes", "1"]) == 0
-        rates.append(capsys.readouterr().out)
-    assert rates[0] == rates[1]
+    assert cli.main(["bc-eval", "--policy", str(policy), "--episodes", "2",
+                     "--seed", "1"]) == 0
+    assert envs == [ToyEnvConfig(horizon=30, image=16)]
+    embed = load_model(work / "model.ckpt").encoder.embed_frame
+    rate = bc_eval(load_policy(policy)[0].as_actor(embed), 2, 1, envs[0])
+    assert capsys.readouterr().out == f"success_rate,{rate}\n"
 
 
 def _untrained_checkpoint(work, seed, data="data"):
@@ -195,17 +163,19 @@ def test_bc_compare_rows_equal_bc_train_and_bc_eval_by_hand(work, monkeypatch,
         return trained[-1], []
 
     monkeypatch.setattr(bc, "bc_train", spy)
-    out = work / "compare.csv"
+    out, demo_file = work / "compare.csv", work / "compare_demos"
+    assert cli.main(["bc-demos", "--count", "1", "--seed", "11", "--horizon",
+                     "30", "--env-image", "16", "--out", str(demo_file)]) == 0
     capsys.readouterr()
     assert cli.main(["bc-compare", "--checkpoint", str(tuned),
                      "--baseline-checkpoint", str(baseline), "--seed", "11",
-                     "--demo-count", "1", "--bc-steps", "3", "--bc-seeds", "2",
-                     "--episodes", "2", "--horizon", "30",
+                     "--demos", str(demo_file), "--bc-steps", "3",
+                     "--bc-seeds", "2", "--episodes", "2",
                      "--out", str(out)]) == 0
     monkeypatch.undo()
 
     cfg = ToyEnvConfig(horizon=30, image=16)
-    demos = collect_demos(1, derive_seed(11, "demos"), cfg)
+    demos = collect_demos(1, 11, cfg)
     seeds = [derive_seed(11, "bc-seed", i) for i in range(2)]
     expected_rates, expected_policies = [], []
     for path in (tuned, baseline):
@@ -295,6 +265,36 @@ def _nonfinite_checkpoint(work, name, value, n=None):
     return path
 
 
+def _policy_file(work, name, edit):
+    """The fixture's policy file, rewritten under ``name`` as
+    ``edit(store)`` returns its store."""
+    path = work / name
+    save_checkpoint(edit(load_checkpoint(work / "policy.ckpt")), path)
+    return path
+
+
+def _with_env(**changes):
+    def edit(store):
+        store.description["env"].update(changes)
+        return store
+    return edit
+
+
+def _earlier_version(store):
+    """The policy as earlier versions wrote it: its ``policy.*``
+    parameters, and a description that records the model's description
+    and a digest of its encoder in place of the encoder and the env."""
+    description = dict(store.description)
+    model = description.pop("model")
+    del description["env"]
+    description["encoder"] = {"checkpoint": model, "sha256": "0" * 64}
+    earlier = ParamStore(description)
+    for name, t in store.items():
+        if name.startswith("policy."):
+            earlier.register(name, t)
+    return earlier
+
+
 def _image_demos(work, image):
     path = work / f"demos_{image}"
     path.write_text(json.dumps({"env": {"image": image}, "seeds": [1]}) + "\n")
@@ -323,9 +323,12 @@ def _train_argv(work, flag, value):
     (lambda w: ["eval", "--data", str(w / "data"), "--checkpoint",
                 str(w / "policy.ckpt")],
      "is a policy checkpoint, not a model checkpoint"),
-    (lambda w: ["bc-eval", "--policy", str(w / "model.ckpt"), "--checkpoint",
-                str(w / "model.ckpt")],
+    (lambda w: ["bc-eval", "--policy", str(w / "model.ckpt")],
      "is a model checkpoint, not a policy checkpoint"),
+    (lambda w: ["bc-eval", "--policy", str(_policy_file(
+        w, "earlier.ckpt", _earlier_version))],
+     "holds no encoder and env, as policy files of earlier versions; re-run "
+     "bc-train to write one that does"),
     (lambda w: ["bc-train", "--demos", str(_demos_32px(w)), "--checkpoint",
                 str(w / "model.ckpt"), "--out-policy", str(w / "p.ckpt")],
      "demos are rendered at 32 px; the checkpoint's encoder takes 16 px"),
@@ -355,14 +358,20 @@ def _train_argv(work, flag, value):
                                     ">= 1, got 0')"),
     (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
                 "--baseline-checkpoint",
-                str(_untrained_checkpoint(w, 5, _data_32px(w).name))],
+                str(_untrained_checkpoint(w, 5, _data_32px(w).name)),
+                "--demos", str(w / "demos")],
      "--checkpoint takes 16 px frames and --baseline-checkpoint 32 px"),
     (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
-                "--baseline-checkpoint", str(w / "policy.ckpt")],
+                "--baseline-checkpoint", str(w / "model.ckpt"), "--demos",
+                str(_demos_32px(w))],
+     "demos are rendered at 32 px; the checkpoint's encoder takes 16 px"),
+    (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
+                "--baseline-checkpoint", str(w / "policy.ckpt"), "--demos",
+                str(w / "demos")],
      "is a policy checkpoint, not a model checkpoint"),
     (lambda w: ["bc-compare", "--checkpoint", str(w / "model.ckpt"),
-                "--baseline-checkpoint", str(w / "model.ckpt"),
-                "--demo-count", "1", "--bc-seeds", "0"],
+                "--baseline-checkpoint", str(w / "model.ckpt"), "--demos",
+                str(w / "demos"), "--bc-seeds", "0"],
      "need at least one BC seed"),
     (lambda w: ["bc-train", "--demos", str(w / "demos"), "--checkpoint",
                 str(w / "model.ckpt"), "--out-policy", str(w / "p.ckpt"),
@@ -386,9 +395,12 @@ def _train_argv(work, flag, value):
                 "--out", str(w / "d")], "env image must be >= 1, got 0"),
     (lambda w: ["bc-demos", "--count", "1", "--seed", "3", "--env-image",
                 "-1", "--out", str(w / "d")], "env image must be >= 1, got -1"),
-    (lambda w: ["bc-eval", "--policy", str(w / "policy.ckpt"), "--checkpoint",
-                str(w / "model.ckpt"), "--episodes", "1", "--horizon", "0"],
+    (lambda w: ["bc-eval", "--policy", str(_policy_file(
+        w, "horizon0.ckpt", _with_env(horizon=0)))],
      "env horizon must be >= 1, got 0"),
+    (lambda w: ["bc-eval", "--policy", str(_policy_file(
+        w, "image_none.ckpt", _with_env(image=None)))],
+     "env image must be int"),
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--image", "8",
                 "--out", str(w / "g")],
      "height and width must be at least 14 px for the scene script, got 8x8"),
@@ -406,15 +418,17 @@ def _train_argv(work, flag, value):
                 "inf", "--out", str(w / "g")],
      "clip_duration_seconds must be finite, got inf"),
 ], ids=["flat_header", "policy_as_checkpoint", "model_as_policy",
+        "policy_of_an_earlier_version",
         "demo_image_mismatch", "dataset_size_mismatch",
         "dataset_frame_count_mismatch", "bad_label", "nan_parameters",
         "inf_parameter_export", "bad_demo_type", "demo_image_0",
-        "compare_image_mismatch",
+        "compare_image_mismatch", "compare_demo_image_mismatch",
         "compare_policy_as_baseline", "compare_no_bc_seeds", "bc_steps_0",
         "demos_beyond_the_horizon", "batch_size_0", "batch_size_negative",
         "steps_negative",
         *[f"{field}_{value}" for _, field, value in SIZE_FLAGS_BELOW_1],
-        "env_image_0", "env_image_negative", "bc_eval_horizon_0", "image_8",
+        "env_image_0", "env_image_negative", "bc_eval_horizon_0",
+        "bc_eval_env_type", "image_8",
         "image_0", "noise_negative", "duration_negative", "noise_inf",
         "duration_inf"])
 @pytest.mark.filterwarnings("ignore:expert failed on")
@@ -451,16 +465,14 @@ INTEGER_FLAGS = {
                                str(t / "p.ckpt"), "--bc-steps", "2"],
                  ["--seed", "--bc-steps"]),
     "bc-eval": (lambda w, t: ["--policy", str(w / "policy.ckpt"),
-                              "--checkpoint", str(w / "model.ckpt"),
-                              "--episodes", "1", "--horizon", "5"],
-                ["--episodes", "--seed", "--horizon"]),
+                              "--episodes", "1"],
+                ["--episodes", "--seed"]),
     "bc-compare": (lambda w, t: ["--checkpoint", str(w / "model.ckpt"),
                                  "--baseline-checkpoint",
-                                 str(w / "model.ckpt"), "--demo-count", "1",
-                                 "--bc-steps", "2", "--bc-seeds", "1",
-                                 "--episodes", "1", "--horizon", "30"],
-                   ["--seed", "--demo-count", "--bc-steps", "--bc-seeds",
-                    "--episodes", "--horizon"]),
+                                 str(w / "model.ckpt"), "--demos",
+                                 str(w / "demos"), "--bc-steps", "2",
+                                 "--bc-seeds", "1", "--episodes", "1"],
+                   ["--seed", "--bc-steps", "--bc-seeds", "--episodes"]),
 }
 
 
@@ -701,7 +713,8 @@ REPEATED_FLAGS = {"--encoder", "--width", "--layers", "--dec-heads",
 @pytest.mark.parametrize("command, also_gone", [
     ("eval", {"--seed"}), ("dump-attention", {"--seed"}),
     ("export-embeddings", {"--seed"}), ("bc-train", set()),
-    ("bc-eval", set()), ("bc-compare", {"--data"})])
+    ("bc-eval", {"--checkpoint", "--horizon"}),
+    ("bc-compare", {"--data", "--demo-count", "--horizon"})])
 def test_checkpoint_readers_take_no_model_flags(command, also_gone):
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))

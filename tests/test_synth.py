@@ -10,7 +10,7 @@ from taskfusion import synth
 from taskfusion import tensor as tl
 from taskfusion.synth import (BOX_CONTRAST, ClipConfig, ClipRecord,
                               DatasetCorruptionError, DatasetParseError,
-                              _backdrop, _make_script, _min_raster_side,
+                              _make_script, _min_raster_side, backdrop,
                               box_to_rect, build_encoder, generate_clip,
                               read_dataset, write_dataset)
 from taskfusion.tensor import ContractError, ShapeError
@@ -104,12 +104,12 @@ def test_labeled_boxes_contrast_with_the_backdrop(image):
     for seed in range(100):
         clip = generate_clip(seed, cfg)
         rng = np.random.Generator(np.random.PCG64(seed))
-        backdrop = _backdrop(rng, cfg)
+        background = backdrop(rng, image, image, cfg.noise)
         frame = clip.frames[clip.labels.pnr_frame]
         for box in clip.labels.boxes:
             x0, y0, w, h = box_to_rect(box.box, image, image)
             diff = np.abs(frame[y0:y0 + h, x0:x0 + w]
-                          - backdrop[y0:y0 + h, x0:x0 + w]).sum(axis=-1)
+                          - background[y0:y0 + h, x0:x0 + w]).sum(axis=-1)
             assert diff.size and diff.min() >= BOX_CONTRAST, (seed, box.kind)
 
 

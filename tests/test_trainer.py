@@ -162,7 +162,8 @@ def test_adam_step_equals_a_per_tensor_update_bit_for_bit(dtype):
     rng = rng_for(7, "adam", dtype)
     store = _adam_store(rng, dtype)
     state = trainer.AdamState(lr=0.01)
-    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+    b1, b2, eps = trainer.ADAM_BETA1, trainer.ADAM_BETA2, trainer.ADAM_EPS
+    lr = state.lr
     ref = {name: [t.data.copy(), 0.0, 0.0] for name, t in store.items()
            if t.requires_grad}
     frozen = store["frozen"].data.copy()
@@ -299,13 +300,15 @@ def _oscc_logits_at_3e38(model):
 def test_a_non_finite_loss_of_finite_predictions_aborts_training(
         monkeypatch, edit, what):
     """The loss-level checks, reached with finite predictions in float32;
-    the predictions check before them passes."""
+    the predictions check before them passes. A loss is a mean over the
+    batch, so the abort names no clip."""
     _edit_built_model(monkeypatch, edit)
     with np.errstate(all="ignore"), \
             pytest.raises(trainer.TrainingAbort) as info:
         trainer.train(_records(), _config(steps=2))
-    assert (info.value.step, info.value.what) == (1, what)
-    assert str(info.value).startswith(f"non-finite {what} at step 1 (")
+    assert (info.value.step, info.value.clip_seed, info.value.what) == (
+        1, None, what)
+    assert str(info.value) == f"non-finite {what} at step 1"
 
 
 def _tape_nodes(loss):
