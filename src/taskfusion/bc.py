@@ -36,7 +36,7 @@ from .synth import (HAND_COLOR, OBJECT_COLOR_AFTER, DatasetError, Encoder,
                     draw_rect)
 from .tensor import ContractError, Tensor, backward
 from .trainer import (AdamState, CheckpointError, ModelBundle, ParamStore,
-                      adam_step, load_described, model_from_description,
+                      adam_step, encoder_from_description, load_described,
                       save_checkpoint)
 
 TARGET_COLOR = np.array([0.20, 0.35, 0.95])
@@ -362,7 +362,7 @@ def load_policy(path) -> tuple[Policy, Encoder, ToyEnvConfig, dict]:
                                   "policy files of earlier versions; re-run "
                                   "bc-train to write one that does")
         env_cfg = config_from_json(ToyEnvConfig, desc["env"], "env")
-        encoder = model_from_description(desc["model"]).encoder
+        encoder = encoder_from_description(desc["model"])
         policy = Policy.init(np.random.default_rng(0), desc["embed_dim"],
                              desc["hidden"], desc["use_proprio"],
                              desc["max_step"])

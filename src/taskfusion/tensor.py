@@ -4,9 +4,11 @@ Every tensor wraps a C-contiguous numpy array of the compute dtype,
 float64 by default. Operations on tensors that require gradients record a
 node (op kind, inputs, backward rule) onto the tensor they produce;
 ``backward`` collects the reachable nodes in one walk and visits them
-newest first. A tensor has a node only if it also has ``requires_grad``
-set, so that one flag says whether a backward rule computes an input's
-gradient: a leaf the caller marked, or an op result on the tape.
+newest first, releasing each node's rule once visited: a graph serves
+one backward, and what its rules hold is freed during it. A tensor has
+a node only if it also has ``requires_grad`` set, so that one flag says
+whether a backward rule computes an input's gradient: a leaf the caller
+marked, or an op result on the tape.
 
 The compute dtype is one module flag, float64 or float32, set for a block
 by ``with precision(dtype):`` (or as ``@precision(dtype)`` for every call
@@ -162,12 +164,14 @@ class Node:
     """Record of one executed op: kind, operands, and its backward rule.
 
     ``backward`` maps the output gradient to one gradient array per input
-    (``None`` for inputs that do not require gradients).
+    (``None`` for inputs that do not require gradients). The reverse pass
+    sets it to None once it has visited the node, which frees the arrays
+    the rule holds; ``op`` and ``inputs`` stay.
     """
 
     op: str
     inputs: tuple["Tensor", ...]
-    backward: Callable[[np.ndarray], tuple]
+    backward: Callable[[np.ndarray], tuple] | None
     nid: int
 
 
@@ -911,9 +915,13 @@ def backward(loss: Tensor) -> None:
     A leaf whose ``grad`` is None gets a copy of its first contribution,
     in its own dtype; later contributions add to it in place.
 
-    The tape is not consumed: each node keeps its inputs and the arrays
-    its backward rule reads, so a tape, activations included, lives as
-    long as any tensor that reaches it does, the loss among them.
+    A graph serves one backward. Each node's rule is released (set to
+    None) as soon as the walk has visited the node, whether the rule ran
+    or no gradient reached it, so the arrays the rules hold go during the
+    walk; a node keeps its ``op`` and ``inputs``. A later backward over a
+    graph that reaches a released node raises ``ContractError`` naming
+    its op, before it changes any gradient. An evaluation that never
+    needs a backward runs under ``no_tape`` and records no graph at all.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -927,16 +935,21 @@ def backward(loss: Tensor) -> None:
         n = t.node
         if n is None or n.nid in outputs:
             continue
+        if n.backward is None:
+            raise ContractError(f"backward: the graph reaches a {n.op!r} node "
+                                f"that an earlier backward already released; "
+                                f"a graph serves one backward")
         outputs[n.nid] = t
         stack.extend(n.inputs)
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for nid in sorted(outputs, reverse=True):
         out = outputs[nid]
+        rule, out.node.backward = out.node.backward, None
         dout = grads.pop(id(out), None)
         if dout is None:
             continue
-        for inp, g in zip(out.node.inputs, out.node.backward(dout)):
+        for inp, g in zip(out.node.inputs, rule(dout)):
             if g is None:
                 continue
             if inp.node is None:
@@ -992,6 +1005,8 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
     per element uses the max(|analytic|, |numeric|, 1e-8) denominator.
     Every input must be float64: float32 rounding (about 6e-8 of each
     value) divided by the ``2 * eps`` step would swamp the tolerance.
+    The analytic pass records a graph and runs its one backward; the
+    central-difference evaluations run under ``no_tape`` and record none.
     """
     if not (1e-7 <= eps <= 1e-3):
         raise ContractError(f"grad_check: eps {eps} outside [1e-7, 1e-3]")
@@ -1018,14 +1033,15 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
         numeric = np.zeros_like(t.data)
         flat = t.data.reshape(-1)
         nflat = numeric.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = f(*inputs).item()
-            flat[i] = orig - eps
-            lo = f(*inputs).item()
-            flat[i] = orig
-            nflat[i] = (hi - lo) / (2.0 * eps)
+        with no_tape():
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                hi = f(*inputs).item()
+                flat[i] = orig - eps
+                lo = f(*inputs).item()
+                flat[i] = orig
+                nflat[i] = (hi - lo) / (2.0 * eps)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
         rel = float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
         entries.append(GradCheckEntry(name=name, max_rel_error=rel,

@@ -18,13 +18,14 @@ bit-reproducible.
 
 A step holds its own memory only. Its clips' frames live until
 ``encode`` has copied their patches; its features, predictions, losses
-and the tape under them (the activations backward reads) live until the
-step returns its log row. So no two steps' tapes are alive at once: step
-k's is freed before step k+1 renders its first clip. Non-finite
-predictions raise ``TrainingAbort`` with the step and the first such
-clip's seed before any loss reads them (the detection match refuses
-non-finite costs), and so does a non-finite loss, which names no clip:
-each loss is a mean over the batch.
+and the tape under them (the activations backward reads) live until
+backward has run, which releases each node's rule as it goes; the Adam
+update runs after all of it is gone, on the gradients alone. So no two
+steps' tapes are alive at once, and no tape is alive during an update.
+Non-finite predictions raise ``TrainingAbort`` with the step and the
+first such clip's seed before any loss reads them (the detection match
+refuses non-finite costs), and so does a non-finite loss, which names no
+clip: each loss is a mean over the batch.
 
 A model has one compute dtype, ``TrainConfig.dtype``: float32 by default,
 or float64. ``build_model``, ``train`` and ``ModelBundle.predict`` run
@@ -403,10 +404,7 @@ class ModelBundle:
 def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:
     """The model ``config`` describes, built in its compute dtype."""
     with tl.precision(config.dtype):
-        encoder = build_encoder(config.encoder,
-                                rng_for(config.seed, "init", "enc"),
-                                width=config.width, heads=config.enc_heads,
-                                frames=frames, image=image, patch=config.patch)
+        encoder = _build_model_encoder(config, frames, image)
         dec_cfg = DecoderConfig(layers=config.layers, width=config.width,
                                 heads=config.dec_heads, frames=frames,
                                 patches=encoder.patches,
@@ -426,11 +424,36 @@ def build_model(config: TrainConfig, frames: int, image: int) -> ModelBundle:
                            store=store)
 
 
+def _build_model_encoder(config: TrainConfig, frames: int,
+                         image: int) -> Encoder:
+    """The encoder of the model ``config`` describes, at its init values,
+    in its compute dtype. ``build_model`` builds its encoder here and its
+    decoder from a stream of its own, so an encoder built alone equals
+    the model's bit for bit."""
+    with tl.precision(config.dtype):
+        return build_encoder(config.encoder,
+                             rng_for(config.seed, "init", "enc"),
+                             width=config.width, heads=config.enc_heads,
+                             frames=frames, image=image, patch=config.patch)
+
+
+def _described_config(desc: dict) -> TrainConfig:
+    """The config a model checkpoint's description records. A description
+    without a dtype predates float32 models: it is float64."""
+    return TrainConfig(**{"dtype": "float64", **desc["config"]})
+
+
 def model_from_description(desc: dict) -> ModelBundle:
-    """The model a checkpoint's description describes, at its init values.
-    A description without a dtype predates float32 models: it is float64."""
-    config = TrainConfig(**{"dtype": "float64", **desc["config"]})
-    return build_model(config, frames=desc["frames"], image=desc["image"])
+    """The model a checkpoint's description describes, at its init values."""
+    return build_model(_described_config(desc), frames=desc["frames"],
+                       image=desc["image"])
+
+
+def encoder_from_description(desc: dict) -> Encoder:
+    """The encoder of the model a checkpoint's description describes, at
+    its init values and in its dtype, built without the decoder."""
+    return _build_model_encoder(_described_config(desc), desc["frames"],
+                                desc["image"])
 
 
 def load_model(path) -> ModelBundle:
@@ -532,9 +555,31 @@ def train(records: list[ClipRecord], config: TrainConfig) -> TrainResult:
 
 def _train_step(model: ModelBundle, adam: AdamState, step: int,
                 batch: list[ClipRecord], enabled: tuple[str, ...]) -> dict:
-    """Train on one batch and return the step's log row. What the step
-    makes is local to this call, so none of it outlives the step; the
-    frames go right after ``encode``, which copies their patches."""
+    """Train on one batch and return the step's log row. The forward pass,
+    the losses and their one backward run in ``_step_losses``, which
+    returns plain floats: the step's graph, activations included, is gone
+    before Adam allocates its moments and gathers the gradient. σ² is
+    read after the update."""
+    total, losses = _step_losses(model, step, batch, enabled)
+    model.store.fill_missing_grads()
+    adam_step(model.store, adam)
+
+    sigma2 = model.sigma.sigma2()
+    row = {"step": step, "loss_total": total}
+    for i, task in enumerate(TASK_ORDER):
+        row[f"loss_{task}"] = losses.get(task)
+        row[f"sigma2_{i + 1}"] = (float(sigma2[i]) if task in enabled
+                                  else None)
+    return row
+
+
+def _step_losses(model: ModelBundle, step: int, batch: list[ClipRecord],
+                 enabled: tuple[str, ...]) -> tuple[float, dict[str, float]]:
+    """The forward pass of one batch, its losses and their backward, which
+    leaves each parameter's gradient in its ``grad``. Returns the joint
+    loss and each present task's loss as floats; everything else the pass
+    makes is local, so it dies on return. The frames go right after
+    ``encode``, which copies their patches."""
     clips = [record.clip() for record in batch]
     labels = [clip.labels for clip in clips]
     features = model.encoder.encode(clips)
@@ -552,16 +597,7 @@ def _train_step(model: ModelBundle, adam: AdamState, step: int,
     if not np.isfinite(total.item()):
         raise TrainingAbort(step, None, "joint loss")
     backward(total)
-    model.store.fill_missing_grads()
-    adam_step(model.store, adam)
-
-    sigma2 = model.sigma.sigma2()
-    row = {"step": step, "loss_total": total.item()}
-    for i, task in enumerate(TASK_ORDER):
-        row[f"loss_{task}"] = parts[task].item() if task in parts else None
-        row[f"sigma2_{i + 1}"] = (float(sigma2[i]) if task in enabled
-                                  else None)
-    return row
+    return total.item(), {task: value.item() for task, value in parts.items()}
 
 
 @dataclass

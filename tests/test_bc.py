@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from taskfusion import tensor as tl
+from taskfusion import trainer
 from taskfusion.bc import (Policy, ToyEnv, ToyEnvConfig, bc_train,
                            collect_demos, expert_demo, load_policy, read_demos,
                            save_policy, write_demos)
@@ -128,6 +129,50 @@ def test_policy_checkpoint_rebuilds_the_policy(tmp_path):
     save_checkpoint(store, path)
     with pytest.raises(CheckpointError, match="is a plain checkpoint"):
         load_policy(path)
+
+
+def _small_model(dtype):
+    return build_model(TrainConfig(width=8, enc_heads=2, dec_heads=2,
+                                   mlp_hidden=8, dtype=dtype),
+                       frames=2, image=16)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_load_policy_builds_the_encoder_alone(tmp_path, monkeypatch, dtype):
+    """The policy's encoder is built without a decoder and holds the saved
+    ``enc.*`` values, in the model's dtype."""
+    model = _small_model(dtype)
+    for t in model.encoder.parameters().values():
+        t.data += 0.25
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, Policy.init(np.random.default_rng(1), embed_dim=8),
+                model, ENV)
+
+    def no_decoder(*args, **kwargs):
+        raise AssertionError("load_policy built a decoder")
+
+    monkeypatch.setattr(trainer, "TaskFusionDecoder", no_decoder)
+    _, encoder, _, _ = load_policy(path)
+    saved = load_checkpoint(path)
+    assert encoder.dtype == np.dtype(dtype)
+    for name, t in encoder.parameters().items():
+        assert t.data.dtype == np.dtype(dtype), name
+        assert np.array_equal(t.data, saved[f"enc.{name}"].data), name
+
+
+def test_policy_over_a_description_without_dtype_loads_float64(tmp_path):
+    """A model description without a dtype predates float32 models, so
+    the policy's encoder loads as float64."""
+    model = _small_model("float64")
+    del model.store.description["config"]["dtype"]
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, Policy.init(np.random.default_rng(1), embed_dim=8),
+                model, ENV)
+    _, encoder, _, description = load_policy(path)
+    assert "dtype" not in description["model"]["config"]
+    assert encoder.dtype == np.float64
+    for name, t in model.encoder.parameters().items():
+        assert np.array_equal(encoder.parameters()[name].data, t.data), name
 
 
 def test_policy_act_is_off_the_tape(recorded_nodes):

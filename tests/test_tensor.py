@@ -238,6 +238,51 @@ def test_backward_requires_scalar():
         backward(tl.add(x, 1.0))
 
 
+def _reachable_nodes(loss):
+    nodes, stack = {}, [loss]
+    while stack:
+        node = stack.pop().node
+        if node is not None and node.nid not in nodes:
+            nodes[node.nid] = node
+            stack.extend(node.inputs)
+    return list(nodes.values())
+
+
+def test_backward_releases_every_rule_and_keeps_the_graph():
+    """After backward each node reachable from the loss has its rule
+    released, and keeps its op and its inputs."""
+    rng = rng_for(13, "release")
+    x = tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w = tl.tensor(rng.standard_normal((4, 4)), requires_grad=True)
+    h = tl.layer_norm(tl.matmul(x, w), tl.constant(np.ones(4)),
+                      tl.constant(np.zeros(4)))
+    loss = tl.sum_all(tl.mul(tl.softmax(h, axis=-1), h))
+    before = [(n, n.op, n.inputs) for n in _reachable_nodes(loss)]
+    assert len(before) == 5 and all(n.backward is not None
+                                    for n, _, _ in before)
+    backward(loss)
+    after = _reachable_nodes(loss)
+    assert [n for n, _, _ in before] == after
+    for node, op, inputs in before:
+        assert node.backward is None, op
+        assert node.op == op and node.inputs is inputs
+
+
+def test_a_second_backward_raises_naming_the_released_op():
+    """A graph serves one backward: a second one over it, or over a new
+    loss built on part of it, raises before it changes any gradient."""
+    x = tl.tensor([1.0, 2.0], requires_grad=True)
+    y = tl.exp(x)
+    loss = tl.sum_all(y)
+    backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ContractError, match="'sum_all' node"):
+        backward(loss)
+    with pytest.raises(ContractError, match="'exp' node"):
+        backward(tl.sum_all(tl.mul(y, y)))
+    assert np.array_equal(x.grad, first)
+
+
 def test_backward_linearity():
     rng = rng_for(10, "linear")
     alpha, beta = 1.7, -2.3
@@ -308,15 +353,29 @@ def test_grad_check_flags_wrong_backward_rule():
     # negative control: an op whose recorded rule is deliberately off by 10%
     def broken_double(x):
         out = tl.scale(x, 2.0)
-        node = out.node
-        orig = node.backward
-        node.backward = lambda dout: tuple(
-            None if g is None else g * 1.1 for g in orig(dout))
+        if out.node is not None:  # the finite differences record no node
+            orig = out.node.backward
+            out.node.backward = lambda dout: tuple(
+                None if g is None else g * 1.1 for g in orig(dout))
         return tl.sum_all(out)
 
     x = tl.tensor([1.0, 2.0], requires_grad=True)
     report = grad_check(broken_double, [x], eps=1e-5, tol=1e-4)
     assert not report.passed
+
+
+def test_grad_check_evaluates_the_finite_differences_off_the_tape():
+    outputs = []
+
+    def f(x):
+        outputs.append(tl.sum_all(tl.exp(tl.mul(x, x))))
+        return outputs[-1]
+
+    x = tl.tensor([0.3, -0.2, 0.5], requires_grad=True)
+    assert grad_check(f, [x]).passed
+    assert len(outputs) == 1 + 2 * 3
+    assert outputs[0].node is not None  # the analytic pass
+    assert all(out.node is None for out in outputs[1:])
 
 
 def test_grad_check_rejects_bad_eps():

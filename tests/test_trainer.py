@@ -366,6 +366,27 @@ def test_a_step_frees_its_frames_before_backward(monkeypatch, encoder):
     assert seen["frames"] == [0, 0, 0]
 
 
+@pytest.mark.parametrize("encoder", ENCODERS)
+def test_a_step_graph_is_dead_when_adam_runs(monkeypatch, encoder):
+    """A weak reference to the joint loss's node, taken at backward, is
+    dead by the time the step's Adam update runs: the tape is gone."""
+    real_backward, real_adam = trainer.backward, trainer.adam_step
+    refs, alive = [], []
+
+    def backward(loss):
+        refs.append(weakref.ref(loss.node))
+        real_backward(loss)
+
+    def adam_step(*args):
+        alive.append(refs[-1]() is not None)
+        real_adam(*args)
+
+    monkeypatch.setattr(trainer, "backward", backward)
+    monkeypatch.setattr(trainer, "adam_step", adam_step)
+    trainer.train(_records(), _config(encoder, steps=2))
+    assert alive == [False, False]
+
+
 def _checkpoint(tmp_path):
     store = ParamStore()
     store.register("a", tl.tensor(np.arange(6.0).reshape(2, 3)))
