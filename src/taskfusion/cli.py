@@ -41,7 +41,7 @@ from .bc import (ToyEnvConfig, bc_eval, bc_train, collect_demos,
                  compare_representations, load_policy, read_demos,
                  save_policy, write_demos)
 from .gradcheck import run_gradcheck
-from .seeding import derive_seed
+from .seeding import derive_seeds
 from .synth import (ARTIFACT_VERSION, ClipConfig, DatasetError, ENCODER_KINDS,
                     read_dataset, write_dataset)
 from .tensor import TensorError
@@ -256,8 +256,7 @@ def cmd_bc_compare(args) -> int:
                               f"--baseline-checkpoint {baseline.encoder.image}"
                               " px; the env renders at one size")
     env_cfg, demos = _demos_for(args.demos, tuned.encoder)
-    seeds = [derive_seed(args.seed, "bc-seed", i)
-             for i in range(args.bc_seeds)]
+    seeds = derive_seeds(args.seed, args.bc_seeds, "bc-seed")
     report = compare_representations(
         tuned.encoder.embed_frame, baseline.encoder.embed_frame, demos,
         bc_steps=args.bc_steps, seeds=seeds, episodes=args.episodes,

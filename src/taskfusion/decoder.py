@@ -354,13 +354,16 @@ class _HeadGroup:
     def init(cls, rng: np.random.Generator, tokens: int, width: int,
              hidden: int, out: int) -> "_HeadGroup":
         # Draw token by token (w1 then w2), as separate heads would.
-        w1, w2 = [], []
-        for _ in range(tokens):
-            w1.append(rng.standard_normal((width, hidden)) * 0.02)
-            w2.append(rng.standard_normal((hidden, out)) * 0.02)
-        return cls(w1=tl.tensor(np.stack(w1), requires_grad=True),
+        w1 = np.empty((tokens, width, hidden))
+        w2 = np.empty((tokens, hidden, out))
+        for g in range(tokens):
+            rng.standard_normal(out=w1[g])
+            rng.standard_normal(out=w2[g])
+        w1 *= 0.02
+        w2 *= 0.02
+        return cls(w1=tl.tensor(w1, requires_grad=True),
                    b1=tl.zeros((tokens, hidden), requires_grad=True),
-                   w2=tl.tensor(np.stack(w2), requires_grad=True),
+                   w2=tl.tensor(w2, requires_grad=True),
                    b2=tl.zeros((tokens, out), requires_grad=True))
 
     def forward(self, tokens: Tensor) -> Tensor:

@@ -21,9 +21,8 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK
 
 
-def derive_seed(base: int, *labels: str | int) -> int:
-    """Fold string/int labels into ``base`` one splitmix64 step at a time."""
-    state = splitmix64(base & _MASK)
+def _fold(state: int, labels) -> int:
+    """Fold labels into ``state``: a string byte by byte, an int whole."""
     for label in labels:
         if isinstance(label, str):
             for b in label.encode("utf-8"):
@@ -31,6 +30,18 @@ def derive_seed(base: int, *labels: str | int) -> int:
         else:
             state = splitmix64(state ^ (int(label) & _MASK))
     return state
+
+
+def derive_seed(base: int, *labels: str | int) -> int:
+    """Fold string/int labels into ``base``."""
+    return _fold(splitmix64(base & _MASK), labels)
+
+
+def derive_seeds(base: int, count: int, *labels: str | int) -> list[int]:
+    """``[derive_seed(base, *labels, i) for i in range(count)]``, folding
+    the shared labels once."""
+    state = derive_seed(base, *labels)
+    return [_fold(state, (i,)) for i in range(count)]
 
 
 def rng_for(base: int, *labels: str | int) -> np.random.Generator:

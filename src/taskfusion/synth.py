@@ -11,8 +11,12 @@ exactly.
 Dataset files store only (seed, config, labels). The stored labels
 double as a corruption check: reading a file scripts each record's scene
 from its seed and compares, and writing one scripts it too; neither
-renders a frame. A record keeps its scene script, the hand's position in
-each frame, the object and the change frame as small integers, so each
+renders a frame. A no-change script rejects a candidate drift whose
+first or last frame clashes with the object before it builds the path.
+Reading parses each distinct config text once, so a config that differs
+only in a value's type (16.0 for 16) is still refused on its own line. A
+record keeps its scene script, the hand's position in each frame, the
+object and the change frame as small integers, so each
 ``ClipRecord.clip()`` redraws only the backdrop (the seed's first draw)
 and renders. Frames are rendered in the compute dtype
 (``tensor.precision``); every pixel is a copy of a backdrop or colour
@@ -58,7 +62,7 @@ from . import __version__
 from . import tensor as tl
 from .decoder import AttentionParams, ClipFeatures, positions, self_attention
 from .losses import ClipLabels, LabelError, LabeledBox
-from .seeding import derive_seed
+from .seeding import derive_seeds
 from .tensor import ContractError, ShapeError, Tensor
 
 BACKGROUND_LEVEL = 0.25
@@ -228,8 +232,8 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
                                                      oy + obj_h / 2)
         away = away / (np.linalg.norm(away) + 1e-12)
         angle = rng.uniform(-0.6, 0.6)
-        rot = np.array([[np.cos(angle), -np.sin(angle)],
-                        [np.sin(angle), np.cos(angle)]])
+        cos, sin = np.cos(angle), np.sin(angle)
+        rot = np.array([[cos, -sin], [sin, cos]])
         away = rot @ away
         max_speed = 0.07 * w
         dist = min(float(rng.uniform(3.0, 0.55 * w)), max_speed * change_frame)
@@ -241,12 +245,16 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
                 LabeledBox(kind="hand", box=_rect_to_box(hand, w, h)),
                 LabeledBox(kind="object", box=_rect_to_box(obj, w, h))]))
 
-    # No-change clip: a slow drift that never comes near the object.
+    # No-change clip: a slow drift that never comes near the object. A
+    # clash at its first or last frame, (sx, sy) or (ex, ey), skips the path.
     for _ in range(100):
         sx = int(rng.integers(0, w - hand_w + 1))
         sy = int(rng.integers(0, h - hand_h + 1))
         ex = min(max(sx + int(rng.integers(-12, 13)), 0), w - hand_w)
         ey = min(max(sy + int(rng.integers(-12, 13)), 0), h - hand_h)
+        if not (_rects_clear((sx, sy, hand_w, hand_h), obj, 2)
+                and _rects_clear((ex, ey, hand_w, hand_h), obj, 2)):
+            continue
         xy = hand_path(np.array([sx, sy]), np.array([ex, ey]),
                        steps / (t - 1))
         if np.all(_rects_clear((*xy.T, hand_w, hand_h), obj, gap=2)):
@@ -350,6 +358,9 @@ def _labels_from_dict(d: dict) -> ClipLabels:
     )
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_dataset(path, count: int, seed_base: int,
                   config: ClipConfig | None = None,
                   header: dict | None = None) -> None:
@@ -360,13 +371,13 @@ def write_dataset(path, count: int, seed_base: int,
     head = {"artifact": ARTIFACT_VERSION, "kind": "dataset"}
     if header:
         head.update(header)
+    raw_config = asdict(cfg)
     with open(path, "w", encoding="utf-8") as f:
-        f.write("# " + json.dumps(head, sort_keys=True) + "\n")
-        for i in range(count):
-            seed = derive_seed(seed_base, "clip", i)
-            record = {"seed": seed, "config": asdict(cfg),
+        f.write("# " + _encode(head) + "\n")
+        for seed in derive_seeds(seed_base, count, "clip"):
+            record = {"seed": seed, "config": raw_config,
                       "labels": _labels_to_dict(_script_for(seed, cfg).labels)}
-            f.write(json.dumps(record, sort_keys=True) + "\n")
+            f.write(_encode(record) + "\n")
 
 
 def config_from_json(config_cls, config, what: str):
@@ -396,6 +407,7 @@ def check_seeds(seeds) -> None:
 def read_dataset(path) -> list[ClipRecord]:
     """Load records, regenerate each clip's labels, and cross-check them."""
     records: list[ClipRecord] = []
+    configs: dict[str, ClipConfig] = {}  # by JSON text: 16 is not 16.0
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     index = 0
@@ -406,7 +418,11 @@ def read_dataset(path) -> list[ClipRecord]:
             continue
         try:
             raw = json.loads(line)
-            config = config_from_json(ClipConfig, raw["config"], "config")
+            key = _encode(raw["config"])
+            if key not in configs:
+                configs[key] = config_from_json(ClipConfig, raw["config"],
+                                                "config")
+            config = configs[key]
             check_seeds([raw["seed"]])
             record = ClipRecord(seed=raw["seed"], config=config,
                                 labels=_labels_from_dict(raw["labels"]))
@@ -414,8 +430,7 @@ def read_dataset(path) -> list[ClipRecord]:
                 LabelError, ShapeError) as e:
             raise DatasetParseError(f"line {lineno}: {e}") from None
         record.script = _script_for(record.seed, record.config)
-        if _labels_to_dict(record.script.labels) != _labels_to_dict(
-                record.labels):
+        if record.script.labels != record.labels:
             raise DatasetCorruptionError(
                 f"record {index} (line {lineno}): stored labels do not "
                 "match regeneration")

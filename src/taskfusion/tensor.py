@@ -223,7 +223,9 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
 
 def randn(rng: np.random.Generator, shape, std: float = 1.0,
           requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * std, requires_grad=requires_grad)
+    draws = rng.standard_normal(shape)
+    draws *= std
+    return Tensor(draws, requires_grad=requires_grad)
 
 
 def _as_tensor(x) -> Tensor:

@@ -116,21 +116,19 @@ CHECKPOINT_FORMAT = "taskfusion-checkpoint/1"
 
 def save_checkpoint(store: ParamStore, path) -> None:
     """Header JSON line {"format", "description", "params": {name: {shape,
-    byte_offset}}}, then little-endian float64 payload in registry order."""
+    byte_offset}}}, then one little-endian float64 buffer in registry order."""
     params: dict[str, dict] = {}
-    chunks: list[bytes] = []
+    payload = np.empty(sum(t.size for _, t in store.items()), dtype="<f8")
     offset = 0
     for name, t in store.items():
-        params[name] = {"shape": list(t.shape), "byte_offset": offset}
-        raw = np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-        chunks.append(raw)
-        offset += len(raw)
+        params[name] = {"shape": list(t.shape), "byte_offset": offset * 8}
+        payload[offset:offset + t.size] = t.data.reshape(-1)
+        offset += t.size
     header = {"format": CHECKPOINT_FORMAT, "description": store.description,
               "params": params}
     with open(path, "wb") as f:
         f.write(json.dumps(header).encode("utf-8") + b"\n")
-        for c in chunks:
-            f.write(c)
+        f.write(payload)
 
 
 def _is_int(v) -> bool:
@@ -156,13 +154,15 @@ def _check_header(header) -> None:
 
 
 def load_checkpoint(path) -> ParamStore:
-    """Read a checkpoint back into a fresh store, verifying the payload
-    and that every value is finite."""
+    """Read a checkpoint in one call into a fresh store, viewing the
+    payload as float64 in place (without a newline, all is header), and
+    verify the payload and that every value is finite."""
     with open(path, "rb") as f:
-        header_line = f.readline()
-        payload = f.read()
+        data = f.read()
+    newline = data.find(b"\n")
+    start = len(data) if newline < 0 else newline + 1
     try:
-        header = json.loads(header_line.decode("utf-8"))
+        header = json.loads(data[:start].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"unreadable header: {e}") from None
     _check_header(header)
@@ -174,15 +174,15 @@ def load_checkpoint(path) -> ParamStore:
             raise CheckpointError(f"parameter {name!r} at byte offset "
                                   f"{meta['byte_offset']}, expected {expected}")
         expected += n * 8
-    if len(payload) != expected:
-        raise CheckpointError(f"payload is {len(payload)} bytes, header "
+    if len(data) - start != expected:
+        raise CheckpointError(f"payload is {len(data) - start} bytes, header "
                               f"requires {expected}")
+    values = np.frombuffer(data, dtype="<f8", offset=start)
     store = ParamStore(header["description"])
     for name, meta in params.items():
         shape = tuple(meta["shape"])
         n = int(np.prod(shape)) if shape else 1
-        start = meta["byte_offset"]
-        arr = np.frombuffer(payload[start:start + n * 8], dtype="<f8")
+        arr = values[meta["byte_offset"] // 8:][:n]
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {name!r} holds a non-finite "
                                   "value")

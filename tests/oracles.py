@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from taskfusion import synth
 from taskfusion import tensor as tl
 
 
@@ -116,3 +117,35 @@ def iou_giou_values(a, b) -> tuple[np.ndarray, np.ndarray]:
     hull_wh = np.maximum(a_hi, b_hi) - np.minimum(a_lo, b_lo)
     hull = np.maximum(hull_wh[..., 0] * hull_wh[..., 1], union)
     return iou, iou - (hull - union) / hull
+
+
+def no_change_script_reference(rng, cfg):
+    """The hand path [T, 2] and object rect of a no-change scene script,
+    scripted as ``synth._make_script`` did before it rejected a candidate
+    drift at its endpoints: every candidate's whole path is built and
+    checked. ``rng`` is positioned after the backdrop; ``cfg.p_change``
+    must be 0."""
+    t, h, w = cfg.frames, cfg.height, cfg.width
+    hand, obj_lo, obj_hi = synth._scene_sizes(w)
+    side = max(4, int(rng.integers(obj_lo, obj_hi + 1)))
+    margin = hand + 2
+    ox = int(rng.integers(margin, w - side - margin + 1))
+    oy = int(rng.integers(margin, h - side - margin + 1))
+    obj = (ox, oy, side, side)
+    if rng.random() < cfg.p_change:
+        raise ValueError("the reference scripts no-change clips only")
+    frac = np.arange(t) / (t - 1)
+    for _ in range(100):
+        sx = int(rng.integers(0, w - hand + 1))
+        sy = int(rng.integers(0, h - hand + 1))
+        ex = min(max(sx + int(rng.integers(-12, 13)), 0), w - hand)
+        ey = min(max(sy + int(rng.integers(-12, 13)), 0), h - hand)
+        start, end = np.array([sx, sy]), np.array([ex, ey])
+        xy = np.round(start + (end - start) * frac[:, None])
+        xy = np.minimum(np.maximum(xy, 0), (w - hand, h - hand)).astype(
+            np.int16)
+        if np.all(synth._rects_clear((*xy.T, hand, hand), obj, gap=2)):
+            return xy, obj
+    corner = (0, 0) if synth._rects_clear((0, 0, hand, hand), obj, 2) else (
+        w - hand, h - hand)
+    return np.tile(np.array(corner, dtype=np.int16), (t, 1)), obj

@@ -1,6 +1,6 @@
 import numpy as np
 
-from taskfusion.seeding import derive_seed, rng_for, splitmix64
+from taskfusion.seeding import derive_seed, derive_seeds, rng_for, splitmix64
 
 LABELS = [(), ("clip",), ("clip", 0), ("clip", 1), ("init", "enc"),
           ("shuffle", 7), (12345678901234567890,), (-1,)]
@@ -45,3 +45,14 @@ def test_rng_for_is_pcg64_of_the_derived_seed():
         assert np.array_equal(got.integers(0, 2 ** 63, 16),
                               want.integers(0, 2 ** 63, 16))
         assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_derive_seeds_is_derive_seed_over_the_indices():
+    # Ints past 2**32 and 2**64 (and negative ones) fold as labels the way
+    # the index does; a count past 2**32 would not fit in memory.
+    for base in (0, 7, 2 ** 64 - 1, -5):
+        for labels in LABELS + [("clip", 2 ** 32 + 5), (2 ** 40, "x"),
+                                ("\u00e9t\u00e9", 2 ** 64 + 3)]:
+            assert derive_seeds(base, 9, *labels) == [
+                derive_seed(base, *labels, i) for i in range(9)]
+    assert derive_seeds(3, 0, "clip") == []

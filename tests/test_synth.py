@@ -15,6 +15,8 @@ from taskfusion.synth import (BOX_CONTRAST, ClipConfig, ClipRecord,
                               read_dataset, write_dataset)
 from taskfusion.tensor import ContractError, ShapeError
 
+from oracles import no_change_script_reference
+
 CFG = ClipConfig(frames=4, height=16, width=16, p_change=1.0)
 
 
@@ -63,6 +65,47 @@ def test_invalid_stored_config_names_its_line(tmp_path, field, value,
     _edit_first_record(path, edit)
     with pytest.raises(DatasetParseError, match=f"line 2: {message}"):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("frames", 16.0, "config frames must be int"),
+    ("p_change", True, "config p_change must be float"),
+])
+def test_a_later_records_config_is_checked_on_its_own_line(
+        tmp_path, field, value, message):
+    """The value equals the earlier records' (16.0 == 16, True == 1.0), but
+    its type is wrong, so the file is refused at that record's line."""
+    path = tmp_path / "data"
+    write_dataset(path, 3, 0, ClipConfig(frames=16, height=16, width=16,
+                                         p_change=1.0))
+    lines = path.read_text().splitlines()
+    raw = json.loads(lines[3])
+    raw["config"][field] = value
+    lines[3] = json.dumps(raw)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetParseError, match=f"line 4: {message}$"):
+        read_dataset(path)
+
+
+def test_a_file_of_two_configs_gives_each_record_its_own(tmp_path):
+    first = ClipConfig(frames=4, height=16, width=16, p_change=1.0)
+    second = ClipConfig(frames=6, height=20, width=20, p_change=0.5,
+                        noise=0.0)
+    write_dataset(tmp_path / "a", 3, 0, first)
+    write_dataset(tmp_path / "b", 3, 1, second)
+    a = (tmp_path / "a").read_text().splitlines()
+    b = (tmp_path / "b").read_text().splitlines()
+    path = tmp_path / "mixed"
+    path.write_text("\n".join([a[0], a[1], b[1], b[2], a[2], b[3], a[3]])
+                    + "\n")
+    records = read_dataset(path)
+    assert [r.config for r in records] == [first, second, second, first,
+                                           second, first]
+    for record in records:
+        assert record.clip().frames.shape[:3] == (
+            record.config.frames, record.config.height, record.config.width)
+        assert record.labels == generate_clip(record.seed,
+                                              record.config).labels
 
 
 def test_raster_minimum_is_where_the_scene_script_fits():
@@ -317,3 +360,77 @@ def test_records_from_a_dataset_script_no_clip_again(tmp_path, monkeypatch):
     assert len(calls) == 6
     ClipRecord(records[0].seed, CFG, records[0].labels).clip()
     assert len(calls) == 7
+
+
+# sha256 of ``write_dataset`` files, and of the scene scripts (hand path,
+# object rect, change frame) ``read_dataset`` hands back with them, per
+# (width, p_change, count, seed_base); recorded before dataset writes and
+# reads dropped their redundant work, which must keep every byte and
+# every script. A no-change record stores no box, so only the script
+# digest pins its hand path; the p_change 0.0 files hold 1,000 of them.
+DATASET_DIGESTS = {
+    (14, 0.0, 500, 21): (
+        "de23a91c5c048d0664ba8d008b7f8acd7cdc5d239edd5bd58c49552749b8fa8a",
+        "4fcca86b37f6482edb60f614e9c14598a0ff83a620b147366d9b784b9947f3b2"),
+    (32, 0.0, 500, 22): (
+        "267ab8976fbb6a79afc0dc3b0beb37af8c349ba07388377efb577ba8d75199ff",
+        "1ad964d22b83d66b2a36a23dc2dd179a177ec2e66588473a01c614b4a83589ff"),
+    (14, 0.5, 200, 23): (
+        "7c9edb21ec8b2b1e77cb908aa7997e7bb5c0a4c1fe674d6d59202b849f691c5b",
+        "27d0bb9a0710549520ab727ce10de3f274da9d4c0e5a09415596c6587172b55b"),
+    (32, 0.5, 200, 24): (
+        "5640e1231e0659bdce499f833fec8322f70a5f5dcd076182cd57398e80194a79",
+        "d38ac5eda68a9b4494104ba596a9c01bda232e29847de302070942e4a4428bb9"),
+    (14, 1.0, 100, 25): (
+        "19e6b413ad6835b2a9a21ad6c72bffbdfd9c966a5f6a155fbfe370942fc7b929",
+        "7d4f288cf9283f9695618dca26dd2f63ebbd87227f5433ad34dc6da464b230d4"),
+    (32, 1.0, 100, 26): (
+        "48eafee2eb6b804a2fa2e664e35c41adc741246e3ddada8873607ea6db72eb93",
+        "571546a1f04da31eccd6b182d3a31d384b2f276ee58eb0679a1f00ac15c7558a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATASET_DIGESTS))
+def test_dataset_files_match_their_pinned_digests(tmp_path, case):
+    width, p_change, count, seed_base = case
+    cfg = ClipConfig(height=width, width=width, p_change=p_change)
+    path = tmp_path / "data"
+    write_dataset(path, count, seed_base, cfg)
+    scripts = hashlib.sha256()
+    for record in read_dataset(path):
+        script = record.script
+        scripts.update(script.hand_xy.tobytes())
+        scripts.update(json.dumps([script.hand_side, script.object_rect,
+                                   script.change_frame]).encode())
+    digests = (hashlib.sha256(path.read_bytes()).hexdigest(),
+               scripts.hexdigest())
+    assert digests == DATASET_DIGESTS[case]
+
+
+class _MidpointDraws:
+    """A generator stand-in whose every draw is its range's midpoint: each
+    candidate drift starts on the object, so every try is rejected."""
+
+    def integers(self, lo, hi):
+        return (lo + hi - 1) // 2
+
+    def random(self):
+        return 0.5
+
+
+@pytest.mark.parametrize("side, frames", [(14, 16), (14, 2), (32, 16)])
+def test_no_change_scripts_equal_the_whole_path_check(side, frames):
+    """Rejecting a drift at its endpoints before building its path keeps
+    every draw and every path, the fallback corner included."""
+    cfg = ClipConfig(frames=frames, height=side, width=side, p_change=0.0)
+    for seed in range(1000):
+        script = _make_script(np.random.default_rng(seed), cfg)
+        xy, obj = no_change_script_reference(np.random.default_rng(seed), cfg)
+        assert script.object_rect == obj, seed
+        assert script.hand_xy.dtype == xy.dtype, seed
+        assert np.array_equal(script.hand_xy, xy), seed
+    script = _make_script(_MidpointDraws(), cfg)
+    xy, obj = no_change_script_reference(_MidpointDraws(), cfg)
+    assert script.object_rect == obj
+    assert np.array_equal(script.hand_xy, xy)
+    assert np.array_equal(xy, np.zeros((frames, 2)))  # the fallback corner

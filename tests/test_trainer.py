@@ -404,6 +404,28 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.description is None
 
 
+def test_an_empty_store_round_trips(tmp_path):
+    path = tmp_path / "empty.ckpt"
+    save_checkpoint(ParamStore({"kind": "none"}), path)
+    assert path.read_bytes().endswith(b"}\n")
+    loaded = load_checkpoint(path)
+    assert loaded.names() == []
+    assert loaded.description == {"kind": "none"}
+
+
+@pytest.mark.parametrize("cut", ["in_header", "at_newline"])
+def test_checkpoint_without_a_newline_is_rejected(tmp_path, cut):
+    """Without a newline the whole file is the header: cut inside the
+    header it does not parse, and whole it has no payload."""
+    path = _checkpoint(tmp_path)
+    data = path.read_bytes()
+    end = data.index(b"\n")
+    path.write_bytes(data[:end - 1] if cut == "in_header" else data[:end])
+    with pytest.raises(CheckpointError, match="unreadable header"
+                       if cut == "in_header" else "payload is 0 bytes"):
+        load_checkpoint(path)
+
+
 def test_model_checkpoint_rebuilds_the_model(tmp_path):
     model = build_model(_config(encoder="clip_token", enabled_tasks=("oscc",)),
                         frames=CLIP_CFG.frames, image=CLIP_CFG.height)
@@ -718,3 +740,34 @@ def test_value_overflowing_float32_is_rejected(tmp_path):
                                               "a value that overflows "
                                               "float32"):
         trainer.load_model(path)
+
+
+# sha256 of the checkpoint file of each encoder's seeded model at its
+# init values, per dtype; recorded before model init and checkpoint saves
+# dropped their redundant copies, which must keep every byte. The header
+# carries the description, so its config and sizes are pinned too.
+CHECKPOINT_DIGESTS = {
+    ("per_frame_token", "float32"):
+        "0a414cfa846f121e19d1b3c8157a91c0244c21d4a10f80ff52a7be3d502f66e3",
+    ("per_frame_token", "float64"):
+        "7a0af807cab21d0b2c05fabf6b527bf5684e422cee0b8e6d19bcb182b0cc5d90",
+    ("clip_token", "float32"):
+        "9ee3a6b0b885a608b96811165cdcde97927e11960ffb041293b744f4eb942262",
+    ("clip_token", "float64"):
+        "51fa3c54b070e83d46409d544494d401f10093b2f50f14a736692175eb07dcd7",
+    ("conv_grid", "float32"):
+        "f672f4ca4c1a82581e020509da330fa251b2ca11effb528b46ab249271e200ae",
+    ("conv_grid", "float64"):
+        "5620408b194dd73371828d9951d8cd9462a1bbf9f9cdf923ff6860b09e9dc9d3",
+}
+
+
+@pytest.mark.parametrize("encoder, dtype", sorted(CHECKPOINT_DIGESTS))
+def test_model_checkpoints_match_their_pinned_digests(tmp_path, encoder,
+                                                      dtype):
+    model = build_model(_config(encoder, seed=11, dtype=dtype), frames=4,
+                        image=16)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.store, path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == CHECKPOINT_DIGESTS[encoder, dtype]
