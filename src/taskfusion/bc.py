@@ -13,7 +13,9 @@ Every environment call but ``reset`` needs a reset first.
 
 Scene rendering reuses the synthetic-clip palette and backdrop (the
 cube is drawn as the object, the gripper as the hand) so a fine-tuned
-encoder sees familiar pixels.
+encoder sees familiar pixels. ``reset`` draws an episode's static scene
+layer, the backdrop with the target's outline, once; each frame copies it
+and draws the cube and the gripper over it.
 Demo files store the env config and the demo seeds; reading one re-runs
 the expert on each seed. ``save_policy`` and ``load_policy`` own the
 policy checkpoint: the ``policy.*`` parameters, the encoder's ``enc.*``
@@ -33,8 +35,8 @@ from . import tensor as tl
 from .seeding import derive_seed, rng_for
 from .synth import (HAND_COLOR, OBJECT_COLOR_AFTER, DatasetError, Encoder,
                     backdrop, box_to_rect, check_seeds, config_from_json,
-                    draw_rect)
-from .tensor import ContractError, Tensor, backward
+                    draw_rect, norm)
+from .tensor import ContractError, ShapeError, Tensor, backward
 from .trainer import (AdamState, CheckpointError, ModelBundle, ParamStore,
                       adam_step, encoder_from_description, load_described,
                       save_checkpoint)
@@ -70,27 +72,62 @@ class EnvState:
     target: np.ndarray
 
 
+# Draws ``ToyEnv.reset`` may take to place the cube, target and gripper
+# apart. Over 2,000 demo seeds the default env needs at most 4 and a
+# contact radius of 0.6 at most 373; at 1.0 no placement exists.
+PLACEMENT_ATTEMPTS = 10_000
+
+
+def clip(x: float, lo: float, hi: float) -> float:
+    """``np.clip`` of one float for ``lo <= hi``, bit for bit (NaN stays
+    NaN, a zero inside the bounds keeps its sign), without its wrapper."""
+    return lo if x < lo else hi if x > hi else x
+
+
 class ToyEnv:
-    """Deterministic pushing dynamics; the cube moves only under contact."""
+    """Deterministic pushing dynamics; the cube moves only under contact.
+
+    ``reset`` draws the episode's static scene layer once: the seed's
+    backdrop with the target's outline, which never moves. ``render``
+    copies that layer and draws only the cube and the gripper over it.
+    States are float64 2-vectors. The dynamics and the expert combine and
+    ``clip`` their coordinates as Python floats and take each norm with
+    ``synth.norm``: the bits of numpy's 2-vector arithmetic without its
+    per-call wrappers."""
 
     def __init__(self, config: ToyEnvConfig | None = None):
         self.config = config or ToyEnvConfig()
         self.state: EnvState | None = None
-        self._background: np.ndarray | None = None
+        self._scene: np.ndarray | None = None
         self.steps = 0
 
     def reset(self, seed: int) -> EnvState:
+        """Place the cube, target and gripper apart from the seed's draws
+        that follow the backdrop's; a ContractError naming the config if
+        ``PLACEMENT_ATTEMPTS`` draws place none."""
         cfg = self.config
         rng = np.random.Generator(np.random.PCG64(seed))
-        self._background = backdrop(rng, cfg.image, cfg.image, cfg.noise)
-        while True:
+        scene = backdrop(rng, cfg.image, cfg.image, cfg.noise)
+        for _ in range(PLACEMENT_ATTEMPTS):
             cube = rng.uniform(0.3, 0.7, size=2)
             target = rng.uniform(0.3, 0.7, size=2)
             gripper = rng.uniform(0.1, 0.9, size=2)
-            if (np.linalg.norm(cube - target) >= 0.08
-                    and np.linalg.norm(gripper - cube)
-                    >= cfg.contact_radius + 0.02):
+            if (norm(cube - target) >= 0.08
+                    and norm(gripper - cube) >= cfg.contact_radius + 0.02):
                 break
+        else:
+            raise ContractError(f"env {cfg} places no cube, target and "
+                                f"gripper apart in {PLACEMENT_ATTEMPTS} draws "
+                                f"of seed {seed}")
+        n = cfg.image
+        tx, ty = target.tolist()
+        side = cfg.cube_size * 0.6
+        x0, y0, w, h = box_to_rect((tx, ty, side, side), n, n)
+        ix, iy, iw, ih = x0 + 1, y0 + 1, max(w - 2, 0), max(h - 2, 0)
+        inside = scene[max(iy, 0):iy + ih, max(ix, 0):ix + iw].copy()
+        scene[max(y0, 0):y0 + h, max(x0, 0):x0 + w] = TARGET_COLOR
+        scene[max(iy, 0):iy + ih, max(ix, 0):ix + iw] = inside
+        self._scene = scene
         self.state = EnvState(gripper=gripper, cube=cube, target=target)
         self.steps = 0
         return self.state
@@ -101,77 +138,92 @@ class ToyEnv:
         return self.state
 
     def step(self, action: np.ndarray) -> EnvState:
+        """Move the gripper by ``action`` (a (dx, dy) pair, each clipped to
+        ``max_step``) inside the unit square; a gripper closer than the
+        contact radius pushes the cube out to it."""
         state = self._reset_state("step")
         cfg = self.config
-        a = np.clip(np.asarray(action, dtype=np.float64),
-                    -cfg.max_step, cfg.max_step)
-        g = np.clip(state.gripper + a, 0.0, 1.0)
+        a = np.asarray(action, dtype=np.float64)
+        if a.shape != (2,):
+            raise ShapeError(f"an action is a (dx, dy) pair, got shape "
+                             f"{a.shape}")
+        ax, ay = a.tolist()
+        gx, gy = state.gripper.tolist()
+        m = cfg.max_step
+        gx = clip(gx + clip(ax, -m, m), 0.0, 1.0)
+        gy = clip(gy + clip(ay, -m, m), 0.0, 1.0)
+        g = np.array((gx, gy))
         cube = state.cube
         sep = cube - g
-        dist = float(np.linalg.norm(sep))
-        if dist < cfg.contact_radius:
-            direction = sep / dist if dist > 0 else np.array([1.0, 0.0])
-            cube = np.clip(g + direction * cfg.contact_radius, 0.0, 1.0)
+        dist = norm(sep)
+        r = cfg.contact_radius
+        if dist < r:
+            sx, sy = sep.tolist()
+            dx, dy = (sx / dist, sy / dist) if dist > 0 else (1.0, 0.0)
+            cube = np.array((clip(gx + dx * r, 0.0, 1.0),
+                             clip(gy + dy * r, 0.0, 1.0)))
         self.state = EnvState(gripper=g, cube=cube, target=state.target)
         self.steps += 1
         return self.state
 
     def success(self) -> bool:
+        """Whether the cube is within the success radius of the target,
+        as a plain ``bool``."""
         state = self._reset_state("success")
-        return (np.linalg.norm(state.cube - state.target)
+        return (norm(state.cube - state.target)
                 < self.config.success_radius)
 
     def render(self) -> np.ndarray:
         state = self._reset_state("render")
         cfg = self.config
-        img = self._background.copy()
+        img = self._scene.copy()
         n = cfg.image
-        tx, ty = state.target
-        marker = box_to_rect((tx, ty, cfg.cube_size * 0.6, cfg.cube_size * 0.6),
-                             n, n)
-        x0, y0, w, h = marker
-        img[max(y0, 0):y0 + h, max(x0, 0):x0 + w] = TARGET_COLOR
-        inner = (x0 + 1, y0 + 1, max(w - 2, 0), max(h - 2, 0))
-        ix, iy, iw, ih = inner
-        img[max(iy, 0):iy + ih, max(ix, 0):ix + iw] = \
-            self._background[max(iy, 0):iy + ih, max(ix, 0):ix + iw]
-        cx, cy = state.cube
+        cx, cy = state.cube.tolist()
         draw_rect(img, box_to_rect((cx, cy, cfg.cube_size, cfg.cube_size),
                                    n, n), OBJECT_COLOR_AFTER)
-        gx, gy = state.gripper
+        gx, gy = state.gripper.tolist()
         draw_rect(img, box_to_rect((gx, gy, cfg.gripper_size, cfg.gripper_size),
                                    n, n), HAND_COLOR)
-        return np.clip(img, 0.0, 1.0)
+        return img
 
 
 def expert_policy(state: EnvState, cfg: ToyEnvConfig) -> np.ndarray:
     """Scripted demonstrator: line up behind the cube, then push it along
     the cube-to-target line; steps shrink near the goal to avoid overshoot."""
     to_target = state.target - state.cube
-    d = float(np.linalg.norm(to_target))
+    d = norm(to_target)
     if d <= cfg.success_radius * 0.5:
         return np.zeros(2)
-    push_dir = to_target / d
+    m = cfg.max_step
+    px, py = to_target.tolist()
+    px, py = px / d, py / d
     standoff = cfg.contact_radius + 0.01
-    behind = state.cube - push_dir * standoff
-    to_behind = behind - state.gripper
-    d_behind = float(np.linalg.norm(to_behind))
+    cx, cy = state.cube.tolist()
+    gx, gy = state.gripper.tolist()
+    to_behind = np.array((cx - px * standoff - gx, cy - py * standoff - gy))
+    d_behind = norm(to_behind)
 
     if d_behind > 0.015:
-        step = to_behind / (d_behind + 1e-12) * min(cfg.max_step, d_behind)
-        nxt = state.gripper + step
+        bx, by = to_behind.tolist()
+        reach = min(m, d_behind)
+        sx = bx / (d_behind + 1e-12) * reach
+        sy = by / (d_behind + 1e-12) * reach
         # Detour instead of brushing the cube on the way around.
-        if np.linalg.norm(nxt - state.cube) < cfg.contact_radius + 0.005:
-            radial = state.gripper - state.cube
-            radial = radial / (np.linalg.norm(radial) + 1e-12)
-            tangent = np.array([-radial[1], radial[0]])
-            if np.dot(tangent, to_behind) < 0:
-                tangent = -tangent
-            step = (tangent + radial * 0.3)
-            step = step / np.linalg.norm(step) * cfg.max_step
-        return np.clip(step, -cfg.max_step, cfg.max_step)
-    push = push_dir * min(cfg.max_step, d)
-    return np.clip(push, -cfg.max_step, cfg.max_step)
+        if (norm(np.array((gx + sx - cx, gy + sy - cy)))
+                < cfg.contact_radius + 0.005):
+            rx, ry = gx - cx, gy - cy
+            length = norm(np.array((rx, ry))) + 1e-12
+            rx, ry = rx / length, ry / length
+            tx, ty = -ry, rx
+            if np.array((tx, ty)).dot(to_behind) < 0:
+                tx, ty = -tx, -ty
+            # A gripper on the cube makes this numpy's 0 / 0: a warning
+            # and a NaN step, where float division would raise.
+            step = np.array((tx + rx * 0.3, ty + ry * 0.3))
+            sx, sy = (step / norm(step) * m).tolist()
+        return np.array((clip(sx, -m, m), clip(sy, -m, m)))
+    reach = min(m, d)
+    return np.array((clip(px * reach, -m, m), clip(py * reach, -m, m)))
 
 
 @dataclass
@@ -185,7 +237,7 @@ class Transition:
 class Demo:
     seed: int
     transitions: list[Transition]
-    success: bool
+    success: bool  # ``ToyEnv.success()`` at the end, a plain ``bool``
 
 
 def run_episode(env: ToyEnv, actor, seed: int,

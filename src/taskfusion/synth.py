@@ -167,6 +167,12 @@ def box_to_rect(box, width: int, height: int) -> tuple[int, int, int, int]:
     return (round(cx * width - rw / 2), round(cy * height - rh / 2), rw, rh)
 
 
+def norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float64 vector, bit for bit: its own
+    formula, the square root of ``v.dot(v)``, without its wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def draw_rect(img: np.ndarray, rect: tuple[int, int, int, int],
               color: np.ndarray) -> None:
     """Fill ``rect`` in an [H, W, 3] image, or in every image of a
@@ -230,7 +236,7 @@ def _make_script(rng: np.random.Generator, cfg: ClipConfig) -> SceneScript:
         # so the color flip dominates every inter-frame pixel difference.
         away = contact + (hand_w / 2, hand_h / 2) - (ox + obj_w / 2,
                                                      oy + obj_h / 2)
-        away = away / (np.linalg.norm(away) + 1e-12)
+        away = away / (norm(away) + 1e-12)
         angle = rng.uniform(-0.6, 0.6)
         cos, sin = np.cos(angle), np.sin(angle)
         rot = np.array([[cos, -sin], [sin, cos]])

@@ -153,10 +153,20 @@ def _check_header(header) -> None:
                                   "byte_offset")
 
 
+def _float64_view(values: np.ndarray) -> Tensor:
+    """A constant tensor over read-only float64 ``values`` as they are,
+    neither copied nor cast to the compute dtype."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.requires_grad, t.grad, t.node = values, False, None, None
+    return t
+
+
 def load_checkpoint(path) -> ParamStore:
-    """Read a checkpoint in one call into a fresh store, viewing the
-    payload as float64 in place (without a newline, all is header), and
-    verify the payload and that every value is finite."""
+    """Read a checkpoint in one call into a fresh store of read-only
+    float64 views of the payload, whatever the compute dtype (without a
+    newline, all is header), and verify the payload and that every value
+    is finite. ``copy_parameters`` makes the one cast, to the model's
+    dtype."""
     with open(path, "rb") as f:
         data = f.read()
     newline = data.find(b"\n")
@@ -186,7 +196,7 @@ def load_checkpoint(path) -> ParamStore:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {name!r} holds a non-finite "
                                   "value")
-        store.register(name, Tensor(arr.reshape(shape), requires_grad=True))
+        store.register(name, _float64_view(arr.reshape(shape)))
     return store
 
 

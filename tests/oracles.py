@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from taskfusion import synth
+from taskfusion import bc, synth
 from taskfusion import tensor as tl
 
 
@@ -149,3 +149,67 @@ def no_change_script_reference(rng, cfg):
     corner = (0, 0) if synth._rects_clear((0, 0, hand, hand), obj, 2) else (
         w - hand, h - hand)
     return np.tile(np.array(corner, dtype=np.int16), (t, 1)), obj
+
+
+def env_step_reference(gripper, cube, action, cfg):
+    """``ToyEnv.step``'s numpy 2-vector formula, as it was before the env
+    worked on Python floats: the gripper and the cube after ``action``."""
+    a = np.clip(np.asarray(action, dtype=np.float64),
+                -cfg.max_step, cfg.max_step)
+    g = np.clip(gripper + a, 0.0, 1.0)
+    sep = cube - g
+    dist = float(np.linalg.norm(sep))
+    if dist < cfg.contact_radius:
+        direction = sep / dist if dist > 0 else np.array([1.0, 0.0])
+        cube = np.clip(g + direction * cfg.contact_radius, 0.0, 1.0)
+    return g, cube
+
+
+def expert_policy_reference(gripper, cube, target, cfg):
+    """``bc.expert_policy``'s numpy 2-vector formula, as it was before it
+    worked on Python floats."""
+    to_target = target - cube
+    d = float(np.linalg.norm(to_target))
+    if d <= cfg.success_radius * 0.5:
+        return np.zeros(2)
+    push_dir = to_target / d
+    behind = cube - push_dir * (cfg.contact_radius + 0.01)
+    to_behind = behind - gripper
+    d_behind = float(np.linalg.norm(to_behind))
+    if d_behind > 0.015:
+        step = to_behind / (d_behind + 1e-12) * min(cfg.max_step, d_behind)
+        if np.linalg.norm(gripper + step - cube) < cfg.contact_radius + 0.005:
+            radial = gripper - cube
+            radial = radial / (np.linalg.norm(radial) + 1e-12)
+            tangent = np.array([-radial[1], radial[0]])
+            if np.dot(tangent, to_behind) < 0:
+                tangent = -tangent
+            step = tangent + radial * 0.3
+            step = step / np.linalg.norm(step) * cfg.max_step
+        return np.clip(step, -cfg.max_step, cfg.max_step)
+    return np.clip(push_dir * min(cfg.max_step, d), -cfg.max_step,
+                   cfg.max_step)
+
+
+def env_render_reference(seed, state, cfg):
+    """``ToyEnv.render``'s frame drawn whole, as it was before the scene
+    layer: the seed's backdrop, the target's outline, cube, gripper."""
+    background = synth.backdrop(np.random.Generator(np.random.PCG64(seed)),
+                                cfg.image, cfg.image, cfg.noise)
+    img = background.copy()
+    n = cfg.image
+    tx, ty = state.target
+    x0, y0, w, h = synth.box_to_rect(
+        (tx, ty, cfg.cube_size * 0.6, cfg.cube_size * 0.6), n, n)
+    img[max(y0, 0):y0 + h, max(x0, 0):x0 + w] = bc.TARGET_COLOR
+    ix, iy, iw, ih = x0 + 1, y0 + 1, max(w - 2, 0), max(h - 2, 0)
+    img[max(iy, 0):iy + ih, max(ix, 0):ix + iw] = \
+        background[max(iy, 0):iy + ih, max(ix, 0):ix + iw]
+    cx, cy = state.cube
+    synth.draw_rect(img, synth.box_to_rect(
+        (cx, cy, cfg.cube_size, cfg.cube_size), n, n),
+        synth.OBJECT_COLOR_AFTER)
+    gx, gy = state.gripper
+    synth.draw_rect(img, synth.box_to_rect(
+        (gx, gy, cfg.gripper_size, cfg.gripper_size), n, n), synth.HAND_COLOR)
+    return np.clip(img, 0.0, 1.0)

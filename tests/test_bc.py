@@ -7,11 +7,11 @@ import pytest
 from taskfusion import tensor as tl
 from taskfusion import trainer
 from taskfusion.bc import (Policy, ToyEnv, ToyEnvConfig, bc_train,
-                           collect_demos, expert_demo, load_policy, read_demos,
-                           save_policy, write_demos)
+                           collect_demos, expert_demo, expert_policy,
+                           load_policy, read_demos, save_policy, write_demos)
 from taskfusion.seeding import derive_seed
 from taskfusion.synth import DatasetError
-from taskfusion.tensor import ContractError
+from taskfusion.tensor import ContractError, ShapeError
 from taskfusion.trainer import (CheckpointError, TrainConfig, build_model,
                                 load_checkpoint, save_checkpoint)
 
@@ -95,6 +95,45 @@ def test_env_before_reset_is_a_contract_error():
             call()
     env.reset(0)
     assert env.render().shape == (16, 16, 3) and not env.success()
+
+
+def test_reset_refuses_an_env_it_cannot_place_in():
+    """At a contact radius of 1.0 no gripper in [0.1, 0.9]^2 is far
+    enough from a cube in [0.3, 0.7]^2: reset gives up after its
+    placement draws, naming the config, and leaves the env unreset."""
+    env = ToyEnv(ToyEnvConfig(contact_radius=1.0))
+    with pytest.raises(ContractError, match=r"env ToyEnvConfig\(.*"
+                       r"contact_radius=1\.0.*\) places no cube, target and "
+                       r"gripper apart in 10000 draws of seed 3"):
+        env.reset(3)
+    with pytest.raises(ContractError, match="render before reset"):
+        env.render()
+
+
+# sha256 of the placements and first frames of 200 demo seeds at a
+# contact radius of 0.6, which takes up to a few hundred draws a seed;
+# recorded before the placement loop was bounded.
+WIDE_CONTACT_DIGEST = \
+    "6998483366c831797c35ad34b827cd09cb459c68ebff45916c2b3c94390245c6"
+
+
+def test_seeds_that_place_keep_their_draws():
+    env = ToyEnv(ToyEnvConfig(contact_radius=0.6, image=16))
+    h = hashlib.sha256()
+    for i in range(200):
+        s = env.reset(derive_seed(0, "demo", i))
+        h.update(s.gripper.tobytes() + s.cube.tobytes() + s.target.tobytes()
+                 + env.render().tobytes())
+    assert h.hexdigest() == WIDE_CONTACT_DIGEST
+
+
+@pytest.mark.parametrize("action", [0.01, [0.01], [[0.01, 0.02]],
+                                    [0.01, 0.02, 0.03]])
+def test_an_action_is_a_pair(action):
+    env = ToyEnv(ENV)
+    env.reset(0)
+    with pytest.raises(ShapeError, match="an action is a"):
+        env.step(action)
 
 
 def test_policy_checkpoint_rebuilds_the_policy(tmp_path):
@@ -219,3 +258,95 @@ def test_float64_bc_train_is_reproducible_and_matches_its_digests():
     params = b"".join(t.data.tobytes() for _, t in policy.store().items())
     assert (hashlib.sha256(json.dumps(log).encode()).hexdigest(),
             hashlib.sha256(params).hexdigest()) == BC_DIGESTS
+
+
+# Env settings whose demos and scripted rollouts ``test_env_bits_match_
+# their_digests`` pins: the default, 16 px, a small fast-horizon gripper,
+# a noisy backdrop and a small cube with a tight goal.
+PINNED_ENVS = {
+    "default": ToyEnvConfig(),
+    "16px": ToyEnvConfig(image=16),
+    "gripper": ToyEnvConfig(gripper_size=0.10, max_step=0.03, horizon=80),
+    "noise": ToyEnvConfig(noise=0.12),
+    "cube": ToyEnvConfig(cube_size=0.16, success_radius=0.03),
+}
+
+# sha256, per env, of the demos of ``collect_demos(30, 11, cfg)`` (seed,
+# then each step's obs, proprio and action bytes, then success) and of 30
+# scripted rollouts (``_rollout_bytes``), recorded before the scene layer
+# and the scalar 2-vector arithmetic.
+ENV_DIGESTS = {
+    "default": ("69f8231394a9ff7bb93471a8c0d8bddfdd8e7e709df27cd687474d09d1e70fef",
+                "2dfe1f95f015f6eed8fb8f9168d7f5fcb48118dd9cd56d78403a7feafe186f45"),
+    "16px": ("4aef9ae6e8df92e006a34935a1f72b1f5b3f3c8b7770654160cd02e02f9ad855",
+             "fe1e4ae52c41baa72b37d2ada53698d4ed0066e37e2f907bb315705a2dc3bf55"),
+    "gripper": ("a509ba15aa6c4247dd8dced54d39520214dbcdf3dbb3d7a88749a9b55a27f6cc",
+                "151cabcd6ba5b8b6b005c33079ab18dd0ea107a00c350144301eee047468d083"),
+    "noise": ("fdd80efecc57eba27f5ac0b14b0340b31a0a9ba757929cff494d139483d3eee9",
+              "229b8464d326a28f3b3f8923f61a3068fdf9aaa1bcf54c5b825160a3bf46cbc4"),
+    "cube": ("74868d016bf9b36c7428cec29a4550b03da81648986059679f65d6c3684075eb",
+             "f8e8057ddbe028e3dce41d1325059400035c4d4c60a67352d47bb1343e12d448"),
+}
+
+# Off-script actions in units of ``max_step``: both signs of zero, exactly
+# at the bounds, and far beyond them.
+ODD_ACTIONS = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.0, -1.0),
+               (-1.0, 1.0), (20.0, -20.0), (-20.0, 0.0), (0.0, 20.0)]
+
+
+def _rollout_bytes(env: ToyEnv, seed: int) -> tuple[bytes, int, int]:
+    """A full-horizon rollout that cycles through the expert's action, a
+    lunge at the cube at four times its distance, a uniform draw of up to
+    four ``max_step`` and an ``ODD_ACTIONS`` entry. Returns each step's
+    obs, state, action, expert action and success bytes, the steps that
+    moved the cube, and those whose success was a ``bool``."""
+    cfg = env.config
+    rng = np.random.default_rng(seed)
+    state = env.reset(seed)
+    chunks, pushes, bools = [], 0, 0
+    for k in range(cfg.horizon):
+        obs = env.render()
+        expert = expert_policy(state, cfg)
+        kind = k % 4
+        if kind == 0:
+            action = expert
+        elif kind == 1:
+            action = (state.cube - state.gripper) * 4.0
+        elif kind == 2:
+            action = rng.uniform(-4.0, 4.0, size=2) * cfg.max_step
+        else:
+            action = np.array(ODD_ACTIONS[k // 4 % len(ODD_ACTIONS)]) \
+                * cfg.max_step
+        cube = state.cube
+        state = env.step(action)
+        pushes += not np.array_equal(state.cube, cube)
+        ok = env.success()
+        bools += type(ok) is bool
+        chunks += [obs.tobytes(), np.asarray(action).tobytes(),
+                   expert.tobytes(), state.gripper.tobytes(),
+                   state.cube.tobytes(), state.target.tobytes(),
+                   bytes([bool(ok)])]
+    return b"".join(chunks), pushes, bools
+
+
+@pytest.mark.parametrize("name", list(PINNED_ENVS))
+def test_env_bits_match_their_digests(name):
+    """Demos and scripted rollouts keep every bit of their observations,
+    actions, states and successes; success is a plain ``bool``."""
+    cfg = PINNED_ENVS[name]
+    demos = hashlib.sha256()
+    for demo in collect_demos(30, 11, cfg):
+        assert type(demo.success) is bool
+        demos.update(demo.seed.to_bytes(8, "little"))
+        for tr in demo.transitions:
+            demos.update(tr.obs.tobytes() + tr.proprio.tobytes()
+                         + tr.action.tobytes())
+        demos.update(bytes([bool(demo.success)]))
+    rollouts, env, pushes = hashlib.sha256(), ToyEnv(cfg), 0
+    for i in range(30):
+        data, pushed, bools = _rollout_bytes(env, derive_seed(12, "roll", i))
+        assert bools == cfg.horizon
+        rollouts.update(data)
+        pushes += pushed
+    assert pushes > 0
+    assert (demos.hexdigest(), rollouts.hexdigest()) == ENV_DIGESTS[name]

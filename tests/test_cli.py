@@ -301,6 +301,20 @@ def _image_demos(work, image):
     return path
 
 
+def _unplaceable_demos(work):
+    """Demos whose env's contact radius leaves no room to place the
+    gripper apart from the cube."""
+    path = work / "demos_unplaceable"
+    path.write_text(json.dumps({"env": {"image": 16, "contact_radius": 1.0},
+                                "seeds": [3]}) + "\n")
+    return path
+
+
+UNPLACEABLE = ("contact_radius=1.0, image=16, noise=0.04, cube_size=0.25, "
+               "gripper_size=0.16) places no cube, target and gripper apart "
+               "in 10000 draws of seed ")
+
+
 # train's size flags below 1, each with its TrainConfig field: the values
 # that ended in a ZeroDivisionError or ValueError traceback, or trained
 # (--mlp-hidden 0), before TrainConfig refused them.
@@ -401,6 +415,12 @@ def _train_argv(work, flag, value):
     (lambda w: ["bc-eval", "--policy", str(_policy_file(
         w, "image_none.ckpt", _with_env(image=None)))],
      "env image must be int"),
+    (lambda w: ["bc-train", "--demos", str(_unplaceable_demos(w)),
+                "--checkpoint", str(w / "model.ckpt"), "--out-policy",
+                str(w / "p.ckpt")], UNPLACEABLE + "3"),
+    (lambda w: ["bc-eval", "--policy", str(_policy_file(
+        w, "unplaceable.ckpt", _with_env(contact_radius=1.0))),
+                "--episodes", "1"], UNPLACEABLE),
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--image", "8",
                 "--out", str(w / "g")],
      "height and width must be at least 14 px for the scene script, got 8x8"),
@@ -428,7 +448,8 @@ def _train_argv(work, flag, value):
         "steps_negative",
         *[f"{field}_{value}" for _, field, value in SIZE_FLAGS_BELOW_1],
         "env_image_0", "env_image_negative", "bc_eval_horizon_0",
-        "bc_eval_env_type", "image_8",
+        "bc_eval_env_type", "bc_train_unplaceable", "bc_eval_unplaceable",
+        "image_8",
         "image_0", "noise_negative", "duration_negative", "noise_inf",
         "duration_inf"])
 @pytest.mark.filterwarnings("ignore:expert failed on")

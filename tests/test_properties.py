@@ -1,8 +1,10 @@
 """Property-based tests (hypothesis): the batched exact matcher against
 the brute-force oracle, the bounds and symmetry of generalized IoU, the
-broadcast rules of the binary tensor ops, and the fused ops' direct ufunc
-reductions against the np.mean/np.max/np.sum formulas, bit for bit. Draws
-are derandomized, so every run checks the same examples."""
+broadcast rules of the binary tensor ops, the fused ops' direct ufunc
+reductions against the np.mean/np.max/np.sum formulas, and the toy env's
+scalar helpers, dynamics, expert and frames against np.linalg.norm,
+np.clip and the env's numpy 2-vector formulas, bit for bit. Draws are
+derandomized, so every run checks the same examples."""
 
 import numpy as np
 import pytest
@@ -12,12 +14,16 @@ from hypothesis.extra.numpy import arrays
 
 from taskfusion import tensor as tl
 from taskfusion.assignment import AssignmentDomainError, hungarian
+from taskfusion.bc import (EnvState, ToyEnv, ToyEnvConfig, clip,
+                           expert_policy)
 from taskfusion.losses import iou_giou
+from taskfusion.synth import norm
 from taskfusion.tensor import ShapeError
 
 from oracles import (attention_weights_reference, brute_force_assign,
-                     class_attention_reference, iou_giou_values,
-                     layer_norm_reference)
+                     class_attention_reference, env_render_reference,
+                     env_step_reference, expert_policy_reference,
+                     iou_giou_values, layer_norm_reference)
 
 SETTINGS = settings(max_examples=200, derandomize=True, database=None,
                     deadline=None)
@@ -238,3 +244,112 @@ def test_class_attention_equals_the_max_sum_softmax_bit_for_bit(
     want = class_attention_reference(*(a.data for a in args), heads)
     assert out.data.dtype == want.dtype == np.dtype(dtype)
     assert np.array_equal(out.data, want)
+
+
+# Zeros of both signs, subnormals, the largest finite floats, infinities
+# and NaN, then any float, then the env's own range.
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, np.inf,
+            -np.inf, np.nan]
+coords = st.one_of(st.sampled_from(EXTREMES), st.floats(),
+                   st.floats(-2.0, 2.0))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@SETTINGS
+@given(arrays(np.float64, st.integers(0, 5), elements=coords))
+@example(np.array([0.0, -0.0]))
+@example(np.array([5e-324, -5e-324]))
+@example(np.array([1e300, 1e300]))
+@example(np.array([np.inf, np.nan]))
+def test_norm_equals_np_linalg_norm_bit_for_bit(v):
+    with np.errstate(over="ignore", invalid="ignore"):  # both warn alike
+        got, want = norm(v), np.linalg.norm(v)
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
+
+
+@st.composite
+def clip_cases(draw):
+    """Bounds lo <= hi (both zeros, the env's bounds, or any two
+    non-NaN floats) and a value that is often exactly at a bound."""
+    lo, hi = draw(st.one_of(
+        st.sampled_from([(0.0, 1.0), (-0.05, 0.05), (-0.0, 0.0), (0.0, 0.0),
+                         (-0.0, -0.0), (-np.inf, np.inf)]),
+        st.tuples(st.floats(allow_nan=False),
+                  st.floats(allow_nan=False)).map(sorted)))
+    x = draw(st.one_of(coords, st.sampled_from([lo, hi, -lo, -hi])))
+    return x, lo, hi
+
+
+@SETTINGS
+@given(clip_cases())
+@example((-0.0, 0.0, 1.0))
+@example((0.0, -0.0, 0.0))
+@example((-0.0, -0.0, 0.0))
+@example((np.nan, -0.05, 0.05))
+@example((np.inf, 0.0, 1.0))
+@example((-np.inf, -0.05, 0.05))
+@example((0.05, -0.05, 0.05))
+def test_clip_equals_np_clip_of_a_2_vector_bit_for_bit(case):
+    x, lo, hi = case
+    assert _bits(clip(x, lo, hi)) == _bits(np.clip(np.array([x, x]), lo,
+                                                     hi)[0])
+
+
+# Positions in the unit square, often on its walls or at its centre.
+unit = st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(0.0, 1.0))
+positions_2d = st.tuples(unit, unit).map(np.array)
+# Env settings: the defaults, zero, or anything up to a third of the square.
+radii = st.one_of(st.sampled_from([0.0, 0.03, 0.05, 0.06]),
+                  st.floats(0.0, 0.3))
+
+
+def _same(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@SETTINGS
+@given(positions_2d, positions_2d, positions_2d,
+       st.tuples(coords, coords).map(np.array), radii, radii, radii)
+# The gripper on the cube at a wall, where the expert's detour divides
+# 0 by 0; and both signs of zero in the action.
+@example(np.array([1.0, 0.5]), np.array([1.0, 0.5]), np.array([0.4, 0.5]),
+         np.array([0.0, -0.0]), 0.05, 0.06, 0.05)
+@example(np.array([0.2, 0.2]), np.array([0.2, 0.2]), np.array([0.6, 0.6]),
+         np.array([-0.0, 0.0]), 0.0, 0.0, 0.05)
+def test_env_step_and_expert_equal_their_numpy_formulas_bit_for_bit(
+        gripper, cube, target, action, max_step, contact_radius,
+        success_radius):
+    cfg = ToyEnvConfig(max_step=max_step, contact_radius=contact_radius,
+                       success_radius=success_radius)
+    env = ToyEnv(cfg)
+    env.state = EnvState(gripper=gripper, cube=cube, target=target)
+    with np.errstate(invalid="ignore"):  # the detour's 0 / 0, on both sides
+        assert _same(expert_policy(env.state, cfg),
+                     expert_policy_reference(gripper, cube, target, cfg))
+    want_gripper, want_cube = env_step_reference(gripper, cube, action, cfg)
+    state = env.step(action)
+    assert _same(state.gripper, want_gripper)
+    assert _same(state.cube, want_cube)
+    ok = env.success()
+    assert type(ok) is bool
+    assert ok == bool(np.linalg.norm(want_cube - target) < success_radius)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.integers(0, 2**32), positions_2d, positions_2d,
+       st.sampled_from([14, 16, 32]), st.floats(0.0, 0.5),
+       st.floats(0.0, 0.5))
+def test_frames_equal_the_whole_drawn_frame_bit_for_bit(
+        seed, gripper, cube, image, cube_size, gripper_size):
+    """Cube and gripper anywhere, edges included, over the scene layer."""
+    cfg = ToyEnvConfig(image=image, cube_size=cube_size,
+                       gripper_size=gripper_size)
+    env = ToyEnv(cfg)
+    target = env.reset(seed).target
+    env.state = EnvState(gripper=gripper, cube=cube, target=target)
+    assert _same(env.render(), env_render_reference(seed, env.state, cfg))

@@ -742,6 +742,31 @@ def test_value_overflowing_float32_is_rejected(tmp_path):
         trainer.load_model(path)
 
 
+def test_a_float32_block_loads_float64_views_and_copy_checks_them(tmp_path):
+    """Inside ``precision("float32")`` the loaded store still holds the
+    payload's float64 values, as read-only views, so 1e300 reaches
+    ``copy_parameters`` whole and its overflow check names it, where a
+    cast at load time made it a silent inf."""
+    path = _checkpoint(tmp_path)
+    values = np.frombuffer(_payload(path), dtype="<f8").copy()
+    values[2] = 1e300  # a[0, 2]
+    _rewrite(path, payload=values.tobytes())
+    with tl.precision("float32"):
+        loaded = load_checkpoint(path)
+        for name in ("a", "b"):
+            data = loaded[name].data
+            assert data.dtype == np.float64 and not data.flags.writeable
+            assert not loaded[name].requires_grad
+        assert loaded["a"].data[0, 2] == 1e300
+        model = ParamStore()
+        model.register("a", tl.zeros((2, 3), requires_grad=True))
+        model.register("b", tl.zeros(1, requires_grad=True))
+        with pytest.raises(CheckpointError, match="parameter 'a' holds a "
+                                                  "value that overflows "
+                                                  "float32"):
+            trainer.copy_parameters(loaded, model)
+
+
 # sha256 of the checkpoint file of each encoder's seeded model at its
 # init values, per dtype; recorded before model init and checkpoint saves
 # dropped their redundant copies, which must keep every byte. The header
