@@ -60,9 +60,11 @@ class ToyEnvConfig:
             value = getattr(self, f.name)
             if f.type == "int" and value < 1:
                 raise ContractError(f"env {f.name} must be >= 1, got {value}")
-            if f.type == "float" and not (np.isfinite(value) and value >= 0):
-                raise ContractError(f"env {f.name} must be finite and >= 0, "
-                                    f"got {value}")
+            # a float field is a length in the unit square the scene
+            # spans, or the backdrop's noise, which at 1 spans every pixel
+            if f.type == "float" and not 0.0 <= value <= 1.0:
+                raise ContractError(f"env {f.name} must lie in [0, 1], got "
+                                    f"{value}")
 
 
 @dataclass

@@ -8,6 +8,11 @@ and the joint loss through a tiny two-layer decode of two clips, every
 parameter included. Its inputs derive from one seed; each
 check is named, and ``taskfusion gradcheck`` prints one line per check.
 It needs float64 inputs, as ``tensor.grad_check`` does.
+
+Each op, attention block and fused op is checked through one linear
+probe, ``sum(op(*inputs) * w)`` with a random ``w`` drawn after the
+inputs in the shape of the op's output; ``scale`` (its factor is drawn
+after ``w``), ``sum_all``, the losses and the decode have their own.
 """
 
 from __future__ import annotations
@@ -17,30 +22,28 @@ import numpy as np
 from . import tensor as tl
 from .decoder import (AttentionParams, ClipFeatures, DecoderConfig,
                       TaskFusionDecoder, cross_attention, self_attention)
-from .losses import (ClipLabels, LabeledBox, SigmaParams, TASK_ORDER,
-                     iou_giou, joint_loss, make_pnr_target, make_pnr_targets,
+from .losses import (ClipLabels, LabeledBox, PnrTarget, SigmaParams,
+                     TASK_ORDER, iou_giou, joint_loss, make_pnr_targets,
                      match_queries, oscc_loss, pnr_loss, scod_loss)
 from .seeding import rng_for
 from .tensor import GradCheckReport, TensorError, grad_check
 
 
-def _positive(rng, shape, lo=0.1, hi=3.0):
-    return tl.tensor(rng.uniform(lo, hi, shape), requires_grad=True)
+def _leaf(x) -> tl.Tensor:
+    """An input the check differentiates."""
+    return tl.tensor(x, requires_grad=True)
 
 
 def _away_from(rng, shape, margin=0.05):
     x = rng.standard_normal(shape)
-    x = x + np.sign(x) * margin * 2
-    return tl.tensor(x, requires_grad=True)
+    return x + np.sign(x) * margin * 2
 
 
 def _box_margins_ok(a: np.ndarray, b: np.ndarray, margin: float = 0.015) -> bool:
     """True when no corner pair, component pair, or overlap edge sits near a
     min/max/relu kink, so central differences stay valid."""
-    ac = np.array([a[0] - a[2] / 2, a[1] - a[3] / 2,
-                   a[0] + a[2] / 2, a[1] + a[3] / 2])
-    bc = np.array([b[0] - b[2] / 2, b[1] - b[3] / 2,
-                   b[0] + b[2] / 2, b[1] + b[3] / 2])
+    ac, bc = (np.concatenate([x[:2] - x[2:] / 2, x[:2] + x[2:] / 2])
+              for x in (a, b))
     if np.any(np.abs(ac - bc) < margin) or np.any(np.abs(a - b) < margin):
         return False
     iw = min(ac[2], bc[2]) - max(ac[0], bc[0])
@@ -97,9 +100,15 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
     loss through a tiny decode."""
     results: list[tuple[str, GradCheckReport]] = []
 
-    def check(name, f, inputs, names=None):
+    def check(name, f, inputs, names):
         results.append((name, grad_check(f, inputs, eps=eps, tol=tol,
                                          names=names)))
+
+    def probe(name, rng, op, inputs, names):
+        with tl.no_tape():
+            shape = op(*inputs).shape
+        w = tl.constant(rng.standard_normal(shape))
+        check(name, lambda *xs: tl.sum_all(tl.mul(op(*xs), w)), inputs, names)
 
     cases_per_kind = 5
     binary = {"add": tl.add, "sub": tl.sub, "mul": tl.mul, "div": tl.div,
@@ -107,19 +116,16 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
     for kind, op in binary.items():
         for c in range(cases_per_kind):
             rng = rng_for(seed, "gc", kind, c)
-            a = tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)
+            a = rng.standard_normal((3, 4))
             if kind == "div":
                 b = _away_from(rng, (3, 4), margin=0.3)
             elif kind in ("maximum", "minimum"):
-                b = tl.tensor(a.data + np.sign(rng.standard_normal((3, 4)))
-                              * rng.uniform(0.2, 1.0, (3, 4)),
-                              requires_grad=True)
+                b = a + (np.sign(rng.standard_normal((3, 4)))
+                         * rng.uniform(0.2, 1.0, (3, 4)))
             else:
-                b = tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)
-            w = tl.constant(rng.standard_normal((3, 4)))
-            check(f"elementwise.{kind}[{c}]",
-                  lambda x, y, op=op, w=w: tl.sum_all(tl.mul(op(x, y), w)),
-                  [a, b], names=["a", "b"])
+                b = rng.standard_normal((3, 4))
+            probe(f"elementwise.{kind}[{c}]", rng, op, [_leaf(a), _leaf(b)],
+                  ["a", "b"])
 
     unary = {"relu": tl.relu, "gelu": tl.gelu, "exp": tl.exp, "log": tl.log,
              "sigmoid": tl.sigmoid}
@@ -127,38 +133,31 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
         for c in range(cases_per_kind):
             rng = rng_for(seed, "gc", kind, c)
             if kind == "log":
-                a = _positive(rng, (3, 4))
+                a = _leaf(rng.uniform(0.1, 3.0, (3, 4)))
             elif kind == "relu":
-                a = _away_from(rng, (3, 4))
+                a = _leaf(_away_from(rng, (3, 4)))
             elif kind == "exp":
-                a = tl.tensor(rng.uniform(-2, 2, (3, 4)), requires_grad=True)
+                a = _leaf(rng.uniform(-2, 2, (3, 4)))
             else:
-                a = tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)
+                a = _leaf(rng.standard_normal((3, 4)))
+            if kind != "scale":
+                probe(f"elementwise.{kind}[{c}]", rng, unary[kind], [a], ["a"])
+                continue
             w = tl.constant(rng.standard_normal((3, 4)))
-            if kind == "scale":
-                factor = float(rng.uniform(-2, 2))
-                f = lambda x, k=factor, w=w: tl.sum_all(tl.mul(tl.scale(x, k), w))
-            else:
-                f = lambda x, op=unary[kind], w=w: tl.sum_all(
-                    tl.mul(op(x), w))
-            check(f"elementwise.{kind}[{c}]", f, [a], names=["a"])
+            factor = float(rng.uniform(-2, 2))
+            check(f"elementwise.scale[{c}]", lambda x, k=factor, w=w:
+                  tl.sum_all(tl.mul(tl.scale(x, k), w)), [a], ["a"])
 
     for c in range(3):
         rng = rng_for(seed, "gc", "matmul", c)
-        a = tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        b = tl.tensor(rng.standard_normal((4, 2)), requires_grad=True)
-        w = tl.constant(rng.standard_normal((3, 2)))
-        check(f"matmul[{c}]",
-              lambda x, y, w=w: tl.sum_all(tl.mul(tl.matmul(x, y), w)),
-              [a, b], names=["a", "b"])
+        a = _leaf(rng.standard_normal((3, 4)))
+        b = _leaf(rng.standard_normal((4, 2)))
+        probe(f"matmul[{c}]", rng, tl.matmul, [a, b], ["a", "b"])
 
         rng = rng_for(seed, "gc", "matmul_batched", c)
-        a3 = tl.tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        b3 = tl.tensor(rng.standard_normal((2, 4, 2)), requires_grad=True)
-        w3 = tl.constant(rng.standard_normal((2, 3, 2)))
-        check(f"matmul_batched[{c}]",
-              lambda x, y, w=w3: tl.sum_all(tl.mul(tl.matmul(x, y), w)),
-              [a3, b3], names=["a", "b"])
+        a3 = _leaf(rng.standard_normal((2, 3, 4)))
+        b3 = _leaf(rng.standard_normal((2, 4, 2)))
+        probe(f"matmul_batched[{c}]", rng, tl.matmul, [a3, b3], ["a", "b"])
 
     structural = {
         "permute": lambda x: tl.permute(tl.reshape(x, (2, 2, 3)), (2, 0, 1)),
@@ -173,127 +172,91 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
     for name, op in structural.items():
         for c in range(3):
             rng = rng_for(seed, "gc", name, c)
-            a = tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)
-            out_shape = op(tl.constant(a.data)).shape
-            w = tl.constant(rng.standard_normal(out_shape))
-            check(f"{name}[{c}]",
-                  lambda x, op=op, w=w: tl.sum_all(tl.mul(op(x), w)),
-                  [a], names=["a"])
+            a = _leaf(rng.standard_normal((3, 4)))
+            probe(f"{name}[{c}]", rng, op, [a], ["a"])
 
     for c in range(3):
         rng = rng_for(seed, "gc", "multi", c)
-        parts = [tl.tensor(rng.standard_normal((2, 3)), requires_grad=True)
-                 for _ in range(3)]
-        w = tl.constant(rng.standard_normal((6, 3)))
-        check(f"concat[{c}]",
-              lambda a, b, cc, w=w: tl.sum_all(
-                  tl.mul(tl.concat([a, b, cc], axis=0), w)),
-              parts, names=["a", "b", "c"])
+        parts = [_leaf(rng.standard_normal((2, 3))) for _ in range(3)]
+        probe(f"concat[{c}]", rng, lambda *xs: tl.concat(xs, axis=0), parts,
+              ["a", "b", "c"])
 
         rng = rng_for(seed, "gc", "layer_norm", c)
-        x = tl.tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        g = tl.tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True)
-        b = tl.tensor(rng.standard_normal(5) * 0.1, requires_grad=True)
-        w = tl.constant(rng.standard_normal((3, 5)))
-        check(f"layer_norm[{c}]",
-              lambda x, g, b, w=w: tl.sum_all(
-                  tl.mul(tl.layer_norm(x, g, b), w)),
-              [x, g, b], names=["x", "gain", "bias"])
+        x = _leaf(rng.standard_normal((3, 5)))
+        g = _leaf(rng.uniform(0.5, 1.5, 5))
+        b = _leaf(rng.standard_normal(5) * 0.1)
+        probe(f"layer_norm[{c}]", rng, tl.layer_norm, [x, g, b],
+              ["x", "gain", "bias"])
 
         check(f"sum_all[{c}]", lambda x: tl.scale(tl.sum_all(x), 1.7),
-              [tl.tensor(rng.standard_normal((3, 4)), requires_grad=True)],
-              names=["a"])
+              [_leaf(rng.standard_normal((3, 4)))], ["a"])
 
     # attention blocks, on [n, D] token sets and on a batch of two
     for batch, tag in (((), ""), ((2,), "_batched")):
         for c in range(3):
             rng = rng_for(seed, "gc", "attn" + tag, c)
-            params = AttentionParams.init(rng, 8, 2, std=0.3)
-            tokens = tl.tensor(rng.standard_normal(batch + (5, 8)),
-                               requires_grad=True)
-            w = tl.constant(rng.standard_normal(batch + (5, 8)))
-            inputs = [tokens, params.wq, params.wk, params.wv, params.wo]
-            check(f"self_attention{tag}[{c}]",
-                  lambda t, *_, p=params, w=w: tl.sum_all(
-                      tl.mul(self_attention(t, p)[0], w)),
-                  inputs, names=["tokens", "wq", "wk", "wv", "wo"])
+            p = AttentionParams.init(rng, 8, 2, std=0.3)
+            weights = [p.wq, p.wk, p.wv, p.wo]
+            tokens = _leaf(rng.standard_normal(batch + (5, 8)))
+            probe(f"self_attention{tag}[{c}]", rng,
+                  lambda t, *_, p=p: self_attention(t, p)[0],
+                  [tokens, *weights], ["tokens", "wq", "wk", "wv", "wo"])
 
-            memory = tl.tensor(rng.standard_normal(batch + (6, 8)),
-                               requires_grad=True)
-            queries = tl.tensor(rng.standard_normal(batch + (3, 8)),
-                                requires_grad=True)
-            wq = tl.constant(rng.standard_normal(batch + (3, 8)))
-            check(f"cross_attention{tag}[{c}]",
-                  lambda m, q, *_, p=params, w=wq: tl.sum_all(
-                      tl.mul(cross_attention(m, q, p)[0], w)),
-                  [memory, queries, params.wq, params.wk, params.wv,
-                   params.wo],
-                  names=["memory", "queries", "wq", "wk", "wv", "wo"])
+            memory = _leaf(rng.standard_normal(batch + (6, 8)))
+            queries = _leaf(rng.standard_normal(batch + (3, 8)))
+            probe(f"cross_attention{tag}[{c}]", rng,
+                  lambda m, q, *_, p=p: cross_attention(m, q, p)[0],
+                  [memory, queries, *weights],
+                  ["memory", "queries", "wq", "wk", "wv", "wo"])
 
     # the class-row op, over the raw patches of one frame and of three
     for frames in (1, 3):
         for c in range(3):
             rng = rng_for(seed, "gc", "class_attention", frames, c)
-            params = AttentionParams.init(rng, 8, 2, std=0.3)
+            p = AttentionParams.init(rng, 8, 2, std=0.3)
             raw = tl.constant(rng.standard_normal((frames, 4, 6)))
-            w_patch = tl.tensor(rng.standard_normal((6, 8)) * 0.5,
-                                requires_grad=True)
-            rows = tl.tensor(rng.standard_normal((4, 8)) * 0.5,
-                             requires_grad=True)
-            cls = tl.tensor(rng.standard_normal((1, 1, 8)), requires_grad=True)
-            w = tl.constant(rng.standard_normal((frames, 8)))
-            check(f"class_attention[{frames}x{c}]",
-                  lambda wp, r, cl, *ws, x=raw, w=w: tl.sum_all(tl.mul(
-                      tl.class_attention(x, wp, r, cl, *ws, heads=2), w)),
-                  [w_patch, rows, cls, params.wq, params.wk, params.wv,
-                   params.wo],
-                  names=["w_patch", "rows", "cls", "wq", "wk", "wv", "wo"])
+            w_patch = _leaf(rng.standard_normal((6, 8)) * 0.5)
+            rows = _leaf(rng.standard_normal((4, 8)) * 0.5)
+            cls = _leaf(rng.standard_normal((1, 1, 8)))
+            probe(f"class_attention[{frames}x{c}]", rng,
+                  lambda *xs, raw=raw: tl.class_attention(raw, *xs, heads=2),
+                  [w_patch, rows, cls, p.wq, p.wk, p.wv, p.wo],
+                  ["w_patch", "rows", "cls", "wq", "wk", "wv", "wo"])
 
     # the fused two-layer MLP, with shared weights over [N, D] rows and
     # with stacked per-token weights over [B, G, D]
-    for tokens, tag in ((None, ""), (3, "_stacked")):
-        g = () if tokens is None else (tokens,)
+    for g, tag in (((), ""), ((3,), "_stacked")):
         for c in range(3):
             rng = rng_for(seed, "gc", "mlp" + tag, c)
             shapes = [(2,) + g + (4,), g + (4, 5), g + (5,), g + (5, 2),
                       g + (2,)]
-            inputs = [tl.tensor(rng.standard_normal(s) * 0.7,
-                                requires_grad=True) for s in shapes]
-            w = tl.constant(rng.standard_normal((2,) + g + (2,)))
-            check(f"mlp{tag}[{c}]",
-                  lambda *args, w=w: tl.sum_all(tl.mul(tl.mlp(*args), w)),
-                  inputs, names=["x", "w1", "b1", "w2", "b2"])
+            inputs = [_leaf(rng.standard_normal(s) * 0.7) for s in shapes]
+            probe(f"mlp{tag}[{c}]", rng, tl.mlp, inputs,
+                  ["x", "w1", "b1", "w2", "b2"])
 
     # losses
     for c in range(3):
         rng = rng_for(seed, "gc", "losses", c)
-        logits2 = tl.tensor(rng.standard_normal(2), requires_grad=True)
-        check(f"oscc_loss[{c}]",
-              lambda x, lab=bool(c % 2): oscc_loss(x, lab),
-              [logits2], names=["logits"])
+        check(f"oscc_loss[{c}]", lambda x, lab=bool(c % 2): oscc_loss(x, lab),
+              [_leaf(rng.standard_normal(2))], ["logits"])
 
-        logits_t = tl.tensor(rng.standard_normal(6), requires_grad=True)
+        logits_t = _leaf(rng.standard_normal(6))
         labels = (ClipLabels(True, pnr_frame=int(rng.integers(0, 6)),
                              boxes=[LabeledBox("hand", (0.5, 0.5, 0.2, 0.2))])
                   if c % 2 == 0 else ClipLabels(False))
-        target = make_pnr_target(labels, 6)
+        target = PnrTarget(make_pnr_targets([labels], 6).dist[0])
         check(f"pnr_loss[{c}]", lambda x, t=target: pnr_loss(x, t),
-              [logits_t], names=["logits"])
+              [logits_t], ["logits"])
 
-        a_box, b_box = _kink_free_boxes(rng)
-        a = tl.tensor(a_box, requires_grad=True)
-        b = tl.tensor(b_box, requires_grad=True)
-        check(f"giou[{c}]", lambda x, y: iou_giou(x, y)[1], [a, b],
-              names=["a", "b"])
+        check(f"giou[{c}]", lambda x, y: iou_giou(x, y)[1],
+              [_leaf(box) for box in _kink_free_boxes(rng)], ["a", "b"])
 
     for c in range(3):
         rng = rng_for(seed, "gc", "scod", c)
         n_queries = 4
         gt_boxes = [(0.3, 0.3, 0.2, 0.2), (0.7, 0.6, 0.25, 0.25)]
-        class_leaf = tl.tensor(rng.standard_normal((1, n_queries, 3)),
-                               requires_grad=True)
-        box_leaf = tl.tensor(_query_boxes(rng, n_queries, gt_boxes),
-                             requires_grad=True)
+        class_leaf = _leaf(rng.standard_normal((1, n_queries, 3)))
+        box_leaf = _leaf(_query_boxes(rng, n_queries, gt_boxes))
         labels = [ClipLabels(True, pnr_frame=1,
                              boxes=[LabeledBox("hand", gt_boxes[0]),
                                     LabeledBox("object", gt_boxes[1])])]
@@ -303,16 +266,15 @@ def run_gradcheck(seed: int = 0, tol: float = 1e-4,
             return scod_loss(cl, tl.sigmoid(bx), labels, match=fixed)
 
         check(f"scod_loss[{c}]", f_scod, [class_leaf, box_leaf],
-              names=["class_logits", "boxes"])
+              ["class_logits", "boxes"])
 
-        s = tl.tensor(rng.standard_normal(3) * 0.5, requires_grad=True)
-        loss_leaves = [tl.tensor(float(rng.uniform(0.5, 4.0)),
-                                 requires_grad=True) for _ in range(3)]
+        s = _leaf(rng.standard_normal(3) * 0.5)
+        loss_leaves = [_leaf(float(rng.uniform(0.5, 4.0))) for _ in range(3)]
         check(f"joint_loss[{c}]",
               lambda a, b, cc, sv: joint_loss(
                   {"oscc": a, "pnr": b, "scod": cc}, SigmaParams(sv),
                   TASK_ORDER),
-              loss_leaves + [s], names=["l_oscc", "l_pnr", "l_scod", "s"])
+              loss_leaves + [s], ["l_oscc", "l_pnr", "l_scod", "s"])
 
     results.append(("decode_joint", _decode_joint_check(seed, tol, eps)))
     return results
@@ -335,12 +297,9 @@ def _decode_joint_check(seed: int, tol: float, eps: float) -> GradCheckReport:
             param.data[...] = 1.0 + 0.2 * rng.standard_normal(param.shape)
         else:
             param.data[...] = 0.35 * rng.standard_normal(param.shape)
-    h_frames = tl.tensor(rng.standard_normal((b, t, d)) * 0.5,
-                         requires_grad=True)
-    h_patches = tl.tensor(rng.standard_normal((b, t, p, d)) * 0.5,
-                          requires_grad=True)
-    sigma = SigmaParams(tl.tensor(rng.standard_normal(3) * 0.3,
-                                  requires_grad=True))
+    h_frames = _leaf(rng.standard_normal((b, t, d)) * 0.5)
+    h_patches = _leaf(rng.standard_normal((b, t, p, d)) * 0.5)
+    sigma = SigmaParams(_leaf(rng.standard_normal(3) * 0.3))
     keyframes = np.array([2, t // 2])  # the change frame; mid frame
 
     def features():
@@ -386,11 +345,9 @@ def _decode_joint_check(seed: int, tol: float, eps: float) -> GradCheckReport:
         # unchanged up to that constant.
         return tl.scale(joint_loss(parts, sigma, TASK_ORDER), 1.0 / 32.0)
 
-    names = ["h_frames", "h_patches", "sigma.s"]
-    inputs = [h_frames, h_patches, sigma.s]
-    for name, tns in dec.parameters().items():
-        names.append(name)
-        inputs.append(tns)
+    params = dec.parameters()
+    names = ["h_frames", "h_patches", "sigma.s", *params]
+    inputs = [h_frames, h_patches, sigma.s, *params.values()]
     # float64 rounds |f| ~ 0.3 to within ~2.8e-17, and central differences
     # divide that by 2*eps: at the op checks' step of 1e-5 the noise
     # (2.8e-12) exceeds tol times grad_check's 1e-8 denominator floor, so

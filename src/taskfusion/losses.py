@@ -15,7 +15,8 @@ the whole batch, and the loss gathers the matched pairs as arrays. The
 matcher's costs mirror the loss terms with the same functions: class
 probabilities from ``tensor.softmax``, and the GIoU of ``iou_giou``, the
 one box-overlap formula, which ``trainer.evaluate`` also reads its IoU
-from. The combined loss weighs tasks by learnable log-variances.
+from. The combined loss weighs tasks by learnable log-variances, in one
+batched expression over the vector of enabled task losses.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class SigmaParams:
         return np.exp(self.s.data)
 
 
-def _comp(t: Tensor, i: int) -> Tensor:
-    return tl.reshape(tl.narrow(t, 0, i, 1), ())
-
-
 def _shifted_log_sum_exp(logits: Tensor) -> tuple[Tensor, Tensor]:
     """``z = logits - max`` and ``log(sum(exp(z)))`` over the last axis:
     log softmax is ``z - lse``. The max is detached, so the shift has
@@ -160,11 +157,6 @@ def make_pnr_targets(labels: Sequence[ClipLabels], frames: int) -> PnrTarget:
     dist[change] = 0.0
     dist[np.flatnonzero(change), keyframe[change]] = 1.0
     return PnrTarget(dist)
-
-
-def make_pnr_target(labels: ClipLabels, frames: int) -> PnrTarget:
-    """The [T] target of one clip."""
-    return PnrTarget(make_pnr_targets([labels], frames).dist[0])
 
 
 def pnr_loss(pnr_logits: Tensor, target: PnrTarget) -> Tensor:
@@ -319,7 +311,9 @@ def scod_loss(class_logits: Tensor, boxes: Tensor,
 
 def joint_loss(parts: Mapping[str, Tensor], sigma: SigmaParams,
                enabled: Sequence[str]) -> Tensor:
-    """Uncertainty-weighted sum: exp(-s_i)/2 * L_i + s_i/2 per enabled task.
+    """Uncertainty-weighted sum, one expression over the vector L of the
+    enabled tasks' losses and their log-variances s, both in TASK_ORDER:
+    sum(exp(-s)/2 * L + s/2), summed left to right.
 
     Algebraically equal to 1/(2 sigma_i^2) L_i + log sigma_i summed over
     tasks, since s_i = log sigma_i^2. Disabled tasks contribute neither
@@ -331,13 +325,12 @@ def joint_loss(parts: Mapping[str, Tensor], sigma: SigmaParams,
     unknown = set(enabled) - set(TASK_ORDER)
     if unknown:
         raise ContractError(f"unknown tasks {sorted(unknown)}")
-    total = tl.constant(0.0)
-    for i, task in enumerate(TASK_ORDER):
-        if task not in enabled:
-            continue
+    tasks = [task for task in TASK_ORDER if task in enabled]
+    for task in tasks:
         if task not in parts:
             raise ContractError(f"enabled task {task!r} missing its loss")
-        s_i = _comp(sigma.s, i)
-        weighted = tl.scale(tl.mul(tl.exp(tl.scale(s_i, -1.0)), parts[task]), 0.5)
-        total = tl.add(total, tl.add(weighted, tl.scale(s_i, 0.5)))
-    return total
+    losses = tl.concat([tl.reshape(parts[task], (1,)) for task in tasks])
+    s = (sigma.s if len(tasks) == len(TASK_ORDER) else
+         tl.take0(sigma.s, [TASK_ORDER.index(task) for task in tasks]))
+    weighted = tl.scale(tl.mul(tl.exp(tl.scale(s, -1.0)), losses), 0.5)
+    return tl.sum_all(tl.add(weighted, tl.scale(s, 0.5)))

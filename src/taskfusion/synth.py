@@ -126,12 +126,13 @@ class ClipConfig:
         if not self.clip_duration_seconds > 0:
             raise ShapeError(f"clip_duration_seconds must be > 0, got "
                              f"{self.clip_duration_seconds}")
-        if not self.noise >= 0:
-            raise ShapeError(f"noise must be >= 0, got {self.noise}")
-        for name in ("clip_duration_seconds", "noise"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ShapeError(f"{name} must be finite, got {value}")
+        if not math.isfinite(self.clip_duration_seconds):
+            raise ShapeError(f"clip_duration_seconds must be finite, got "
+                             f"{self.clip_duration_seconds}")
+        # the backdrop's noise half-range: at 1 it already spans every
+        # pixel value around BACKGROUND_LEVEL
+        if not 0.0 <= self.noise <= 1.0:
+            raise ShapeError(f"noise must lie in [0, 1], got {self.noise}")
 
 
 @dataclass
@@ -386,16 +387,25 @@ def write_dataset(path, count: int, seed_base: int,
             f.write(_encode(record) + "\n")
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
 def config_from_json(config_cls, config, what: str):
     """The dataclass ``config_cls`` a file's JSON ``config`` object gives;
     a TypeError unless the object gives each field its JSON type (an int
-    for an int field, an int or a float for a float one). ``what`` names
-    the config."""
+    for an int field, an int or a float for a float one, a string for a
+    str one, and a list of strings for a ``tuple[str, ...]`` one).
+    ``what`` names the config."""
     if not isinstance(config, dict):
         raise TypeError(f"{what} must be an object")
     for f in fields(config_cls):
-        allowed = (int,) if f.type == "int" else (int, float)
-        if type(config.get(f.name, f.default)) not in allowed:
+        value = config.get(f.name, f.default)
+        if f.type == "tuple[str, ...]":  # a JSON list, or the default
+            ok = (isinstance(value, (list, tuple))
+                  and all(type(v) is str for v in value))
+        else:
+            ok = type(value) in _JSON_TYPES[f.type]
+        if not ok:
             raise TypeError(f"{what} {f.name} must be {f.type}")
     return config_cls(**config)
 

@@ -973,29 +973,25 @@ def backward(loss: Tensor) -> None:
 
 
 @dataclass
-class GradCheckEntry:
-    name: str
-    max_rel_error: float
-    passed: bool
-
-
-@dataclass
 class GradCheckReport:
-    entries: list[GradCheckEntry]
+    """Each checked input's max relative error, by name, and the tolerance
+    every one of them must stay within."""
+
+    errors: dict[str, float]
     tol: float
 
     @property
     def passed(self) -> bool:
-        return all(e.passed for e in self.entries)
+        return all(e <= self.tol for e in self.errors.values())
 
     @property
     def max_rel_error(self) -> float:
-        return max((e.max_rel_error for e in self.entries), default=0.0)
+        return max(self.errors.values(), default=0.0)
 
     def __str__(self) -> str:
-        lines = [f"{'PASS' if e.passed else 'FAIL'}  {e.name}  "
-                 f"max_rel_err={e.max_rel_error:.3e}" for e in self.entries]
-        return "\n".join(lines)
+        return "\n".join(f"{'PASS' if e <= self.tol else 'FAIL'}  {name}  "
+                         f"max_rel_err={e:.3e}"
+                         for name, e in self.errors.items())
 
 
 def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
@@ -1003,8 +999,9 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
                names: Sequence[str] | None = None) -> GradCheckReport:
     """Compare analytic gradients of ``f(*inputs)`` to central differences.
 
-    ``f`` must be deterministic and return a scalar tensor. Relative error
-    per element uses the max(|analytic|, |numeric|, 1e-8) denominator.
+    ``f`` must be deterministic and return a scalar tensor. The report
+    holds each input's largest relative error per element, by name, with
+    the max(|analytic|, |numeric|, 1e-8) denominator.
     Every input must be float64: float32 rounding (about 6e-8 of each
     value) divided by the ``2 * eps`` step would swamp the tolerance.
     The analytic pass records a graph and runs its one backward; the
@@ -1027,7 +1024,7 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
     loss = f(*inputs)
     backward(loss)
 
-    entries = []
+    errors = {}
     for name, t in zip(names, inputs):
         if not t.requires_grad:
             continue
@@ -1045,7 +1042,6 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor],
                 flat[i] = orig
                 nflat[i] = (hi - lo) / (2.0 * eps)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-        rel = float(np.max(np.abs(analytic - numeric) / denom)) if flat.size else 0.0
-        entries.append(GradCheckEntry(name=name, max_rel_error=rel,
-                                      passed=rel <= tol))
-    return GradCheckReport(entries=entries, tol=tol)
+        errors[name] = (float(np.max(np.abs(analytic - numeric) / denom))
+                        if flat.size else 0.0)
+    return GradCheckReport(errors, tol)

@@ -54,7 +54,8 @@ from .losses import (ClipLabels, SigmaParams, TASK_ORDER, iou_giou,
                      joint_loss, make_pnr_targets, match_queries, oscc_loss,
                      pnr_loss, scod_loss)
 from .seeding import rng_for
-from .synth import ClipRecord, Encoder, SynthClip, build_encoder
+from .synth import (ClipRecord, Encoder, SynthClip, build_encoder,
+                    config_from_json)
 from .tensor import ContractError, ShapeError, Tensor, TensorError, backward
 
 
@@ -450,7 +451,8 @@ def _build_model_encoder(config: TrainConfig, frames: int,
 def _described_config(desc: dict) -> TrainConfig:
     """The config a model checkpoint's description records. A description
     without a dtype predates float32 models: it is float64."""
-    return TrainConfig(**{"dtype": "float64", **desc["config"]})
+    config = {"dtype": "float64", **desc["config"]}
+    return config_from_json(TrainConfig, config, "model config")
 
 
 def model_from_description(desc: dict) -> ModelBundle:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,6 +42,9 @@ def test_demo_file_regenerates_the_exact_demos(tmp_path):
     {"env": {"image": None}, "seeds": [1]},
     {"env": {"horizon": 2.5}, "seeds": [1]},
     {"env": {"size": 16}, "seeds": [1]},
+    {"env": {"noise": 1e308}, "seeds": [1]},
+    {"env": {"cube_size": 1e308}, "seeds": [1]},
+    {"env": {"gripper_size": 1e308}, "seeds": [1]},
     {"env": {}, "seeds": None},
     {"env": {}, "seeds": []},
     {"env": {}, "seeds": [-1]},
@@ -50,6 +55,16 @@ def test_malformed_demo_record_is_a_dataset_error(tmp_path, record):
     path.write_text("# {}\n" + json.dumps(record) + "\n")
     with pytest.raises(DatasetError, match="line 2"):
         read_demos(path)
+
+
+@pytest.mark.parametrize("field", [f.name for f in fields(ToyEnvConfig)
+                                   if f.type == "float"])
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.inf, math.nan])
+def test_every_float_env_field_lies_in_the_unit_interval(field, value):
+    """Each is a length in the unit square or the backdrop's noise."""
+    with pytest.raises(ContractError,
+                       match=rf"env {field} must lie in \[0, 1\], got "):
+        ToyEnvConfig(**{field: value})
 
 
 @pytest.mark.parametrize("image", [16, 32])

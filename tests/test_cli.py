@@ -265,12 +265,21 @@ def _nonfinite_checkpoint(work, name, value, n=None):
     return path
 
 
-def _policy_file(work, name, edit):
-    """The fixture's policy file, rewritten under ``name`` as
-    ``edit(store)`` returns its store."""
+def _policy_file(work, name, edit, source="policy.ckpt"):
+    """The fixture's policy file (or its file ``source``), rewritten under
+    ``name`` as ``edit(store)`` returns its store."""
     path = work / name
-    save_checkpoint(edit(load_checkpoint(work / "policy.ckpt")), path)
+    save_checkpoint(edit(load_checkpoint(work / source)), path)
     return path
+
+
+def _with_model_config(**changes):
+    """Edits the model's config in a model or a policy file."""
+    def edit(store):
+        store.description.get("model", store.description)["config"].update(
+            changes)
+        return store
+    return edit
 
 
 def _with_env(**changes):
@@ -421,6 +430,20 @@ def _train_argv(work, flag, value):
     (lambda w: ["bc-eval", "--policy", str(_policy_file(
         w, "unplaceable.ckpt", _with_env(contact_radius=1.0))),
                 "--episodes", "1"], UNPLACEABLE),
+    (lambda w: ["eval", "--data", str(w / "data"), "--checkpoint",
+                str(_policy_file(w, "bool_heads.ckpt", _with_model_config(
+                    dec_heads=True), source="model.ckpt"))],
+     "description does not build a model: TypeError('model config "
+     "dec_heads must be int')"),
+    (lambda w: ["bc-eval", "--policy", str(_policy_file(
+        w, "policy_bool_heads.ckpt", _with_model_config(enc_heads=True))),
+                "--episodes", "1"],
+     "description does not build a policy: TypeError('model config "
+     "enc_heads must be int')"),
+    *[(lambda w, field=field: ["bc-eval", "--policy", str(_policy_file(
+        w, f"{field}.ckpt", _with_env(**{field: 1e308}))), "--episodes", "1"],
+       f"env {field} must lie in [0, 1], got 1e+308")
+      for field in ("noise", "cube_size", "gripper_size")],
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--image", "8",
                 "--out", str(w / "g")],
      "height and width must be at least 14 px for the scene script, got 8x8"),
@@ -428,12 +451,14 @@ def _train_argv(work, flag, value):
                 "--out", str(w / "g")],
      "height and width must be at least 14 px for the scene script, got 0x0"),
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--noise", "-0.5",
-                "--out", str(w / "g")], "noise must be >= 0, got -0.5"),
+                "--out", str(w / "g")], "noise must lie in [0, 1], got -0.5"),
+    (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--noise", "1.5",
+                "--out", str(w / "g")], "noise must lie in [0, 1], got 1.5"),
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--duration", "-1",
                 "--out", str(w / "g")],
      "clip_duration_seconds must be > 0, got -1.0"),
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--noise", "inf",
-                "--out", str(w / "g")], "noise must be finite, got inf"),
+                "--out", str(w / "g")], "noise must lie in [0, 1], got inf"),
     (lambda w: ["gen-data", "--count", "1", "--seed", "1", "--duration",
                 "inf", "--out", str(w / "g")],
      "clip_duration_seconds must be finite, got inf"),
@@ -449,9 +474,10 @@ def _train_argv(work, flag, value):
         *[f"{field}_{value}" for _, field, value in SIZE_FLAGS_BELOW_1],
         "env_image_0", "env_image_negative", "bc_eval_horizon_0",
         "bc_eval_env_type", "bc_train_unplaceable", "bc_eval_unplaceable",
-        "image_8",
-        "image_0", "noise_negative", "duration_negative", "noise_inf",
-        "duration_inf"])
+        "eval_bool_heads", "bc_eval_bool_heads", "bc_eval_noise_1e308",
+        "bc_eval_cube_size_1e308", "bc_eval_gripper_size_1e308", "image_8",
+        "image_0", "noise_negative", "noise_1.5", "duration_negative",
+        "noise_inf", "duration_inf"])
 @pytest.mark.filterwarnings("ignore:expert failed on")
 def test_malformed_inputs_exit_2_with_a_message(work, capsys, argv, message):
     args = argv(work)
@@ -609,12 +635,11 @@ def test_gradcheck_reports_each_check_and_exits_2_on_a_failure(monkeypatch,
                                                                capsys):
     """The report loop over a stand-in audit of one passing and one
     failing check: a line for each, the summary, and exit 2."""
-    def report(passed, error):
-        return tl.GradCheckReport([tl.GradCheckEntry("x", error, passed)],
-                                  tol=1e-4)
+    def report(error):
+        return tl.GradCheckReport({"x": error}, tol=1e-4)
 
     monkeypatch.setattr(cli, "run_gradcheck", lambda seed, tol, eps: [
-        ("good", report(True, 1e-9)), ("bad", report(False, 0.5))])
+        ("good", report(1e-9)), ("bad", report(0.5))])
     assert cli.main(["gradcheck"]) == 2
     out, err = capsys.readouterr()
     assert out.splitlines() == ["PASS good max_rel_err=1.000e-09",

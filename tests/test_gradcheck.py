@@ -4,6 +4,8 @@ It takes about half a minute, so it is marked ``slow`` and left out of the
 default run; run it with ``pytest -m slow``. The fixtures' bounded draws
 are checked in the default run."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,9 +74,39 @@ def test_every_op_kind_training_records_is_on_a_checked_tape(recorded_nodes,
                 seen.add(id(t))
                 checked.add(t.node.op)
                 stack.extend(t.node.inputs)
-        return GradCheckReport(entries=[], tol=1e-4)
+        return GradCheckReport({}, tol=1e-4)
 
     monkeypatch.setattr(gradcheck, "grad_check", walk_tape)
     gradcheck.run_gradcheck()
     assert "matmul" in trained and "class_attention" in trained
     assert trained <= checked, sorted(trained - checked)
+
+
+# sha256 over every check of ``run_gradcheck()``: its name, its input
+# names, each input's shape and bytes, and the float64 value of one
+# forward call of the function it checks.
+AUDIT_DIGEST = ("020a5efdec0017bc4091607c8cd8df05"
+                "da07974caead5c6c95c7d3e33b608d8b")
+
+
+def test_every_check_keeps_its_name_inputs_and_value(monkeypatch):
+    """The audit's checks, in order, each with the inputs it perturbs and
+    the value its function takes on them. ``grad_check`` is stubbed to
+    that one forward call, so no differences run."""
+    calls = []
+
+    def forward_once(f, inputs, names=None, **_):
+        calls.append((list(names), [t.data.copy() for t in inputs],
+                      np.float64(f(*inputs).item())))
+
+    monkeypatch.setattr(gradcheck, "grad_check", forward_once)
+    with tl.precision("float64"):
+        results = gradcheck.run_gradcheck()
+    assert len(results) == len(calls) == 139
+    h = hashlib.sha256()
+    for (name, _), (names, arrays, value) in zip(results, calls):
+        h.update(repr((name, names, [a.shape for a in arrays])).encode())
+        for a in arrays:
+            h.update(a.tobytes())
+        h.update(value.tobytes())
+    assert h.hexdigest() == AUDIT_DIGEST

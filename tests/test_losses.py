@@ -8,7 +8,7 @@ from taskfusion import tensor as tl
 from taskfusion.losses import (LAMBDA_CLS, LAMBDA_GIOU, LAMBDA_L1,
                                ClipLabels, LabeledBox, LabelError, PnrTarget,
                                SigmaParams, TASK_ORDER, cross_entropy,
-                               iou_giou, joint_loss, make_pnr_target,
+                               iou_giou, joint_loss, make_pnr_targets,
                                match_queries, oscc_loss, pnr_loss, scod_loss)
 from taskfusion.seeding import rng_for
 from taskfusion.tensor import ContractError, DomainError, backward, grad_check
@@ -44,14 +44,14 @@ def test_oscc_matches_scalar_oracle():
 def test_pnr_target_one_hot():
     labels = ClipLabels(True, pnr_frame=5,
                         boxes=[LabeledBox("hand", (0.5, 0.5, 0.2, 0.2))])
-    target = make_pnr_target(labels, 16)
-    expected = np.zeros(16)
-    expected[5] = 1.0
+    target = make_pnr_targets([labels], 16)
+    expected = np.zeros((1, 16))
+    expected[0, 5] = 1.0
     assert np.array_equal(target.dist, expected)
 
 
 def test_pnr_target_uniform_no_change():
-    target = make_pnr_target(ClipLabels(False), 16)
+    target = make_pnr_targets([ClipLabels(False)], 16)
     assert np.allclose(target.dist, 0.0625, atol=0)
 
 
@@ -64,14 +64,14 @@ def test_pnr_target_always_sums_to_one():
                                 boxes=[LabeledBox("hand", (0.5, 0.5, 0.1, 0.1))])
         else:
             labels = ClipLabels(False)
-        assert abs(make_pnr_target(labels, t).dist.sum() - 1.0) <= 1e-12
+        assert abs(make_pnr_targets([labels], t).dist.sum() - 1.0) <= 1e-12
 
 
 def test_pnr_target_frame_out_of_range():
     labels = ClipLabels(True, pnr_frame=16,
                         boxes=[LabeledBox("hand", (0.5, 0.5, 0.2, 0.2))])
     with pytest.raises(LabelError):
-        make_pnr_target(labels, 16)
+        make_pnr_targets([labels], 16)
 
 
 def test_pnr_loss_zero_when_distributions_match():

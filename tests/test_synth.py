@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -50,7 +51,8 @@ def test_invalid_stored_label_names_its_line(tmp_path):
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("noise", -0.5, "noise must be >= 0, got -0.5"),
+    ("noise", -0.5, "noise must lie in [0, 1], got -0.5"),
+    ("noise", 1e308, "noise must lie in [0, 1], got 1e+308"),
     ("clip_duration_seconds", 0, "clip_duration_seconds must be > 0, got 0"),
     ("height", 8, "height and width must be at least 14 px for the scene "
                   "script, got 8x16"),
@@ -63,7 +65,8 @@ def test_invalid_stored_config_names_its_line(tmp_path, field, value,
     def edit(raw):
         raw["config"][field] = value
     _edit_first_record(path, edit)
-    with pytest.raises(DatasetParseError, match=f"line 2: {message}"):
+    with pytest.raises(DatasetParseError,
+                       match=f"line 2: {re.escape(message)}"):
         read_dataset(path)
 
 

@@ -728,6 +728,26 @@ def test_description_without_dtype_loads_as_float64(tmp_path):
         assert np.array_equal(loaded.store[name].data, t.data), name
 
 
+@pytest.mark.parametrize("field, value", [
+    ("dec_heads", True), ("width", 16.0), ("lr", "0.1"), ("encoder", 3),
+    ("dtype", None), ("enabled_tasks", "oscc"),
+    ("enabled_tasks", ["oscc", 1])])
+def test_a_description_gives_each_config_field_its_json_type(tmp_path, field,
+                                                            value):
+    """As in dataset and demo files: an int for an int field (not a
+    bool), a number for a float one, a string for a str one and a list of
+    strings for the tasks."""
+    model = build_model(_config(), frames=4, image=16)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model.store, path)
+    header = _header(path)
+    header["description"]["config"][field] = value
+    _rewrite(path, header=header)
+    with pytest.raises(CheckpointError, match=rf"does not build a model: "
+                       rf"TypeError\('model config {field} must be "):
+        trainer.load_model(path)
+
+
 def test_value_overflowing_float32_is_rejected(tmp_path):
     model = build_model(_config(), frames=4, image=16)
     path = tmp_path / "model.ckpt"
